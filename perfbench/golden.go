@@ -72,58 +72,53 @@ func docCells(out map[cellKey][]byte, name string, data []byte) error {
 	return nil
 }
 
-// cellChecker byte-checks reports: against their golden cell when the
-// seed is the goldens' own, and against their first rotation always.
-type cellChecker struct {
-	golden map[cellKey][]byte // nil unless the seed is goldenSeed
-	first  map[cellKey][]byte
-}
-
-func newCellChecker(seed uint64, docs ...string) (*cellChecker, error) {
-	c := &cellChecker{first: make(map[cellKey][]byte)}
-	if seed == goldenSeed {
-		g, err := goldenCells(docs...)
-		if err != nil {
-			return nil, err
-		}
-		c.golden = g
+// cellsOf returns the compact bytes of every cell of a served
+// document, keyed without a document name: an experiment document's
+// grid cells, or a run document's one report under its point's label.
+func cellsOf(req request, data []byte) (map[cellKey][]byte, error) {
+	out := make(map[cellKey][]byte)
+	if req.exp != nil {
+		return out, docCells(out, "", data)
 	}
-	return c, nil
+	var doc struct {
+		Report json.RawMessage `json:"report"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		return nil, err
+	}
+	var rep harness.ReportJSON
+	if err := json.Unmarshal(doc.Report, &rep); err != nil {
+		return nil, err
+	}
+	var b bytes.Buffer
+	if err := json.Compact(&b, doc.Report); err != nil {
+		return nil, err
+	}
+	out[cellKey{"", req.run.label, rep.ClockMHz, rep.BlockBytes}] = b.Bytes()
+	return out, nil
 }
 
-// check counts rep as an attempted operation and fails it on any
-// difference.
-func (c *cellChecker) check(out *outcome, k cellKey, rep *stats.Report) {
+// goldenDoc names the golden document a request's cells belong to.
+func goldenDoc(req request) string {
+	if req.exp != nil {
+		return req.exp.id
+	}
+	return req.run.doc
+}
+
+// probeMatches fails the probe unless its report byte-equals want, the
+// compact cell the service or another path produced for the same point.
+func probeMatches(out *outcome, label string, got *stats.Report, want []byte) {
 	out.Attempted++
-	got, err := json.Marshal(harness.NewReportJSON(rep))
-	if err != nil {
-		out.fail("%v: %v", k, err)
-		return
-	}
-	if c.golden != nil {
-		if want, ok := c.golden[k]; !ok || !bytes.Equal(got, want) {
-			out.fail("%v differs from testdata/golden/%s.json", k, k.doc)
-			return
-		}
-	}
-	if prev, ok := c.first[k]; !ok {
-		c.first[k] = got
-	} else if !bytes.Equal(got, prev) {
-		out.fail("%v changed between rotations", k)
+	a, err := json.Marshal(harness.NewReportJSON(got))
+	if err != nil || want == nil || !bytes.Equal(a, want) {
+		out.fail("probe %s report differs from the served one", label)
 	}
 }
 
-// probeMatches fails the probe unless its report byte-equals the one
-// the harness produced for the same point.
-func probeMatches(out *outcome, label string, got, want *stats.Report) {
-	out.Attempted++
-	if want == nil {
-		out.fail("probe %s has no harness report to compare with", label)
-		return
-	}
-	a, err1 := json.Marshal(harness.NewReportJSON(got))
-	b, err2 := json.Marshal(harness.NewReportJSON(want))
-	if err1 != nil || err2 != nil || !bytes.Equal(a, b) {
-		out.fail("probe %s report differs from the harness's", label)
-	}
+// compactReport is a report's compact cell bytes, or nil (which no
+// cell equals) if it does not marshal.
+func compactReport(r *stats.Report) []byte {
+	b, _ := json.Marshal(harness.NewReportJSON(r))
+	return b
 }

@@ -4,13 +4,13 @@
 //
 // Usage (from the repository root, through the wrapper that builds it):
 //
-//	bash perfbench/run.sh --workload sweep|runs|service --seed 42 --seconds 24 --trace 0|1
+//	bash perfbench/run.sh --workload sweep|runs|service --seed 42 --seconds 45 --trace 0|1
 //	bash perfbench/run.sh summarise .bench_build/trace-service-42.json
 //
 // Each run prints, as the last line of standard output, one JSON
 // object: {"correct", "attempted", "failed", "metrics"}. Untraced runs
-// report the workload's end-to-end metrics; traced runs report its
-// per-layer metrics and write their spans to .bench_build/.
+// report every end-to-end metric; traced runs report every per-layer
+// metric and write their spans to .bench_build/.
 package main
 
 import (
@@ -24,7 +24,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -42,18 +41,6 @@ const setupChildren = 4
 // relative to the checkout root the benchmark runs from.
 const outDir = ".bench_build"
 
-// workload is one traffic mix. setup is timed as setup_s; measure runs
-// for about the given budget and returns the end-to-end figures; probe
-// (traced runs only) times the layers' public calls on the workload's
-// own inputs.
-type workload interface {
-	setup(ctx context.Context, tr *tracer) error
-	measure(ctx context.Context, budget time.Duration, tr *tracer) (outcome, error)
-	probe(ctx context.Context, tr *tracer, out *outcome) (map[string]float64, error)
-	// close releases what setup started; it runs once the child is done.
-	close()
-}
-
 // outcome is what a measured part produced.
 type outcome struct {
 	Attempted int
@@ -66,17 +53,17 @@ func (o *outcome) fail(format string, args ...any) {
 	o.Failures = append(o.Failures, fmt.Sprintf(format, args...))
 }
 
-func newWorkload(name string, seed uint64) (workload, error) {
-	switch name {
-	case "sweep":
-		return newSweep(seed), nil
-	case "runs":
-		return newRuns(seed), nil
-	case "service":
-		return newService(seed), nil
-	default:
-		return nil, fmt.Errorf("unknown workload %q (want sweep, runs or service)", name)
+// newWorkload is the named workload's traffic mix at the seed. Its
+// setup is timed as setup_s; measure runs for about the given budget
+// and returns the end-to-end figures; probe (traced runs only) times
+// the layers' public calls on the workload's own inputs; close
+// releases what setup started.
+func newWorkload(name string, seed uint64) (*served, error) {
+	p, err := newPlan(name, seed)
+	if err != nil {
+		return nil, err
 	}
+	return newServed(p), nil
 }
 
 // metricUnits names every metric a run can report, end-to-end and
@@ -94,7 +81,6 @@ var metricUnits = func() map[string]string {
 
 		"run.wall_s":                "s",
 		"run.cpu_s":                 "s",
-		"run.steal_s":               "s",
 		"go.gc_cpu_s":               "s",
 		"go.alloc_mb":               "MB",
 		"synth.gen_ns_per_ref":      "ns/ref",
@@ -125,8 +111,8 @@ var metricUnits = func() map[string]string {
 		"server.first_event_ms":     "ms",
 		"server.event_us":           "us",
 	}
-	for _, g := range sweepGrids {
-		m["sim.columnar_ns_per_ref."+metricLabel(g.label)] = "ns/ref"
+	for _, p := range columnarPoints {
+		m["sim.columnar_ns_per_ref."+p.System.String()] = "ns/ref"
 	}
 	for _, p := range runPoints {
 		m["sim.row_ns_per_ref."+metricLabel(p.label)] = "ns/ref"
@@ -192,7 +178,7 @@ func parseArgs(args []string) (options, error) {
 	fs := flag.NewFlagSet("perfbench", flag.ContinueOnError)
 	fs.StringVar(&o.workload, "workload", "", "workload: sweep, runs or service")
 	fs.Uint64Var(&o.seed, "seed", 42, "workload seed (42 reproduces testdata/golden)")
-	fs.IntVar(&o.seconds, "seconds", 24, "measured seconds per run")
+	fs.IntVar(&o.seconds, "seconds", 45, "measured seconds per run")
 	fs.IntVar(&o.trace, "trace", 0, "1 = traced run reporting per-layer metrics")
 	fs.StringVar(&o.role, "role", "", "internal: child process role (setup, measure or traced)")
 	if err := fs.Parse(args); err != nil {
@@ -295,13 +281,13 @@ func runChild(o options) error {
 	if err := w.setup(ctx, tr); err != nil {
 		return fmt.Errorf("set-up: %w", err)
 	}
-	wall, steal, err := ph.end()
+	wall, busy, steal, err := ph.end()
 	if err != nil {
 		return err
 	}
 	// Set-up time is wall time less the hypervisor's steal, like the
 	// service latencies.
-	res := childResult{SetupS: wall * (1 - stealShare(steal, wall, runtime.NumCPU()))}
+	res := childResult{SetupS: wall * (1 - stealShare(busy, steal))}
 	if o.role != "setup" {
 		m, err := startMeter()
 		if err != nil {
@@ -385,11 +371,11 @@ func runParent(o options) error {
 	}
 	setups = append(setups, meas.SetupS)
 	attempted, failures := meas.Attempted, meas.Failures
+	fmt.Println("diagnostics", jsonLine(meas.Layers))
 
 	var metrics map[string]float64
 	if o.trace == 0 {
 		metrics = e2eOf(median(setups), meas)
-		fmt.Println("diagnostics", jsonLine(meas.Layers))
 	} else {
 		traced, err := spawn(o, "traced")
 		if err != nil {
@@ -397,7 +383,13 @@ func runParent(o options) error {
 		}
 		attempted += traced.Attempted
 		failures = append(failures, traced.Failures...)
-		metrics = traced.Layers
+		fmt.Println("traced diagnostics", jsonLine(traced.Layers))
+		metrics = make(map[string]float64)
+		for _, name := range perLayerNames() {
+			if v, ok := traced.Layers[name]; ok {
+				metrics[name] = v
+			}
+		}
 		tf := traceFile{
 			Workload: o.workload,
 			Seed:     o.seed,
@@ -427,7 +419,28 @@ func runParent(o options) error {
 		}
 		fmt.Println("FAILED:", f)
 	}
-	return printResult(os.Stdout, attempted, len(failures), metrics)
+	want := e2eNames
+	if o.trace == 1 {
+		want = perLayerNames()
+	}
+	return printResult(os.Stdout, attempted, len(failures), metrics, want)
+}
+
+// perLayerNames are the metrics a traced run reports: every declared
+// metric that is not end-to-end, sorted.
+func perLayerNames() []string {
+	e2e := make(map[string]bool, len(e2eNames))
+	for _, name := range e2eNames {
+		e2e[name] = true
+	}
+	var names []string
+	for name := range metricUnits {
+		if !e2e[name] {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	return names
 }
 
 // maxPrintedFailures bounds the failure lines a run prints.
@@ -441,24 +454,30 @@ func jsonLine(v any) string {
 	return string(b)
 }
 
-func printResult(w io.Writer, attempted, failed int, metrics map[string]float64) error {
-	names := make([]string, 0, len(metrics))
-	for name := range metrics {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+// printResult prints the result line, which must hold exactly the
+// wanted metrics: a run that could not measure one of them fails
+// instead of printing a partial line.
+func printResult(w io.Writer, attempted, failed int, metrics map[string]float64, want []string) error {
 	res := result{
 		Correct:   failed == 0,
 		Attempted: attempted,
 		Failed:    failed,
-		Metrics:   make(map[string]metricEncoding, len(metrics)),
+		Metrics:   make(map[string]metricEncoding, len(want)),
 	}
-	for _, name := range names {
-		unit, ok := metricUnits[name]
+	var missing []string
+	for _, name := range want {
+		v, ok := metrics[name]
 		if !ok {
-			return fmt.Errorf("metric %q has no declared unit", name)
+			missing = append(missing, name)
+			continue
 		}
-		res.Metrics[name] = metricEncoding{Value: metrics[name], Unit: unit}
+		res.Metrics[name] = metricEncoding{Value: v, Unit: metricUnits[name]}
+	}
+	if len(missing) > 0 {
+		return fmt.Errorf("run measured no %s", strings.Join(missing, ", "))
+	}
+	if len(res.Metrics) != len(metrics) {
+		return fmt.Errorf("run reported %d metrics, want %d", len(metrics), len(want))
 	}
 	return json.NewEncoder(w).Encode(res)
 }

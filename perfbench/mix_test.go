@@ -3,33 +3,56 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"testing"
+
+	"rampage/internal/harness"
 )
 
-func TestRequestMixIsAFunctionOfTheSeed(t *testing.T) {
-	a, b := newRequestMix(7), newRequestMix(7)
-	for i := range a.fill {
-		if !bytes.Equal(a.fill[i], b.fill[i]) {
-			t.Fatalf("fill request %d differs between two mixes of seed 7", i)
+var workloadNames = []string{"sweep", "runs", "service"}
+
+func mustPlan(t *testing.T, name string, seed uint64) plan {
+	t.Helper()
+	p, err := newPlan(name, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+func bodies(p plan) [][]byte {
+	out := append([][]byte(nil), p.fill...)
+	for _, c := range p.cold {
+		out = append(out, c.body)
+		for _, w := range c.warm {
+			out = append(out, w.body)
 		}
 	}
-	for i := 0; i < 50; i++ {
-		if !bytes.Equal(a.cold(i), b.cold(i)) {
-			t.Fatalf("cold request %d differs between two mixes of seed 7", i)
+	return out
+}
+
+func TestPlanIsAFunctionOfTheSeed(t *testing.T) {
+	for _, name := range workloadNames {
+		a, b := bodies(mustPlan(t, name, 7)), bodies(mustPlan(t, name, 7))
+		if len(a) != len(b) {
+			t.Fatalf("%s: two plans of seed 7 have %d and %d requests", name, len(a), len(b))
 		}
-		for k, w := range a.warm(i) {
-			if !bytes.Equal(w.body, b.warm(i)[k].body) {
-				t.Fatalf("warm request %d/%d differs between two mixes of seed 7", i, k)
+		for i := range a {
+			if !bytes.Equal(a[i], b[i]) {
+				t.Fatalf("%s: request %d differs between two plans of seed 7", name, i)
 			}
 		}
+		if bytes.Equal(mustPlan(t, name, 8).cold[0].body, mustPlan(t, name, 7).cold[0].body) {
+			t.Errorf("%s: seeds 7 and 8 produce the same first cold request", name)
+		}
 	}
-	if bytes.Equal(newRequestMix(8).cold(0), a.cold(0)) {
-		t.Error("seeds 7 and 8 produce the same first cold request")
+	if _, err := newPlan("fleet", 1); err == nil {
+		t.Error("an unknown workload has a plan")
 	}
 }
 
-func TestRequestMixSeedsAreDisjoint(t *testing.T) {
+func TestServiceSeedsAreDisjoint(t *testing.T) {
 	seen := map[uint64]string{}
 	claim := func(seed uint64, who string) {
 		if prev, ok := seen[seed]; ok {
@@ -38,20 +61,95 @@ func TestRequestMixSeedsAreDisjoint(t *testing.T) {
 		seen[seed] = who
 	}
 	for _, run := range []uint64{0, 1, 42} {
-		m := newRequestMix(run)
-		for i := 0; i < fillJobs; i++ {
-			claim(m.fillSeed(i), "fill")
+		p := mustPlan(t, "service", run)
+		for _, body := range p.fill {
+			var req struct {
+				Seed uint64 `json:"seed"`
+			}
+			if err := json.Unmarshal(body, &req); err != nil {
+				t.Fatal(err)
+			}
+			claim(req.Seed, "fill")
 		}
-		for i := 0; i < 1000; i++ {
-			claim(m.coldSeed(i), "cold")
+		for i, c := range p.cold {
+			claim(c.seed, "cold")
+			var req struct {
+				Seed uint64 `json:"seed"`
+			}
+			if err := json.Unmarshal(c.body, &req); err != nil || req.Seed != c.seed {
+				t.Errorf("cold request %d carries seed %d (%v), want %d", i, req.Seed, err, c.seed)
+			}
+		}
+		if p.seed != p.cold[0].seed {
+			t.Errorf("service plan probes seed %d, its first cold request has %d", p.seed, p.cold[0].seed)
 		}
 	}
-	var req struct {
-		Seed uint64 `json:"seed"`
+}
+
+// cellSet lists a request's cells as seed/system@MHz/bytes.
+func cellSet(t *testing.T, r request) []string {
+	t.Helper()
+	if r.run != nil {
+		return []string{fmt.Sprintf("%d/%s", r.seed, specLabel(r.run.spec))}
 	}
-	m := newRequestMix(42)
-	if err := json.Unmarshal(m.cold(3), &req); err != nil || req.Seed != m.coldSeed(3) {
-		t.Errorf("cold request carries seed %d (%v), want %d", req.Seed, err, m.coldSeed(3))
+	sh, err := harness.ShapeOf(r.exp.id, r.exp.rates, r.exp.sizes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, spec := range sh.CellSpecs() {
+		out = append(out, fmt.Sprintf("%d/%s", r.seed, specLabel(spec)))
+	}
+	return out
+}
+
+// TestPlanTiers checks what the tiers rely on: no cell is in two cold
+// requests of a round (each would restore the other's checkpoint),
+// every warm cell is a cell of its own cold request, and a round has
+// warm requests.
+func TestPlanTiers(t *testing.T) {
+	for _, name := range workloadNames {
+		p := mustPlan(t, name, 42)
+		warm := 0
+		for _, c := range p.cold {
+			warm += len(c.warm)
+		}
+		if warm == 0 {
+			t.Errorf("%s: a round has no warm request", name)
+		}
+		owner := map[string]int{}
+		for i, c := range p.cold {
+			for _, cell := range cellSet(t, c) {
+				if j, ok := owner[cell]; ok {
+					t.Errorf("%s: cell %s is in cold requests %d and %d", name, cell, j, i)
+				}
+				owner[cell] = i
+			}
+			for _, w := range c.warm {
+				for _, cell := range cellSet(t, w) {
+					if owner[cell] != i {
+						t.Errorf("%s: warm cell %s is not a cell of cold request %d", name, cell, i)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestColumnarPointsAreSweepCells keeps the columnar probe checkable:
+// on the sweep workload each probed point is a served cold cell.
+func TestColumnarPointsAreSweepCells(t *testing.T) {
+	p := mustPlan(t, "sweep", 42)
+	cells := map[string]bool{}
+	for _, c := range p.cold {
+		for _, cell := range cellSet(t, c) {
+			cells[cell] = true
+		}
+	}
+	for _, spec := range columnarPoints {
+		if cell := fmt.Sprintf("%d/%s", p.seed, specLabel(spec)); !cells[cell] {
+			t.Errorf("columnar probe point %s is no cell of the sweep plan", cell)
+		}
 	}
 }
 

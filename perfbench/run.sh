@@ -2,7 +2,7 @@
 # Builds the benchmark from source into .bench_build/ and runs it with
 # the given arguments. Run it from the repository root:
 #
-#   bash perfbench/run.sh --workload sweep --seed 42 --seconds 24 --trace 0
+#   bash perfbench/run.sh --workload sweep --seed 42 --seconds 45 --trace 0
 #
 # Everything the build and the run write stays under .bench_build/.
 set -euo pipefail

@@ -12,35 +12,41 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"time"
 
 	"rampage/internal/harness"
 	"rampage/internal/jobs"
 	"rampage/internal/server"
-	"rampage/internal/sim"
-	"rampage/internal/stats"
-	"rampage/internal/trace"
 )
 
-// service drives the real HTTP handler on a loopback listener with
-// one closed-loop client that keeps one job in flight, at quick scale,
-// through four tiers: cold jobs on unseen seeds, warm jobs whose every
-// cell restores a complete checkpoint, exact resubmissions answered
-// from the memory cache, and the same resubmissions answered from the
-// disk store after the server is drained and rebuilt over it.
-type service struct {
-	mix     requestMix
-	dir     string // scratch root: the disk store and the probe's store
-	srvMu   sync.Mutex
-	srv     *server.Server
-	hs      *http.Server
-	served  chan struct{} // closed when hs.Serve returns
-	base    string
-	client  *http.Client
-	coldDoc [][]byte // the cold document of each cold request, in order
-	// counters sums /metricsz counters over every server instance.
+// served drives the real HTTP handler on a loopback listener with one
+// closed-loop client that keeps one job in flight. Every workload runs
+// the same rounds over its own plan; each round starts a fresh server
+// over an empty store and walks four tiers: the plan's cold requests,
+// the warm requests whose every cell restores a complete checkpoint of
+// a cold job, exact resubmissions answered from the memory cache, and
+// the same resubmissions answered from the disk store after the server
+// is drained and rebuilt over it.
+type served struct {
+	plan   plan
+	dir    string // scratch root: the round's stores and the probe's
+	store  string // the current round's disk store
+	srvMu  sync.Mutex
+	srv    *server.Server
+	hs     *http.Server
+	served chan struct{} // closed when hs.Serve returns
+	base   string
+	client *http.Client
+	// wantBench is, per request seed, how many application references
+	// every cell of that seed must execute.
+	wantBench map[uint64]uint64
+	golden    map[cellKey][]byte // nil unless a request has the goldens' seed
+	// coldDoc and coldCells are the first round's cold documents and
+	// their cells, in plan order.
+	coldDoc   [][]byte
+	coldCells []map[cellKey][]byte
+	// counters sums /metricsz counters over every measured server.
 	counters map[string]uint64
 }
 
@@ -58,35 +64,60 @@ func serverConfig(dir string) server.Config {
 	}
 }
 
-func newService(seed uint64) *service {
-	return &service{mix: newRequestMix(seed), counters: make(map[string]uint64)}
+func newServed(p plan) *served {
+	return &served{plan: p, wantBench: make(map[uint64]uint64), counters: make(map[string]uint64)}
+}
+
+// config is the harness configuration the service runs a job of the
+// plan's scale on, with the given seed.
+func (s *served) config(seed uint64) (harness.Config, error) {
+	cfg, err := harness.ConfigForScale(s.plan.scale)
+	cfg.Seed = seed
+	cfg.Workers = serverConfig("").SweepParallel
+	return cfg, err
 }
 
 // handler forwards to the current server, so a rebuilt server takes
 // over the same listener.
-func (s *service) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+func (s *served) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.srvMu.Lock()
 	h := s.srv.Handler()
 	s.srvMu.Unlock()
 	h.ServeHTTP(w, r)
 }
 
-// setup builds the server and fills the harness workload cache with
-// untimed-by-tier jobs on seeds the measured phases never use. The
-// cache holds eight workloads and never evicts, so afterwards every
-// measured job regenerates its workload, as on any server that has
-// run for a while.
-func (s *service) setup(ctx context.Context, tr *tracer) error {
-	s.dir = filepath.Join(outDir, fmt.Sprintf("service-%d", os.Getpid()))
+// setup prepares what the plan's jobs read, builds the server and
+// runs the plan's fill jobs. The harness workload cache holds eight
+// workloads and never evicts: the sweep plan puts its seed's workload
+// there, and the service plan fills it with other seeds, so that every
+// measured job regenerates its workload, as on any server that has run
+// for a while.
+func (s *served) setup(ctx context.Context, tr *tracer) error {
+	s.dir = filepath.Join(outDir, fmt.Sprintf("%s-%d", s.plan.name, os.Getpid()))
 	if err := os.RemoveAll(s.dir); err != nil {
 		return err
 	}
-	err := tr.do("server.new", 0, "setup", func(int) error {
-		var err error
-		s.srv, err = server.New(serverConfig(filepath.Join(s.dir, "store")))
-		return err
-	})
+	err := tr.do("harness.validate", 0, "setup", func(int) error { return s.learnRequests() })
 	if err != nil {
+		return err
+	}
+	if s.plan.fillCache {
+		// The cache key excludes MaxRefs, so a one-reference sweep
+		// captures the whole workload while simulating almost nothing.
+		cfg, err := s.config(s.plan.seed)
+		if err != nil {
+			return err
+		}
+		cfg.MaxRefs = 1
+		err = tr.do("harness.sweep", 0, "setup", func(int) error {
+			_, err := harness.SweepSpec(ctx, cfg, columnarPoints[0], []uint64{columnarPoints[0].IssueMHz}, []uint64{columnarPoints[0].SizeBytes})
+			return err
+		})
+		if err != nil {
+			return err
+		}
+	}
+	if err := s.newServer(tr, 0); err != nil {
 		return err
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -101,7 +132,7 @@ func (s *service) setup(ctx context.Context, tr *tracer) error {
 		_ = s.hs.Serve(ln) // returns http.ErrServerClosed on close
 	}()
 	s.client = &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 4}}
-	for _, body := range s.mix.fill {
+	for _, body := range s.plan.fill {
 		jt, err := s.job(ctx, tr, "fill", body)
 		if err != nil {
 			return err
@@ -113,9 +144,71 @@ func (s *service) setup(ctx context.Context, tr *tracer) error {
 	return nil
 }
 
+// learnRequests validates the plan's run points, learns from the
+// generators how many application references each seed's cells must
+// execute, and loads the goldens if a request has their seed.
+func (s *served) learnRequests() error {
+	for _, req := range s.plan.cold {
+		if req.run != nil {
+			if err := req.run.spec.Validate(); err != nil {
+				return err
+			}
+		}
+		if req.seed == goldenSeed && s.golden == nil {
+			g, err := goldenCells("table3", "table4", "table5", "policies")
+			if err != nil {
+				return err
+			}
+			s.golden = g
+		}
+		if _, ok := s.wantBench[req.seed]; ok {
+			continue
+		}
+		cfg, err := s.config(req.seed)
+		if err != nil {
+			return err
+		}
+		readers, err := cfg.Readers()
+		if err != nil {
+			return err
+		}
+		var n uint64
+		for _, rd := range readers {
+			g, ok := rd.(interface{ Remaining() uint64 })
+			if !ok {
+				return fmt.Errorf("workload stream %T has no known length", rd)
+			}
+			n += g.Remaining()
+		}
+		s.wantBench[req.seed] = n
+	}
+	return nil
+}
+
+// newServer builds server generation gen over its own empty store.
+func (s *served) newServer(tr *tracer, gen int) error {
+	s.store = filepath.Join(s.dir, fmt.Sprintf("store-%d", gen))
+	return s.rebuild(tr)
+}
+
+// rebuild starts a server over the current store, which it re-indexes;
+// the listener switches to it.
+func (s *served) rebuild(tr *tracer) error {
+	return tr.do("server.new", 0, "", func(int) error {
+		srv, err := server.New(serverConfig(s.store))
+		if err != nil {
+			return err
+		}
+		s.srvMu.Lock()
+		s.srv = srv
+		s.srvMu.Unlock()
+		return nil
+	})
+}
+
 // close stops the listener, the client and the current server, and
 // removes the scratch directory.
-func (s *service) close() {
+func (s *served) close() {
 	if s.hs != nil {
 		_ = s.hs.Close() // the benchmark is done with every connection
 		<-s.served
@@ -141,7 +234,7 @@ type jobTiming struct {
 // job submits one request, follows its event stream to the terminal
 // event and fetches its document. Anything but 2xx responses and a
 // done terminal event is a failure.
-func (s *service) job(ctx context.Context, tr *tracer, tier string, body []byte) (jobTiming, error) {
+func (s *served) job(ctx context.Context, tr *tracer, tier string, body []byte) (jobTiming, error) {
 	var jt jobTiming
 	root := tr.start("server.job", 0, tier)
 	defer tr.end(root)
@@ -232,7 +325,7 @@ func (s *service) job(ctx context.Context, tr *tracer, tier string, body []byte)
 }
 
 // do sends one request to the service.
-func (s *service) do(ctx context.Context, method, path string, body []byte) (*http.Response, error) {
+func (s *served) do(ctx context.Context, method, path string, body []byte) (*http.Response, error) {
 	req, err := http.NewRequestWithContext(ctx, method, s.base+path, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
@@ -244,7 +337,7 @@ func (s *service) do(ctx context.Context, method, path string, body []byte) (*ht
 }
 
 // metricsz reads the current server's counters.
-func (s *service) metricsz(ctx context.Context, tr *tracer) (map[string]uint64, error) {
+func (s *served) metricsz(ctx context.Context, tr *tracer) (map[string]uint64, error) {
 	var doc struct {
 		Counters map[string]uint64 `json:"counters"`
 	}
@@ -262,15 +355,18 @@ func (s *service) metricsz(ctx context.Context, tr *tracer) (map[string]uint64, 
 	return doc.Counters, err
 }
 
-// drain folds the current server's /metricsz counters into the run's
-// totals and stops it once its jobs finish.
-func (s *service) drain(ctx context.Context, tr *tracer) error {
-	counters, err := s.metricsz(ctx, tr)
-	if err != nil {
-		return err
-	}
-	for k, v := range counters {
-		s.counters[k] += v
+// drain stops the current server once its jobs finish, first folding
+// its /metricsz counters into the run's totals when it served measured
+// jobs.
+func (s *served) drain(ctx context.Context, tr *tracer, measured bool) error {
+	if measured {
+		counters, err := s.metricsz(ctx, tr)
+		if err != nil {
+			return err
+		}
+		for k, v := range counters {
+			s.counters[k] += v
+		}
 	}
 	return tr.do("server.drain", 0, "", func(int) error {
 		ctx, cancel := context.WithTimeout(ctx, time.Minute)
@@ -279,56 +375,33 @@ func (s *service) drain(ctx context.Context, tr *tracer) error {
 	})
 }
 
-// serviceRounds is how many times a run cycles through the four
-// tiers. Each tier's latency is a p50 per round, and the run reports
-// the median round.
-const serviceRounds = 5
+// Each round gives the hit tier at least hitPhase and the disk-hit
+// tier at least diskPhase, in whole passes over the cold requests.
+const hitPhase, diskPhase = 300 * time.Millisecond, 500 * time.Millisecond
 
-// Shares of a round's time given to the cold, hit and disk-hit tiers;
-// the warm tier runs every warm request over the round's cold cells,
-// which takes about half the cold tier's time.
-const coldShare, hitShare, diskShare = 0.45, 0.12, 0.23
-
-// tierSamples collects one tier's client-side timings, in ms.
-//
-// Latencies are wall time with the hypervisor's steal taken out: each
-// round's p50 is scaled by one minus the share of the host's CPU time
-// /proc/stat counts as stolen during that tier's phase of the round.
-// On a shared host that share swings from 0 to 30% within minutes and
-// stretches every wall-clock figure with it; time the hypervisor took
-// is not the service's. Everything else a client waits for (timers,
-// locks, queues, I/O) stays in.
+// tierSamples collects one tier's client-side timings, in ms, and
+// each round's p50 of them.
 type tierSamples struct {
-	done, firstCell []float64
-	// Per round: the p50s, scaled by 1-steal share.
+	done, firstCell           []float64
 	roundDone, roundFirstCell []float64
 	roundStart, firstStart    int // where this round's samples begin
-	steal, wall               float64
-}
-
-// endPhase charges a phase's wall and steal time to the tier's round.
-func (t *tierSamples) endPhase(p phase) error {
-	wall, steal, err := p.end()
-	t.wall += wall
-	t.steal += steal
-	return err
 }
 
 func (t *tierSamples) endRound() {
-	keep := 1 - stealShare(t.steal, t.wall, runtime.NumCPU())
 	if len(t.done) > t.roundStart {
-		t.roundDone = append(t.roundDone, keep*summarize(t.done[t.roundStart:]).P50)
+		t.roundDone = append(t.roundDone, summarize(t.done[t.roundStart:]).P50)
 	}
 	if len(t.firstCell) > t.firstStart {
-		t.roundFirstCell = append(t.roundFirstCell, keep*summarize(t.firstCell[t.firstStart:]).P50)
+		t.roundFirstCell = append(t.roundFirstCell, summarize(t.firstCell[t.firstStart:]).P50)
 	}
 	t.roundStart, t.firstStart = len(t.done), len(t.firstCell)
-	t.steal, t.wall = 0, 0
 }
 
 var tierNames = []string{"cold", "warm", "hit", "disk_hit"}
 
-func (s *service) measure(ctx context.Context, budget time.Duration, tr *tracer) (outcome, error) {
+// measure runs whole rounds for about the budget. Every job is an
+// attempted operation, and so is every check of a cold or warm cell.
+func (s *served) measure(ctx context.Context, budget time.Duration, tr *tracer) (outcome, error) {
 	out := outcome{E2E: map[string]float64{}, Layers: map[string]float64{}}
 	tiers := make(map[string]*tierSamples)
 	for _, name := range tierNames {
@@ -353,52 +426,76 @@ func (s *service) measure(ctx context.Context, budget time.Duration, tr *tracer)
 		}
 		return true
 	}
-	round := budget / serviceRounds
-	until := func(share float64) time.Time { return time.Now().Add(time.Duration(share * float64(round))) }
-
-	before, err := s.metricsz(ctx, tr)
+	cold := s.plan.cold
+	var (
+		cnt  counts
+		refs uint64
+		cpu  float64
+	)
+	ph, err := startPhase()
 	if err != nil {
 		return out, err
 	}
-	coldCells := make(map[cellKey][]byte)
-	for r := 0; r < serviceRounds; r++ {
-		// Cold: table3 sub-grids on seeds no job has used.
-		ph, err := startPhase()
+	start := time.Now()
+	for round := 0; round == 0 || fits(start, round, budget); round++ {
+		// A fresh server over an empty store: every cold request is
+		// one it has never seen.
+		if err := s.drain(ctx, tr, round > 0); err != nil {
+			return out, err
+		}
+		if err := s.newServer(tr, round+1); err != nil {
+			return out, err
+		}
+
+		// Cold.
+		cpu0, err := processCPU()
 		if err != nil {
 			return out, err
 		}
-		first := len(s.coldDoc)
-		for end := until(coldShare); len(s.coldDoc) == first || time.Now().Before(end); {
-			i := len(s.coldDoc)
-			jt, err := s.job(ctx, tr, "cold", s.mix.cold(i))
+		docs := make([][]byte, len(cold))
+		cells := make([]map[cellKey][]byte, len(cold))
+		for i, req := range cold {
+			jt, err := s.job(ctx, tr, "cold", req.body)
 			if err != nil {
 				return out, err
 			}
 			if !record("cold", jt) {
 				return out, nil
 			}
-			s.coldDoc = append(s.coldDoc, jt.doc)
-			if err := docCells(coldCells, fmt.Sprint(i), jt.doc); err != nil {
-				out.fail("cold document %d: %v", i, err)
+			docs[i] = jt.doc
+			if cells[i], err = s.checkCold(&out, req, jt.doc, round); err != nil {
+				out.fail("cold %s document: %v", req.body, err)
+				return out, nil
+			}
+			for _, c := range cells[i] {
+				var rep harness.ReportJSON
+				if err := json.Unmarshal(c, &rep); err != nil {
+					return out, err
+				}
+				refs += cellRefs(rep)
+				if round == 0 {
+					cnt.add(rep)
+				}
 			}
 		}
-		roundCold := len(s.coldDoc) - first
-		if err := tiers["cold"].endPhase(ph); err != nil {
+		cpu1, err := processCPU()
+		if err != nil {
 			return out, err
 		}
+		cpu += cpu1 - cpu0
+		if round == 0 {
+			s.coldDoc, s.coldCells = docs, cells
+		}
 
-		// Warm: fig3 and fig4 sub-grids over this round's cold cells,
-		// each of which has a complete checkpoint.
+		// Warm: requests whose every cell is a cold cell of this
+		// server, each with a complete checkpoint.
 		warmBefore, err := s.metricsz(ctx, tr)
 		if err != nil {
 			return out, err
 		}
 		warmCells := 0
-		if ph, err = startPhase(); err != nil {
-			return out, err
-		}
-		for i := first; i < len(s.coldDoc); i++ {
-			for _, w := range s.mix.warm(i) {
+		for i, req := range cold {
+			for _, w := range req.warm {
 				jt, err := s.job(ctx, tr, "warm", w.body)
 				if err != nil {
 					return out, err
@@ -406,21 +503,19 @@ func (s *service) measure(ctx context.Context, budget time.Duration, tr *tracer)
 				if !record("warm", jt) {
 					continue
 				}
-				cells := make(map[cellKey][]byte)
-				if err := docCells(cells, "warm", jt.doc); err != nil {
-					out.fail("warm document: %v", err)
+				got, err := cellsOf(w, jt.doc)
+				if err != nil {
+					out.fail("warm %s document: %v", w.body, err)
 					continue
 				}
-				for k, got := range cells {
+				for k, c := range got {
 					warmCells++
-					if want := coldCells[cellKey{fmt.Sprint(i), k.system, k.mhz, k.size}]; !bytes.Equal(got, want) {
-						out.fail("warm %s cell %s@%d/%d differs from the cold cell", w.id, k.system, k.mhz, k.size)
+					out.Attempted++
+					if !bytes.Equal(c, cells[i][k]) {
+						out.fail("warm %s cell %s@%d/%d differs from the cold cell", w.body, k.system, k.mhz, k.size)
 					}
 				}
 			}
-		}
-		if err := tiers["warm"].endPhase(ph); err != nil {
-			return out, err
 		}
 		warmAfter, err := s.metricsz(ctx, tr)
 		if err != nil {
@@ -430,23 +525,18 @@ func (s *service) measure(ctx context.Context, budget time.Duration, tr *tracer)
 			out.fail("warm tier: %d checkpoint hits for %d warm cells", got, warmCells)
 		}
 
-		// Hit: exact resubmissions of this round's cold requests, which
-		// this server instance computed and so holds in memory.
-		if ph, err = startPhase(); err != nil {
-			return out, err
-		}
-		for end, n := until(hitShare), 0; n == 0 || time.Now().Before(end); n++ {
-			k := first + n%roundCold
-			jt, err := s.job(ctx, tr, "hit", s.mix.cold(k))
-			if err != nil {
-				return out, err
+		// Hit: exact resubmissions of the cold requests, which this
+		// server computed and so holds in memory.
+		for t0, pass := time.Now(), 0; pass == 0 || time.Since(t0) < hitPhase; pass++ {
+			for i, req := range cold {
+				jt, err := s.job(ctx, tr, "hit", req.body)
+				if err != nil {
+					return out, err
+				}
+				if record("hit", jt) && !bytes.Equal(jt.doc, docs[i]) {
+					out.fail("hit document %s differs from the cold document", req.body)
+				}
 			}
-			if record("hit", jt) && !bytes.Equal(jt.doc, s.coldDoc[k]) {
-				out.fail("hit document %d differs from the cold document", k)
-			}
-		}
-		if err := tiers["hit"].endPhase(ph); err != nil {
-			return out, err
 		}
 		hitAfter, err := s.metricsz(ctx, tr)
 		if err != nil {
@@ -459,65 +549,72 @@ func (s *service) measure(ctx context.Context, budget time.Duration, tr *tracer)
 			out.fail("hit tier went to the disk store %d times", got)
 		}
 
-		// Disk hit: drain, rebuild over the same store and resubmit this
-		// round's cold requests once each, until the share is used.
-		if ph, err = startPhase(); err != nil {
-			return out, err
-		}
-		for end, cycle := until(diskShare), 0; cycle == 0 || time.Now().Before(end); cycle++ {
-			if err := s.rebuild(ctx, tr); err != nil {
+		// Disk hit: drain, rebuild over the same store and resubmit
+		// every cold request once, cycle after cycle.
+		for t0, cycle := time.Now(), 0; cycle == 0 || time.Since(t0) < diskPhase; cycle++ {
+			if err := s.drain(ctx, tr, true); err != nil {
 				return out, err
 			}
-			for k := first; k < len(s.coldDoc); k++ {
-				jt, err := s.job(ctx, tr, "disk_hit", s.mix.cold(k))
+			if err := s.rebuild(tr); err != nil {
+				return out, err
+			}
+			for i, req := range cold {
+				jt, err := s.job(ctx, tr, "disk_hit", req.body)
 				if err != nil {
 					return out, err
 				}
-				if record("disk_hit", jt) && !bytes.Equal(jt.doc, s.coldDoc[k]) {
-					out.fail("disk-hit document %d differs from the cold document", k)
+				if record("disk_hit", jt) && !bytes.Equal(jt.doc, docs[i]) {
+					out.fail("disk-hit document %s differs from the cold document", req.body)
 				}
 			}
 			snap, err := s.metricsz(ctx, tr)
 			if err != nil {
 				return out, err
 			}
-			if snap["sim_runs"] != 0 || snap["disk_hits"] != uint64(roundCold) {
+			if snap["sim_runs"] != 0 || snap["disk_hits"] != uint64(len(cold)) {
 				out.fail("disk-hit cycle: %d simulations and %d disk hits for %d requests",
-					snap["sim_runs"], snap["disk_hits"], roundCold)
+					snap["sim_runs"], snap["disk_hits"], len(cold))
 			}
-		}
-		if err := tiers["disk_hit"].endPhase(ph); err != nil {
-			return out, err
 		}
 		for _, t := range tiers {
 			t.endRound()
 		}
 	}
-	if err := s.drain(ctx, tr); err != nil {
+	if err := s.drain(ctx, tr, true); err != nil {
 		return out, err
 	}
-	for k, v := range before {
-		s.counters[k] -= v // set-up jobs are not part of the run
+	_, busy, steal, err := ph.end()
+	if err != nil {
+		return out, err
 	}
 
+	// Latencies are wall time less the hypervisor's steal: the median
+	// round's p50 is scaled by one minus steal's share of the CPU time
+	// work wanted over the whole measured part. On a shared host that
+	// share swings from 0 to 30% within minutes and stretches every
+	// wall-clock figure with it, requests of a millisecond as much as
+	// those of a second; time the hypervisor took is not the
+	// service's. The share is the whole run's because /proc/stat counts
+	// in 10 ms ticks, which a phase of a few requests does not fill.
+	// Everything else a client waits for (timers, locks, queues, I/O)
+	// stays in.
+	keep := 1 - stealShare(busy, steal)
+	out.E2E["mrefs_per_cpu_s"] = float64(refs) / 1e6 / cpu
 	for _, name := range tierNames {
 		t := tiers[name]
-		if len(t.roundDone) == 0 {
-			out.fail("tier %s has no successful jobs", name)
-			continue
-		}
-		out.E2E[name+"_done_ms"] = median(t.roundDone)
+		out.E2E[name+"_done_ms"] = keep * median(t.roundDone)
 		d := summarize(t.done)
 		out.Layers["server."+name+"_tail_ms"] = d.Tail
 		out.Layers["server."+name+"_tail_pct"] = d.TailPct
 		out.Layers["server."+name+"_samples"] = float64(d.N)
 	}
-	if t := tiers["cold"]; len(t.roundFirstCell) > 0 {
-		out.E2E["cold_first_cell_ms"] = median(t.roundFirstCell)
-	}
+	out.E2E["cold_first_cell_ms"] = keep * median(tiers["cold"].roundFirstCell)
 	out.Layers["server.submit_ms"] = summarize(submits).P50
 	out.Layers["server.first_event_ms"] = summarize(firstEvents).P50
 	out.Layers["server.event_us"] = summarize(gaps).P50
+	for k, v := range cnt.metrics() {
+		out.Layers[k] = v
+	}
 	c := s.counters
 	ratio := func(num uint64, den ...uint64) float64 {
 		var d uint64
@@ -535,201 +632,41 @@ func (s *service) measure(ctx context.Context, budget time.Duration, tr *tracer)
 	return out, nil
 }
 
-// rebuild drains the current server and starts a new one over the same
-// disk store, which re-indexes it; the listener switches to it.
-func (s *service) rebuild(ctx context.Context, tr *tracer) error {
-	if err := s.drain(ctx, tr); err != nil {
-		return err
-	}
-	return tr.do("server.new", 0, "", func(int) error {
-		srv, err := server.New(serverConfig(filepath.Join(s.dir, "store")))
-		if err != nil {
-			return err
-		}
-		s.srvMu.Lock()
-		s.srv = srv
-		s.srvMu.Unlock()
-		return nil
-	})
-}
-
-// probe times the layers the served tiers lean on, on the cold phase's
-// own cells: checkpoint capture and restore of each cell of the first
-// cold request, the harness fold of its document (which must
-// byte-equal the served one), and disk-store put, get and re-index.
-func (s *service) probe(ctx context.Context, tr *tracer, out *outcome) (map[string]float64, error) {
-	layers := make(map[string]float64)
-	cfg, err := harness.ConfigForScale("quick")
+// checkCold checks a cold document's cells and returns them: each must
+// execute all its seed's application references, byte-equal its
+// golden cell at the goldens' seed, and, after the first round, the
+// document must repeat the first round's byte for byte.
+func (s *served) checkCold(out *outcome, req request, doc []byte, round int) (map[cellKey][]byte, error) {
+	cells, err := cellsOf(req, doc)
 	if err != nil {
 		return nil, err
 	}
-	cfg.Seed = s.mix.coldSeed(0)
-	sh, err := harness.ShapeOf("table3", coldRates, coldSizes)
-	if err != nil {
-		return nil, err
+	if len(cells) == 0 {
+		return nil, errors.New("no cells")
 	}
-	// The server's sweeps replay captured columns, so restores skip to
-	// their cursor instead of regenerating the prefix; so do these.
-	g, err := generate(tr, cfg)
-	if err != nil {
-		return nil, err
-	}
-	for k, v := range g.metrics() {
-		layers[k] = v
-	}
-	var captures, restores, kbs []float64
-	var reports []*stats.Report
-	for _, spec := range sh.CellSpecs() {
-		c, err := checkpointCell(ctx, tr, cfg, spec, g.columnarReaders)
-		if err != nil {
+	for k, c := range cells {
+		out.Attempted++
+		var rep harness.ReportJSON
+		if err := json.Unmarshal(c, &rep); err != nil {
 			return nil, err
 		}
-		captures = append(captures, ms(c.capture))
-		restores = append(restores, ms(c.restore))
-		kbs = append(kbs, float64(c.bytes)/1024)
-		reports = append(reports, c.report)
-		probeMatches(out, specLabel(spec)+" restored", c.restored, c.report)
-	}
-	layers["checkpoint.capture_ms"] = median(captures)
-	layers["checkpoint.restore_ms"] = median(restores)
-	layers["checkpoint.kb_per_cell"] = median(kbs)
-
-	// Fold: reports -> ReportJSON -> document -> WriteJSON.
-	var folds []float64
-	var doc bytes.Buffer
-	for i := 0; i < 20; i++ {
-		err := tr.do("harness.fold", 0, "table3", func(int) error {
-			t0 := time.Now()
-			cells := make([]harness.ReportJSON, len(reports))
-			for k, r := range reports {
-				cells[k] = harness.NewReportJSON(r)
+		if want := s.wantBench[req.seed]; rep.BenchRefs != want {
+			out.fail("%s cell %s@%d/%d executed %d application refs, want %d", req.body, k.system, k.mhz, k.size, rep.BenchRefs, want)
+			continue
+		}
+		if req.seed == goldenSeed {
+			g := cellKey{goldenDoc(req), k.system, k.mhz, k.size}
+			if want, ok := s.golden[g]; !ok || !bytes.Equal(c, want) {
+				out.fail("%v differs from testdata/golden/%s.json", g, g.doc)
 			}
-			d, err := sh.Doc(cells)
-			if err != nil {
-				return err
-			}
-			doc.Reset()
-			err = harness.WriteJSON(&doc, d)
-			folds = append(folds, ms(time.Since(t0)))
-			return err
-		})
-		if err != nil {
-			return nil, err
 		}
 	}
-	out.Attempted++
-	if !bytes.Equal(doc.Bytes(), s.coldDoc[0]) {
-		out.fail("probe: folded table3 document differs from the served cold document")
-	}
-	layers["harness.fold_ms"] = median(folds)
-	layers["harness.doc_kb"] = float64(doc.Len()) / 1024
-
-	// Disk store: put and get every cold document, then re-open.
-	dir := filepath.Join(outDir, fmt.Sprintf("service-%d-probe", os.Getpid()))
-	defer os.RemoveAll(dir)
-	store, err := jobs.NewDiskStore(dir, 0, nil)
-	if err != nil {
-		return nil, err
-	}
-	var puts, gets, reindex []float64
-	for i, d := range s.coldDoc {
-		key := fmt.Sprintf("probe-%d", i)
-		_ = tr.do("jobs.disk_put", 0, key, func(int) error {
-			t0 := time.Now()
-			store.Put(key, d)
-			puts = append(puts, float64(time.Since(t0).Nanoseconds())/1e3)
-			return nil
-		})
-	}
-	for i, d := range s.coldDoc {
-		key := fmt.Sprintf("probe-%d", i)
-		_ = tr.do("jobs.disk_get", 0, key, func(int) error {
-			t0 := time.Now()
-			got, ok := store.Get(key)
-			gets = append(gets, float64(time.Since(t0).Nanoseconds())/1e3)
-			out.Attempted++
-			if !ok || !bytes.Equal(got, d) {
-				out.fail("probe: disk store lost document %s", key)
+	if round > 0 {
+		for i, r := range s.plan.cold {
+			if bytes.Equal(r.body, req.body) && !bytes.Equal(doc, s.coldDoc[i]) {
+				out.fail("cold document %s changed between rounds", req.body)
 			}
-			return nil
-		})
-	}
-	// The server's own store, populated by every job of the run and
-	// idle since the last drain.
-	storeDir := filepath.Join(s.dir, "store")
-	for i := 0; i < 5; i++ {
-		err := tr.do("jobs.reindex", 0, "", func(int) error {
-			t0 := time.Now()
-			re, err := jobs.NewDiskStore(storeDir, 0, nil)
-			reindex = append(reindex, ms(time.Since(t0)))
-			if err == nil && re.Len() < len(s.coldDoc) {
-				err = fmt.Errorf("re-index found %d documents, want at least %d", re.Len(), len(s.coldDoc))
-			}
-			return err
-		})
-		if err != nil {
-			return nil, err
 		}
 	}
-	layers["jobs.disk_put_us"] = median(puts)
-	layers["jobs.disk_get_us"] = median(gets)
-	layers["jobs.reindex_ms"] = median(reindex)
-	return layers, nil
-}
-
-// checkpointTiming is one cell run to completion, captured, and
-// restored into a fresh machine and scheduler.
-type checkpointTiming struct {
-	capture, restore time.Duration
-	bytes            int
-	report, restored *stats.Report
-}
-
-func checkpointCell(ctx context.Context, tr *tracer, cfg harness.Config, spec harness.RunSpec, readers func() []trace.Reader) (checkpointTiming, error) {
-	var c checkpointTiming
-	tag := specLabel(spec)
-	fresh := func() (sim.Machine, *sim.Scheduler, error) {
-		m, err := buildMachine(cfg, spec)
-		if err != nil {
-			return nil, nil, err
-		}
-		sched, err := newScheduler(cfg, spec, m, readers())
-		return m, sched, err
-	}
-	m, sched, err := fresh()
-	if err != nil {
-		return c, err
-	}
-	defer release(m)
-	err = tr.do("sim.run", 0, tag, func(int) error {
-		c.report, err = sched.Run(ctx)
-		return err
-	})
-	if err != nil {
-		return c, err
-	}
-	var payload []byte
-	err = tr.do("checkpoint.capture", 0, tag, func(int) error {
-		t0 := time.Now()
-		payload, err = sim.CaptureState(m, sched)
-		c.capture = time.Since(t0)
-		return err
-	})
-	if err != nil {
-		return c, err
-	}
-	c.bytes = len(payload)
-	m2, sched2, err := fresh()
-	if err != nil {
-		return c, err
-	}
-	defer release(m2)
-	err = tr.do("checkpoint.restore", 0, tag, func(int) error {
-		t0 := time.Now()
-		err := sim.RestoreState(m2, sched2, payload)
-		c.restore = time.Since(t0)
-		return err
-	})
-	c.restored = m2.Report()
-	return c, err
+	return cells, nil
 }

@@ -24,14 +24,19 @@ func totalRefs(r *stats.Report) uint64 {
 	return r.BenchRefs + r.OSTLBRefs + r.OSFaultRefs + r.OSSwitchRefs
 }
 
-// counts accumulates the exact event counts of a set of reports; they
-// weight the per-event host costs the probes measure.
+// cellRefs is totalRefs of a served cell.
+func cellRefs(r harness.ReportJSON) uint64 {
+	return r.BenchRefs + r.OSTLBRefs + r.OSFaultRefs + r.OSSwitchRefs
+}
+
+// counts accumulates the exact event counts of a set of served cells;
+// they weight the per-event host costs the probes measure.
 type counts struct {
 	refs, tlbMisses, l1Misses, l2Misses, faults, scans, transfers, dramBytes uint64
 }
 
-func (c *counts) add(r *stats.Report) {
-	c.refs += totalRefs(r)
+func (c *counts) add(r harness.ReportJSON) {
+	c.refs += cellRefs(r)
 	c.tlbMisses += r.TLBMisses
 	c.l1Misses += r.L1IMisses + r.L1DMisses
 	c.l2Misses += r.L2Misses

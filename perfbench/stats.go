@@ -65,10 +65,17 @@ func median(xs []float64) float64 {
 // at 100 on every architecture the benchmark runs on.
 const clockTicksPerSec = 100
 
-// parseSteal returns the machine-wide steal time, in clock ticks, from
-// the aggregate "cpu" line of /proc/stat: the eighth value after the
-// label (user nice system idle iowait irq softirq steal ...).
-func parseSteal(r io.Reader) (uint64, error) {
+// cpuTicks are counters of the aggregate "cpu" line of /proc/stat, in
+// clock ticks, summed over all CPUs: busy is user, nice, system, irq
+// and softirq time (guest time is already inside user and nice), and
+// steal the time the hypervisor ran something else while a CPU had
+// work.
+type cpuTicks struct{ busy, steal uint64 }
+
+// parseCPUTicks reads the aggregate "cpu" line of /proc/stat: user
+// nice system idle iowait irq softirq steal ..., steal being the
+// eighth value after the label.
+func parseCPUTicks(r io.Reader) (cpuTicks, error) {
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		f := strings.Fields(sc.Text())
@@ -76,18 +83,22 @@ func parseSteal(r io.Reader) (uint64, error) {
 			continue
 		}
 		if len(f) < 9 {
-			return 0, fmt.Errorf("/proc/stat cpu line has %d fields, want at least 9", len(f))
+			return cpuTicks{}, fmt.Errorf("/proc/stat cpu line has %d fields, want at least 9", len(f))
 		}
-		v, err := strconv.ParseUint(f[8], 10, 64)
-		if err != nil {
-			return 0, fmt.Errorf("/proc/stat steal field: %w", err)
+		var v [8]uint64
+		for i := range v {
+			n, err := strconv.ParseUint(f[i+1], 10, 64)
+			if err != nil {
+				return cpuTicks{}, fmt.Errorf("/proc/stat cpu field %d: %w", i+1, err)
+			}
+			v[i] = n
 		}
-		return v, nil
+		return cpuTicks{busy: v[0] + v[1] + v[2] + v[5] + v[6], steal: v[7]}, nil
 	}
 	if err := sc.Err(); err != nil {
-		return 0, err
+		return cpuTicks{}, err
 	}
-	return 0, fmt.Errorf("/proc/stat has no aggregate cpu line")
+	return cpuTicks{}, fmt.Errorf("/proc/stat has no aggregate cpu line")
 }
 
 // parseVmHWM returns the process's peak resident set, in KiB, from
@@ -188,12 +199,12 @@ func startMeter() (*meter, error) {
 	if err != nil {
 		return nil, err
 	}
-	steal, err := readFileWith("/proc/stat", parseSteal)
+	ticks, err := readFileWith("/proc/stat", parseCPUTicks)
 	if err != nil {
 		return nil, err
 	}
 	gc, alloc := readRuntime()
-	return &meter{wall: time.Now(), cpu: cpu, steal: steal, gc: gc, alloc: alloc}, nil
+	return &meter{wall: time.Now(), cpu: cpu, steal: ticks.steal, gc: gc, alloc: alloc}, nil
 }
 
 // diagnostics are the ungated run.* and go.* figures of a timed part.
@@ -207,7 +218,7 @@ func (m *meter) stop() (diagnostics, error) {
 	if err != nil {
 		return diagnostics{}, err
 	}
-	steal, err := readFileWith("/proc/stat", parseSteal)
+	ticks, err := readFileWith("/proc/stat", parseCPUTicks)
 	if err != nil {
 		return diagnostics{}, err
 	}
@@ -215,7 +226,7 @@ func (m *meter) stop() (diagnostics, error) {
 	return diagnostics{
 		WallS:   wall,
 		CPUS:    cpu - m.cpu,
-		StealS:  float64(steal-m.steal) / clockTicksPerSec,
+		StealS:  float64(ticks.steal-m.steal) / clockTicksPerSec,
 		GCCPUS:  gc - m.gc,
 		AllocMB: float64(alloc-m.alloc) / (1 << 20),
 	}, nil
@@ -243,35 +254,38 @@ func fits(start time.Time, rot int, budget time.Duration) bool {
 }
 
 // phase brackets a stretch of wall time to learn how much of the
-// host's CPU time the hypervisor stole meanwhile.
+// CPU time its work wanted the hypervisor took.
 type phase struct {
 	t0    time.Time
-	steal uint64
+	ticks cpuTicks
 }
 
 func startPhase() (phase, error) {
-	st, err := readFileWith("/proc/stat", parseSteal)
-	return phase{time.Now(), st}, err
+	t, err := readFileWith("/proc/stat", parseCPUTicks)
+	return phase{time.Now(), t}, err
 }
 
-// end returns the stretch's wall seconds and the steal seconds summed
-// over all CPUs.
-func (p phase) end() (wall, steal float64, err error) {
-	st, err := readFileWith("/proc/stat", parseSteal)
-	return time.Since(p.t0).Seconds(), float64(st-p.steal) / clockTicksPerSec, err
+// end returns the stretch's wall seconds and its busy and steal
+// seconds summed over all CPUs.
+func (p phase) end() (wall, busy, steal float64, err error) {
+	t, err := readFileWith("/proc/stat", parseCPUTicks)
+	return time.Since(p.t0).Seconds(), float64(t.busy-p.ticks.busy) / clockTicksPerSec,
+		float64(t.steal-p.ticks.steal) / clockTicksPerSec, err
 }
 
-// minStealWall is the shortest stretch whose steal share is trusted:
-// /proc/stat counts steal in 10 ms ticks, so one tick in a shorter
+// minStealCPU is the least busy-plus-steal time whose steal share is
+// trusted: /proc/stat counts in 10 ms ticks, so one tick in a shorter
 // stretch would read as a large share.
-const minStealWall = 0.2 // seconds
+const minStealCPU = 0.2 // seconds
 
-// stealShare is the share of the host's CPU time stolen over a stretch
-// of wall time, given the steal summed over all CPUs; zero for
-// stretches too short to tell.
-func stealShare(steal, wall float64, cpus int) float64 {
-	if wall < minStealWall {
+// stealShare is the share of the CPU time work wanted over a stretch
+// that the hypervisor took: steal over busy plus steal. An idle vCPU
+// accrues no steal, so steal is a share of runnable time, not of wall
+// time on every CPU; with one busy thread on two vCPUs the latter
+// would halve it. Zero for stretches too short to tell.
+func stealShare(busy, steal float64) float64 {
+	if busy+steal < minStealCPU {
 		return 0
 	}
-	return min(steal/(wall*float64(cpus)), 1)
+	return steal / (busy + steal)
 }

@@ -57,22 +57,24 @@ func TestMedianEvenAndOdd(t *testing.T) {
 	}
 }
 
-func TestParseSteal(t *testing.T) {
+func TestParseCPUTicks(t *testing.T) {
 	const stat = `cpu  4705 150 1120 16250 520 30 45 317 0 0
 cpu0 2350 75 560 8125 260 15 22 158 0 0
 intr 12345
 `
-	got, err := parseSteal(strings.NewReader(stat))
-	if err != nil || got != 317 {
-		t.Fatalf("parseSteal = %d, %v; want 317", got, err)
+	got, err := parseCPUTicks(strings.NewReader(stat))
+	// busy = user + nice + system + irq + softirq; idle and iowait are not.
+	if want := (cpuTicks{busy: 4705 + 150 + 1120 + 30 + 45, steal: 317}); err != nil || got != want {
+		t.Fatalf("parseCPUTicks = %+v, %v; want %+v", got, err, want)
 	}
 	for _, bad := range []string{
 		"cpu0 1 2 3 4 5 6 7 8\n", // no aggregate line
 		"cpu  1 2 3 4 5 6 7\n",   // steal column missing
 		"cpu  1 2 3 4 5 6 7 x\n", // not a number
+		"cpu  1 x 3 4 5 6 7 8\n", // busy column not a number
 	} {
-		if _, err := parseSteal(strings.NewReader(bad)); err == nil {
-			t.Errorf("parseSteal(%q) succeeded", bad)
+		if _, err := parseCPUTicks(strings.NewReader(bad)); err == nil {
+			t.Errorf("parseCPUTicks(%q) succeeded", bad)
 		}
 	}
 }
@@ -117,17 +119,16 @@ func TestFitsWholeRotations(t *testing.T) {
 
 func TestStealShare(t *testing.T) {
 	for _, tc := range []struct {
-		steal, wall float64
-		cpus        int
+		busy, steal float64
 		want        float64
 	}{
-		{0.5, 5, 2, 0.05},    // 0.5 s stolen of 10 CPU-seconds
-		{0.01, 0.0001, 2, 0}, // one tick in 100 µs says nothing
-		{30, 10, 2, 1},       // capped
-		{0, 3, 2, 0},
+		{4.5, 0.5, 0.1}, // one busy thread lost a tenth of its runnable time
+		{0.1, 0.01, 0},  // eleven ticks say nothing
+		{0, 3, 1},
+		{3, 0, 0},
 	} {
-		if got := stealShare(tc.steal, tc.wall, tc.cpus); got != tc.want {
-			t.Errorf("stealShare(%g, %g, %d) = %g, want %g", tc.steal, tc.wall, tc.cpus, got, tc.want)
+		if got := stealShare(tc.busy, tc.steal); got != tc.want {
+			t.Errorf("stealShare(%g, %g) = %g, want %g", tc.busy, tc.steal, got, tc.want)
 		}
 	}
 }
