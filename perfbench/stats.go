@@ -47,7 +47,7 @@ func summarize(xs []float64) dist {
 }
 
 // median is the midpoint median (mean of the two middle values for an
-// even count), used to aggregate repeated set-ups and rotations.
+// even count), used to aggregate repeated set-ups and rounds.
 func median(xs []float64) float64 {
 	n := len(xs)
 	if n == 0 {
@@ -245,9 +245,9 @@ func (d diagnostics) metrics() map[string]float64 {
 // ms converts a duration to float milliseconds.
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
-// fits reports whether one more rotation, as long as the mean of the
-// rot rotations done since start, still ends within budget. A run
-// always completes whole rotations, so every run measures the same mix.
+// fits reports whether one more round, as long as the mean of the rot
+// rounds done since start, still ends within budget. A run always
+// completes whole rounds, so every run measures the same mix.
 func fits(start time.Time, rot int, budget time.Duration) bool {
 	done := time.Since(start)
 	return done+done/time.Duration(rot) <= budget
