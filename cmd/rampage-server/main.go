@@ -63,7 +63,7 @@ func main() {
 		sweepWorkers = flag.Int("sweep-parallel", 0, "per-job grid-cell parallelism (0 = one per CPU)")
 		drainTimeout = flag.Duration("drain-timeout", 2*time.Minute, "how long shutdown waits for in-flight jobs before canceling them")
 		ckptMB       = flag.Int64("checkpoint-mb", 64, "warm-state checkpoint store resident budget in MiB (0 = unlimited)")
-		ckptDir      = flag.String("checkpoint-dir", "", "checkpoint spill directory (empty = evictions are dropped)")
+		ckptDir      = flag.String("checkpoint-dir", "", "checkpoint spill directory, owned by the store: stale *.ckpt spill files are deleted at startup (empty = evictions are dropped)")
 		storeDir     = flag.String("store-dir", "", "persistent result store directory (empty = memory-only caching)")
 		storeMB      = flag.Int64("store-mb", 1024, "persistent result store budget in MiB (0 = unlimited)")
 		leaseTTL     = flag.Duration("lease-ttl", 0, "fleet lease TTL before a silent worker's cells are requeued (0 = default 15s)")

@@ -160,6 +160,44 @@ func TestStoreLRUEvictsToDisk(t *testing.T) {
 	}
 }
 
+// TestStoreOpenRemovesStaleSpills pins that a store owns its spill
+// directory: spill files and torn writes an earlier store left behind
+// are unreachable (the index was in memory) and must be removed when a
+// store opens the directory, while unrelated files stay.
+func TestStoreOpenRemovesStaleSpills(t *testing.T) {
+	dir := t.TempDir()
+	payload := bytes.Repeat([]byte{7}, 256)
+	budget := int64(len(mkCkpt("a", 1, false, payload).Encode())) - 1 // every put spills
+	s := NewStore(budget, dir, nil)
+	for _, prefix := range []string{"a", "b", "c"} {
+		s.Put(mkCkpt(prefix, 1, false, payload))
+	}
+	spills, _ := filepath.Glob(filepath.Join(dir, "*.ckpt"))
+	if s.Len() != 3 || len(spills) != 3 {
+		t.Fatalf("Len = %d with %d spill files, want 3 spilled checkpoints", s.Len(), len(spills))
+	}
+	torn := filepath.Join(dir, "0123.ckpt.tmp")
+	other := filepath.Join(dir, "notes.txt")
+	for _, f := range []string{torn, other} {
+		if err := os.WriteFile(f, []byte("x"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	reopened := NewStore(budget, dir, nil)
+	if reopened.Len() != 0 {
+		t.Errorf("reopened store has %d entries, want 0 (no re-indexing)", reopened.Len())
+	}
+	for _, f := range append(spills, torn) {
+		if _, err := os.Stat(f); !os.IsNotExist(err) {
+			t.Errorf("stale %s survived the reopen (stat err %v)", filepath.Base(f), err)
+		}
+	}
+	if _, err := os.Stat(other); err != nil {
+		t.Errorf("unrelated file removed: %v", err)
+	}
+}
+
 func TestStoreDropInsteadOfSpill(t *testing.T) {
 	payload := bytes.Repeat([]byte{7}, 256)
 	one := mkCkpt("a", 1, false, payload)

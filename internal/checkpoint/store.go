@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 
 	"rampage/internal/metrics"
@@ -42,7 +43,21 @@ type entry struct {
 // (<= 0 = unlimited) and spill directory ("" = evictions are dropped
 // instead of spilled). svc may be nil; when set, the store counts
 // hits, misses and evictions on it.
+//
+// A store owns its spill directory. The index that addresses spill
+// files lives only in memory, so files an earlier store left behind
+// can never be found again: opening the directory removes every
+// *.ckpt spill file and *.ckpt.tmp torn write in it.
 func NewStore(budgetBytes int64, dir string, svc *metrics.ServiceStats) *Store {
+	if dir != "" {
+		entries, _ := os.ReadDir(dir)
+		for _, e := range entries {
+			name := e.Name()
+			if !e.IsDir() && (strings.HasSuffix(name, ".ckpt") || strings.HasSuffix(name, ".ckpt.tmp")) {
+				os.Remove(filepath.Join(dir, name))
+			}
+		}
+	}
 	return &Store{
 		budget:  budgetBytes,
 		ll:      list.New(),

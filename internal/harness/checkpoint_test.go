@@ -9,6 +9,8 @@ import (
 
 	"rampage/internal/checkpoint"
 	"rampage/internal/metrics"
+	"rampage/internal/stats"
+	"rampage/internal/trace"
 )
 
 // ckptTestConfig is a fast configuration with enough references to
@@ -78,40 +80,44 @@ func TestCheckpointResumeMatchesScratch(t *testing.T) {
 	}
 }
 
-// TestCheckpointResumePerRefAndVerify pins the restore path under the
-// per-reference scheduler loop and under the oracle invariant checker:
-// both the execution-path knob and -verify must hold on warm starts.
-func TestCheckpointResumePerRefAndVerify(t *testing.T) {
+// TestCheckpointResumeCapturedAndVerify pins the restore path on the
+// captured-column feed sweeps use and under the oracle invariant
+// checker: a run warm-started from a mid-run checkpoint must match the
+// reference scheduler's from-scratch report on every feed.
+func TestCheckpointResumeCapturedAndVerify(t *testing.T) {
 	spec := RunSpec{System: RAMpageCS, IssueMHz: 1000, SizeBytes: 512, SwitchTrace: true}
 	cfg := ckptTestConfig()
 	cfg.MaxRefs = 240_000
-	want, err := Run(context.Background(), cfg, spec)
-	if err != nil {
-		t.Fatalf("scratch run: %v", err)
-	}
+	want := referenceRun(t, cfg, spec)
 	for _, mode := range []struct {
-		name   string
-		mutate func(*Config)
+		name     string
+		captured bool
+		verify   bool
 	}{
-		{"per-ref", func(c *Config) { c.DisableBatching = true }},
-		{"verify", func(c *Config) { c.Verify = true }},
-		{"per-ref-verify", func(c *Config) { c.DisableBatching = true; c.Verify = true }},
+		{"captured", true, false},
+		{"verify", false, true},
+		{"captured-verify", true, true},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			warm := ckptTestConfig()
 			warm.Checkpoints = checkpoint.NewStore(0, "", nil)
-			mode.mutate(&warm)
-			warm.MaxRefs = 120_000
-			if _, err := Run(context.Background(), warm, spec); err != nil {
+			warm.Verify = mode.verify
+			run := func(maxRefs uint64) (*stats.Report, error) {
+				warm.MaxRefs = maxRefs
+				if mode.captured {
+					return runWithReaders(context.Background(), warm, spec, capturedReaders(t, warm))
+				}
+				return Run(context.Background(), warm, spec)
+			}
+			if _, err := run(120_000); err != nil {
 				t.Fatalf("prefix run: %v", err)
 			}
-			warm.MaxRefs = 240_000
-			got, err := Run(context.Background(), warm, spec)
+			got, err := run(240_000)
 			if err != nil {
 				t.Fatalf("resumed run: %v", err)
 			}
 			if *got != *want {
-				t.Errorf("resumed %s report differs from scratch:\n got: %+v\nwant: %+v", mode.name, *got, *want)
+				t.Errorf("resumed %s report differs from the reference:\n got: %+v\nwant: %+v", mode.name, *got, *want)
 			}
 		})
 	}
@@ -284,7 +290,6 @@ func TestCheckpointPrefixKeyExcludesBudget(t *testing.T) {
 		t.Error("MaxRefs changed the prefix; extensions could never share warm-up")
 	}
 	knobs := cfg
-	knobs.DisableBatching = true
 	knobs.Verify = true
 	knobs.Workers = 3
 	if CheckpointPrefixKey(knobs, spec) != base {
@@ -351,22 +356,29 @@ func TestGoldenExperimentsCheckpointEquivalence(t *testing.T) {
 
 // TestCheckpointBytesExecutionPathInvariant pins a subtle codec
 // property: the captured state must not depend on HOW the prefix was
-// executed. The batched pipeline, the per-reference loop and a run
-// with an observer attached must all store byte-identical checkpoints,
-// or a warm start would silently tie results to the producer's
-// execution path.
+// executed. Captured columns, the refill window and a run with an
+// observer attached must all store byte-identical checkpoints, or a
+// warm start would silently tie results to the producer's execution
+// path.
 func TestCheckpointBytesExecutionPathInvariant(t *testing.T) {
 	spec := RunSpec{System: RAMpageCS, IssueMHz: 1000, SizeBytes: 512, SwitchTrace: true}
 	base := ckptTestConfig()
 	base.MaxRefs = 120_000
 	prefix := CheckpointPrefixKey(base, spec)
 
-	capture := func(name string, mutate func(*Config)) []byte {
+	capture := func(name string, mutate func(*Config), readers func(Config) []trace.Reader) []byte {
 		t.Helper()
 		cfg := base
 		cfg.Checkpoints = checkpoint.NewStore(0, "", nil)
 		mutate(&cfg)
-		if _, err := Run(context.Background(), cfg, spec); err != nil {
+		rs, err := cfg.Readers()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if readers != nil {
+			rs = readers(cfg)
+		}
+		if _, err := runWithReaders(context.Background(), cfg, spec, rs); err != nil {
 			t.Fatalf("%s run: %v", name, err)
 		}
 		c, _, ok := cfg.Checkpoints.Nearest(prefix, 0)
@@ -376,13 +388,13 @@ func TestCheckpointBytesExecutionPathInvariant(t *testing.T) {
 		return c.Payload
 	}
 
-	batched := capture("batched", func(c *Config) {})
-	perRef := capture("per-ref", func(c *Config) { c.DisableBatching = true })
-	observed := capture("observed", func(c *Config) { c.Observer = metrics.NewCollector(0) })
-	if !bytes.Equal(batched, perRef) {
-		t.Error("per-reference execution produced different checkpoint bytes")
+	captured := capture("captured", func(c *Config) {}, func(c Config) []trace.Reader { return capturedReaders(t, c) })
+	refilled := capture("refilled", func(c *Config) {}, nil)
+	observed := capture("observed", func(c *Config) { c.Observer = metrics.NewCollector(0) }, nil)
+	if !bytes.Equal(captured, refilled) {
+		t.Error("the refill window produced different checkpoint bytes than captured columns")
 	}
-	if !bytes.Equal(batched, observed) {
+	if !bytes.Equal(captured, observed) {
 		t.Error("attaching an observer changed the checkpoint bytes")
 	}
 }

@@ -11,31 +11,36 @@ import (
 // behavior-invisible end to end: for every experiment with a committed
 // golden, the JSON document produced by the default path — columnar
 // workload preload, zero-copy column windows into the machines' fused
-// batch loops — is byte-identical to the one produced with batching
-// disabled, where every reference flows through the per-reference
-// trace.Reader interface and Machine.Exec. The runs use a reduced
-// scale; the full-scale equivalent is the golden regression gate
-// (`make regress`), whose goldens predate the columnar path.
+// batch loops — is byte-identical to one assembled from cells run by
+// the oracle's reference scheduler, where every reference flows through
+// trace.Reader.Next and Machine.Exec one at a time. The runs use a
+// reduced scale; the full-scale equivalent is the golden regression
+// gate (`make regress`).
 func TestGoldenExperimentsColumnarEquivalence(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs six experiments twice")
+		t.Skip("runs seven experiments twice")
 	}
-	goldenIDs := []string{"table3", "table4", "table5", "fig2", "fig3", "fig4"}
+	goldenIDs := []string{"table3", "table4", "table5", "fig2", "fig3", "fig4", "policies"}
 	rates := []uint64{200, 4000}
 	sizes := []uint64{256, 2048}
 	for _, id := range goldenIDs {
 		t.Run(id, func(t *testing.T) {
-			columnar := tinyConfig()
-			perRef := tinyConfig()
-			perRef.DisableBatching = true
-
-			colDoc, err := BuildExperimentDoc(context.Background(), columnar, id, rates, sizes)
+			cfg := tinyConfig()
+			colDoc, err := BuildExperimentDoc(context.Background(), cfg, id, rates, sizes)
 			if err != nil {
 				t.Fatalf("columnar run: %v", err)
 			}
-			refDoc, err := BuildExperimentDoc(context.Background(), perRef, id, rates, sizes)
+			sh, err := ShapeOf(id, rates, sizes)
 			if err != nil {
-				t.Fatalf("per-reference run: %v", err)
+				t.Fatal(err)
+			}
+			var cells []ReportJSON
+			for _, spec := range sh.CellSpecs() {
+				cells = append(cells, NewReportJSON(referenceRun(t, cfg, spec)))
+			}
+			refDoc, err := sh.Doc(cells)
+			if err != nil {
+				t.Fatal(err)
 			}
 			colJSON, err := json.Marshal(colDoc)
 			if err != nil {
@@ -46,7 +51,7 @@ func TestGoldenExperimentsColumnarEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(colJSON, refJSON) {
-				t.Errorf("columnar-fed report diverges from interface-fed report\ncolumnar: %s\nper-ref:  %s", colJSON, refJSON)
+				t.Errorf("columnar-fed document diverges from the reference scheduler's\ncolumnar:  %s\nreference: %s", colJSON, refJSON)
 			}
 		})
 	}

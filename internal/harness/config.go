@@ -56,33 +56,20 @@ type Config struct {
 	// Workers bounds Sweep's simulation parallelism (0 = one worker per
 	// CPU). Results are deterministic regardless of the setting.
 	Workers int
-	// DisableBatching forces the scheduler's per-reference execution
-	// loop instead of the batched pipeline. The two produce
-	// bit-identical reports; this is an equivalence-testing and
-	// debugging knob.
-	DisableBatching bool
-	// BatchSize overrides the scheduler's read-ahead window (0 = the
-	// scheduler default). Any positive value yields the same reports.
-	BatchSize uint64
 	// Observer, when non-nil, is attached to the machine and the
 	// scheduler for the run: it receives event probes and periodic Tick
 	// calls but never influences the simulation (reports stay
 	// bit-identical). A metrics.Collector is not safe for concurrent
 	// use, so Sweep ignores this field — observers are per-run only.
 	Observer metrics.Observer
-	// CellDone, when non-nil, is invoked by Sweep once per completed
-	// grid cell, from the worker goroutines — it must be safe for
-	// concurrent use. The experiment service uses it for job progress;
-	// it never influences results and is excluded from cache keys.
-	CellDone func()
 	// CellResult, when non-nil, receives each completed cell's report as
 	// the sweep produces it, tagged with the cell's canonical index:
 	// SweepSpec numbers cells rate-major (i*len(sizes)+j) and
 	// BuildExperimentDoc re-bases per system so indices match
-	// ExperimentShape.CellSpecs order. Like CellDone it is called from
-	// the worker goroutines (must be concurrency-safe), never influences
-	// results, and is excluded from cache keys. The experiment service
-	// streams these as live job events.
+	// ExperimentShape.CellSpecs order. It is called from the worker
+	// goroutines (must be concurrency-safe), never influences results,
+	// and is excluded from cache keys. The experiment service streams
+	// these as live job events.
 	CellResult func(index int, rep ReportJSON)
 	// Checkpoints, when non-nil, attaches a warm-state checkpoint store:
 	// runs capture their final machine+scheduler state and later runs of

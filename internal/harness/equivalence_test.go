@@ -5,6 +5,11 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+
+	"rampage/internal/mem"
+	"rampage/internal/oracle"
+	"rampage/internal/stats"
+	"rampage/internal/trace"
 )
 
 // equivSpecs covers every SystemKind plus the scheduler features that
@@ -19,28 +24,99 @@ var equivSpecs = []RunSpec{
 	{System: RAMpage, IssueMHz: 4000, SizeBytes: 512, AdaptivePages: true},
 }
 
-// runBothPaths executes one spec through the per-reference loop and
-// the batched loop and fails unless the reports are bit-identical.
-func runBothPaths(t *testing.T, cfg Config, spec RunSpec) {
+// referenceRun is Run with sim.Scheduler replaced by the oracle's
+// reference scheduler: the same machine, driven one Exec at a time
+// over freshly generated streams. Every production path is compared
+// against it.
+func referenceRun(t *testing.T, cfg Config, spec RunSpec) *stats.Report {
 	t.Helper()
-	cfg.DisableBatching = true
-	perRef, err := Run(context.Background(), cfg, spec)
+	readers, err := cfg.Readers()
 	if err != nil {
-		t.Fatalf("per-ref run: %v", err)
+		t.Fatal(err)
 	}
-	cfg.DisableBatching = false
-	batched, err := Run(context.Background(), cfg, spec)
+	spec = spec.Normalized()
+	m, err := newMachine(cfg, spec, len(readers))
 	if err != nil {
-		t.Fatalf("batched run: %v", err)
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(perRef, batched) {
-		t.Errorf("reports diverge (batch=%d):\nper-ref: %+v\nbatched: %+v", cfg.BatchSize, perRef, batched)
+	rep, err := oracle.Schedule(context.Background(), m, readers, schedulerConfig(cfg, spec))
+	if err != nil {
+		t.Fatalf("reference run: %v", err)
+	}
+	return rep
+}
+
+// capturedReaders replays the configuration's workload from captured
+// columns, as every sweep cell does.
+func capturedReaders(t *testing.T, cfg Config) []trace.Reader {
+	t.Helper()
+	bufs := preloadWorkload(cfg)
+	if bufs == nil {
+		t.Fatal("workload could not be captured in columns")
+	}
+	readers := make([]trace.Reader, len(bufs))
+	for i, b := range bufs {
+		readers[i] = trace.NewColumnarReader(b)
+	}
+	return readers
+}
+
+// shortBatches caps every ReadBatch at n references, so the scheduler's
+// refill window is reloaded in windows of at most n.
+type shortBatches struct {
+	trace.Reader
+	n int
+}
+
+func (s shortBatches) ReadBatch(dst []mem.Ref) (int, error) {
+	return trace.ReadBatch(s.Reader, dst[:min(len(dst), s.n)])
+}
+
+// refillRun is Run with every generated stream read in batches of at
+// most n references.
+func refillRun(t *testing.T, cfg Config, spec RunSpec, n int) *stats.Report {
+	t.Helper()
+	readers, err := cfg.Readers()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range readers {
+		readers[i] = shortBatches{r, n}
+	}
+	rep, err := runWithReaders(context.Background(), cfg, spec, readers)
+	if err != nil {
+		t.Fatalf("refilled run: %v", err)
+	}
+	return rep
+}
+
+// runAllPaths executes one spec under the reference scheduler, through
+// sim.Scheduler's refill window (Run over the generators) and over
+// captured columns (the sweep path), and fails unless all three
+// reports are bit-identical.
+func runAllPaths(t *testing.T, cfg Config, spec RunSpec) {
+	t.Helper()
+	want := referenceRun(t, cfg, spec)
+	refilled, err := Run(context.Background(), cfg, spec)
+	if err != nil {
+		t.Fatalf("refilled run: %v", err)
+	}
+	if !reflect.DeepEqual(refilled, want) {
+		t.Errorf("refilled report diverges from the reference scheduler:\nreference: %+v\nrefilled:  %+v", want, refilled)
+	}
+	captured, err := runWithReaders(context.Background(), cfg, spec, capturedReaders(t, cfg))
+	if err != nil {
+		t.Fatalf("captured run: %v", err)
+	}
+	if !reflect.DeepEqual(captured, want) {
+		t.Errorf("captured report diverges from the reference scheduler:\nreference: %+v\ncaptured:  %+v", want, captured)
 	}
 }
 
-// TestBatchedPathEquivalence asserts the batched scheduler pipeline
-// produces bit-identical reports to the per-reference loop for all
-// four systems (plus the threads and adaptive extensions).
+// TestBatchedPathEquivalence asserts the batched scheduler pipeline —
+// refilled and captured alike — produces bit-identical reports to the
+// reference scheduler for all four systems (plus the threads and
+// adaptive extensions).
 func TestBatchedPathEquivalence(t *testing.T) {
 	cfg := tinyConfig()
 	for _, spec := range equivSpecs {
@@ -54,36 +130,37 @@ func TestBatchedPathEquivalence(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			runBothPaths(t, cfg, spec)
+			runAllPaths(t, cfg, spec)
 		})
 	}
 }
 
-// TestBatchedPathEquivalenceBatchSizes sweeps the read-ahead window —
-// including a degenerate single-reference window and a window spanning
-// whole quanta — on the system with the most scheduler interaction.
+// TestBatchedPathEquivalenceBatchSizes sweeps the size of the batches
+// the streams deliver into the refill window — including a degenerate
+// single-reference batch and one spanning whole quanta — on the system
+// with the most scheduler interaction.
 func TestBatchedPathEquivalenceBatchSizes(t *testing.T) {
 	cfg := tinyConfig()
 	spec := RunSpec{System: RAMpageCS, IssueMHz: 4000, SizeBytes: 512, SwitchTrace: true}
+	want := referenceRun(t, cfg, spec)
 	for _, batch := range []uint64{1, 7, 64, cfg.Quantum} {
 		batch := batch
 		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
 			t.Parallel()
-			c := cfg
-			c.BatchSize = batch
-			runBothPaths(t, c, spec)
+			if got := refillRun(t, cfg, spec, int(batch)); !reflect.DeepEqual(got, want) {
+				t.Errorf("reports diverge:\nreference: %+v\nrefilled:  %+v", want, got)
+			}
 		})
 	}
 }
 
 // TestBatchedPathEquivalenceMaxRefs checks that the MaxRefs cutoff
-// lands on the same reference in both paths, including when it falls
+// lands on the same reference on every path, including when it falls
 // mid-window.
 func TestBatchedPathEquivalenceMaxRefs(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.MaxRefs = 12_345
-	cfg.BatchSize = 64
-	runBothPaths(t, cfg, RunSpec{System: RAMpageCS, IssueMHz: 4000, SizeBytes: 512, SwitchTrace: true})
+	runAllPaths(t, cfg, RunSpec{System: RAMpageCS, IssueMHz: 4000, SizeBytes: 512, SwitchTrace: true})
 }
 
 // TestSweepPreloadEquivalence pins Sweep's materialized-workload
@@ -110,11 +187,12 @@ func TestSweepPreloadEquivalence(t *testing.T) {
 	}
 }
 
-// FuzzBatchEquivalence fuzzes (seed, batch size, issue rate, page
-// size) through the switch-on-miss system, asserting bit-identical
-// reports between the two scheduler paths. The seed corpus pins the
-// ISSUE-mandated batch sizes {1, 7, 64, quantum}, so `go test` always
-// replays them even when no fuzz engine is attached.
+// FuzzBatchEquivalence fuzzes (seed, stream batch size, issue rate,
+// page size) through the switch-on-miss system, asserting bit-identical
+// reports between the refilled scheduler path and the reference
+// scheduler. The seed corpus pins the batch sizes {1, 7, 64, quantum},
+// so `go test` always replays them even when no fuzz engine is
+// attached.
 func FuzzBatchEquivalence(f *testing.F) {
 	quantum := QuickScaled().Quantum
 	f.Add(uint64(42), uint64(1), uint64(4000), uint64(512))
@@ -127,7 +205,6 @@ func FuzzBatchEquivalence(f *testing.F) {
 		cfg.Seed = seed
 		cfg.Processes = 4
 		cfg.MaxRefs = 30_000
-		cfg.BatchSize = 1 + batch%uint64(2*quantum) // clamp to a sane window
 		rates := []uint64{200, 1000, 2000, 4000}
 		sizes := []uint64{128, 256, 512, 1024, 2048, 4096}
 		spec := RunSpec{
@@ -136,6 +213,10 @@ func FuzzBatchEquivalence(f *testing.F) {
 			SizeBytes:   sizes[pageBytes%uint64(len(sizes))],
 			SwitchTrace: true,
 		}
-		runBothPaths(t, cfg, spec)
+		want := referenceRun(t, cfg, spec)
+		got := refillRun(t, cfg, spec, int(1+batch%uint64(2*quantum)))
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("reports diverge:\nreference: %+v\nrefilled:  %+v", want, got)
+		}
 	})
 }

@@ -57,10 +57,7 @@ func FuzzConfigHash(f *testing.F) {
 		// Execution knobs must not split the cache.
 		knobs := cfg
 		knobs.Workers = 7
-		knobs.DisableBatching = true
-		knobs.BatchSize = 64
 		knobs.Verify = true
-		knobs.CellDone = func() {}
 		if RunKey(knobs, spec) != key {
 			t.Error("execution knobs changed the cache key")
 		}

@@ -10,9 +10,8 @@ import (
 // content-addressed result cache. Two requests share a key exactly when
 // the harness guarantees them bit-identical result documents: the key
 // covers every result-affecting field and deliberately excludes the
-// execution knobs (Workers, DisableBatching, BatchSize, Observer,
-// CellDone, CellResult, Verify) that the batching-equivalence and
-// observer-equivalence tests pin as having no effect on reports.
+// execution knobs (Workers, Observer, CellResult, Verify) that the
+// equivalence tests pin as having no effect on reports.
 
 // canonicalConfig is the result-affecting projection of a Config, in a
 // fixed field order so its JSON encoding is byte-stable.

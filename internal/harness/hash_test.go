@@ -55,11 +55,8 @@ func TestRunKeyIgnoresExecutionKnobs(t *testing.T) {
 	cfg := QuickScaled()
 	base := RunKey(cfg, validSpec())
 	for name, mutate := range map[string]func(*Config){
-		"workers":          func(c *Config) { c.Workers = 7 },
-		"disable batching": func(c *Config) { c.DisableBatching = true },
-		"batch size":       func(c *Config) { c.BatchSize = 64 },
-		"cell done":        func(c *Config) { c.CellDone = func() {} },
-		"verify":           func(c *Config) { c.Verify = true },
+		"workers": func(c *Config) { c.Workers = 7 },
+		"verify":  func(c *Config) { c.Verify = true },
 	} {
 		c := cfg
 		mutate(&c)

@@ -170,98 +170,10 @@ func runWithReaders(ctx context.Context, cfg Config, spec RunSpec, readers []tra
 		return nil, err
 	}
 	spec = spec.Normalized()
-	params := sim.DefaultParams(spec.IssueMHz)
-	params.Seed = cfg.Seed
-	if spec.TLBEntries > 0 {
-		params.TLBEntries = spec.TLBEntries
-		params.TLBAssoc = spec.TLBAssoc
+	machine, err := newMachine(cfg, spec, len(readers))
+	if err != nil {
+		return nil, err
 	}
-	if spec.PipelinedDRAM {
-		params.PipelinedDRAM = true
-	}
-	if spec.L1Bytes > 0 {
-		params.L1Bytes = spec.L1Bytes
-	}
-	if spec.L1Assoc > 0 {
-		params.L1Assoc = spec.L1Assoc
-	}
-	if spec.SDRAM {
-		params.DRAM = dram.NewSDRAM()
-	}
-	if spec.BankedDRAM {
-		params.DRAM = dram.NewRDRAM()
-	}
-	if spec.DRAMChannels > 1 {
-		mc, err := dram.NewMultiChannel(params.DRAM, uint64(spec.DRAMChannels))
-		if err != nil {
-			return nil, err
-		}
-		params.DRAM = mc
-	}
-
-	var machine sim.Machine
-	switch spec.System {
-	case BaselineDM, TwoWayL2:
-		assoc, l2pol := 1, cache.LRU
-		if spec.System == TwoWayL2 {
-			assoc, l2pol = 2, cache.RandomRepl
-		}
-		b, err := sim.NewBaseline(sim.BaselineConfig{
-			Params:        params,
-			L2Bytes:       cfg.L2Bytes,
-			L2Block:       spec.SizeBytes,
-			L2Assoc:       assoc,
-			L2Policy:      l2pol,
-			DRAMBytes:     cfg.DRAMBytes,
-			VictimEntries: spec.VictimEntries,
-		})
-		if err != nil {
-			return nil, err
-		}
-		machine = b
-	case RAMpage, RAMpageCS:
-		rcfg := sim.RAMpageConfig{
-			Params:       params,
-			SRAMBytes:    cfg.SRAMBytes(spec.SizeBytes),
-			PageBytes:    spec.SizeBytes,
-			SwitchOnMiss: spec.System == RAMpageCS,
-			PrefetchNext: spec.PrefetchNext,
-			Policy:       spec.Policy,
-		}
-		if spec.AdaptivePages {
-			// One epoch should cover a full round-robin rotation so
-			// the controller compares like with like — otherwise each
-			// epoch samples different programs and the cost signal is
-			// noise. Cap the epoch so short runs still adapt.
-			epoch := cfg.Quantum * uint64(len(readers))
-			total := uint64(synth.Table2TotalMillions() * 1e6 * cfg.RefScale)
-			if cfg.MaxRefs > 0 && cfg.MaxRefs < total {
-				total = cfg.MaxRefs
-			}
-			if cap := total / 12; epoch > cap {
-				epoch = cap
-			}
-			if epoch < 20_000 {
-				epoch = 20_000
-			}
-			a, err := sim.NewAdaptiveRAMpage(sim.AdaptiveConfig{
-				RAMpageConfig: rcfg,
-				SRAMBytesFor:  cfg.SRAMBytes,
-				EpochRefs:     epoch,
-			})
-			if err != nil {
-				return nil, err
-			}
-			machine = a
-			break
-		}
-		r, err := sim.NewRAMpage(rcfg)
-		if err != nil {
-			return nil, err
-		}
-		machine = r
-	}
-
 	obs := cfg.Observer
 	var checker *oracle.InvariantChecker
 	if cfg.Verify {
@@ -271,16 +183,9 @@ func runWithReaders(ctx context.Context, cfg Config, spec RunSpec, readers []tra
 	if obs != nil {
 		machine.SetObserver(obs)
 	}
-	sched, err := sim.NewScheduler(machine, readers, sim.SchedulerConfig{
-		Quantum:            cfg.Quantum,
-		InsertSwitchTrace:  spec.SwitchTrace,
-		LightweightThreads: spec.LightweightThreads,
-		Seed:               cfg.Seed,
-		MaxRefs:            cfg.MaxRefs,
-		DisableBatching:    cfg.DisableBatching,
-		BatchSize:          cfg.BatchSize,
-		Observer:           obs,
-	})
+	scfg := schedulerConfig(cfg, spec)
+	scfg.Observer = obs
+	sched, err := sim.NewScheduler(machine, readers, scfg)
 	if err != nil {
 		return nil, err
 	}
@@ -348,20 +253,114 @@ func runWithReaders(ctx context.Context, cfg Config, spec RunSpec, readers []tra
 	return rep, nil
 }
 
+// newMachine builds the machine a validated, normalized spec
+// simulates under cfg, for a workload of procs processes.
+func newMachine(cfg Config, spec RunSpec, procs int) (sim.Machine, error) {
+	params := sim.DefaultParams(spec.IssueMHz)
+	params.Seed = cfg.Seed
+	if spec.TLBEntries > 0 {
+		params.TLBEntries = spec.TLBEntries
+		params.TLBAssoc = spec.TLBAssoc
+	}
+	if spec.PipelinedDRAM {
+		params.PipelinedDRAM = true
+	}
+	if spec.L1Bytes > 0 {
+		params.L1Bytes = spec.L1Bytes
+	}
+	if spec.L1Assoc > 0 {
+		params.L1Assoc = spec.L1Assoc
+	}
+	if spec.SDRAM {
+		params.DRAM = dram.NewSDRAM()
+	}
+	if spec.BankedDRAM {
+		params.DRAM = dram.NewRDRAM()
+	}
+	if spec.DRAMChannels > 1 {
+		mc, err := dram.NewMultiChannel(params.DRAM, uint64(spec.DRAMChannels))
+		if err != nil {
+			return nil, err
+		}
+		params.DRAM = mc
+	}
+	switch spec.System {
+	case BaselineDM, TwoWayL2:
+		assoc, l2pol := 1, cache.LRU
+		if spec.System == TwoWayL2 {
+			assoc, l2pol = 2, cache.RandomRepl
+		}
+		return sim.NewBaseline(sim.BaselineConfig{
+			Params:        params,
+			L2Bytes:       cfg.L2Bytes,
+			L2Block:       spec.SizeBytes,
+			L2Assoc:       assoc,
+			L2Policy:      l2pol,
+			DRAMBytes:     cfg.DRAMBytes,
+			VictimEntries: spec.VictimEntries,
+		})
+	}
+	rcfg := sim.RAMpageConfig{
+		Params:       params,
+		SRAMBytes:    cfg.SRAMBytes(spec.SizeBytes),
+		PageBytes:    spec.SizeBytes,
+		SwitchOnMiss: spec.System == RAMpageCS,
+		PrefetchNext: spec.PrefetchNext,
+		Policy:       spec.Policy,
+	}
+	if !spec.AdaptivePages {
+		return sim.NewRAMpage(rcfg)
+	}
+	// One epoch should cover a full round-robin rotation so the
+	// controller compares like with like — otherwise each epoch samples
+	// different programs and the cost signal is noise. Cap the epoch so
+	// short runs still adapt.
+	epoch := cfg.Quantum * uint64(procs)
+	total := uint64(synth.Table2TotalMillions() * 1e6 * cfg.RefScale)
+	if cfg.MaxRefs > 0 && cfg.MaxRefs < total {
+		total = cfg.MaxRefs
+	}
+	if cap := total / 12; epoch > cap {
+		epoch = cap
+	}
+	if epoch < 20_000 {
+		epoch = 20_000
+	}
+	return sim.NewAdaptiveRAMpage(sim.AdaptiveConfig{
+		RAMpageConfig: rcfg,
+		SRAMBytesFor:  cfg.SRAMBytes,
+		EpochRefs:     epoch,
+	})
+}
+
+// schedulerConfig is the multiprogramming configuration a spec runs
+// under (no observer).
+func schedulerConfig(cfg Config, spec RunSpec) sim.SchedulerConfig {
+	return sim.SchedulerConfig{
+		Quantum:            cfg.Quantum,
+		InsertSwitchTrace:  spec.SwitchTrace,
+		LightweightThreads: spec.LightweightThreads,
+		Seed:               cfg.Seed,
+		MaxRefs:            cfg.MaxRefs,
+	}
+}
+
 // preloadRefsCap bounds workload materialization in Sweep: streams
 // totalling more than this many references (9 bytes each in columnar
 // form) are regenerated per cell instead of being stored.
 const preloadRefsCap = 64 << 20
 
 // workloadKey identifies a materialized workload. The generated
-// streams depend only on the seed and the two scales (never on a
-// cell's rate, size or system), so sweeps over the same configuration
-// — including successive sweeps in one process, as in benchmarks —
-// can share one capture.
+// streams depend only on the seed, the two scales and the profile
+// selection (never on a cell's rate, size or system), so sweeps over
+// the same configuration — including successive sweeps in one process,
+// as in benchmarks — can share one capture.
 type workloadKey struct {
 	seed      uint64
 	refScale  float64
 	sizeScale float64
+	processes int
+	profile   string
 }
 
 // workloadCache holds captured workloads across sweeps, keyed by
@@ -381,7 +380,7 @@ const workloadCacheCap = 8
 // runs), a stream's length is unknown, or a stream is not single-
 // process; callers then regenerate per cell as before.
 func preloadWorkload(cfg Config) []*trace.ColumnarBuffer {
-	key := workloadKey{seed: cfg.Seed, refScale: cfg.RefScale, sizeScale: cfg.SizeScale}
+	key := workloadKey{seed: cfg.Seed, refScale: cfg.RefScale, sizeScale: cfg.SizeScale, processes: cfg.Processes, profile: cfg.ProfileName}
 	cacheable := cfg.profiles == nil // custom profile sets are not in the key
 	if cacheable {
 		if v, ok := workloadCache.Load(key); ok {
@@ -424,8 +423,8 @@ func preloadWorkload(cfg Config) []*trace.ColumnarBuffer {
 // size — for one system, returning reports indexed [rate][size]. Cells
 // are independent simulations, so they run in parallel across the
 // available CPUs; results are deterministic regardless of parallelism.
-// The workload is generated once and replayed in every cell (each cell
-// gets fresh SliceReaders over the shared, read-only backing slices),
+// The workload is captured once and replayed in every cell (each cell
+// gets fresh ColumnarReaders over the shared, read-only columns),
 // since the streams are independent of the swept parameters.
 // Cancelling ctx abandons unstarted cells, stops in-flight ones at the
 // next batch boundary, and returns ctx.Err().
@@ -441,7 +440,6 @@ func SweepSpec(ctx context.Context, cfg Config, base RunSpec, rates, sizes []uin
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	cellDone := cfg.CellDone
 	cellResult := cfg.CellResult
 	cfg.Observer = nil // collectors are not safe across parallel cells
 	out := make([][]*stats.Report, len(rates))
@@ -522,9 +520,6 @@ func SweepSpec(ctx context.Context, cfg Config, base RunSpec, rates, sizes []uin
 				out[c.i][c.j] = rep
 				if cellResult != nil {
 					cellResult(c.i*len(sizes)+c.j, NewReportJSON(rep))
-				}
-				if cellDone != nil {
-					cellDone()
 				}
 			}
 		}()

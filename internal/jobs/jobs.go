@@ -57,6 +57,13 @@ type Request struct {
 	// non-nil cell payload is published to the job's event stream for
 	// live subscribers; nil records count-only progress.
 	Do func(ctx context.Context, progress func(cell []byte)) ([]byte, error)
+	// Replay re-derives, from a finished document, the cell payloads Do
+	// publishes while producing it, in order. A job answered from the
+	// result cache publishes them (nil entries skipped, as with
+	// progress) ahead of its terminal event, so a streaming client sees
+	// the same cell events for a hit as for a live run. Nil leaves a
+	// hit with its terminal event only.
+	Replay func(doc []byte) ([][]byte, error)
 }
 
 // State is a job's lifecycle position.
@@ -86,6 +93,12 @@ type Job struct {
 
 	cellsDone atomic.Uint64
 	events    *EventStream
+
+	// cached marks a job answered from the result cache; its events are
+	// replayed from the document by replay on first use.
+	cached     bool
+	replay     func(doc []byte) ([][]byte, error)
+	replayOnce sync.Once
 
 	run    func(ctx context.Context, progress func(cell []byte)) ([]byte, error)
 	jobCtx context.Context    // canceled by Cancel or manager shutdown
@@ -313,6 +326,7 @@ func (m *Manager) Submit(req Request) (*Job, error) {
 		j.cellsDone.Store(uint64(req.Cells))
 		j.state = StateDone
 		j.data = data
+		j.cached, j.replay = true, req.Replay
 		close(j.done)
 		j.cancel() // release the context before the job is ever run
 		m.rememberFinishedLocked(j)

@@ -110,7 +110,31 @@ func (s *EventStream) Len() uint64 {
 	return uint64(len(s.events))
 }
 
-// Events returns the job's event stream. For jobs answered straight
-// from the result cache the stream is empty — the HTTP layer
-// synthesizes a replay burst from the cached document instead.
-func (j *Job) Events() *EventStream { return j.events }
+// Events returns the job's event stream. A job answered straight from
+// the result cache fills its stream on first use: the cell payloads
+// its request's Replay derives from the cached document, then the
+// terminal done event (carrying the error when the document could not
+// be replayed).
+func (j *Job) Events() *EventStream {
+	if j.cached {
+		j.replayOnce.Do(j.publishCached)
+	}
+	return j.events
+}
+
+// publishCached replays a cache-hit job's cell events.
+func (j *Job) publishCached() {
+	var errText string
+	if j.replay != nil {
+		cells, err := j.replay(j.data)
+		for _, cell := range cells {
+			if cell != nil {
+				j.events.publish("cell", cell, "")
+			}
+		}
+		if err != nil {
+			errText = "replaying cached document: " + err.Error()
+		}
+	}
+	j.events.publish(string(StateDone), nil, errText)
+}

@@ -151,3 +151,70 @@ func TestJobFailurePublishesError(t *testing.T) {
 		t.Fatalf("failed job events = %+v, want one failed event carrying the error", replay)
 	}
 }
+
+// TestCachedJobReplaysEvents checks a job answered from the result
+// cache: its request's Replay derives the cell events from the cached
+// document (nil payloads skipped, as with progress), the terminal done
+// event follows, and concurrent first subscribers all see the one
+// replayed stream. A document the encoder rejects still ends the
+// stream, with the error on the terminal event.
+func TestCachedJobReplaysEvents(t *testing.T) {
+	m := NewManager(Config{Workers: 1, QueueDepth: 4})
+	defer m.Drain(waitCtx(t))
+	replay := func(doc []byte) ([][]byte, error) {
+		if string(doc) != "doc" {
+			return nil, fmt.Errorf("unreadable document %q", doc)
+		}
+		return [][]byte{[]byte(`{"index":0}`), nil, []byte(`{"index":2}`)}, nil
+	}
+	req := Request{Key: "cached-job", Cells: 3, Replay: replay,
+		Do: func(ctx context.Context, progress func(cell []byte)) ([]byte, error) {
+			return []byte("doc"), nil
+		}}
+	live, err := m.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Wait(waitCtx(t), live); err != nil {
+		t.Fatal(err)
+	}
+	hit, err := m.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hit == live || hit.Status().State != StateDone {
+		t.Fatalf("second submission is not a cache hit: %+v", hit.Status())
+	}
+
+	const readers = 8
+	got := make([][]Event, readers)
+	done := make(chan int)
+	for i := 0; i < readers; i++ {
+		go func(i int) {
+			replay, _, cancel := hit.Events().Subscribe(0, 8)
+			cancel()
+			got[i] = replay
+			done <- i
+		}(i)
+	}
+	for i := 0; i < readers; i++ {
+		<-done
+	}
+	for i, events := range got {
+		if len(events) != 3 || string(events[0].Cell) != `{"index":0}` ||
+			string(events[1].Cell) != `{"index":2}` || events[2].Type != string(StateDone) {
+			t.Fatalf("subscriber %d saw %+v, want 2 cells + done", i, events)
+		}
+	}
+
+	m.Cache().Put("bad-doc", []byte("garbage"))
+	bad, err := m.Submit(Request{Key: "bad-doc", Cells: 1, Replay: replay})
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, _, cancel := bad.Events().Subscribe(0, 4)
+	cancel()
+	if len(events) != 1 || events[0].Type != string(StateDone) || events[0].Error == "" {
+		t.Fatalf("unreplayable hit events = %+v, want one done event carrying the error", events)
+	}
+}

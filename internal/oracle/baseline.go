@@ -5,7 +5,6 @@ import (
 
 	"rampage/internal/cache"
 	"rampage/internal/mem"
-	"rampage/internal/metrics"
 	"rampage/internal/sim"
 	"rampage/internal/stats"
 	"rampage/internal/synth"
@@ -14,7 +13,7 @@ import (
 // Baseline is the reference model of the conventional hierarchy (§4.4
 // direct-mapped, §4.7 2-way): split L1 in front of a unified L2, a TLB
 // translating to DRAM physical addresses, and an inverted page table in
-// DRAM. It implements sim.Machine and is required to produce a report
+// DRAM. It implements Machine and is required to produce a report
 // bit-identical to sim.Baseline's for the same configuration and trace.
 type Baseline struct {
 	cfg    sim.BaselineConfig
@@ -111,19 +110,13 @@ func NewBaseline(cfg sim.BaselineConfig) (*Baseline, error) {
 // dramPageBytes is the fixed DRAM page size (§2.4).
 const dramPageBytes = 4096
 
-// Report implements sim.Machine.
+// Report implements Machine.
 func (b *Baseline) Report() *stats.Report { return &b.rep }
 
-// SetObserver implements sim.Machine. The oracle emits no observer
-// events; its report is the only state the differential engine
-// compares, and that report is bit-identical with or without an
-// observer by construction.
-func (b *Baseline) SetObserver(obs metrics.Observer) {}
-
-// Now implements sim.Machine.
+// Now implements Machine.
 func (b *Baseline) Now() mem.Cycles { return b.rep.Cycles }
 
-// AdvanceTo implements sim.Machine.
+// AdvanceTo implements Machine.
 func (b *Baseline) AdvanceTo(t mem.Cycles) {
 	if t > b.rep.Cycles {
 		idle := t - b.rep.Cycles
@@ -132,23 +125,12 @@ func (b *Baseline) AdvanceTo(t mem.Cycles) {
 	}
 }
 
-// Exec implements sim.Machine. The baseline never blocks.
+// Exec implements Machine. The baseline never blocks.
 func (b *Baseline) Exec(ref mem.Ref) (mem.Cycles, error) {
 	return 0, b.execOne(ref, sim.ClassBench)
 }
 
-// ExecBatch implements sim.Machine as a plain Exec loop: the reference
-// model has no fast path, which is the point.
-func (b *Baseline) ExecBatch(refs []mem.Ref) (int, mem.Cycles, error) {
-	for i := range refs {
-		if err := b.execOne(refs[i], sim.ClassBench); err != nil {
-			return i, 0, err
-		}
-	}
-	return len(refs), 0, nil
-}
-
-// ExecTrace implements sim.Machine.
+// ExecTrace implements Machine.
 func (b *Baseline) ExecTrace(refs []mem.Ref, class sim.RefClass) error {
 	for _, r := range refs {
 		if err := b.execOne(r, class); err != nil {

@@ -68,7 +68,7 @@ func (d *Divergence) String() string {
 type stateSummarizer interface{ StateSummary() string }
 
 // summarize extracts a state summary from a machine if it offers one.
-func summarize(m sim.Machine) string {
+func summarize(m Machine) string {
 	if s, ok := m.(stateSummarizer); ok {
 		return s.StateSummary()
 	}
@@ -103,7 +103,7 @@ const maxRetries = 8
 // reference at a time, comparing errors, blocking times and the full
 // report after every reference. It returns the first divergence, or nil
 // when the machines agree over the whole trace.
-func Lockstep(oracle, subject sim.Machine, refs []mem.Ref) *Divergence {
+func Lockstep(oracle, subject Machine, refs []mem.Ref) *Divergence {
 	div := func(i int, where, oval, sval string) *Divergence {
 		return &Divergence{
 			Index: i, Ref: refs[i], Where: where,
@@ -155,14 +155,20 @@ func Lockstep(oracle, subject sim.Machine, refs []mem.Ref) *Divergence {
 	return nil
 }
 
-// LockstepBatch replays refs through the subject's ExecBatch path in
-// windows of batchSize references, driving the oracle per-reference
-// over each consumed prefix, and compares the reports at every window
-// boundary. It exercises the batched fast paths the per-reference
-// Lockstep never reaches.
-func LockstepBatch(oracle, subject sim.Machine, refs []mem.Ref, batchSize int) *Divergence {
+// LockstepBatch replays refs through the subject's ExecBatchColumnar
+// path in windows of up to batchSize references — each window one
+// process's run of consecutive references, as the scheduler hands them
+// over — driving the oracle per-reference over each consumed prefix,
+// and compares the reports at every window boundary. It exercises the
+// batched fast paths the per-reference Lockstep never reaches.
+func LockstepBatch(oracle Machine, subject sim.Machine, refs []mem.Ref, batchSize int) *Divergence {
 	if batchSize < 1 {
 		batchSize = 64
+	}
+	kinds := make([]mem.RefKind, len(refs))
+	addrs := make([]mem.VAddr, len(refs))
+	for i, ref := range refs {
+		kinds[i], addrs[i] = ref.Kind, ref.Addr
 	}
 	div := func(i int, where, oval, sval string) *Divergence {
 		d := &Divergence{
@@ -180,11 +186,15 @@ func LockstepBatch(oracle, subject sim.Machine, refs []mem.Ref, batchSize int) *
 	pos := 0
 	retries := 0
 	for pos < len(refs) {
-		end := pos + batchSize
-		if end > len(refs) {
-			end = len(refs)
+		end := min(pos+batchSize, len(refs))
+		pid := refs[pos].PID
+		for k := pos + 1; k < end; k++ {
+			if refs[k].PID != pid {
+				end = k
+				break
+			}
 		}
-		consumed, sb, serr := subject.ExecBatch(refs[pos:end])
+		consumed, sb, serr := subject.ExecBatchColumnar(pid, kinds[pos:end], addrs[pos:end])
 		// The oracle executes the consumed prefix per reference; each of
 		// those completed in the subject, so the oracle must complete
 		// them too.
@@ -241,30 +251,69 @@ func LockstepBatch(oracle, subject sim.Machine, refs []mem.Ref, batchSize int) *
 	return nil
 }
 
-// DiffRun drives the oracle and the subject through two identically
-// configured schedulers over the same multiprogrammed workload —
-// context-switch traces, quantum boundaries, switch-on-miss blocking
-// and all — and compares the final reports. refs is replayed per
-// process (each stream re-read from the slice), so both machines see
-// exactly the same interleaving. The subject runs the batched scheduler
-// path when batched is true, the per-reference path otherwise; the
-// oracle always runs per-reference.
-func DiffRun(oracle, subject sim.Machine, streams [][]mem.Ref, cfg sim.SchedulerConfig, batched bool) (*Divergence, error) {
-	run := func(m sim.Machine, disableBatching bool) (*stats.Report, error) {
+// Feed selects how DiffRun drives its subject machine.
+type Feed uint8
+
+const (
+	// PerRef drives the subject with the reference scheduler, one Exec
+	// at a time, exactly like the oracle: only the machines differ.
+	PerRef Feed = iota
+	// Columns runs the subject under sim.Scheduler over captured column
+	// streams — the zero-copy loop every sweep cell executes.
+	Columns
+	// Refill runs the subject under sim.Scheduler over SliceReaders, so
+	// every window passes through the scheduler's refill buffer.
+	Refill
+)
+
+// DiffRun runs the same multiprogrammed workload — context-switch
+// traces, quantum boundaries, switch-on-miss blocking and all — on the
+// oracle under the reference scheduler (Schedule) and on the subject
+// as feed selects, and compares the final reports. streams[i] is
+// process i's reference stream (its PIDs are replaced by i), re-read
+// from the slice for each run. The oracle side never touches
+// sim.Scheduler, so a divergence under Columns or Refill that PerRef
+// does not show is a scheduling or batching fault, not a machine one.
+func DiffRun(oracle Machine, subject sim.Machine, streams [][]mem.Ref, cfg sim.SchedulerConfig, feed Feed) (*Divergence, error) {
+	return diffRun(oracle, subject, streams, cfg, feed, noFault)
+}
+
+// diffRun is DiffRun with a seeded fault in the oracle's scheduler.
+func diffRun(oracle Machine, subject sim.Machine, streams [][]mem.Ref, cfg sim.SchedulerConfig, feed Feed, fault schedFault) (*Divergence, error) {
+	rows := func() []trace.Reader {
 		readers := make([]trace.Reader, len(streams))
 		for i, s := range streams {
 			readers[i] = trace.NewSliceReader(s)
 		}
-		c := cfg
-		c.DisableBatching = disableBatching
-		sched, err := sim.NewScheduler(m, readers, c)
+		return readers
+	}
+	orep, oerr := schedule(context.Background(), oracle, rows(), cfg, fault)
+	var (
+		srep *stats.Report
+		serr error
+	)
+	switch feed {
+	case PerRef:
+		srep, serr = Schedule(context.Background(), subject, rows(), cfg)
+	case Columns, Refill:
+		readers := rows()
+		if feed == Columns {
+			for i, s := range streams {
+				buf := &trace.ColumnarBuffer{}
+				for _, ref := range s {
+					buf.Append(ref.Kind, ref.Addr)
+				}
+				readers[i] = trace.NewColumnarReader(buf)
+			}
+		}
+		sched, err := sim.NewScheduler(subject, readers, cfg)
 		if err != nil {
 			return nil, err
 		}
-		return sched.Run(context.Background())
+		srep, serr = sched.Run(context.Background())
+	default:
+		return nil, fmt.Errorf("oracle: unknown feed %d", feed)
 	}
-	orep, oerr := run(oracle, true)
-	srep, serr := run(subject, !batched)
 	if (oerr != nil) != (serr != nil) {
 		return &Divergence{
 			Index: -1, Where: "error",

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"rampage/internal/mem"
 	"rampage/internal/sim"
 	"rampage/internal/stats"
 )
@@ -110,5 +111,36 @@ func TestDivergenceStringFinal(t *testing.T) {
 	s := d.String()
 	if !strings.Contains(s, "final") {
 		t.Errorf("final divergence not labeled as such:\n%s", s)
+	}
+}
+
+// TestSeededSchedulerFaultsCaught plants scheduling bugs in the
+// reference scheduler — resume-on-arrival dropped, every quantum ended
+// one reference late — and requires DiffRun to report each against the
+// production scheduler on the path sweeps execute (captured columns),
+// naming a disagreeing report field. It is the scheduler's counterpart
+// of the clock-hand and policy fault proofs: the reference is only
+// independent if a bug on its side cannot pass unnoticed.
+func TestSeededSchedulerFaultsCaught(t *testing.T) {
+	n := 30_000
+	streams := [][]mem.Ref{wlLoop(0, n), wlSweep(0, n), wlLoop(0, n)}
+	cfg := sim.SchedulerConfig{Quantum: 2_000, InsertSwitchTrace: true, Seed: 42}
+	for _, tc := range []struct {
+		name  string
+		fault schedFault
+	}{{"no-resume", faultNoResume}, {"late-quantum", faultLateQuantum}} {
+		t.Run(tc.name, func(t *testing.T) {
+			orc, subj := buildRAMpagePair(t, true, 1000, 42)
+			div, err := diffRun(orc, subj, streams, cfg, Columns, tc.fault)
+			if err != nil {
+				t.Fatalf("diff run: %v", err)
+			}
+			if div == nil {
+				t.Fatal("seeded scheduler fault not detected")
+			}
+			if div.Where != "report" || div.Field == "" || div.OracleVal == div.SubjectVal {
+				t.Errorf("divergence does not name a disagreeing field:\n%s", div)
+			}
+		})
 	}
 }

@@ -108,14 +108,16 @@ type stubMachine struct {
 	deepErr error
 }
 
-func (s *stubMachine) Exec(mem.Ref) (mem.Cycles, error)               { return 0, nil }
-func (s *stubMachine) ExecBatch(r []mem.Ref) (int, mem.Cycles, error) { return len(r), 0, nil }
-func (s *stubMachine) ExecTrace([]mem.Ref, sim.RefClass) error        { return nil }
-func (s *stubMachine) Now() mem.Cycles                                { return s.rep.Cycles }
-func (s *stubMachine) AdvanceTo(mem.Cycles)                           {}
-func (s *stubMachine) Report() *stats.Report                          { return &s.rep }
-func (s *stubMachine) SetObserver(metrics.Observer)                   {}
-func (s *stubMachine) CheckInvariants() error                         { return s.deepErr }
+func (s *stubMachine) Exec(mem.Ref) (mem.Cycles, error) { return 0, nil }
+func (s *stubMachine) ExecBatchColumnar(_ mem.PID, k []mem.RefKind, _ []mem.VAddr) (int, mem.Cycles, error) {
+	return len(k), 0, nil
+}
+func (s *stubMachine) ExecTrace([]mem.Ref, sim.RefClass) error { return nil }
+func (s *stubMachine) Now() mem.Cycles                         { return s.rep.Cycles }
+func (s *stubMachine) AdvanceTo(mem.Cycles)                    {}
+func (s *stubMachine) Report() *stats.Report                   { return &s.rep }
+func (s *stubMachine) SetObserver(metrics.Observer)            {}
+func (s *stubMachine) CheckInvariants() error                  { return s.deepErr }
 
 func TestInvariantCheckerTickMonotonicity(t *testing.T) {
 	c := NewInvariantChecker(&stubMachine{}, nil)

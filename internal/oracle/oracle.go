@@ -17,12 +17,16 @@
 // bit-identical for the same seed, which fixes those streams as part
 // of the spec.
 //
-// On top of the models sit two checking tools:
+// On top of the models sit a reference scheduler and two checking
+// tools:
 //
+//   - schedule.go multiprograms any Machine one Exec at a time under
+//     the paper's quantum and switch-on-miss rules, written from the
+//     rules alone as the semantic reference for sim.Scheduler;
 //   - diff.go replays the same seeded trace through an oracle machine
-//     and a production machine in lockstep (per-reference or batched)
-//     and reports the first divergent reference with full state
-//     context;
+//     and a production machine in lockstep (per-reference or batched),
+//     or runs both under a scheduler, and reports the first divergent
+//     reference with full state context;
 //   - invariant.go is a metrics.Observer asserting machine-level
 //     invariants online (cycle monotonicity and attribution, L1⊆L2 /
 //     SRAM residency, TLB↔page-table coherence, clock-hand bounds,
@@ -36,7 +40,24 @@ import (
 	"rampage/internal/dram"
 	"rampage/internal/mem"
 	"rampage/internal/sim"
+	"rampage/internal/stats"
 )
+
+// Machine is what the oracle drives: references one at a time through
+// Exec, operating-system traces through ExecTrace, and the simulated
+// clock. Every sim.Machine satisfies it; the oracle's own models
+// implement nothing more, so no batch path exists on the reference
+// side.
+type Machine interface {
+	// Exec runs one application reference; a non-zero return is the
+	// cycle its page arrives, and the same reference must be retried
+	// after that time (the sim.Machine contract).
+	Exec(ref mem.Ref) (blockUntil mem.Cycles, err error)
+	ExecTrace(refs []mem.Ref, class sim.RefClass) error
+	Now() mem.Cycles
+	AdvanceTo(t mem.Cycles)
+	Report() *stats.Report
+}
 
 // Direct Rambus constants, straight from §4.3: "50 ns before the
 // first datum, then 2 bytes every 1.25 ns".

@@ -142,10 +142,10 @@ func rampageCfg(switchOnMiss bool, mhz, seed uint64) sim.RAMpageConfig {
 // oracle and subject machines of one hierarchy variant.
 type system struct {
 	name  string
-	build func(t *testing.T, mhz, seed uint64) (orc, subj sim.Machine)
+	build func(t *testing.T, mhz, seed uint64) (orc Machine, subj sim.Machine)
 }
 
-func buildBaselinePair(t *testing.T, assoc int, mhz, seed uint64) (sim.Machine, sim.Machine) {
+func buildBaselinePair(t *testing.T, assoc int, mhz, seed uint64) (Machine, sim.Machine) {
 	t.Helper()
 	cfg := baselineCfg(assoc, mhz, seed)
 	orc, err := NewBaseline(cfg)
@@ -159,7 +159,7 @@ func buildBaselinePair(t *testing.T, assoc int, mhz, seed uint64) (sim.Machine, 
 	return orc, subj
 }
 
-func buildRAMpagePair(t *testing.T, switchOnMiss bool, mhz, seed uint64) (sim.Machine, sim.Machine) {
+func buildRAMpagePair(t *testing.T, switchOnMiss bool, mhz, seed uint64) (Machine, sim.Machine) {
 	t.Helper()
 	cfg := rampageCfg(switchOnMiss, mhz, seed)
 	orc, err := NewRAMpage(cfg)
@@ -175,16 +175,16 @@ func buildRAMpagePair(t *testing.T, switchOnMiss bool, mhz, seed uint64) (sim.Ma
 
 func systems() []system {
 	return []system{
-		{"baseline-dm", func(t *testing.T, mhz, seed uint64) (sim.Machine, sim.Machine) {
+		{"baseline-dm", func(t *testing.T, mhz, seed uint64) (Machine, sim.Machine) {
 			return buildBaselinePair(t, 1, mhz, seed)
 		}},
-		{"l2-2way", func(t *testing.T, mhz, seed uint64) (sim.Machine, sim.Machine) {
+		{"l2-2way", func(t *testing.T, mhz, seed uint64) (Machine, sim.Machine) {
 			return buildBaselinePair(t, 2, mhz, seed)
 		}},
-		{"rampage", func(t *testing.T, mhz, seed uint64) (sim.Machine, sim.Machine) {
+		{"rampage", func(t *testing.T, mhz, seed uint64) (Machine, sim.Machine) {
 			return buildRAMpagePair(t, false, mhz, seed)
 		}},
-		{"rampage-cs", func(t *testing.T, mhz, seed uint64) (sim.Machine, sim.Machine) {
+		{"rampage-cs", func(t *testing.T, mhz, seed uint64) (Machine, sim.Machine) {
 			return buildRAMpagePair(t, true, mhz, seed)
 		}},
 	}
@@ -209,8 +209,9 @@ func TestLockstep(t *testing.T) {
 }
 
 // TestLockstepBatch drives the subject through its batched path
-// (ExecBatch) against the per-reference oracle. Batch sizes straddle
-// the production default to cover window-boundary handling.
+// (ExecBatchColumnar) against the per-reference oracle. Batch sizes
+// straddle the scheduler's refill window to cover window-boundary
+// handling.
 func TestLockstepBatch(t *testing.T) {
 	n := refCount()
 	for name, refs := range workloads(n) {
@@ -243,10 +244,12 @@ func TestLockstepIssueRates(t *testing.T) {
 	}
 }
 
-// TestDiffRunScheduled runs the full scheduler — quantum rotation,
-// context-switch traces, switch-on-miss blocking — over a
-// multiprogrammed workload on both machines, per-reference and batched,
-// and requires identical final reports.
+// TestDiffRunScheduled runs a multiprogrammed workload — quantum
+// rotation, context-switch traces, switch-on-miss blocking — with the
+// oracle under the reference scheduler and the subject fed three ways:
+// per reference under the same reference scheduler, and under
+// sim.Scheduler over captured columns ("batched") and through its
+// refill window ("refill"). Final reports must be identical.
 func TestDiffRunScheduled(t *testing.T) {
 	n := refCount()
 	streams := [][]mem.Ref{
@@ -260,14 +263,13 @@ func TestDiffRunScheduled(t *testing.T) {
 		Seed:              42,
 	}
 	for _, sys := range systems() {
-		for _, batched := range []bool{false, true} {
-			mode := "per-ref"
-			if batched {
-				mode = "batched"
-			}
-			t.Run(sys.name+"/"+mode, func(t *testing.T) {
+		for _, mode := range []struct {
+			name string
+			feed Feed
+		}{{"per-ref", PerRef}, {"batched", Columns}, {"refill", Refill}} {
+			t.Run(sys.name+"/"+mode.name, func(t *testing.T) {
 				orc, subj := sys.build(t, 1000, 42)
-				div, err := DiffRun(orc, subj, streams, cfg, batched)
+				div, err := DiffRun(orc, subj, streams, cfg, mode.feed)
 				if err != nil {
 					t.Fatalf("diff run: %v", err)
 				}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"rampage/internal/mem"
-	"rampage/internal/metrics"
 	"rampage/internal/sim"
 	"rampage/internal/stats"
 	"rampage/internal/synth"
@@ -211,7 +210,7 @@ func (m *refMemory) markDirty(pa mem.PAddr) {
 
 // RAMpage is the reference model of the paper's machine (§4.5): split
 // L1 in front of a software-managed SRAM main memory, with the Rambus
-// channel below as a paging device. It implements sim.Machine and is
+// channel below as a paging device. It implements Machine and is
 // required to produce a report bit-identical to sim.RAMpage's for the
 // same configuration and trace.
 type RAMpage struct {
@@ -283,19 +282,13 @@ func NewRAMpage(cfg sim.RAMpageConfig) (*RAMpage, error) {
 	}, nil
 }
 
-// Report implements sim.Machine.
+// Report implements Machine.
 func (r *RAMpage) Report() *stats.Report { return &r.rep }
 
-// SetObserver implements sim.Machine. The oracle emits no observer
-// events; its report is the only state the differential engine
-// compares, and that report is bit-identical with or without an
-// observer by construction.
-func (r *RAMpage) SetObserver(obs metrics.Observer) {}
-
-// Now implements sim.Machine.
+// Now implements Machine.
 func (r *RAMpage) Now() mem.Cycles { return r.rep.Cycles }
 
-// AdvanceTo implements sim.Machine.
+// AdvanceTo implements Machine.
 func (r *RAMpage) AdvanceTo(t mem.Cycles) {
 	if t > r.rep.Cycles {
 		idle := t - r.rep.Cycles
@@ -304,29 +297,14 @@ func (r *RAMpage) AdvanceTo(t mem.Cycles) {
 	}
 }
 
-// Exec implements sim.Machine. In switch-on-miss mode a page fault
+// Exec implements Machine. In switch-on-miss mode a page fault
 // returns the absolute cycle at which the page arrives; the reference
 // did not execute and must be retried after that time.
 func (r *RAMpage) Exec(ref mem.Ref) (mem.Cycles, error) {
 	return r.execOne(ref, sim.ClassBench)
 }
 
-// ExecBatch implements sim.Machine as a plain Exec loop: the reference
-// model has no fast path, which is the point.
-func (r *RAMpage) ExecBatch(refs []mem.Ref) (int, mem.Cycles, error) {
-	for i := range refs {
-		block, err := r.execOne(refs[i], sim.ClassBench)
-		if err != nil {
-			return i, 0, err
-		}
-		if block != 0 {
-			return i, block, nil
-		}
-	}
-	return len(refs), 0, nil
-}
-
-// ExecTrace implements sim.Machine. Operating-system references are
+// ExecTrace implements Machine. Operating-system references are
 // pinned in SRAM (§4.6) and can never fault.
 func (r *RAMpage) ExecTrace(refs []mem.Ref, class sim.RefClass) error {
 	for _, ref := range refs {

@@ -70,9 +70,10 @@ type Config struct {
 	TenantStats *metrics.TenantStats
 	// CheckpointBytes budgets the warm-state checkpoint store's
 	// resident bytes (<= 0 = unlimited); CheckpointDir is its disk
-	// spill directory ("" = evictions are dropped). Every job's runs
-	// share the store, so repeated and extended requests warm-start
-	// from the newest dominating checkpoint.
+	// spill directory ("" = evictions are dropped), which the store
+	// owns: spill files left by an earlier server are deleted when it
+	// opens. Every job's runs share the store, so repeated and extended
+	// requests warm-start from the newest dominating checkpoint.
 	CheckpointBytes int64
 	CheckpointDir   string
 	// DiskDir, when set, roots the persistent disk-backed result store
@@ -285,9 +286,10 @@ func (s *Server) experimentJob(req experimentRequest) (jobs.Request, error) {
 	}
 	specs := sh.CellSpecs()
 	return jobs.Request{
-		Key:   harness.ExperimentKey(cfg, id, rates, sizes),
-		Label: "experiment:" + id,
-		Cells: cells,
+		Key:    harness.ExperimentKey(cfg, id, rates, sizes),
+		Label:  "experiment:" + id,
+		Cells:  cells,
+		Replay: func(doc []byte) ([][]byte, error) { return experimentCells(doc, sh) },
 		Do: func(ctx context.Context, progress func(cell []byte)) ([]byte, error) {
 			// Each completed cell is published to the job's event stream
 			// as a cell payload: its canonical index (CellSpecs order),
@@ -378,9 +380,10 @@ func (s *Server) runJob(req runRequest) (jobs.Request, error) {
 		label = fmt.Sprintf("extend:%s@%dMHz/%dB+%d", sysLabel, spec.IssueMHz, spec.SizeBytes, req.ExtendRefs)
 	}
 	return jobs.Request{
-		Key:   key,
-		Label: label,
-		Cells: 1,
+		Key:    key,
+		Label:  label,
+		Cells:  1,
+		Replay: func(doc []byte) ([][]byte, error) { return runCells(doc, spec) },
 		Do: func(ctx context.Context, progress func(cell []byte)) ([]byte, error) {
 			c := cfg
 			var col *metrics.Collector

@@ -135,105 +135,103 @@ func TestParseCursor(t *testing.T) {
 	}
 }
 
-// TestSynthesizeEventsExperiment checks cache-hit synthesis walks the
-// document grid in canonical cell order and ends with a terminal done
-// event.
+// cachedDoc serializes a document the way the result cache holds it.
+func cachedDoc(t *testing.T, doc any) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := harness.WriteJSON(&buf, doc); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// liveCell is the payload a live job publishes for one cell.
+func liveCell(t *testing.T, k int, spec harness.RunSpec, rep harness.ReportJSON) []byte {
+	t.Helper()
+	rb, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cellEvent(k, spec, rb)
+}
+
+// TestSynthesizeEventsExperiment checks that a cache-hit experiment's
+// cell events are synthesized from the cached document in canonical
+// cell order, byte-identical to the payloads the live job publishes —
+// switch-trace flags and policy labels included.
 func TestSynthesizeEventsExperiment(t *testing.T) {
-	mk := func(name string, clock, block uint64) harness.ReportJSON {
-		return harness.ReportJSON{Name: name, ClockMHz: clock, BlockBytes: block}
-	}
-	doc := harness.ExperimentDoc{
-		Version:    harness.ReportVersion,
-		Kind:       "experiment",
-		ID:         "t",
-		Title:      "test grid",
-		RatesMHz:   []uint64{100, 200},
-		SizesBytes: []uint64{10},
-		Systems: []harness.SystemGrid{
-			{System: "a", SwitchTrace: false, Rows: [][]harness.ReportJSON{{mk("a", 100, 10)}, {mk("a", 200, 10)}}},
-			{System: "b+awrp", SwitchTrace: true, Rows: [][]harness.ReportJSON{{mk("b", 100, 10)}, {mk("b", 200, 10)}}},
-		},
-	}
-	raw, err := json.Marshal(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	events, err := synthesizeEvents(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != 5 {
-		t.Fatalf("got %d events, want 4 cells + done", len(events))
-	}
-	wantCells := []struct {
-		system string
-		sw     bool
-		rate   uint64
-	}{
-		{"a", false, 100}, {"a", false, 200},
-		{"b+awrp", true, 100}, {"b+awrp", true, 200},
-	}
-	for i, want := range wantCells {
-		e := events[i]
-		if e.Seq != uint64(i+1) || e.Type != "cell" {
-			t.Fatalf("event %d = %+v", i, e)
-		}
-		var cell cellPayload
-		if err := json.Unmarshal(e.Cell, &cell); err != nil {
+	for _, id := range []string{"table4", "policies"} {
+		sh, err := harness.ShapeOf(id, []uint64{200, 400}, []uint64{256, 4096})
+		if err != nil {
 			t.Fatal(err)
 		}
-		if cell.Index != i || cell.System != want.system || cell.SwitchTrace != want.sw ||
-			cell.RateMHz != want.rate || cell.SizeBytes != 10 {
-			t.Fatalf("cell %d = %+v, want %+v", i, cell, want)
+		specs := sh.CellSpecs()
+		reports := make([]harness.ReportJSON, len(specs))
+		for k, spec := range specs {
+			reports[k] = harness.ReportJSON{Name: spec.System.String(), ClockMHz: spec.IssueMHz, BlockBytes: spec.SizeBytes, Cycles: uint64(k) * 1e9}
+		}
+		doc, err := sh.Doc(reports)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells, err := experimentCells(cachedDoc(t, doc), sh)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		if len(cells) != len(specs) {
+			t.Fatalf("%s: got %d cells, want %d", id, len(cells), len(specs))
+		}
+		for k, spec := range specs {
+			if want := liveCell(t, k, spec, reports[k]); !bytes.Equal(cells[k], want) {
+				t.Errorf("%s cell %d:\n got: %s\nwant: %s", id, k, cells[k], want)
+			}
 		}
 	}
-	last := events[len(events)-1]
-	if last.Type != "done" || !last.Terminal() || last.Seq != 5 {
-		t.Fatalf("terminal event = %+v", last)
-	}
 }
 
-// TestSynthesizeEventsRun checks the single-cell run form.
+// TestSynthesizeEventsRun checks the single-cell run form carries the
+// run's own spec — a switch-trace run streams "switch_trace":true from
+// the cache exactly as it did live.
 func TestSynthesizeEventsRun(t *testing.T) {
-	doc := harness.RunDoc{
-		Version: harness.ReportVersion,
-		Kind:    "run",
-		Report:  harness.ReportJSON{Name: "rampage", ClockMHz: 500, BlockBytes: 4096},
-	}
-	raw, err := json.Marshal(doc)
+	spec := harness.RunSpec{System: harness.RAMpageCS, IssueMHz: 500, SizeBytes: 4096, SwitchTrace: true, Policy: "fifo"}
+	rep := harness.ReportJSON{Name: "rampage-cs+fifo", ClockMHz: 500, BlockBytes: 4096, Cycles: 12345}
+	doc := harness.RunDoc{Version: harness.ReportVersion, Kind: "run", Report: rep}
+	cells, err := runCells(cachedDoc(t, doc), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	events, err := synthesizeEvents(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != 2 || events[0].Type != "cell" || events[1].Type != "done" {
-		t.Fatalf("events = %+v", events)
+	if len(cells) != 1 || !bytes.Equal(cells[0], liveCell(t, 0, spec, rep)) {
+		t.Fatalf("cells = %s, want the live payload %s", cells, liveCell(t, 0, spec, rep))
 	}
 	var cell cellPayload
-	if err := json.Unmarshal(events[0].Cell, &cell); err != nil {
+	if err := json.Unmarshal(cells[0], &cell); err != nil {
 		t.Fatal(err)
 	}
-	if cell.Index != 0 || cell.System != "rampage" || cell.RateMHz != 500 || cell.SizeBytes != 4096 {
-		t.Fatalf("cell = %+v", cell)
+	if !cell.SwitchTrace || cell.System != "rampage-cs+fifo" {
+		t.Errorf("cell = %+v, want the run's switch trace and policy", cell)
 	}
 }
 
-// TestSynthesizeEventsErrors pins the refusal paths: unknown document
-// kinds and ragged grids are errors, not truncated streams.
+// TestSynthesizeEventsErrors pins the refusal paths: malformed
+// documents and grids that do not match the experiment's shape are
+// errors, not truncated or misattributed streams.
 func TestSynthesizeEventsErrors(t *testing.T) {
-	if _, err := synthesizeEvents([]byte(`{"kind":"prose"}`)); err == nil ||
-		!strings.Contains(err.Error(), "cannot synthesize") {
-		t.Errorf("unknown kind error = %v", err)
+	sh, err := harness.ShapeOf("table3", []uint64{100, 200}, []uint64{128})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := synthesizeEvents([]byte(`not json`)); err == nil {
+	if _, err := experimentCells([]byte(`not json`), sh); err == nil {
 		t.Error("non-JSON document accepted")
 	}
-	ragged := `{"kind":"experiment","rates_mhz":[100,200],"sizes_bytes":[10],` +
-		`"systems":[{"system":"a","rows":[[{"name":"a"}]]}]}`
-	if _, err := synthesizeEvents([]byte(ragged)); err == nil ||
-		!strings.Contains(err.Error(), "ragged") {
+	ragged := `{"kind":"experiment","systems":[{"rows":[[{"name":"a"}]]},{"rows":[[{}],[{}]]}]}`
+	if _, err := experimentCells([]byte(ragged), sh); err == nil || !strings.Contains(err.Error(), "ragged") {
 		t.Errorf("ragged grid error = %v", err)
+	}
+	oneSystem := `{"kind":"experiment","systems":[{"rows":[[{}],[{}]]}]}`
+	if _, err := experimentCells([]byte(oneSystem), sh); err == nil || !strings.Contains(err.Error(), "systems") {
+		t.Errorf("system count error = %v", err)
+	}
+	if _, err := runCells([]byte(`{"kind":"run"}`), harness.RunSpec{}); err == nil {
+		t.Error("run document without a report accepted")
 	}
 }

@@ -25,8 +25,9 @@ import (
 // dropped mid-stream without a terminal event — it reconnects with
 // from set to the last sequence it saw and misses nothing. Jobs
 // answered straight from the result cache (including the disk store)
-// have no recorded events; the handler synthesizes the full burst from
-// the cached document so streaming clients are agnostic to cache hits.
+// replay their cell events from the cached document, encoded exactly as
+// the live run published them, so streaming clients are agnostic to
+// cache hits.
 
 // cellPayload is the per-cell document inside a "cell" event: the
 // cell's canonical index (ExperimentShape.CellSpecs order — also
@@ -151,85 +152,55 @@ func parseSSE(frame []byte) (jobs.Event, error) {
 	return e, nil
 }
 
-// synthesizeEvents reconstructs the full event burst for a job that
-// was answered from the result cache and therefore never published
-// live events: every cell of the cached document in canonical order,
-// then the terminal event. Sequence numbers match what a live run
-// would have produced only in count, not arrival order — which is
-// fine, because a cached job has no live order to preserve.
-func synthesizeEvents(data []byte) ([]jobs.Event, error) {
-	var probe struct {
-		Kind string `json:"kind"`
+// experimentCells re-derives a finished experiment document's cell
+// events for a cache-hit job: every cell in CellSpecs order, encoded by
+// cellEvent with the spec the live job published it with. The cached
+// reports are passed through as raw JSON, which cellEvent compacts to
+// the exact bytes the live run produced.
+func experimentCells(data []byte, sh harness.ExperimentShape) ([][]byte, error) {
+	var doc struct {
+		Systems []struct {
+			Rows [][]json.RawMessage `json:"rows"`
+		} `json:"systems"`
 	}
-	if err := json.Unmarshal(data, &probe); err != nil {
+	if err := json.Unmarshal(data, &doc); err != nil {
 		return nil, err
 	}
-	var events []jobs.Event
-	emit := func(payload []byte) {
-		events = append(events, jobs.Event{
-			Seq:  uint64(len(events) + 1),
-			Type: "cell",
-			Cell: payload,
-		})
+	if len(doc.Systems) != len(sh.Systems) {
+		return nil, fmt.Errorf("document has %d systems, experiment %s has %d", len(doc.Systems), sh.ID, len(sh.Systems))
 	}
-	switch probe.Kind {
-	case "experiment":
-		var doc harness.ExperimentDoc
-		if err := json.Unmarshal(data, &doc); err != nil {
-			return nil, err
+	specs := sh.CellSpecs()
+	cells := make([][]byte, 0, len(specs))
+	for _, grid := range doc.Systems {
+		if len(grid.Rows) != len(sh.RatesMHz) {
+			return nil, fmt.Errorf("document grid is ragged")
 		}
-		k := 0
-		for _, grid := range doc.Systems {
-			for r, rate := range doc.RatesMHz {
-				for c, size := range doc.SizesBytes {
-					if r >= len(grid.Rows) || c >= len(grid.Rows[r]) {
-						return nil, fmt.Errorf("document grid is ragged")
-					}
-					rb, err := json.Marshal(grid.Rows[r][c])
-					if err != nil {
-						return nil, err
-					}
-					pb, err := json.Marshal(cellPayload{
-						Index:       k,
-						System:      grid.System,
-						SwitchTrace: grid.SwitchTrace,
-						RateMHz:     rate,
-						SizeBytes:   size,
-						Report:      rb,
-					})
-					if err != nil {
-						return nil, err
-					}
-					emit(pb)
-					k++
-				}
+		for _, row := range grid.Rows {
+			if len(row) != len(sh.SizesBytes) {
+				return nil, fmt.Errorf("document grid is ragged")
+			}
+			for _, report := range row {
+				k := len(cells)
+				cells = append(cells, cellEvent(k, specs[k], report))
 			}
 		}
-	case "run":
-		var doc harness.RunDoc
-		if err := json.Unmarshal(data, &doc); err != nil {
-			return nil, err
-		}
-		rb, err := json.Marshal(doc.Report)
-		if err != nil {
-			return nil, err
-		}
-		pb, err := json.Marshal(cellPayload{
-			Index:     0,
-			System:    doc.Report.Name,
-			RateMHz:   doc.Report.ClockMHz,
-			SizeBytes: doc.Report.BlockBytes,
-			Report:    rb,
-		})
-		if err != nil {
-			return nil, err
-		}
-		emit(pb)
-	default:
-		return nil, fmt.Errorf("cannot synthesize events for document kind %q", probe.Kind)
 	}
-	events = append(events, jobs.Event{Seq: uint64(len(events) + 1), Type: string(jobs.StateDone)})
-	return events, nil
+	return cells, nil
+}
+
+// runCells is experimentCells for a single-run document: its one cell,
+// encoded with the run's spec.
+func runCells(data []byte, spec harness.RunSpec) ([][]byte, error) {
+	var doc struct {
+		Report json.RawMessage `json:"report"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		return nil, err
+	}
+	if doc.Report == nil {
+		return nil, fmt.Errorf("run document has no report")
+	}
+	return [][]byte{cellEvent(0, spec, doc.Report)}, nil
 }
 
 // handleJobEvents serves GET /v1/jobs/{id}/events.
@@ -249,32 +220,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	stream := j.Events()
-	var (
-		replay []jobs.Event
-		tail   <-chan jobs.Event
-		cancel func()
-	)
-	if stream.Len() == 0 && j.Status().State == jobs.StateDone {
-		// Cache-hit job: no recorded events. Replay the whole burst
-		// from the cached document instead.
-		data, rerr := j.Result()
-		if rerr != nil {
-			writeError(w, http.StatusInternalServerError, rerr.Error())
-			return
-		}
-		all, serr := synthesizeEvents(data)
-		if serr != nil {
-			writeError(w, http.StatusInternalServerError, serr.Error())
-			return
-		}
-		if from < uint64(len(all)) {
-			replay = all[from:]
-		}
-		cancel = func() {}
-	} else {
-		replay, tail, cancel = stream.Subscribe(from, eventBuffer)
-	}
+	replay, tail, cancel := j.Events().Subscribe(from, eventBuffer)
 	defer cancel()
 
 	sse := strings.Contains(r.Header.Get("Accept"), "text/event-stream")

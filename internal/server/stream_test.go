@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"rampage/internal/harness"
+	"rampage/internal/metrics"
 	"rampage/internal/regress"
 	"rampage/internal/server"
 )
@@ -523,6 +524,52 @@ func TestStreamCacheAndDiskHitBursts(t *testing.T) {
 	tail := streamNDJSON(t, fmt.Sprintf("%s/v1/jobs/%s/events?from=%d", ts2.URL, id2, len(events2)-1))
 	if len(tail) != 1 || tail[0].Type != "done" {
 		t.Fatalf("synthesized resume = %+v, want just the terminal event", tail)
+	}
+}
+
+// TestStreamRunJobSwitchTraceHits streams a switch-trace run job live,
+// then as a memory-cache hit and — on a restarted server over the same
+// store — as a disk hit: all three must carry byte-identical cell
+// payloads, with the run's switch_trace flag set.
+func TestStreamRunJobSwitchTraceHits(t *testing.T) {
+	diskDir := t.TempDir()
+	body := `{"kind":"run","scale":"tiny","system":"rampage-cs","issue_mhz":1000,"size_bytes":1024,"switch_trace":true}`
+	cell := func(base string) json.RawMessage {
+		t.Helper()
+		id := submitAndWaitDone(t, base, body)
+		events := streamNDJSON(t, base+"/v1/jobs/"+id+"/events")
+		checkEventInvariants(t, events, "done")
+		if len(events) != 2 || events[0].Type != "cell" {
+			t.Fatalf("run job events = %+v, want one cell and done", events)
+		}
+		return events[0].Cell
+	}
+
+	var stats, stats2 metrics.ServiceStats
+	ts, _ := newTestServer(t, server.Config{Workers: 1, QueueDepth: 4, DiskDir: diskDir, Stats: &stats})
+	live := cell(ts.URL)
+	memHit := cell(ts.URL)
+	if runs, hits := stats.Get(metrics.SvcSimRuns), stats.Get(metrics.SvcCacheHit); runs != 1 || hits != 1 {
+		t.Fatalf("sim_runs = %d, cache_hits = %d; want one live run and one memory hit", runs, hits)
+	}
+	ts2, _ := newTestServer(t, server.Config{Workers: 1, QueueDepth: 4, DiskDir: diskDir, Stats: &stats2})
+	diskHit := cell(ts2.URL)
+	if runs, hits := stats2.Get(metrics.SvcSimRuns), stats2.Get(metrics.SvcDiskHit); runs != 0 || hits != 1 {
+		t.Fatalf("restarted server: sim_runs = %d, disk_hits = %d; want one disk hit", runs, hits)
+	}
+
+	var c streamCell
+	if err := json.Unmarshal(live, &c); err != nil {
+		t.Fatal(err)
+	}
+	if !c.SwitchTrace || c.System != "rampage-cs" {
+		t.Fatalf("live cell = %s, want a rampage-cs switch-trace cell", live)
+	}
+	if !bytes.Equal(memHit, live) {
+		t.Errorf("memory-hit cell differs from the live one:\n live: %s\n  hit: %s", live, memHit)
+	}
+	if !bytes.Equal(diskHit, live) {
+		t.Errorf("disk-hit cell differs from the live one:\n live: %s\n  hit: %s", live, diskHit)
 	}
 }
 

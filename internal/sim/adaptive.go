@@ -174,42 +174,13 @@ func (a *AdaptiveRAMpage) Exec(ref mem.Ref) (mem.Cycles, error) {
 	return block, nil
 }
 
-// ExecBatch implements Machine, overriding the embedded RAMpage fast
-// path so the epoch controller still runs. Each sub-batch is capped at
-// the epoch boundary (BenchRefs advances by exactly one per executed
-// application reference), so evaluate fires at precisely the reference
-// it would under per-reference Exec calls.
-func (a *AdaptiveRAMpage) ExecBatch(refs []mem.Ref) (int, mem.Cycles, error) {
-	consumed := 0
-	for consumed < len(refs) {
-		left := uint64(len(refs) - consumed)
-		if done := a.rep.BenchRefs - a.epochStart; done < a.cfg.EpochRefs {
-			if until := a.cfg.EpochRefs - done; until < left {
-				left = until
-			}
-		} else {
-			left = 1
-		}
-		n, block, err := a.RAMpage.ExecBatch(refs[consumed : consumed+int(left)])
-		consumed += n
-		if err != nil {
-			return consumed, 0, err
-		}
-		if a.rep.BenchRefs-a.epochStart >= a.cfg.EpochRefs {
-			if err := a.evaluate(); err != nil {
-				return consumed, 0, err
-			}
-		}
-		if block != 0 {
-			return consumed, block, nil
-		}
-	}
-	return consumed, 0, nil
-}
-
-// ExecBatchColumnar implements ColumnarMachine with the same epoch
-// chunking as ExecBatch; without this override the promoted RAMpage
-// method would run whole windows past epoch boundaries.
+// ExecBatchColumnar implements Machine, overriding the embedded
+// RAMpage fast path so the epoch controller still runs. Each sub-batch
+// is capped at the epoch boundary (BenchRefs advances by exactly one
+// per executed application reference), so evaluate fires at precisely
+// the reference it would under per-reference Exec calls; without this
+// override the promoted RAMpage method would run whole windows past
+// epoch boundaries.
 func (a *AdaptiveRAMpage) ExecBatchColumnar(pid mem.PID, kinds []mem.RefKind, addrs []mem.VAddr) (int, mem.Cycles, error) {
 	consumed := 0
 	for consumed < len(kinds) {

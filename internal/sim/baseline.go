@@ -188,32 +188,6 @@ func (b *Baseline) Exec(ref mem.Ref) (mem.Cycles, error) {
 	return 0, b.execOne(ref, ClassBench)
 }
 
-// ExecBatch implements Machine. The common case — a user reference
-// whose translation is in the TLB — runs without interface calls or
-// the TLB-miss machinery; everything else falls back to the per-
-// reference path. The baseline never blocks, so consumed is always
-// len(refs) unless an error occurs.
-func (b *Baseline) ExecBatch(refs []mem.Ref) (int, mem.Cycles, error) {
-	if b.obs == nil && b.fast.ok {
-		return b.execBatchFast(refs)
-	}
-	for i := range refs {
-		ref := refs[i]
-		if ref.PID != mem.KernelPID {
-			if pa, hit := b.tlb.TryLookup(ref.PID, ref.Addr); hit {
-				b.rep.TLBHits++
-				b.rep.BenchRefs++
-				b.accessL1(ref.Kind, pa)
-				continue
-			}
-		}
-		if err := b.execOne(ref, ClassBench); err != nil {
-			return i, 0, err
-		}
-	}
-	return len(refs), 0, nil
-}
-
 // ExecTrace implements Machine.
 func (b *Baseline) ExecTrace(refs []mem.Ref, class RefClass) error {
 	if b.obs == nil && b.fast.ok {

@@ -54,34 +54,15 @@ func batchWorkload(n int) []mem.Ref {
 }
 
 // TestExecBatchMatchesExec runs the same reference stream through Exec
-// one at a time and through ExecBatch, and requires bit-identical
-// reports (the scheduler-level equivalence tests in internal/harness
-// cover the blocking switch-on-miss path).
+// one at a time and through ExecBatchColumnar in deliberately unaligned
+// windows, and requires bit-identical reports (the scheduler-level
+// equivalence tests in internal/harness cover the blocking
+// switch-on-miss path).
 func TestExecBatchMatchesExec(t *testing.T) {
 	refs := batchWorkload(4096)
-	t.Run("baseline", func(t *testing.T) {
-		one, batch := newBatchBaseline(t), newBatchBaseline(t)
-		for _, ref := range refs {
-			if _, err := one.Exec(ref); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for off := 0; off < len(refs); off += 129 { // deliberately unaligned windows
-			end := off + 129
-			if end > len(refs) {
-				end = len(refs)
-			}
-			n, block, err := batch.ExecBatch(refs[off:end])
-			if err != nil || block != 0 || n != end-off {
-				t.Fatalf("ExecBatch = %d, %d, %v", n, block, err)
-			}
-		}
-		if !reflect.DeepEqual(one.Report(), batch.Report()) {
-			t.Errorf("reports diverge:\nexec:  %+v\nbatch: %+v", one.Report(), batch.Report())
-		}
-	})
-	t.Run("rampage", func(t *testing.T) {
-		one, batch := newBatchRAMpage(t), newBatchRAMpage(t)
+	pid, kinds, addrs := colsOf(t, refs)
+	run := func(t *testing.T, one, batch Machine) {
+		t.Helper()
 		for _, ref := range refs {
 			if _, err := one.Exec(ref); err != nil {
 				t.Fatal(err)
@@ -92,40 +73,17 @@ func TestExecBatchMatchesExec(t *testing.T) {
 			if end > len(refs) {
 				end = len(refs)
 			}
-			n, block, err := batch.ExecBatch(refs[off:end])
+			n, block, err := batch.ExecBatchColumnar(pid, kinds[off:end], addrs[off:end])
 			if err != nil || block != 0 || n != end-off {
-				t.Fatalf("ExecBatch = %d, %d, %v", n, block, err)
+				t.Fatalf("ExecBatchColumnar = %d, %d, %v", n, block, err)
 			}
 		}
 		if !reflect.DeepEqual(one.Report(), batch.Report()) {
 			t.Errorf("reports diverge:\nexec:  %+v\nbatch: %+v", one.Report(), batch.Report())
 		}
-	})
-}
-
-// TestExecBatchZeroAllocSteadyState pins the hot path: once the TLB
-// and L1 are warm, executing a batch must not allocate at all.
-func TestExecBatchZeroAllocSteadyState(t *testing.T) {
-	refs := batchWorkload(512)
-	run := func(t *testing.T, m Machine) {
-		t.Helper()
-		// Warm up: fault the pages in and fill the caches.
-		for i := 0; i < 4; i++ {
-			if n, block, err := m.ExecBatch(refs); err != nil || block != 0 || n != len(refs) {
-				t.Fatalf("warm-up ExecBatch = %d, %d, %v", n, block, err)
-			}
-		}
-		allocs := testing.AllocsPerRun(20, func() {
-			if _, _, err := m.ExecBatch(refs); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs != 0 {
-			t.Errorf("steady-state ExecBatch allocates %.1f times per batch", allocs)
-		}
 	}
-	t.Run("baseline", func(t *testing.T) { run(t, newBatchBaseline(t)) })
-	t.Run("rampage", func(t *testing.T) { run(t, newBatchRAMpage(t)) })
+	t.Run("baseline", func(t *testing.T) { run(t, newBatchBaseline(t), newBatchBaseline(t)) })
+	t.Run("rampage", func(t *testing.T) { run(t, newBatchRAMpage(t), newBatchRAMpage(t)) })
 }
 
 // colsOf splits rows into the single-PID columnar form that
@@ -143,53 +101,21 @@ func colsOf(t *testing.T, refs []mem.Ref) (mem.PID, []mem.RefKind, []mem.VAddr) 
 	return refs[0].PID, kinds, addrs
 }
 
-// TestExecBatchColumnarMatchesExecBatch requires the columnar entry
-// point to produce a bit-identical report to row ExecBatch over the
-// same stream, including across deliberately unaligned windows.
-func TestExecBatchColumnarMatchesExecBatch(t *testing.T) {
-	refs := batchWorkload(4096)
-	pid, kinds, addrs := colsOf(t, refs)
-	run := func(t *testing.T, rows, cols Machine) {
-		t.Helper()
-		cm, ok := cols.(ColumnarMachine)
-		if !ok {
-			t.Fatal("machine does not implement ColumnarMachine")
-		}
-		for off := 0; off < len(refs); off += 129 { // deliberately unaligned windows
-			end := off + 129
-			if end > len(refs) {
-				end = len(refs)
-			}
-			if n, block, err := rows.ExecBatch(refs[off:end]); err != nil || block != 0 || n != end-off {
-				t.Fatalf("ExecBatch = %d, %d, %v", n, block, err)
-			}
-			if n, block, err := cm.ExecBatchColumnar(pid, kinds[off:end], addrs[off:end]); err != nil || block != 0 || n != end-off {
-				t.Fatalf("ExecBatchColumnar = %d, %d, %v", n, block, err)
-			}
-		}
-		if !reflect.DeepEqual(rows.Report(), cols.Report()) {
-			t.Errorf("reports diverge:\nrows: %+v\ncols: %+v", rows.Report(), cols.Report())
-		}
-	}
-	t.Run("baseline", func(t *testing.T) { run(t, newBatchBaseline(t), newBatchBaseline(t)) })
-	t.Run("rampage", func(t *testing.T) { run(t, newBatchRAMpage(t), newBatchRAMpage(t)) })
-}
-
-// TestExecBatchColumnarZeroAllocSteadyState pins the columnar hot
-// path like TestExecBatchZeroAllocSteadyState pins the row path.
+// TestExecBatchColumnarZeroAllocSteadyState pins the hot path: once
+// the TLB and L1 are warm, executing a batch must not allocate at all.
 func TestExecBatchColumnarZeroAllocSteadyState(t *testing.T) {
 	refs := batchWorkload(2048)
 	pid, kinds, addrs := colsOf(t, refs)
 	run := func(t *testing.T, m Machine) {
 		t.Helper()
-		cm := m.(ColumnarMachine)
+		// Warm up: fault the pages in and fill the caches.
 		for i := 0; i < 4; i++ {
-			if n, block, err := cm.ExecBatchColumnar(pid, kinds, addrs); err != nil || block != 0 || n != len(kinds) {
+			if n, block, err := m.ExecBatchColumnar(pid, kinds, addrs); err != nil || block != 0 || n != len(kinds) {
 				t.Fatalf("warm-up ExecBatchColumnar = %d, %d, %v", n, block, err)
 			}
 		}
 		allocs := testing.AllocsPerRun(20, func() {
-			if _, _, err := cm.ExecBatchColumnar(pid, kinds, addrs); err != nil {
+			if _, _, err := m.ExecBatchColumnar(pid, kinds, addrs); err != nil {
 				t.Fatal(err)
 			}
 		})

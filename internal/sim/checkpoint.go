@@ -57,11 +57,10 @@ func RestoreState(m Machine, s *Scheduler, payload []byte) error {
 
 // EncodeState serializes the scheduler: the cumulative reference count,
 // the switch-trace kernel RNG, per-process scheduling state and stream
-// cursors, and the ready queue in FIFO order. Pending fault retries and
-// read-ahead buffers are NOT serialized: the cursor counts only
-// executed references, so a repositioned stream regenerates any
-// unexecuted reference (pending retry or buffered read-ahead) on the
-// first fetch after resume.
+// cursors, and the ready queue in FIFO order. Refill windows are NOT
+// serialized: the cursor counts only executed references, so a
+// repositioned stream regenerates any unexecuted reference (a blocked
+// fault retry or buffered read-ahead) on the first fetch after resume.
 func (s *Scheduler) EncodeState(e *checkpoint.Enc) {
 	e.Marker(checkpoint.MarkScheduler)
 	e.U64(s.executed)
@@ -108,8 +107,12 @@ func (s *Scheduler) DecodeState(d *checkpoint.Dec) {
 		p.readyAt = mem.Cycles(d.U64())
 		p.sliceLeft = d.U64()
 		p.done = d.U64()
-		p.hasPend = false
-		p.bufPos, p.bufN, p.rdErr = 0, 0, nil
+		if p.src != nil {
+			// Drop any refill read-ahead: the cursor counts executed
+			// references only.
+			p.win.Kinds, p.win.Addrs, p.rdErr = p.win.Kinds[:0], p.win.Addrs[:0], nil
+			p.col.Reset()
+		}
 	}
 	qn := d.U32()
 	if d.Err() == nil && int(qn) > len(s.procs) {
@@ -149,15 +152,15 @@ func (s *Scheduler) DecodeState(d *checkpoint.Dec) {
 }
 
 // repositionReader advances a fresh reader past the p.done references
-// the captured run already executed. Columnar streams skip in O(1);
-// row streams read and discard, which is exact because the synthetic
-// generators produce references as a pure function of consumption
-// count.
+// the captured run already executed. Captured columns skip in O(1);
+// refilled streams read and discard, which is exact because the
+// synthetic generators produce references as a pure function of
+// consumption count.
 func (s *Scheduler) repositionReader(p *proc) error {
 	if p.done == 0 {
 		return nil
 	}
-	if p.col != nil {
+	if p.src == nil {
 		if rem := p.col.Remaining(); rem < p.done {
 			return fmt.Errorf("stream has %d references, cursor wants %d", rem, p.done)
 		}
@@ -171,7 +174,7 @@ func (s *Scheduler) repositionReader(p *proc) error {
 		if want > left {
 			want = left
 		}
-		n, err := trace.ReadBatch(p.r, scratch[:want])
+		n, err := trace.ReadBatch(p.src, scratch[:want])
 		left -= uint64(n)
 		if err != nil {
 			return fmt.Errorf("stream ended %d references short of cursor %d: %w", left, p.done, err)

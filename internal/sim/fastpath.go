@@ -101,76 +101,6 @@ func (b *Baseline) flushTraceFast(class RefClass, count, l1iHits, l1dHits, ifetc
 	b.fast.l1d.Stats.Hits += l1dHits
 }
 
-// execBatchFast is Baseline.ExecBatch's fused inner loop. Only called
-// with obs == nil and direct-mapped L1s.
-func (b *Baseline) execBatchFast(refs []mem.Ref) (int, mem.Cycles, error) {
-	th := &b.fastTLB
-	keys, vpns, frames, filter := th.Keys, th.VPNs, th.Frames, th.Filter
-	pageShift, offMask := th.PageShift, th.OffMask
-	ih, dh := &b.fast.l1i, &b.fast.l1d
-	iTags, iBlockShift, iSetMask, iSetShift := ih.Tags, ih.BlockShift, ih.SetMask, ih.SetShift
-	dTags, dBlockShift, dSetMask, dSetShift := dh.Tags, dh.BlockShift, dh.SetMask, dh.SetShift
-	dDirty := dh.Dirty
-	var tlbHits, l1iHits, l1dHits, ifetches uint64
-	for i := range refs {
-		ref := refs[i]
-		if ref.PID != mem.KernelPID {
-			// Inline filter probe (the tlb.Hot contract); the set scan
-			// on a filter miss is out of line.
-			vpn := uint64(ref.Addr) >> pageShift
-			key := tlb.PackKey(ref.PID, vpn)
-			fidx := (vpn ^ uint64(ref.PID)) & tlb.FilterMask
-			fi := uint64(filter[fidx])
-			var pa uint64
-			hit := keys[fi] == key && vpns[fi] == vpn
-			if hit {
-				pa = frames[fi]<<pageShift | uint64(ref.Addr)&offMask
-			} else {
-				pa, hit = tlbScan(th, key, vpn, fidx, uint64(ref.Addr))
-			}
-			if hit {
-				tlbHits++
-				if ref.Kind == mem.IFetch {
-					block := pa >> iBlockShift
-					set := block & iSetMask
-					if tag := block >> iSetShift; iTags[set] == tag && tag != cache.TagInvalid {
-						ifetches++
-						l1iHits++
-						continue
-					}
-				} else {
-					block := pa >> dBlockShift
-					set := block & dSetMask
-					if tag := block >> dSetShift; dTags[set] == tag && tag != cache.TagInvalid {
-						l1dHits++
-						if ref.Kind == mem.Store {
-							dDirty[set] = true
-						}
-						continue
-					}
-				}
-				// TLB hit, L1 miss: settle the deferred counters (the
-				// miss path charges rep.Cycles, which handler timing
-				// reads) and complete the miss on the exact path.
-				b.flushFast(tlbHits, l1iHits, l1dHits, ifetches)
-				tlbHits, l1iHits, l1dHits, ifetches = 0, 0, 0, 0
-				b.accessL1(ref.Kind, mem.PAddr(pa))
-				continue
-			}
-		}
-		// Kernel reference or true TLB miss (the probe above is the
-		// complete lookup, so TryLookup would find nothing): the
-		// per-reference miss machinery.
-		b.flushFast(tlbHits, l1iHits, l1dHits, ifetches)
-		tlbHits, l1iHits, l1dHits, ifetches = 0, 0, 0, 0
-		if err := b.execOne(ref, ClassBench); err != nil {
-			return i, 0, err
-		}
-	}
-	b.flushFast(tlbHits, l1iHits, l1dHits, ifetches)
-	return len(refs), 0, nil
-}
-
 // execTraceFast is Baseline.ExecTrace's fused loop for handler traces,
 // which are (almost) entirely kernel-tagged: translation is an identity
 // bounds check, so only the L1 probe remains.
@@ -246,92 +176,6 @@ func (r *RAMpage) flushTraceFast(mh *core.Hot, class RefClass, count, translatio
 	r.fast.l1d.Stats.Hits += l1dHits
 }
 
-// execBatchFast is RAMpage.ExecBatch's fused inner loop. Only called
-// with obs == nil, direct-mapped L1s, and no transfers in flight; it
-// returns early (consumed < len(refs)) when a fallback breaks that gate
-// so the caller can resume on the per-reference path.
-func (r *RAMpage) execBatchFast(refs []mem.Ref) (int, mem.Cycles, error) {
-	// r.mmHot tracks r.mm (Resize refreshes it), so no per-call capture.
-	mh := &r.mmHot
-	th := &mh.TLB
-	keys, vpns, frames, filter := th.Keys, th.VPNs, th.Frames, th.Filter
-	pageShift, offMask := th.PageShift, th.OffMask
-	ptFlags, mmShift := mh.PTFlags, mh.PageShift
-	ih, dh := &r.fast.l1i, &r.fast.l1d
-	iTags, iBlockShift, iSetMask, iSetShift := ih.Tags, ih.BlockShift, ih.SetMask, ih.SetShift
-	dTags, dBlockShift, dSetMask, dSetShift := dh.Tags, dh.BlockShift, dh.SetMask, dh.SetShift
-	dDirty := dh.Dirty
-	var tlbHits, l1iHits, l1dHits, ifetches uint64
-	for i := range refs {
-		ref := refs[i]
-		if ref.PID != mem.KernelPID {
-			vpn := uint64(ref.Addr) >> pageShift
-			key := tlb.PackKey(ref.PID, vpn)
-			fidx := (vpn ^ uint64(ref.PID)) & tlb.FilterMask
-			fi := uint64(filter[fidx])
-			var pa uint64
-			hit := keys[fi] == key && vpns[fi] == vpn
-			if hit {
-				pa = frames[fi]<<pageShift | uint64(ref.Addr)&offMask
-			} else {
-				pa, hit = tlbScan(th, key, vpn, fidx, uint64(ref.Addr))
-			}
-			if hit {
-				tlbHits++
-				if ref.Kind == mem.IFetch {
-					block := pa >> iBlockShift
-					set := block & iSetMask
-					if tag := block >> iSetShift; iTags[set] == tag && tag != cache.TagInvalid {
-						ifetches++
-						l1iHits++
-						continue
-					}
-				} else {
-					if ref.Kind == mem.Store {
-						ptFlags[pa>>mmShift] |= pagetable.FlagDirty
-					}
-					block := pa >> dBlockShift
-					set := block & dSetMask
-					if tag := block >> dSetShift; dTags[set] == tag && tag != cache.TagInvalid {
-						l1dHits++
-						if ref.Kind == mem.Store {
-							dDirty[set] = true
-						}
-						continue
-					}
-				}
-				// TLB hit, L1 miss: an SRAM access, never deeper. Settle
-				// the deferred counters first — the switch-on-miss fault
-				// path reads rep.Cycles.
-				r.flushFast(mh, tlbHits, l1iHits, l1dHits, ifetches)
-				tlbHits, l1iHits, l1dHits, ifetches = 0, 0, 0, 0
-				r.accessL1(ref.Kind, mem.PAddr(pa))
-				continue
-			}
-		}
-		// Kernel reference or true TLB miss (the probe above is the
-		// complete lookup, so TranslateHit would find nothing): the
-		// per-reference miss machinery. The gate held on entry and
-		// after every previous fallback.
-		r.flushFast(mh, tlbHits, l1iHits, l1dHits, ifetches)
-		tlbHits, l1iHits, l1dHits, ifetches = 0, 0, 0, 0
-		block, err := r.execOne(ref, ClassBench)
-		if err != nil {
-			return i, 0, err
-		}
-		if block != 0 {
-			return i, block, nil
-		}
-		if len(r.inFlight) != 0 || len(r.pending) != 0 {
-			// A fault or prefetch put transfers in flight: the fast
-			// gate is broken, resume per-reference.
-			return i + 1, 0, nil
-		}
-	}
-	r.flushFast(mh, tlbHits, l1iHits, l1dHits, ifetches)
-	return len(refs), 0, nil
-}
-
 // execTraceFast is RAMpage.ExecTrace's fused loop for handler traces.
 // Kernel references translate by identity bounds check against the
 // pinned OS region and hit SRAM at worst. Called under the same gate as
@@ -400,12 +244,13 @@ func (r *RAMpage) execTraceFast(refs []mem.Ref, class RefClass) (int, error) {
 	return len(refs), nil
 }
 
-// ExecBatchColumnar implements ColumnarMachine: ExecBatch fed from
-// columns, skipping row materialization. Semantics mirror ExecBatch
-// over the equivalent rows exactly.
+// ExecBatchColumnar implements Machine. The common case — a user
+// reference whose translation is in the TLB — runs in the fused loop;
+// everything else takes the per-reference path. The baseline never
+// blocks, so consumed is always len(kinds) unless an error occurs.
 func (b *Baseline) ExecBatchColumnar(pid mem.PID, kinds []mem.RefKind, addrs []mem.VAddr) (int, mem.Cycles, error) {
 	if b.obs == nil && b.fast.ok && pid != mem.KernelPID {
-		return b.execBatchFastCols(pid, kinds, addrs)
+		return b.execBatchFast(pid, kinds, addrs)
 	}
 	for i := range kinds {
 		ref := mem.Ref{PID: pid, Kind: kinds[i], Addr: addrs[i]}
@@ -424,11 +269,12 @@ func (b *Baseline) ExecBatchColumnar(pid mem.PID, kinds []mem.RefKind, addrs []m
 	return len(kinds), 0, nil
 }
 
-// execBatchFastCols is execBatchFast reading from columns: the window's
-// single PID hoists both the kernel check and the key/filter PID terms
-// out of the loop, and each iteration loads 9 bytes instead of a
-// 16-byte row.
-func (b *Baseline) execBatchFastCols(pid mem.PID, kinds []mem.RefKind, addrs []mem.VAddr) (int, mem.Cycles, error) {
+// execBatchFast is Baseline.ExecBatchColumnar's fused inner loop. Only
+// called with obs == nil, direct-mapped L1s and a user PID: the
+// window's single PID hoists both the kernel check and the key/filter
+// PID terms out of the loop, and each iteration loads 9 bytes of
+// column entries.
+func (b *Baseline) execBatchFast(pid mem.PID, kinds []mem.RefKind, addrs []mem.VAddr) (int, mem.Cycles, error) {
 	th := &b.fastTLB
 	keys, vpns, frames, filter := th.Keys, th.VPNs, th.Frames, th.Filter
 	pageShift, offMask := th.PageShift, th.OffMask
@@ -489,13 +335,18 @@ func (b *Baseline) execBatchFastCols(pid mem.PID, kinds []mem.RefKind, addrs []m
 	return len(kinds), 0, nil
 }
 
-// ExecBatchColumnar implements ColumnarMachine (see Baseline's). The
-// outer gate loop matches RAMpage.ExecBatch.
+// ExecBatchColumnar implements Machine. The fast path — no transfers
+// in flight, a user reference whose translation hits the TLB — skips
+// the per-reference event machinery entirely; TLB misses, faults and
+// any in-flight-page bookkeeping fall back to the per-reference path.
+// A blocking reference stops the batch unconsumed, exactly like Exec.
 func (r *RAMpage) ExecBatchColumnar(pid mem.PID, kinds []mem.RefKind, addrs []mem.VAddr) (int, mem.Cycles, error) {
 	i := 0
 	for i < len(kinds) {
 		if r.fast.ok && r.obs == nil && pid != mem.KernelPID && len(r.inFlight) == 0 && len(r.pending) == 0 {
-			n, block, err := r.execBatchFastCols(pid, kinds[i:], addrs[i:])
+			// Fused loop; it consumes until a blocking fault, an error,
+			// or a fallback that put transfers in flight.
+			n, block, err := r.execBatchFast(pid, kinds[i:], addrs[i:])
 			i += n
 			if err != nil {
 				return i, 0, err
@@ -527,9 +378,12 @@ func (r *RAMpage) ExecBatchColumnar(pid mem.PID, kinds []mem.RefKind, addrs []me
 	return len(kinds), 0, nil
 }
 
-// execBatchFastCols is RAMpage's execBatchFast reading from columns
-// (see Baseline.execBatchFastCols for the shape).
-func (r *RAMpage) execBatchFastCols(pid mem.PID, kinds []mem.RefKind, addrs []mem.VAddr) (int, mem.Cycles, error) {
+// execBatchFast is RAMpage.ExecBatchColumnar's fused inner loop (see
+// Baseline.execBatchFast for the shape). Only called with obs == nil,
+// direct-mapped L1s, a user PID and no transfers in flight; it returns
+// early (consumed < len(kinds)) when a fallback breaks that gate so the
+// caller can resume on the per-reference path.
+func (r *RAMpage) execBatchFast(pid mem.PID, kinds []mem.RefKind, addrs []mem.VAddr) (int, mem.Cycles, error) {
 	mh := &r.mmHot
 	th := &mh.TLB
 	keys, vpns, frames, filter := th.Keys, th.VPNs, th.Frames, th.Filter

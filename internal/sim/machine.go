@@ -19,15 +19,18 @@ type Machine interface {
 	// the reference's page arrives from DRAM: the process must block
 	// and the SAME reference must be re-executed after that time.
 	Exec(ref mem.Ref) (blockUntil mem.Cycles, err error)
-	// ExecBatch runs application references in order, stopping at the
-	// first that blocks or errors. consumed is the number of references
-	// that completed. When consumed < len(refs) with a nil error and a
-	// non-zero blockUntil, refs[consumed] faulted with its page arriving
-	// at blockUntil: that reference did NOT execute and must be retried
-	// after that time, exactly as with Exec. Machines accelerate the
-	// common TLB-hit/L1-hit case with an inlined fast path; the executed
-	// reference semantics are bit-identical to repeated Exec calls.
-	ExecBatch(refs []mem.Ref) (consumed int, blockUntil mem.Cycles, err error)
+	// ExecBatchColumnar runs one process's application references in
+	// order from a column window — reference i is {pid, kinds[i],
+	// addrs[i]} — stopping at the first that blocks or errors. consumed
+	// is the number of references that completed. When consumed <
+	// len(kinds) with a nil error and a non-zero blockUntil, reference
+	// consumed faulted with its page arriving at blockUntil: it did NOT
+	// execute and must be retried after that time, exactly as with
+	// Exec. Machines accelerate the common TLB-hit/L1-hit case with a
+	// fused fast path; the executed reference semantics are
+	// bit-identical to repeated Exec calls. This is the only batch entry
+	// point: the scheduler feeds every stream through it.
+	ExecBatchColumnar(pid mem.PID, kinds []mem.RefKind, addrs []mem.VAddr) (consumed int, blockUntil mem.Cycles, err error)
 	// ExecTrace runs an operating-system reference sequence (handler
 	// or context-switch code), accounting it under the given class.
 	ExecTrace(refs []mem.Ref, class RefClass) error
@@ -44,17 +47,6 @@ type Machine interface {
 	// components (nil detaches). Observation is read-only: the Report
 	// is bit-identical with or without an observer attached.
 	SetObserver(obs metrics.Observer)
-}
-
-// ColumnarMachine is implemented by machines that can execute a batch
-// straight from a columnar stream window: one PID for the whole window
-// plus parallel kind and address columns. Semantics are exactly those
-// of ExecBatch over the equivalent []mem.Ref — same consumed/block/
-// error contract, bit-identical reports — minus the row
-// materialization. The scheduler uses it whenever a process's stream
-// is columnar.
-type ColumnarMachine interface {
-	ExecBatchColumnar(pid mem.PID, kinds []mem.RefKind, addrs []mem.VAddr) (consumed int, blockUntil mem.Cycles, err error)
 }
 
 // observeDRAM forwards an observer to DRAM devices that expose probes

@@ -12,22 +12,22 @@ import (
 // not make the batched hot loop allocate either (the probes use fixed
 // arrays and preallocated snapshot storage).
 func TestExecBatchZeroAllocWithCollector(t *testing.T) {
-	refs := batchWorkload(512)
+	pid, kinds, addrs := colsOf(t, batchWorkload(512))
 	run := func(t *testing.T, m Machine) {
 		t.Helper()
 		m.SetObserver(metrics.NewCollector(10_000))
 		for i := 0; i < 4; i++ {
-			if n, block, err := m.ExecBatch(refs); err != nil || block != 0 || n != len(refs) {
-				t.Fatalf("warm-up ExecBatch = %d, %d, %v", n, block, err)
+			if n, block, err := m.ExecBatchColumnar(pid, kinds, addrs); err != nil || block != 0 || n != len(kinds) {
+				t.Fatalf("warm-up ExecBatchColumnar = %d, %d, %v", n, block, err)
 			}
 		}
 		allocs := testing.AllocsPerRun(20, func() {
-			if _, _, err := m.ExecBatch(refs); err != nil {
+			if _, _, err := m.ExecBatchColumnar(pid, kinds, addrs); err != nil {
 				t.Fatal(err)
 			}
 		})
 		if allocs != 0 {
-			t.Errorf("instrumented ExecBatch allocates %.1f times per batch", allocs)
+			t.Errorf("instrumented ExecBatchColumnar allocates %.1f times per batch", allocs)
 		}
 	}
 	t.Run("baseline", func(t *testing.T) { run(t, newBatchBaseline(t)) })
@@ -38,19 +38,19 @@ func TestExecBatchZeroAllocWithCollector(t *testing.T) {
 // without a Collector attached and requires bit-identical reports:
 // observation is read-only.
 func TestObserverDoesNotPerturbReport(t *testing.T) {
-	refs := batchWorkload(4096)
+	pid, kinds, addrs := colsOf(t, batchWorkload(4096))
 	run := func(t *testing.T, plain, observed Machine) *metrics.Collector {
 		t.Helper()
 		col := metrics.NewCollector(0)
 		observed.SetObserver(col)
-		for off := 0; off < len(refs); off += 257 {
+		for off := 0; off < len(kinds); off += 257 {
 			end := off + 257
-			if end > len(refs) {
-				end = len(refs)
+			if end > len(kinds) {
+				end = len(kinds)
 			}
 			for _, m := range []Machine{plain, observed} {
-				if n, block, err := m.ExecBatch(refs[off:end]); err != nil || block != 0 || n != end-off {
-					t.Fatalf("ExecBatch = %d, %d, %v", n, block, err)
+				if n, block, err := m.ExecBatchColumnar(pid, kinds[off:end], addrs[off:end]); err != nil || block != 0 || n != end-off {
+					t.Fatalf("ExecBatchColumnar = %d, %d, %v", n, block, err)
 				}
 			}
 		}
@@ -82,13 +82,13 @@ func TestObserverDoesNotPerturbReport(t *testing.T) {
 // Report counter one-for-one: the collector and the report must agree
 // exactly.
 func TestObserverCountsMatchReport(t *testing.T) {
-	refs := batchWorkload(4096)
+	pid, kinds, addrs := colsOf(t, batchWorkload(4096))
 	t.Run("rampage", func(t *testing.T) {
 		m := newBatchRAMpage(t)
 		col := metrics.NewCollector(0)
 		m.SetObserver(col)
-		if n, block, err := m.ExecBatch(refs); err != nil || block != 0 || n != len(refs) {
-			t.Fatalf("ExecBatch = %d, %d, %v", n, block, err)
+		if n, block, err := m.ExecBatchColumnar(pid, kinds, addrs); err != nil || block != 0 || n != len(kinds) {
+			t.Fatalf("ExecBatchColumnar = %d, %d, %v", n, block, err)
 		}
 		rep := m.Report()
 		counts := col.Counts()
@@ -113,8 +113,8 @@ func TestObserverCountsMatchReport(t *testing.T) {
 		m := newBatchBaseline(t)
 		col := metrics.NewCollector(0)
 		m.SetObserver(col)
-		if n, block, err := m.ExecBatch(refs); err != nil || block != 0 || n != len(refs) {
-			t.Fatalf("ExecBatch = %d, %d, %v", n, block, err)
+		if n, block, err := m.ExecBatchColumnar(pid, kinds, addrs); err != nil || block != 0 || n != len(kinds) {
+			t.Fatalf("ExecBatchColumnar = %d, %d, %v", n, block, err)
 		}
 		rep := m.Report()
 		counts := col.Counts()

@@ -148,49 +148,6 @@ func (r *RAMpage) Exec(ref mem.Ref) (mem.Cycles, error) {
 	return r.execOne(ref, ClassBench)
 }
 
-// ExecBatch implements Machine. The fast path — no transfers in
-// flight, a user reference whose translation hits the TLB — skips the
-// per-reference event machinery entirely; TLB misses, faults and any
-// in-flight-page bookkeeping fall back to the per-reference path. A
-// blocking reference stops the batch unconsumed, exactly like Exec.
-func (r *RAMpage) ExecBatch(refs []mem.Ref) (int, mem.Cycles, error) {
-	i := 0
-	for i < len(refs) {
-		if r.fast.ok && r.obs == nil && len(r.inFlight) == 0 && len(r.pending) == 0 {
-			// Fused loop; it consumes until a blocking fault, an error,
-			// or a fallback that put transfers in flight.
-			n, block, err := r.execBatchFast(refs[i:])
-			i += n
-			if err != nil {
-				return i, 0, err
-			}
-			if block != 0 {
-				return i, block, nil
-			}
-			continue
-		}
-		ref := refs[i]
-		if len(r.inFlight) == 0 && len(r.pending) == 0 {
-			if pa, ok := r.mm.TranslateHit(ref.PID, ref.Addr, ref.Kind == mem.Store); ok {
-				r.rep.TLBHits++
-				r.rep.BenchRefs++
-				r.accessL1(ref.Kind, pa)
-				i++
-				continue
-			}
-		}
-		block, err := r.execOne(ref, ClassBench)
-		if err != nil {
-			return i, 0, err
-		}
-		if block != 0 {
-			return i, block, nil
-		}
-		i++
-	}
-	return len(refs), 0, nil
-}
-
 // ExecTrace implements Machine. Operating-system references are pinned
 // in SRAM (§4.6) and can never fault.
 func (r *RAMpage) ExecTrace(refs []mem.Ref, class RefClass) error {

@@ -27,31 +27,63 @@ const (
 // state.
 type proc struct {
 	pid       mem.PID
-	r         trace.Reader
 	state     procState
 	readyAt   mem.Cycles // when blocked: page-arrival time
-	pending   mem.Ref    // the faulting reference to retry after unblock
-	hasPend   bool
-	sliceLeft uint64 // references remaining in the current time slice
-	done      uint64 // references executed from this stream (checkpoint cursor)
+	sliceLeft uint64     // references remaining in the current time slice
+	done      uint64     // references executed from this stream (checkpoint cursor)
 
-	// Batched-path read-ahead buffer: buf[bufPos:bufN] holds fetched
-	// but not yet executed references; rdErr is the stream's terminal
-	// error (io.EOF or a failure), delivered once the buffer drains.
-	buf    []mem.Ref
-	bufPos int
-	bufN   int
-	rdErr  error
-
-	// col is set when the process's stream is columnar: the batched
-	// path then feeds the machine column windows directly (zero-copy)
-	// instead of materializing rows into buf.
+	// col is the column window the scheduler executes from. A captured
+	// stream (a *trace.ColumnarReader handed to NewScheduler) is its own
+	// window and is replayed zero-copy. Any other stream gets a window
+	// over the small per-process buffer win, which refill reloads from
+	// src whenever it runs dry.
 	col *trace.ColumnarReader
+	// src is the refilled stream (nil for a captured one), and rdErr
+	// its terminal error (io.EOF or a failure), delivered once the
+	// window drains.
+	src   trace.Reader
+	win   trace.ColumnarBuffer
+	rdErr error
 }
 
-// DefaultBatchSize is the per-process read-ahead window of the batched
-// scheduler path.
-const DefaultBatchSize = 512
+// refillRefs is the per-process refill window of a stream that is not
+// captured in columns.
+const refillRefs = 512
+
+// refill reloads an exhausted window from the process's stream through
+// rows, a scratch buffer shared by all processes. It returns nil with
+// an empty window at end of stream, and the stream's error once every
+// reference read before it has executed.
+func (p *proc) refill(rows []mem.Ref) error {
+	if p.src == nil {
+		return nil // captured: the columns are the whole stream
+	}
+	if p.rdErr == nil {
+		if p.win.Kinds == nil {
+			p.win.Kinds = make([]mem.RefKind, 0, refillRefs)
+			p.win.Addrs = make([]mem.VAddr, 0, refillRefs)
+		}
+		n, err := trace.ReadBatch(p.src, rows)
+		if n == 0 && err == nil {
+			err = io.EOF // defensive: empty read with no error
+		}
+		p.rdErr = err
+		// The scheduler tags every reference with the process PID, so
+		// only kinds and addresses are kept.
+		p.win.Kinds, p.win.Addrs = p.win.Kinds[:n], p.win.Addrs[:n]
+		for i, ref := range rows[:n] {
+			p.win.Kinds[i], p.win.Addrs[i] = ref.Kind, ref.Addr
+		}
+		p.col.Reset()
+		if n > 0 {
+			return nil
+		}
+	}
+	if errors.Is(p.rdErr, io.EOF) {
+		return nil
+	}
+	return p.rdErr
+}
 
 // SchedulerConfig configures the multiprogramming driver.
 type SchedulerConfig struct {
@@ -71,14 +103,6 @@ type SchedulerConfig struct {
 	// MaxRefs, when non-zero, stops the run after that many
 	// application references (for smoke tests and quick sweeps).
 	MaxRefs uint64
-	// DisableBatching forces the original per-reference execution loop.
-	// The batched path produces bit-identical reports; this escape
-	// hatch exists for equivalence testing and as a debugging aid.
-	DisableBatching bool
-	// BatchSize is the read-ahead window of the batched path in
-	// references (0 = DefaultBatchSize). Any positive value yields the
-	// same reports; larger windows amortise more dispatch overhead.
-	BatchSize uint64
 	// Observer, when non-nil, receives scheduling events (context
 	// switches) and periodic Tick calls with the simulated time so it
 	// can cut interval snapshots. It never influences scheduling: the
@@ -137,6 +161,35 @@ func (r *readyRing) popFront() int {
 // (~2×400 references) is only worth taking when the page transfer
 // outlasts it, which is why switches on misses pay off as the
 // CPU–DRAM gap grows.
+//
+// The rules, in the order the scheduler applies them:
+//
+//   - Processes start in a FIFO ready queue in reader order; the head
+//     runs first. Dispatch first admits every blocked process whose
+//     page has arrived to the back of the queue, earliest arrival
+//     first (ties by process order); with nothing ready but pages in
+//     flight it idles the machine to the earliest arrival.
+//   - Before each reference: stop once MaxRefs application references
+//     have executed; then, if a blocked process's page has arrived and
+//     it is not the running one, the earliest such process preempts:
+//     the fill-in goes to the FRONT of the queue and a miss-induced
+//     switch is charged.
+//   - A reference that completes counts against the slice. When the
+//     slice expires it is refreshed, arrivals are admitted, and the
+//     process rotates to the back of the queue if anything else is
+//     ready; a rotation that changes process counts one Switch.
+//   - A reference that blocks (switch-on-miss) is retried, unexecuted,
+//     when its process next runs. If no other page is in flight the
+//     process blocks until the arrival time, SwitchesOnMiss counts it,
+//     and the next ready process is dispatched with a miss-induced
+//     switch; otherwise the process stalls in place until its page
+//     arrives, so at most one transfer is overlapped at a time.
+//   - A finished stream dispatches the next process with an ordinary
+//     (uncounted) switch. The run ends when every stream is finished.
+//
+// Every switch between two different processes executes the context-
+// switch trace when InsertSwitchTrace is set — the lightweight thread
+// switch instead for miss-induced switches under LightweightThreads.
 type Scheduler struct {
 	m      Machine
 	cfg    SchedulerConfig
@@ -144,7 +197,8 @@ type Scheduler struct {
 	queue  readyRing
 	wakeAt mem.Cycles // earliest blocked readyAt (0 = none)
 	kernel *synth.Kernel
-	buf    []mem.Ref
+	buf    []mem.Ref // switch-trace scratch
+	rows   []mem.Ref // refill scratch, shared by every process
 
 	// executed counts application references across the scheduler's
 	// whole life, surviving checkpoint restores, so a resumed run stops
@@ -159,7 +213,9 @@ type Scheduler struct {
 }
 
 // NewScheduler builds a scheduler over one reader per process; the
-// reader for process i is tagged PID i.
+// reader for process i is tagged PID i. A *trace.ColumnarReader is
+// executed from its columns in place; any other reader is consumed
+// through a per-process refill window.
 func NewScheduler(m Machine, readers []trace.Reader, cfg SchedulerConfig) (*Scheduler, error) {
 	if len(readers) == 0 {
 		return nil, fmt.Errorf("sim: scheduler needs at least one process")
@@ -167,63 +223,62 @@ func NewScheduler(m Machine, readers []trace.Reader, cfg SchedulerConfig) (*Sche
 	if cfg.Quantum == 0 {
 		cfg.Quantum = trace.DefaultQuantum
 	}
-	procs := make([]*proc, len(readers))
-	queue := newReadyRing(len(readers))
-	for i, r := range readers {
-		procs[i] = &proc{pid: mem.PID(i), r: trace.NewRetag(r, mem.PID(i)), sliceLeft: cfg.Quantum}
-		if cr, _, ok := trace.ColumnarView(procs[i].r); ok {
-			// The retag PID is the process PID, so the columns plus
-			// p.pid reproduce p.r's stream exactly.
-			procs[i].col = cr
-		}
-		queue.pushBack(i)
-	}
-	return &Scheduler{
+	s := &Scheduler{
 		m:      m,
 		cfg:    cfg,
-		procs:  procs,
-		queue:  queue,
+		procs:  make([]*proc, len(readers)),
+		queue:  newReadyRing(len(readers)),
 		kernel: synth.NewKernel(cfg.Seed + 9),
-	}, nil
+	}
+	for i, r := range readers {
+		p := &proc{pid: mem.PID(i), sliceLeft: cfg.Quantum}
+		if cr, ok := r.(*trace.ColumnarReader); ok {
+			p.col = cr
+		} else {
+			p.src = r
+			p.col = trace.NewColumnarReader(&p.win)
+			if s.rows == nil {
+				s.rows = make([]mem.Ref, refillRefs)
+			}
+		}
+		s.procs[i] = p
+		s.queue.pushBack(i)
+	}
+	return s, nil
 }
-
-// ctxCheckMask throttles context-cancellation polls in the
-// per-reference loop: ctx.Err takes a lock, so the hot loop only asks
-// every 1024 iterations. Cancellation latency stays far below any
-// human-visible delay while the steady-state cost is one counter
-// increment.
-const ctxCheckMask = 1<<10 - 1
 
 // Run executes the workload to completion and returns the machine's
 // report, stopping early with ctx.Err() when the context is canceled.
-// The batched path and the per-reference path produce bit-identical
-// reports; see DESIGN.md's Performance section for the invariant.
+//
+// Each iteration executes one window of the running process's columns
+// with a single ExecBatchColumnar call. The window is bounded so that
+// every scheduling decision lands on exactly the reference the rules
+// above put it on:
+//
+//   - it never exceeds the slice remainder, so quantum boundaries fall
+//     on the same reference however the stream is buffered;
+//   - while any page is in flight (wakeAt != 0) it shrinks to a single
+//     reference, so resume-on-arrival preemption is checked before
+//     every reference;
+//   - a blocking reference is left unconsumed at the window cursor and
+//     retried when its process next runs;
+//   - MaxRefs caps it, and a stream error surfaces only after every
+//     reference read before it has executed.
 func (s *Scheduler) Run(ctx context.Context) (*stats.Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if s.cfg.DisableBatching {
-		return s.runPerRef(ctx)
-	}
-	return s.runBatched(ctx)
-}
-
-// runPerRef is the original reference-at-a-time loop, kept as the
-// semantic reference for the batched path.
-func (s *Scheduler) runPerRef(ctx context.Context) (*stats.Report, error) {
 	rep := s.m.Report()
 	cur, ok := s.resumeOrDispatch()
 	if !ok {
 		return rep, nil
 	}
-	var iter uint64
 	for {
-		if iter&ctxCheckMask == 0 {
-			if err := ctx.Err(); err != nil {
-				return rep, err
-			}
+		// One poll per window, so the cancellation check amortizes like
+		// the rest of the dispatch overhead.
+		if err := ctx.Err(); err != nil {
+			return rep, err
 		}
-		iter++
 		if s.cfg.Observer != nil {
 			s.cfg.Observer.Tick(uint64(s.m.Now()))
 		}
@@ -245,204 +300,12 @@ func (s *Scheduler) runPerRef(ctx context.Context) (*stats.Report, error) {
 			s.recomputeWake()
 		}
 		p := s.procs[cur]
-		// Fetch the next reference (a pending fault retry first).
-		var ref mem.Ref
-		if p.hasPend {
-			ref = p.pending
-			p.hasPend = false
-		} else {
-			r, err := p.r.Next()
-			if errors.Is(err, io.EOF) {
-				p.state = procDone
-				next, ok := s.dispatch()
-				if !ok {
-					return rep, nil // all done
-				}
-				if err := s.switchTrace(rep, cur, next, false); err != nil {
-					return rep, err
-				}
-				cur = next
-				continue
-			}
-			if err != nil {
+		kinds, addrs := p.col.Tail()
+		if len(kinds) == 0 {
+			if err := p.refill(s.rows); err != nil {
 				return rep, err
 			}
-			ref = r
-		}
-		blockUntil, err := s.m.Exec(ref)
-		if err != nil {
-			return rep, err
-		}
-		if blockUntil != 0 {
-			if s.wakeAt != 0 {
-				// Another page is already in flight: a second switch
-				// would drag a third working set into the SRAM and
-				// amplify faults instead of hiding latency. Stall this
-				// (fill-in) process until its own page arrives; the
-				// loop-top preemption hands control back to the
-				// original faulter the moment its page lands.
-				s.m.AdvanceTo(blockUntil)
-				p.pending = ref
-				p.hasPend = true
-				continue
-			}
-			// Page fault with switch-on-miss: block this process and
-			// run something else while the page is in flight (§4.6).
-			p.pending = ref
-			p.hasPend = true
-			s.blockProc(rep, cur, blockUntil)
-			next, err := s.resumeAfterBlock(rep, cur)
-			if err != nil {
-				return rep, err
-			}
-			cur = next
-			continue
-		}
-		s.executed++
-		p.done++
-		p.sliceLeft--
-		if p.sliceLeft == 0 {
-			next, err := s.quantumBoundary(rep, cur)
-			if err != nil {
-				return rep, err
-			}
-			cur = next
-		}
-	}
-}
-
-// runBatched is the batched execution loop: it fetches a window of
-// references into the process's read-ahead buffer and executes it with
-// one ExecBatch call. Semantics are bit-identical to runPerRef:
-//
-//   - the window never exceeds the slice remainder, so quantum
-//     boundaries land on exactly the same reference;
-//   - while any page is in flight (wakeAt != 0) the window degrades to
-//     a single reference, preserving the per-reference resume-on-
-//     arrival preemption check and the stall-retry path;
-//   - a blocking reference is left unconsumed at the buffer cursor,
-//     which is the batched equivalent of the pending-retry slot;
-//   - MaxRefs caps the window, and stream errors surface only after
-//     the references read before them have executed, exactly as a
-//     per-reference Next loop would.
-func (s *Scheduler) runBatched(ctx context.Context) (*stats.Report, error) {
-	rep := s.m.Report()
-	batchCap := s.cfg.BatchSize
-	if batchCap == 0 {
-		batchCap = DefaultBatchSize
-	}
-	// Columnar handoff: when the machine executes columns and a
-	// process's stream is columnar, windows go straight from the
-	// capture buffer to the machine with no row materialization.
-	colExec, _ := s.m.(ColumnarMachine)
-	cur, ok := s.resumeOrDispatch()
-	if !ok {
-		return rep, nil
-	}
-	for {
-		// One poll per batch window (up to BatchSize references), so the
-		// cancellation check amortizes like the rest of the dispatch
-		// overhead.
-		if err := ctx.Err(); err != nil {
-			return rep, err
-		}
-		if s.cfg.Observer != nil {
-			s.cfg.Observer.Tick(uint64(s.m.Now()))
-		}
-		if s.cfg.MaxRefs > 0 && s.executed >= s.cfg.MaxRefs {
-			return rep, nil
-		}
-		if s.wakeAt != 0 && s.m.Now() >= s.wakeAt {
-			if woken := s.earliestArrived(); woken >= 0 && woken != cur {
-				s.procs[cur].state = procReady
-				s.queue.pushFront(cur) // fill-in keeps priority
-				if err := s.switchTrace(rep, cur, woken, true); err != nil {
-					return rep, err
-				}
-				s.procs[woken].state = procRunning
-				cur = woken
-			}
-			s.recomputeWake()
-		}
-		p := s.procs[cur]
-		if colExec != nil && p.col != nil {
-			// Columnar window: identical control flow to the row path
-			// below, with Tail/Skip standing in for the buffer cursor.
-			// The batch-size cap is irrelevant here — the window is
-			// bounded by the same slice/wake/MaxRefs limits.
-			kinds, addrs := p.col.Tail()
-			if len(kinds) == 0 {
-				p.state = procDone
-				next, ok := s.dispatch()
-				if !ok {
-					return rep, nil // all done
-				}
-				if err := s.switchTrace(rep, cur, next, false); err != nil {
-					return rep, err
-				}
-				cur = next
-				continue
-			}
-			window := uint64(len(kinds))
-			if window > p.sliceLeft {
-				window = p.sliceLeft
-			}
-			if s.wakeAt != 0 {
-				window = 1 // per-reference checks while transfers are in flight
-			}
-			if s.cfg.MaxRefs > 0 {
-				if left := s.cfg.MaxRefs - s.executed; window > left {
-					window = left
-				}
-			}
-			consumed, blockUntil, err := colExec.ExecBatchColumnar(p.pid, kinds[:window], addrs[:window])
-			p.col.Skip(consumed)
-			s.executed += uint64(consumed)
-			p.done += uint64(consumed)
-			p.sliceLeft -= uint64(consumed)
-			if err != nil {
-				return rep, err
-			}
-			if blockUntil != 0 {
-				// The reference at the column cursor faulted and must
-				// retry after blockUntil.
-				if s.wakeAt != 0 {
-					s.m.AdvanceTo(blockUntil)
-					continue
-				}
-				s.blockProc(rep, cur, blockUntil)
-				next, err := s.resumeAfterBlock(rep, cur)
-				if err != nil {
-					return rep, err
-				}
-				cur = next
-				continue
-			}
-			if p.sliceLeft == 0 {
-				next, err := s.quantumBoundary(rep, cur)
-				if err != nil {
-					return rep, err
-				}
-				cur = next
-			}
-			continue
-		}
-		if p.bufPos == p.bufN {
-			if p.rdErr == nil {
-				if p.buf == nil {
-					p.buf = make([]mem.Ref, batchCap)
-				}
-				n, err := trace.ReadBatch(p.r, p.buf)
-				p.bufPos, p.bufN = 0, n
-				p.rdErr = err
-				if n == 0 && err == nil {
-					p.rdErr = io.EOF // defensive: empty read with no error
-				}
-			}
-			if p.bufPos == p.bufN {
-				if !errors.Is(p.rdErr, io.EOF) {
-					return rep, p.rdErr
-				}
+			if kinds, addrs = p.col.Tail(); len(kinds) == 0 {
 				p.state = procDone
 				next, ok := s.dispatch()
 				if !ok {
@@ -455,7 +318,7 @@ func (s *Scheduler) runBatched(ctx context.Context) (*stats.Report, error) {
 				continue
 			}
 		}
-		window := uint64(p.bufN - p.bufPos)
+		window := uint64(len(kinds))
 		if window > p.sliceLeft {
 			window = p.sliceLeft
 		}
@@ -467,8 +330,8 @@ func (s *Scheduler) runBatched(ctx context.Context) (*stats.Report, error) {
 				window = left
 			}
 		}
-		consumed, blockUntil, err := s.m.ExecBatch(p.buf[p.bufPos : p.bufPos+int(window)])
-		p.bufPos += consumed
+		consumed, blockUntil, err := s.m.ExecBatchColumnar(p.pid, kinds[:window], addrs[:window])
+		p.col.Skip(consumed)
 		s.executed += uint64(consumed)
 		p.done += uint64(consumed)
 		p.sliceLeft -= uint64(consumed)
@@ -476,17 +339,20 @@ func (s *Scheduler) runBatched(ctx context.Context) (*stats.Report, error) {
 			return rep, err
 		}
 		if blockUntil != 0 {
-			// p.buf[p.bufPos] faulted and must retry after blockUntil.
+			// The reference at the window cursor faulted and must retry
+			// after blockUntil.
 			if s.wakeAt != 0 {
-				// Stall in place; loop-top preemption resumes the
+				// Another page is already in flight: a second switch
+				// would drag a third working set into the SRAM and
+				// amplify faults instead of hiding latency. Stall this
+				// (fill-in) process until its own page arrives; the
+				// loop-top preemption hands control back to the
 				// original faulter the moment its page lands.
 				s.m.AdvanceTo(blockUntil)
 				continue
 			}
 			// Page fault with switch-on-miss: block this process and
 			// run something else while the page is in flight (§4.6).
-			// The faulting reference stays at p.buf[p.bufPos] — the
-			// batched equivalent of the pending-retry slot.
 			s.blockProc(rep, cur, blockUntil)
 			next, err := s.resumeAfterBlock(rep, cur)
 			if err != nil {

@@ -117,12 +117,6 @@ func (r *ColumnarReader) Next() (mem.Ref, error) {
 
 // ReadBatch implements BatchReader.
 func (r *ColumnarReader) ReadBatch(dst []mem.Ref) (int, error) {
-	return r.readBatchPID(dst, r.buf.PID)
-}
-
-// readBatchPID is ReadBatch with the PID overridden at materialization
-// time — Retag's fused path, sparing its retag pass over dst.
-func (r *ColumnarReader) readBatchPID(dst []mem.Ref, pid mem.PID) (int, error) {
 	if r.pos >= r.buf.Len() {
 		return 0, io.EOF
 	}
@@ -134,7 +128,7 @@ func (r *ColumnarReader) readBatchPID(dst []mem.Ref, pid mem.PID) (int, error) {
 	}
 	addrs = addrs[:len(kinds)]
 	for i := 0; i < n; i++ {
-		dst[i] = mem.Ref{PID: pid, Kind: kinds[i], Addr: addrs[i]}
+		dst[i] = mem.Ref{PID: r.buf.PID, Kind: kinds[i], Addr: addrs[i]}
 	}
 	r.pos += n
 	return n, nil
@@ -150,28 +144,11 @@ func (r *ColumnarReader) Reset() { r.pos = 0 }
 // Tail returns direct views of the unread remainder of the columns.
 // The views alias the buffer; a consumer that executes n references
 // from them must advance the cursor with Skip(n). This is the zero-copy
-// handoff the scheduler uses to feed columnar machines without
-// materializing mem.Ref rows.
+// handoff the scheduler uses to feed machines without materializing
+// mem.Ref rows.
 func (r *ColumnarReader) Tail() ([]mem.RefKind, []mem.VAddr) {
 	return r.buf.Kinds[r.pos:], r.buf.Addrs[r.pos:]
 }
 
 // Skip advances the cursor past n references consumed via Tail views.
 func (r *ColumnarReader) Skip(n int) { r.pos += n }
-
-// ColumnarView unwraps r to its backing ColumnarReader when the stream
-// is columnar, together with the PID its references carry (a Retag
-// wrapper's override wins). The views obtained from the reader's Tail
-// plus that PID reproduce exactly the references r itself would
-// deliver.
-func ColumnarView(r Reader) (*ColumnarReader, mem.PID, bool) {
-	switch v := r.(type) {
-	case *ColumnarReader:
-		return v, v.buf.PID, true
-	case *Retag:
-		if cr, ok := v.r.(*ColumnarReader); ok {
-			return cr, v.pid, true
-		}
-	}
-	return nil, 0, false
-}

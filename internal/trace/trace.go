@@ -237,12 +237,8 @@ func (t *Retag) Next() (mem.Ref, error) {
 }
 
 // ReadBatch implements BatchReader, retagging the delivered batch in
-// place. A columnar source gets a fused path that writes the retagged
-// PID while materializing references, skipping the second pass.
+// place.
 func (t *Retag) ReadBatch(dst []mem.Ref) (int, error) {
-	if cr, ok := t.r.(*ColumnarReader); ok {
-		return cr.readBatchPID(dst, t.pid)
-	}
 	n, err := ReadBatch(t.r, dst)
 	for i := 0; i < n; i++ {
 		dst[i].PID = t.pid
