@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rampage/internal/mem"
+	"rampage/internal/trace"
 )
 
 func newBatchBaseline(t *testing.T) *Baseline {
@@ -121,6 +122,92 @@ func TestExecBatchColumnarZeroAllocSteadyState(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("steady-state ExecBatchColumnar allocates %.1f times per batch", allocs)
+		}
+	}
+	t.Run("baseline", func(t *testing.T) { run(t, newBatchBaseline(t)) })
+	t.Run("rampage", func(t *testing.T) { run(t, newBatchRAMpage(t)) })
+}
+
+// refilledProc returns a process that reads refs from a row reader
+// through the scheduler's refill window, as NewScheduler builds it for
+// any stream that is not captured columns.
+func refilledProc(refs []mem.Ref) (*proc, *trace.SliceReader) {
+	src := trace.NewSliceReader(refs)
+	p := &proc{pid: refs[0].PID, src: src}
+	p.col = trace.NewColumnarReader(&p.win)
+	return p, src
+}
+
+// execRefilled drains p's stream, executing each refill window with
+// one ExecBatchColumnar call.
+func execRefilled(t *testing.T, m Machine, p *proc, rows []mem.Ref) {
+	t.Helper()
+	for {
+		kinds, addrs := p.col.Tail()
+		if len(kinds) == 0 {
+			if err := p.refill(rows); err != nil {
+				t.Fatal(err)
+			}
+			if kinds, addrs = p.col.Tail(); len(kinds) == 0 {
+				return
+			}
+		}
+		n, block, err := m.ExecBatchColumnar(p.pid, kinds, addrs)
+		if err != nil || block != 0 || n != len(kinds) {
+			t.Fatalf("ExecBatchColumnar = %d, %d, %v", n, block, err)
+		}
+		p.col.Skip(n)
+	}
+}
+
+// TestExecBatchColumnarMatchesExecBatch requires captured columns
+// executed in deliberately unaligned windows to produce a bit-identical
+// report to the same stream read as row batches (trace.ReadBatch)
+// through the refill window, whose windows fall elsewhere.
+func TestExecBatchColumnarMatchesExecBatch(t *testing.T) {
+	refs := batchWorkload(4096)
+	pid, kinds, addrs := colsOf(t, refs)
+	run := func(t *testing.T, rows, cols Machine) {
+		t.Helper()
+		p, _ := refilledProc(refs)
+		execRefilled(t, rows, p, make([]mem.Ref, refillRefs))
+		for off := 0; off < len(refs); off += 129 {
+			end := off + 129
+			if end > len(refs) {
+				end = len(refs)
+			}
+			if n, block, err := cols.ExecBatchColumnar(pid, kinds[off:end], addrs[off:end]); err != nil || block != 0 || n != end-off {
+				t.Fatalf("ExecBatchColumnar = %d, %d, %v", n, block, err)
+			}
+		}
+		if !reflect.DeepEqual(rows.Report(), cols.Report()) {
+			t.Errorf("reports diverge:\nrows: %+v\ncols: %+v", rows.Report(), cols.Report())
+		}
+	}
+	t.Run("baseline", func(t *testing.T) { run(t, newBatchBaseline(t), newBatchBaseline(t)) })
+	t.Run("rampage", func(t *testing.T) { run(t, newBatchRAMpage(t), newBatchRAMpage(t)) })
+}
+
+// TestExecBatchZeroAllocSteadyState pins the refill path: once the TLB
+// and L1 are warm, reading a row stream through the refill window and
+// executing its windows must not allocate at all.
+func TestExecBatchZeroAllocSteadyState(t *testing.T) {
+	refs := batchWorkload(2048)
+	run := func(t *testing.T, m Machine) {
+		t.Helper()
+		p, src := refilledProc(refs)
+		rows := make([]mem.Ref, refillRefs)
+		replay := func() {
+			src.Reset()
+			p.rdErr = nil
+			execRefilled(t, m, p, rows)
+		}
+		// Warm up: fault the pages in, fill the caches and the window.
+		for i := 0; i < 4; i++ {
+			replay()
+		}
+		if allocs := testing.AllocsPerRun(20, replay); allocs != 0 {
+			t.Errorf("steady-state refilled stream allocates %.1f times per pass", allocs)
 		}
 	}
 	t.Run("baseline", func(t *testing.T) { run(t, newBatchBaseline(t)) })
