@@ -198,6 +198,29 @@ func TestStoreOpenRemovesStaleSpills(t *testing.T) {
 	}
 }
 
+// TestStoreOverBudgetPutLivesOnDisk pins the straight-to-disk path
+// for a checkpoint larger than the whole budget: its bytes are held
+// only by the spill file, so the store reports no resident bytes and,
+// once the file is gone, Nearest misses instead of serving a copy
+// kept in memory.
+func TestStoreOverBudgetPutLivesOnDisk(t *testing.T) {
+	dir := t.TempDir()
+	payload := bytes.Repeat([]byte{7}, 256)
+	big := mkCkpt("a", 1, false, payload)
+	s := NewStore(int64(len(big.Encode()))-1, dir, nil)
+	s.Put(big)
+	spills, _ := filepath.Glob(filepath.Join(dir, "*.ckpt"))
+	if s.Len() != 1 || len(spills) != 1 || s.Bytes() != 0 {
+		t.Fatalf("Len = %d, spill files = %d, Bytes = %d; want one spilled checkpoint and no resident bytes", s.Len(), len(spills), s.Bytes())
+	}
+	if err := os.Remove(spills[0]); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok := s.Nearest("a", 0); ok {
+		t.Error("Nearest served an over-budget checkpoint whose spill file is gone")
+	}
+}
+
 func TestStoreDropInsteadOfSpill(t *testing.T) {
 	payload := bytes.Repeat([]byte{7}, 256)
 	one := mkCkpt("a", 1, false, payload)

@@ -89,10 +89,9 @@ func (s *Store) Put(c *Checkpoint) {
 	e := &entry{key: key, meta: c.Meta, mem: enc}
 	if s.budget > 0 && int64(len(enc)) > s.budget {
 		// Larger than the whole budget: straight to disk, or refuse.
-		if s.dir == "" {
-			return
-		}
-		if s.spill(e) {
+		// Once spilled the bytes live only on disk, like any evictee.
+		if s.dir != "" && s.spill(e) {
+			e.mem = nil
 			s.entries[key] = e
 		}
 		return

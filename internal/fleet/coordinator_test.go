@@ -310,35 +310,71 @@ func TestCoordinatorStaleWorkerRemoved(t *testing.T) {
 	}
 }
 
-// TestCellsForKeysMatchRunKeys pins the content addresses the fleet
-// dispatches on: they are exactly the harness run keys for the
-// reconstructed canonical config, so fleet results, the result cache
-// and the disk store all address the same bytes.
-func TestCellsForKeysMatchRunKeys(t *testing.T) {
+// TestRunCellsKeysMatchRunKeys pins the content addresses the fleet
+// dispatches on and its strict decode: every leased cell is keyed by
+// the harness run key for the reconstructed canonical config (so fleet
+// results, the result cache and the disk store all address the same
+// bytes), reports come back aligned with the specs, and a payload with
+// an unknown field fails the call.
+func TestRunCellsKeysMatchRunKeys(t *testing.T) {
+	c, _ := testCoordinator(t, nil)
+	w := register(t, c, "w")
 	cfg := harness.QuickScaled()
 	cfg.RefScale = 1.0 / 10000
-	sh, cells, err := CellsFor(cfg, "table3", []uint64{200}, []uint64{1 << 12})
+	sh, err := harness.ShapeOf("table3", []uint64{200}, []uint64{1 << 12})
 	if err != nil {
 		t.Fatal(err)
 	}
 	specs := sh.CellSpecs()
-	if len(cells) != len(specs) {
-		t.Fatalf("%d cells, %d specs", len(cells), len(specs))
+	index := make(map[string]int, len(specs))
+	for k, spec := range specs {
+		key := harness.RunKey(cfg, spec)
+		if _, dup := index[key]; dup {
+			t.Fatalf("duplicate key %s", key)
+		}
+		index[key] = k
 	}
-	seen := make(map[string]bool)
-	for i, cell := range cells {
-		if cell.Spec != specs[i] {
-			t.Errorf("cell %d spec mismatch", i)
+
+	serve := func(payload func(k int) string) ([]harness.ReportJSON, error) {
+		type result struct {
+			reports []harness.ReportJSON
+			err     error
 		}
-		if want := harness.RunKey(cell.Config.Config(), cell.Spec); cell.Key != want {
-			t.Errorf("cell %d key = %s, want %s", i, cell.Key, want)
+		ch := make(chan result, 1)
+		go func() {
+			reports, err := c.RunCells(context.Background(), cfg, specs, nil)
+			ch <- result{reports, err}
+		}()
+		for _, cell := range leaseAll(t, c, w, len(specs)) {
+			k, ok := index[cell.Key]
+			if !ok {
+				t.Fatalf("leased key %s is not the run key of any spec", cell.Key)
+			}
+			if cell.Spec != specs[k] {
+				t.Errorf("cell %d spec = %+v, want %+v", k, cell.Spec, specs[k])
+			}
+			if want := harness.RunKey(cell.Config.Config(), cell.Spec); cell.Key != want {
+				t.Errorf("cell %d key differs from the wire config's run key", k)
+			}
+			if err := c.Complete(CompleteRequest{WorkerID: w, Key: cell.Key, Report: json.RawMessage(payload(k))}); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if want := harness.RunKey(cfg, cell.Spec); cell.Key != want {
-			t.Errorf("cell %d key differs from original-config run key", i)
+		r := <-ch
+		return r.reports, r.err
+	}
+
+	reports, err := serve(func(k int) string { return fmt.Sprintf(`{"name":%q}`, specs[k].System) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, spec := range specs {
+		if reports[k].Name != spec.System.String() {
+			t.Errorf("report %d = %q, want %q", k, reports[k].Name, spec.System)
 		}
-		if seen[cell.Key] {
-			t.Errorf("duplicate key %s", cell.Key)
-		}
-		seen[cell.Key] = true
+	}
+	_, err = serve(func(int) string { return `{"name":"x","bogus":1}` })
+	if err == nil || !strings.Contains(err.Error(), "malformed report") {
+		t.Errorf("unknown payload field: err = %v, want a malformed-report error", err)
 	}
 }

@@ -1,12 +1,56 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 
 	"rampage/internal/checkpoint"
 	"rampage/internal/harness"
 )
+
+// RunCells is the fleet's cell runner, with harness.RunCells'
+// signature: it keys each spec by harness.RunKey over the canonical
+// configuration, Executes the cells (disk hits, worker leases, local
+// fallback) and decodes each worker payload strictly. done, when
+// non-nil, receives each resolved cell with its index into specs as it
+// arrives, so callers can stream cells live. ErrNotWireable marks
+// configurations that cannot be distributed (custom profile sets).
+func (c *Coordinator) RunCells(ctx context.Context, cfg harness.Config, specs []harness.RunSpec, done func(k int, rep harness.ReportJSON)) ([]harness.ReportJSON, error) {
+	wc, ok := harness.NewWireConfig(cfg)
+	if !ok {
+		return nil, ErrNotWireable
+	}
+	canonical := wc.Config()
+	cells := make([]CellSpec, len(specs))
+	for k, spec := range specs {
+		cells[k] = CellSpec{Key: harness.RunKey(canonical, spec), Config: wc, Spec: spec}
+	}
+	reports := make([]harness.ReportJSON, len(cells))
+	var bad error
+	_, err := c.Execute(ctx, cells, func(k int, raw json.RawMessage) {
+		if bad != nil {
+			return
+		}
+		dec := json.NewDecoder(bytes.NewReader(raw))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&reports[k]); err != nil {
+			bad = fmt.Errorf("fleet: cell %s returned malformed report: %w", shortKey(cells[k].Key), err)
+			return
+		}
+		if done != nil {
+			done(k, reports[k])
+		}
+	})
+	if err == nil {
+		err = bad
+	}
+	if err != nil {
+		return nil, err
+	}
+	return reports, nil
+}
 
 // ExecuteCell runs one sweep cell locally and returns its ReportJSON
 // bytes. It is the single execution path shared by workers and by the
@@ -55,13 +99,11 @@ func orderCells(cells []CellSpec, ckpts *checkpoint.Store) []CellSpec {
 		cfg := g.wire.Config()
 		cfg.Checkpoints = ckpts
 		specs := make([]harness.RunSpec, len(g.cells))
-		byKey := make(map[harness.RunSpec]CellSpec, len(g.cells))
 		for i, c := range g.cells {
 			specs[i] = c.Spec
-			byKey[c.Spec] = c
 		}
 		for _, pc := range harness.PlanCells(cfg, specs).Cells {
-			out = append(out, byKey[pc.Spec])
+			out = append(out, g.cells[pc.Index])
 		}
 	}
 	return out

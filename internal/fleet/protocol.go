@@ -25,9 +25,6 @@ const ProtoVersion = harness.ReportVersion
 
 // Errors surfaced by the coordinator API.
 var (
-	// ErrNoWorkers reports that no live worker is registered; callers
-	// fall back to local execution.
-	ErrNoWorkers = errors.New("fleet: no live workers")
 	// ErrDraining reports that the coordinator refuses new work.
 	ErrDraining = errors.New("fleet: coordinator is draining")
 	// ErrNotWireable reports a configuration that cannot travel to

@@ -3,7 +3,6 @@ package fleet
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -76,6 +75,26 @@ func startWorker(t *testing.T, url, name string) (*Worker, chan error) {
 	return w, done
 }
 
+// fleetDoc serves one experiment document through the coordinator:
+// the expand, RunCells and fold steps the server runs.
+func fleetDoc(ctx context.Context, c *Coordinator, cfg harness.Config, id string, rates, sizes []uint64, done func(int, harness.ReportJSON)) ([]byte, error) {
+	sh, err := harness.ShapeOf(id, rates, sizes)
+	if err != nil {
+		return nil, err
+	}
+	reports, err := c.RunCells(ctx, cfg, sh.CellSpecs(), done)
+	if err != nil {
+		return nil, err
+	}
+	doc, err := sh.Doc(reports)
+	if err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	err = harness.WriteJSON(&buf, doc)
+	return buf.Bytes(), err
+}
+
 // waitForWorkers polls until n workers are live.
 func waitForWorkers(t *testing.T, c *Coordinator, n int) {
 	t.Helper()
@@ -112,7 +131,7 @@ func TestWorkerExecutesExperiment(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	var cellsDone int
-	got, err := c.BuildExperimentDoc(ctx, cfg, "table3", rates, sizes, func(int, json.RawMessage) { cellsDone++ })
+	got, err := fleetDoc(ctx, c, cfg, "table3", rates, sizes, func(int, harness.ReportJSON) { cellsDone++ })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +203,7 @@ func TestWorkerMemoizesReLeasedCells(t *testing.T) {
 	rates, sizes := []uint64{200, 400}, []uint64{1 << 12}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	first, err := c.BuildExperimentDoc(ctx, cfg, "table3", rates, sizes, nil)
+	first, err := fleetDoc(ctx, c, cfg, "table3", rates, sizes, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +217,7 @@ func TestWorkerMemoizesReLeasedCells(t *testing.T) {
 
 	// Same experiment again: the coordinator (storeless) re-leases every
 	// cell; the worker must serve all of them from disk.
-	second, err := c.BuildExperimentDoc(ctx, cfg, "table3", rates, sizes, nil)
+	second, err := fleetDoc(ctx, c, cfg, "table3", rates, sizes, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +254,7 @@ func TestWorkerSurvivesCoordinatorRestart(t *testing.T) {
 	cfg := tinyConfig()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	got, err := c2.BuildExperimentDoc(ctx, cfg, "table3", []uint64{200}, []uint64{1 << 12}, nil)
+	got, err := fleetDoc(ctx, c2, cfg, "table3", []uint64{200}, []uint64{1 << 12}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +351,7 @@ func TestWorkerHardStopRequeues(t *testing.T) {
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 		defer cancel()
-		data, err := c.BuildExperimentDoc(ctx, cfg, "table3", []uint64{200}, []uint64{1 << 12}, nil)
+		data, err := fleetDoc(ctx, c, cfg, "table3", []uint64{200}, []uint64{1 << 12}, nil)
 		resCh <- result{data, err}
 	}()
 

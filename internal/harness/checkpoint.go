@@ -56,8 +56,10 @@ func CheckpointPrefixKey(cfg Config, spec RunSpec) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// PlanCell is one grid cell's warm-state outlook.
+// PlanCell is one cell's warm-state outlook.
 type PlanCell struct {
+	// Index is the cell's position in the specs PlanCells was given.
+	Index  int
 	Spec   RunSpec
 	Prefix string
 	// Refs is the warmest usable checkpoint's reference count;
@@ -67,54 +69,28 @@ type PlanCell struct {
 	Complete bool
 }
 
-// SweepPlan orders a sweep's grid cells by how much stored warm state
-// they can reuse.
+// SweepPlan orders a set of cells by how much stored warm state they
+// can reuse.
 type SweepPlan struct {
-	// Cells holds every grid cell, warmest first: complete restores,
-	// then resumable ones by descending reference count, then cold
-	// cells in grid order.
+	// Cells holds every cell, warmest first: complete restores, then
+	// resumable ones by descending reference count, then cold cells in
+	// input order.
 	Cells []PlanCell
 	// Warm counts cells with any usable checkpoint; Complete counts
 	// those needing no simulation at all.
 	Warm, Complete int
 }
 
-// PlanSweep consults the configuration's checkpoint store and returns
-// the sweep's cells grouped and ordered by shared warm-up prefix.
-// Sweep dispatches cells in this order when a store is attached:
-// complete cells return immediately and resumable cells finish early,
-// so workers spend the sweep's wall-clock on the genuinely cold cells.
-// With no store attached every cell is cold and grid order is kept.
-func PlanSweep(cfg Config, system SystemKind, rates, sizes []uint64, switchTrace bool) SweepPlan {
-	return PlanSweepSpec(cfg, RunSpec{System: system, SwitchTrace: switchTrace}, rates, sizes)
-}
-
-// PlanSweepSpec is PlanSweep over an arbitrary base spec: every grid
-// cell copies base with its rate and size substituted, so swept
-// dimensions beyond the classic four (replacement policy, DRAM model,
-// ...) ride along.
-func PlanSweepSpec(cfg Config, base RunSpec, rates, sizes []uint64) SweepPlan {
-	specs := make([]RunSpec, 0, len(rates)*len(sizes))
-	for _, rate := range rates {
-		for _, size := range sizes {
-			spec := base
-			spec.IssueMHz = rate
-			spec.SizeBytes = size
-			specs = append(specs, spec)
-		}
-	}
-	return PlanCells(cfg, specs)
-}
-
-// PlanCells orders an arbitrary set of cells warmest-first against the
-// configuration's checkpoint store — the same policy PlanSweep applies
-// to a grid. Fleet workers use it to order a leased batch so complete
-// restores return immediately and the batch's wall-clock goes to the
-// cold cells.
+// PlanCells consults the configuration's checkpoint store and orders
+// the cells warmest-first. The in-process pool dispatches in this
+// order, and fleet workers order a leased batch by it: complete
+// restores return immediately and resumable cells finish early, so the
+// wall-clock goes to the genuinely cold cells. With no store attached
+// every cell is cold and input order is kept.
 func PlanCells(cfg Config, specs []RunSpec) SweepPlan {
 	var plan SweepPlan
-	for _, spec := range specs {
-		pc := PlanCell{Spec: spec, Prefix: CheckpointPrefixKey(cfg, spec)}
+	for k, spec := range specs {
+		pc := PlanCell{Index: k, Spec: spec, Prefix: CheckpointPrefixKey(cfg, spec)}
 		if cfg.Checkpoints != nil && pc.Prefix != "" {
 			if refs, complete, ok := cfg.Checkpoints.Peek(pc.Prefix, cfg.MaxRefs); ok {
 				pc.Refs, pc.Complete = refs, complete

@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"reflect"
+	"sync"
 	"testing"
 
 	"rampage/internal/checkpoint"
@@ -220,7 +222,7 @@ func TestSweepWithCheckpoints(t *testing.T) {
 	if err != nil {
 		t.Fatalf("cold sweep: %v", err)
 	}
-	plan := PlanSweep(cfg, RAMpage, rates, sizes, false)
+	plan := PlanCells(cfg, gridSpecs(RunSpec{System: RAMpage}, rates, sizes))
 	if plan.Warm != len(rates)*len(sizes) || plan.Complete != len(rates)*len(sizes) {
 		t.Errorf("plan after cold sweep: warm=%d complete=%d, want both %d", plan.Warm, plan.Complete, len(rates)*len(sizes))
 	}
@@ -243,20 +245,20 @@ func TestSweepWithCheckpoints(t *testing.T) {
 	}
 }
 
-// TestPlanSweepOrdersWarmFirst pins the planner's ordering contract.
+// TestPlanSweepOrdersWarmFirst pins the planner's ordering contract
+// over a sweep's cells, and that each planned cell names its position
+// in the input.
 func TestPlanSweepOrdersWarmFirst(t *testing.T) {
 	cfg := ckptTestConfig()
 	cfg.MaxRefs = 60_000
 	cfg.Checkpoints = checkpoint.NewStore(0, "", nil)
-	rates := []uint64{1000}
-	sizes := []uint64{256, 512, 1024}
+	specs := gridSpecs(RunSpec{System: RAMpage}, []uint64{1000}, []uint64{256, 512, 1024})
 
 	// Warm exactly one cell.
-	spec := RunSpec{System: RAMpage, IssueMHz: 1000, SizeBytes: 512}
-	if _, err := Run(context.Background(), cfg, spec); err != nil {
+	if _, err := Run(context.Background(), cfg, specs[1]); err != nil {
 		t.Fatalf("warming run: %v", err)
 	}
-	plan := PlanSweep(cfg, RAMpage, rates, sizes, false)
+	plan := PlanCells(cfg, specs)
 	if plan.Warm != 1 || plan.Complete != 1 {
 		t.Fatalf("plan warm=%d complete=%d, want 1/1", plan.Warm, plan.Complete)
 	}
@@ -270,6 +272,71 @@ func TestPlanSweepOrdersWarmFirst(t *testing.T) {
 		if pc.Complete || pc.Refs != 0 {
 			t.Errorf("cold cell %d marked warm", pc.Spec.SizeBytes)
 		}
+	}
+	if got := []int{plan.Cells[0].Index, plan.Cells[1].Index, plan.Cells[2].Index}; got[0] != 1 || got[1] != 0 || got[2] != 2 {
+		t.Errorf("planned indices = %v, want [1 0 2] (warm cell, then cold cells in input order)", got)
+	}
+}
+
+// TestSweepSpecRepeatedRateWithStore pins index addressing in the cell
+// pool: with a checkpoint store attached the cells are dispatched in
+// plan order, and a rate listed twice still fills both of its rows
+// (addressing cells by rate value once left the first row nil).
+func TestSweepSpecRepeatedRateWithStore(t *testing.T) {
+	cfg := ckptTestConfig()
+	cfg.MaxRefs = 60_000
+	cfg.Checkpoints = checkpoint.NewStore(0, "", nil)
+	rates, sizes := []uint64{1000, 1000}, []uint64{512}
+	grid, err := SweepSpec(context.Background(), cfg, RunSpec{System: RAMpage}, rates, sizes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Run(context.Background(), cfg, RunSpec{System: RAMpage, IssueMHz: 1000, SizeBytes: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range rates {
+		if grid[i][0] == nil {
+			t.Fatalf("row %d of the repeated rate was never filled", i)
+		}
+		if *grid[i][0] != *want {
+			t.Errorf("row %d differs from a direct run", i)
+		}
+	}
+}
+
+// TestRunCellsReportsEveryIndex pins RunCells' contract: done fires
+// once per index, repeated specs included, with the report RunCells
+// returns at that index.
+func TestRunCellsReportsEveryIndex(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.Workers = 2
+	a := RunSpec{System: RAMpage, IssueMHz: 1000, SizeBytes: 512}
+	b := RunSpec{System: BaselineDM, IssueMHz: 200, SizeBytes: 256}
+	specs := []RunSpec{a, b, a}
+	var mu sync.Mutex
+	seen := make(map[int]ReportJSON)
+	out, err := RunCells(context.Background(), cfg, specs, func(k int, rep ReportJSON) {
+		mu.Lock()
+		defer mu.Unlock()
+		if _, dup := seen[k]; dup {
+			t.Errorf("done called twice for cell %d", k)
+		}
+		seen[k] = rep
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != len(specs) || len(seen) != len(specs) {
+		t.Fatalf("got %d reports and %d done calls, want %d of each", len(out), len(seen), len(specs))
+	}
+	for k := range specs {
+		if !reflect.DeepEqual(seen[k], out[k]) {
+			t.Errorf("done's report for cell %d differs from the returned one", k)
+		}
+	}
+	if !reflect.DeepEqual(out[0], out[2]) || out[0].Name == out[1].Name {
+		t.Errorf("reports not aligned with specs: %s, %s, %s", out[0].Name, out[1].Name, out[2].Name)
 	}
 }
 

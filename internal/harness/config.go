@@ -53,24 +53,17 @@ type Config struct {
 	// MaxRefs caps application references per run (0 = run traces to
 	// completion).
 	MaxRefs uint64
-	// Workers bounds Sweep's simulation parallelism (0 = one worker per
-	// CPU). Results are deterministic regardless of the setting.
+	// Workers bounds the in-process cell pool's parallelism (Sweep,
+	// RunCells; 0 = one worker per CPU). Results are deterministic
+	// regardless of the setting.
 	Workers int
 	// Observer, when non-nil, is attached to the machine and the
 	// scheduler for the run: it receives event probes and periodic Tick
 	// calls but never influences the simulation (reports stay
 	// bit-identical). A metrics.Collector is not safe for concurrent
-	// use, so Sweep ignores this field — observers are per-run only.
+	// use, so the cell pool ignores this field — observers are per-run
+	// only.
 	Observer metrics.Observer
-	// CellResult, when non-nil, receives each completed cell's report as
-	// the sweep produces it, tagged with the cell's canonical index:
-	// SweepSpec numbers cells rate-major (i*len(sizes)+j) and
-	// BuildExperimentDoc re-bases per system so indices match
-	// ExperimentShape.CellSpecs order. It is called from the worker
-	// goroutines (must be concurrency-safe), never influences results,
-	// and is excluded from cache keys. The experiment service streams
-	// these as live job events.
-	CellResult func(index int, rep ReportJSON)
 	// Checkpoints, when non-nil, attaches a warm-state checkpoint store:
 	// runs capture their final machine+scheduler state and later runs of
 	// the same warm-up prefix restore the newest dominating checkpoint
@@ -209,32 +202,42 @@ func ParseSystemKind(name string) (SystemKind, error) {
 
 // ParseGridList parses a comma-separated list of issue rates or sizes
 // ("200,400,800"); an empty string selects the paper default (nil).
-// Zero values and duplicates are rejected here, with the offending
-// entry named, instead of surfacing later as a confusing per-cell
-// simulation error (zero) or silently running the same cell twice
-// (duplicate).
+// Malformed entries are rejected with the offending entry named, and
+// the list must pass checkGrid.
 func ParseGridList(s string) ([]uint64, error) {
 	if s == "" {
 		return nil, nil
 	}
 	parts := strings.Split(s, ",")
 	out := make([]uint64, 0, len(parts))
-	seen := make(map[uint64]bool, len(parts))
 	for _, part := range parts {
 		v, err := strconv.ParseUint(strings.TrimSpace(part), 10, 64)
 		if err != nil {
 			return nil, fmt.Errorf("harness: bad grid value %q: %w", part, err)
 		}
-		if v == 0 {
-			return nil, fmt.Errorf("harness: zero grid value %q (rates and sizes must be positive)", part)
-		}
-		if seen[v] {
-			return nil, fmt.Errorf("harness: duplicate grid value %d", v)
-		}
-		seen[v] = true
 		out = append(out, v)
 	}
+	if err := checkGrid(out); err != nil {
+		return nil, err
+	}
 	return out, nil
+}
+
+// checkGrid rejects zero and repeated grid values: a zero would
+// surface later as a confusing per-cell simulation error, and a
+// duplicate would run the same cell twice.
+func checkGrid(vals []uint64) error {
+	seen := make(map[uint64]bool, len(vals))
+	for _, v := range vals {
+		if v == 0 {
+			return fmt.Errorf("harness: zero grid value (rates and sizes must be positive)")
+		}
+		if seen[v] {
+			return fmt.Errorf("harness: duplicate grid value %d", v)
+		}
+		seen[v] = true
+	}
+	return nil
 }
 
 // SRAMBytes returns the RAMpage SRAM capacity for a given page size:

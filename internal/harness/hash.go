@@ -10,8 +10,8 @@ import (
 // content-addressed result cache. Two requests share a key exactly when
 // the harness guarantees them bit-identical result documents: the key
 // covers every result-affecting field and deliberately excludes the
-// execution knobs (Workers, Observer, CellResult, Verify) that the
-// equivalence tests pin as having no effect on reports.
+// execution knobs (Workers, Observer, Verify) that the equivalence
+// tests pin as having no effect on reports.
 
 // canonicalConfig is the result-affecting projection of a Config, in a
 // fixed field order so its JSON encoding is byte-stable.
@@ -74,8 +74,8 @@ func RunKey(cfg Config, spec RunSpec) string {
 }
 
 // ExperimentKey returns the content-address of one experiment-sweep
-// request. The grid is normalized exactly as BuildExperimentDoc
-// normalizes it (paper defaults for empty slices, the fixed issue rate
+// request. The grid is normalized exactly as ShapeOf normalizes it
+// (paper defaults for empty slices, the fixed issue rate
 // for the figure experiments), so requests that elide the defaults and
 // requests that spell them out share a key.
 func ExperimentKey(cfg Config, id string, rates, sizes []uint64) string {

@@ -172,9 +172,10 @@ var jsonExperiments = map[string]struct {
 	},
 }
 
-// systemLabel names one sweep grid: the system, suffixed with the
-// replacement policy when it is not the default clock.
-func systemLabel(system SystemKind, pol string) string {
+// SystemLabel names a system as result documents and job events label
+// it: the system, suffixed with the replacement policy when it is not
+// the default clock.
+func SystemLabel(system SystemKind, pol string) string {
 	if p := policy.Normalize(pol); p != "" {
 		return system.String() + "+" + p
 	}
@@ -201,24 +202,12 @@ func normalizeExperimentGrid(id string, rates, sizes []uint64) ([]uint64, []uint
 	return rates, defSizes(sizes)
 }
 
-// ExperimentCells returns the total number of simulation grid cells
-// BuildExperimentDoc will run for the experiment (systems × rates ×
-// sizes), for job-progress accounting. ok is false when the experiment
-// has no JSON form.
-func ExperimentCells(id string, rates, sizes []uint64) (int, bool) {
-	shape, ok := jsonExperiments[id]
-	if !ok {
-		return 0, false
-	}
-	rates, sizes = normalizeExperimentGrid(id, rates, sizes)
-	return len(shape.systems) * len(rates) * len(sizes), true
-}
-
 // ExperimentShape is the resolved sweep structure of a JSON-form
-// experiment: the normalized grid plus the systems it crosses. It is
-// the unit a fleet coordinator shards — CellSpecs enumerates the
-// simulation points and Doc reassembles their reports into the exact
-// document BuildExperimentDoc would have produced.
+// experiment: the normalized grid plus the systems it crosses. Every
+// experiment document is built from one: ShapeOf expands the request,
+// CellSpecs enumerates the simulation points, a cell runner (RunCells
+// in process, fleet.Coordinator.RunCells across workers) runs them,
+// and Doc folds their reports into the document.
 type ExperimentShape struct {
 	ID         string
 	Title      string
@@ -233,7 +222,10 @@ type ExperimentShape struct {
 
 // ShapeOf resolves an experiment's sweep shape under a requested grid
 // (empty slices select the paper defaults; the figure experiments pin
-// their own issue rate). Experiments without a JSON form error.
+// their own issue rate). Experiments without a JSON form error, as do
+// grids with zero or repeated values and grids with any cell that
+// fails RunSpec.Validate, so a bad request is refused before anything
+// runs.
 func ShapeOf(id string, rates, sizes []uint64) (ExperimentShape, error) {
 	shape, ok := jsonExperiments[id]
 	if !ok {
@@ -244,13 +236,18 @@ func ShapeOf(id string, rates, sizes []uint64) (ExperimentShape, error) {
 		return ExperimentShape{}, fmt.Errorf("harness: unknown experiment %q", id)
 	}
 	rates, sizes = normalizeExperimentGrid(id, rates, sizes)
+	for _, grid := range [][]uint64{rates, sizes} {
+		if err := checkGrid(grid); err != nil {
+			return ExperimentShape{}, err
+		}
+	}
 	policies := make([]string, len(shape.systems))
 	for i := range policies {
 		if shape.policies != nil {
 			policies[i] = policy.Normalize(shape.policies[i])
 		}
 	}
-	return ExperimentShape{
+	sh := ExperimentShape{
 		ID:          id,
 		Title:       exp.Title,
 		RatesMHz:    rates,
@@ -258,7 +255,13 @@ func ShapeOf(id string, rates, sizes []uint64) (ExperimentShape, error) {
 		Systems:     shape.systems,
 		SwitchTrace: shape.switchTrace,
 		Policies:    policies,
-	}, nil
+	}
+	for _, spec := range sh.CellSpecs() {
+		if err := spec.Validate(); err != nil {
+			return ExperimentShape{}, err
+		}
+	}
+	return sh, nil
 }
 
 // CellSpecs enumerates every simulation point of the experiment in the
@@ -283,9 +286,10 @@ func (sh ExperimentShape) CellSpecs() []RunSpec {
 }
 
 // Doc assembles the experiment document from per-cell reports aligned
-// with CellSpecs order. The result is byte-identical (under WriteJSON)
-// to BuildExperimentDoc running the sweeps itself — that equivalence
-// is what lets a fleet scatter the cells and still serve goldens.
+// with CellSpecs order. It is the only code that turns reports into an
+// ExperimentDoc, so a document is byte-identical (under WriteJSON)
+// wherever its cells ran — in process, on fleet workers, or from a
+// store.
 func (sh ExperimentShape) Doc(reports []ReportJSON) (ExperimentDoc, error) {
 	want := len(sh.Systems) * len(sh.RatesMHz) * len(sh.SizesBytes)
 	if len(reports) != want {
@@ -310,7 +314,7 @@ func (sh ExperimentShape) Doc(reports []ReportJSON) (ExperimentDoc, error) {
 			}
 		}
 		doc.Systems = append(doc.Systems, SystemGrid{
-			System:      systemLabel(system, sh.Policies[i]),
+			System:      SystemLabel(system, sh.Policies[i]),
 			SwitchTrace: sh.SwitchTrace[i],
 			Rows:        rows,
 		})
@@ -318,51 +322,21 @@ func (sh ExperimentShape) Doc(reports []ReportJSON) (ExperimentDoc, error) {
 	return doc, nil
 }
 
-// BuildExperimentDoc runs an experiment's sweeps and returns the
-// versioned JSON document. It supports the sweep-structured experiments
-// (table3, table4, table5, fig2, fig3, fig4); others return an error.
-// Cancelling ctx aborts the underlying sweeps and returns ctx.Err().
+// BuildExperimentDoc runs an experiment's cells in process and
+// returns the versioned JSON document: ShapeOf, then RunCells over
+// CellSpecs, then Doc. It supports the experiments HasJSONForm
+// reports; others return an error. Cancelling ctx aborts the run and
+// returns ctx.Err().
 func BuildExperimentDoc(ctx context.Context, cfg Config, id string, rates, sizes []uint64) (ExperimentDoc, error) {
 	sh, err := ShapeOf(id, rates, sizes)
 	if err != nil {
 		return ExperimentDoc{}, err
 	}
-	doc := ExperimentDoc{
-		Version:    ReportVersion,
-		Kind:       "experiment",
-		ID:         sh.ID,
-		Title:      sh.Title,
-		RatesMHz:   sh.RatesMHz,
-		SizesBytes: sh.SizesBytes,
+	reports, err := RunCells(ctx, cfg, sh.CellSpecs(), nil)
+	if err != nil {
+		return ExperimentDoc{}, err
 	}
-	for i, system := range sh.Systems {
-		st := sh.SwitchTrace[i]
-		base := RunSpec{System: system, SwitchTrace: st, Policy: sh.Policies[i]}
-		scfg := cfg
-		if outer := cfg.CellResult; outer != nil {
-			// Re-base each sweep's rate-major cell indices onto the
-			// document's canonical CellSpecs order (systems outermost).
-			offset := i * len(sh.RatesMHz) * len(sh.SizesBytes)
-			scfg.CellResult = func(k int, rep ReportJSON) { outer(offset+k, rep) }
-		}
-		grid, err := SweepSpec(ctx, scfg, base, sh.RatesMHz, sh.SizesBytes)
-		if err != nil {
-			return ExperimentDoc{}, err
-		}
-		rows := make([][]ReportJSON, len(grid))
-		for r, row := range grid {
-			rows[r] = make([]ReportJSON, len(row))
-			for c, rep := range row {
-				rows[r][c] = NewReportJSON(rep)
-			}
-		}
-		doc.Systems = append(doc.Systems, SystemGrid{
-			System:      systemLabel(system, sh.Policies[i]),
-			SwitchTrace: st,
-			Rows:        rows,
-		})
-	}
-	return doc, nil
+	return sh.Doc(reports)
 }
 
 // WriteJSON encodes a document with stable indentation and a trailing

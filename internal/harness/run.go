@@ -420,14 +420,12 @@ func preloadWorkload(cfg Config) []*trace.ColumnarBuffer {
 }
 
 // Sweep runs a grid of points — every issue rate crossed with every
-// size — for one system, returning reports indexed [rate][size]. Cells
-// are independent simulations, so they run in parallel across the
-// available CPUs; results are deterministic regardless of parallelism.
-// The workload is captured once and replayed in every cell (each cell
-// gets fresh ColumnarReaders over the shared, read-only columns),
-// since the streams are independent of the swept parameters.
-// Cancelling ctx abandons unstarted cells, stops in-flight ones at the
-// next batch boundary, and returns ctx.Err().
+// size — for one system, returning reports indexed [rate][size]. The
+// cells run on the in-process cell pool (see RunCells), so they share
+// one captured workload and run in parallel; results are deterministic
+// regardless of parallelism. Cancelling ctx abandons unstarted cells,
+// stops in-flight ones at the next batch boundary, and returns
+// ctx.Err().
 func Sweep(ctx context.Context, cfg Config, system SystemKind, rates, sizes []uint64, switchTrace bool) ([][]*stats.Report, error) {
 	return SweepSpec(ctx, cfg, RunSpec{System: system, SwitchTrace: switchTrace}, rates, sizes)
 }
@@ -437,15 +435,68 @@ func Sweep(ctx context.Context, cfg Config, system SystemKind, rates, sizes []ui
 // dimensions — replacement policy, DRAM model, prefetch — sweep along
 // without widening Sweep's signature for each.
 func SweepSpec(ctx context.Context, cfg Config, base RunSpec, rates, sizes []uint64) ([][]*stats.Report, error) {
+	out := make([][]*stats.Report, len(rates))
+	for i := range out {
+		out[i] = make([]*stats.Report, len(sizes))
+	}
+	err := runPool(ctx, cfg, gridSpecs(base, rates, sizes), func(k int, rep *stats.Report) {
+		out[k/len(sizes)][k%len(sizes)] = rep
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// gridSpecs crosses rates with sizes over base, rate-major: cell k is
+// row k/len(sizes), column k%len(sizes).
+func gridSpecs(base RunSpec, rates, sizes []uint64) []RunSpec {
+	specs := make([]RunSpec, 0, len(rates)*len(sizes))
+	for _, rate := range rates {
+		for _, size := range sizes {
+			spec := base
+			spec.IssueMHz, spec.SizeBytes = rate, size
+			specs = append(specs, spec)
+		}
+	}
+	return specs
+}
+
+// RunCells runs a set of simulation points in process and returns
+// their flattened reports aligned with specs. It is the local cell
+// runner behind every experiment document (fleet.Coordinator.RunCells
+// is the distributed one, with the same signature). done, when
+// non-nil, receives each finished cell with its index into specs; it
+// is called from the pool's goroutines, so it must be safe for
+// concurrent use. Cancelling ctx abandons unstarted cells, stops
+// in-flight ones at the next batch boundary, and returns ctx.Err().
+func RunCells(ctx context.Context, cfg Config, specs []RunSpec, done func(k int, rep ReportJSON)) ([]ReportJSON, error) {
+	out := make([]ReportJSON, len(specs))
+	err := runPool(ctx, cfg, specs, func(k int, rep *stats.Report) {
+		out[k] = NewReportJSON(rep)
+		if done != nil {
+			done(k, out[k])
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// runPool is the one in-process cell pool. It captures the workload
+// once for the whole call and replays it in every cell (each cell gets
+// fresh ColumnarReaders over the shared, read-only columns, since the
+// streams are independent of the cell's parameters), dispatches the
+// cells warmest-first per PlanCells, and runs them on cfg.Workers
+// goroutines (0 = one per CPU). Cells are addressed by their index
+// into specs, so repeated specs each get their own report; put
+// receives every report with that index.
+func runPool(ctx context.Context, cfg Config, specs []RunSpec, put func(k int, rep *stats.Report)) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	cellResult := cfg.CellResult
 	cfg.Observer = nil // collectors are not safe across parallel cells
-	out := make([][]*stats.Report, len(rates))
-	for i := range rates {
-		out[i] = make([]*stats.Report, len(sizes))
-	}
 	preloaded := preloadWorkload(cfg)
 	cellRun := func(spec RunSpec) (*stats.Report, error) {
 		if preloaded == nil {
@@ -457,31 +508,7 @@ func SweepSpec(ctx context.Context, cfg Config, base RunSpec, rates, sizes []uin
 		}
 		return runWithReaders(ctx, cfg, spec, readers)
 	}
-	type cell struct{ i, j int }
-	// Dispatch order: grid order when cold; warmest-first per the
-	// checkpoint planner when a store is attached, so complete restores
-	// return immediately and workers spend the sweep on the cold cells.
-	order := make([]cell, 0, len(rates)*len(sizes))
-	if cfg.Checkpoints != nil {
-		rateIdx := make(map[uint64]int, len(rates))
-		for i, r := range rates {
-			rateIdx[r] = i
-		}
-		sizeIdx := make(map[uint64]int, len(sizes))
-		for j, s := range sizes {
-			sizeIdx[s] = j
-		}
-		for _, pc := range PlanSweepSpec(cfg, base, rates, sizes).Cells {
-			order = append(order, cell{rateIdx[pc.Spec.IssueMHz], sizeIdx[pc.Spec.SizeBytes]})
-		}
-	} else {
-		for i := range rates {
-			for j := range sizes {
-				order = append(order, cell{i, j})
-			}
-		}
-	}
-	cells := make(chan cell)
+	cells := make(chan int)
 	var (
 		wg       sync.WaitGroup
 		failed   atomic.Bool
@@ -492,47 +519,40 @@ func SweepSpec(ctx context.Context, cfg Config, base RunSpec, rates, sizes []uin
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	if n := len(rates) * len(sizes); n < workers {
-		workers = n
+	if len(specs) < workers {
+		workers = len(specs)
 	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for c := range cells {
+			for k := range cells {
 				if failed.Load() {
 					continue // drain remaining cells after a failure
 				}
-				if err := ctx.Err(); err != nil {
-					errOnce.Do(func() { firstErr = err })
-					failed.Store(true)
-					continue
+				var rep *stats.Report
+				err := ctx.Err()
+				if err == nil {
+					rep, err = cellRun(specs[k])
 				}
-				spec := base
-				spec.IssueMHz = rates[c.i]
-				spec.SizeBytes = sizes[c.j]
-				rep, err := cellRun(spec)
 				if err != nil {
 					errOnce.Do(func() { firstErr = err })
 					failed.Store(true)
 					continue
 				}
-				out[c.i][c.j] = rep
-				if cellResult != nil {
-					cellResult(c.i*len(sizes)+c.j, NewReportJSON(rep))
-				}
+				put(k, rep)
 			}
 		}()
 	}
-	for _, c := range order {
-		cells <- c
+	// With a checkpoint store attached, complete restores return
+	// immediately and the pool spends its time on the cold cells;
+	// without one every cell is cold and specs order is kept.
+	for _, pc := range PlanCells(cfg, specs).Cells {
+		cells <- pc.Index
 	}
 	close(cells)
 	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return out, nil
+	return firstErr
 }
 
 // Best returns the index and report of the fastest configuration in a

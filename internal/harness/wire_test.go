@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"rampage/internal/synth"
@@ -124,24 +125,36 @@ func TestShapeDocValidates(t *testing.T) {
 	}
 }
 
-// TestPlanCellsMatchesPlanSweep pins that the batch-order API the
-// fleet workers use is the same policy as the grid planner.
-func TestPlanCellsMatchesPlanSweep(t *testing.T) {
-	cfg := QuickScaled()
-	cfg.RefScale = 1.0 / 10000
-	rates, sizes := []uint64{200, 400}, []uint64{1 << 12, 1 << 13}
-	grid := PlanSweep(cfg, RAMpage, rates, sizes, false)
-	specs := make([]RunSpec, len(grid.Cells))
-	for i, pc := range grid.Cells {
-		specs[i] = pc.Spec
-	}
-	batch := PlanCells(cfg, specs)
-	if len(batch.Cells) != len(grid.Cells) {
-		t.Fatalf("%d vs %d cells", len(batch.Cells), len(grid.Cells))
-	}
-	for i := range batch.Cells {
-		if batch.Cells[i].Spec != grid.Cells[i].Spec {
-			t.Errorf("cell %d: %+v vs %+v", i, batch.Cells[i].Spec, grid.Cells[i].Spec)
-		}
+// TestShapeOfRejectsBadGrids pins the expand step as the one place a
+// bad grid is refused: zero and repeated values, and any cell that
+// fails RunSpec.Validate, error before a cell runs.
+func TestShapeOfRejectsBadGrids(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		id           string
+		rates, sizes []uint64
+		errIs        string // "" = accepted
+	}{
+		{"paper defaults", "table3", nil, nil, ""},
+		{"figure pins its own rate", "fig2", []uint64{300}, []uint64{4096}, ""},
+		{"zero rate", "table3", []uint64{0}, []uint64{4096}, "zero grid value"},
+		{"zero size", "table3", []uint64{200}, []uint64{0}, "zero grid value"},
+		{"repeated rate", "table3", []uint64{200, 200}, []uint64{4096}, "duplicate grid value 200"},
+		{"repeated size", "table4", []uint64{200}, []uint64{256, 256}, "duplicate grid value 256"},
+		{"non-integral cycle time", "table3", []uint64{300}, []uint64{4096}, "bad issue rate 300"},
+		{"size not a power of two", "policies", nil, []uint64{3000}, "not a positive power of two"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := ShapeOf(tc.id, tc.rates, tc.sizes)
+			if tc.errIs == "" {
+				if err != nil {
+					t.Fatalf("ShapeOf: %v", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.errIs) {
+				t.Fatalf("ShapeOf error = %v, want one mentioning %q", err, tc.errIs)
+			}
+		})
 	}
 }

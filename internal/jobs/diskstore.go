@@ -33,8 +33,9 @@ import (
 //   - Bounded footprint: a byte budget is enforced by LRU GC — least
 //     recently used documents are removed first.
 //   - Restart recovery: opening a store over an existing directory
-//     re-indexes the files (recency approximated by mtime) without
-//     reading payloads.
+//     re-indexes the files (recency approximated by mtime). Every file
+//     is read and checksummed, so a torn or corrupt file is deleted
+//     rather than indexed.
 //
 // All methods are safe for concurrent use.
 type DiskStore struct {

@@ -3,7 +3,9 @@ package server_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -177,5 +179,73 @@ func TestFleetWorkersShareCellsAcrossExperiments(t *testing.T) {
 	}
 	if n := stats.Get(metrics.SvcDiskHit); n == 0 {
 		t.Error("fig2 took no disk hits")
+	}
+}
+
+// TestStreamFleetServedExperiment pins streaming for fleet-served
+// jobs: the same table3 job served through an in-process worker and
+// served locally publishes byte-identical cell payloads at every
+// index, and each stream reassembles its job's final document.
+func TestStreamFleetServedExperiment(t *testing.T) {
+	const body = `{"kind":"experiment","id":"table3","scale":"tiny","rates_mhz":[200,400],"sizes_bytes":[256,4096]}`
+	rates, sizes := []uint64{200, 400}, []uint64{256, 4096}
+	serve := func(ts *httptest.Server) (map[int][]byte, []byte) {
+		code, resp, _ := post(t, ts.URL+"/v1/jobs", body)
+		if code != http.StatusAccepted {
+			t.Fatalf("submit: %d %s", code, resp)
+		}
+		var st struct {
+			ID string `json:"id"`
+		}
+		if err := json.Unmarshal(resp, &st); err != nil {
+			t.Fatal(err)
+		}
+		events := streamNDJSON(t, ts.URL+"/v1/jobs/"+st.ID+"/events")
+		checkEventInvariants(t, events, "done")
+		code, final, _ := get(t, ts.URL+"/v1/jobs/"+st.ID+"/result")
+		if code != http.StatusOK {
+			t.Fatalf("result: %d %s", code, final)
+		}
+		if rebuilt := reassemble(t, "table3", rates, sizes, events); !bytes.Equal(rebuilt, final) {
+			t.Fatalf("reassembled stream differs from the final document (%d vs %d bytes)", len(rebuilt), len(final))
+		}
+		cells := make(map[int][]byte)
+		for _, e := range events {
+			if e.Type != "cell" {
+				continue
+			}
+			var cell streamCell
+			if err := json.Unmarshal(e.Cell, &cell); err != nil {
+				t.Fatal(err)
+			}
+			cells[cell.Index] = e.Cell
+		}
+		return cells, final
+	}
+
+	var stats metrics.ServiceStats
+	fleetTS, fleetSvc := newTestServer(t, server.Config{Workers: 1, QueueDepth: 4, Stats: &stats})
+	startFleetWorker(t, fleetTS.URL, "w1")
+	waitForFleetWorkers(t, fleetSvc, 1)
+	fleetCells, fleetDoc := serve(fleetTS)
+	if n := stats.Get(metrics.SvcFleetCompleted); n == 0 {
+		t.Error("no cells went through the fleet")
+	}
+	if n := stats.Get(metrics.SvcFleetLocal); n != 0 {
+		t.Errorf("coordinator simulated %d cells itself; want 0 with a live worker", n)
+	}
+
+	localTS, _ := newTestServer(t, server.Config{Workers: 1, QueueDepth: 4})
+	localCells, localDoc := serve(localTS)
+	if !bytes.Equal(fleetDoc, localDoc) {
+		t.Fatalf("fleet-served document differs from the local one (%d vs %d bytes)", len(fleetDoc), len(localDoc))
+	}
+	if len(fleetCells) != len(localCells) {
+		t.Fatalf("fleet streamed %d cells, local %d", len(fleetCells), len(localCells))
+	}
+	for k, local := range localCells {
+		if !bytes.Equal(fleetCells[k], local) {
+			t.Errorf("cell %d payload differs:\nfleet: %s\nlocal: %s", k, fleetCells[k], local)
+		}
 	}
 }

@@ -264,7 +264,11 @@ func errorf(code int, format string, args ...any) *httpError {
 }
 
 // experimentJob turns an experiment request into a jobs.Request whose
-// document is byte-identical to rampage-bench -format json output.
+// document is byte-identical to rampage-bench -format json output. The
+// request is expanded once, up front, so a bad grid is refused with
+// 400 before anything is queued. The job runs the cells on the fleet
+// when workers are live and in process otherwise, then folds them
+// once.
 func (s *Server) experimentJob(req experimentRequest) (jobs.Request, error) {
 	if !harness.HasJSONForm(req.ID) {
 		if _, ok := harness.FindExperiment(req.ID); !ok {
@@ -278,48 +282,31 @@ func (s *Server) experimentJob(req experimentRequest) (jobs.Request, error) {
 		return jobs.Request{}, errorf(http.StatusBadRequest, "%v", err)
 	}
 	cfg.Checkpoints = s.ckpts
-	cells, _ := harness.ExperimentCells(req.ID, req.RatesMHz, req.SizesBytes)
-	id, rates, sizes := req.ID, req.RatesMHz, req.SizesBytes
-	sh, err := harness.ShapeOf(id, rates, sizes)
+	sh, err := harness.ShapeOf(req.ID, req.RatesMHz, req.SizesBytes)
 	if err != nil {
 		return jobs.Request{}, errorf(http.StatusBadRequest, "%v", err)
 	}
 	specs := sh.CellSpecs()
 	return jobs.Request{
-		Key:    harness.ExperimentKey(cfg, id, rates, sizes),
-		Label:  "experiment:" + id,
-		Cells:  cells,
+		Key:    harness.ExperimentKey(cfg, req.ID, req.RatesMHz, req.SizesBytes),
+		Label:  "experiment:" + req.ID,
+		Cells:  len(specs),
 		Replay: func(doc []byte) ([][]byte, error) { return experimentCells(doc, sh) },
 		Do: func(ctx context.Context, progress func(cell []byte)) ([]byte, error) {
+			run := harness.RunCells
+			if s.fleet.LiveWorkers() > 0 {
+				run = s.fleet.RunCells
+			}
 			// Each completed cell is published to the job's event stream
 			// as a cell payload: its canonical index (CellSpecs order),
 			// grid coordinates and compact ReportJSON.
-			emit := func(k int, report json.RawMessage) {
-				progress(cellEvent(k, specs[k], report))
+			reports, err := run(ctx, cfg, specs, func(k int, rep harness.ReportJSON) {
+				progress(cellEvent(k, specs[k], rep))
+			})
+			if err != nil {
+				return nil, err
 			}
-			// With live workers, shard the grid across the fleet; the
-			// assembled document is byte-identical to the local path.
-			// ErrNotWireable (custom profile sets) falls back to local
-			// execution; any other fleet error is real.
-			if s.fleet.LiveWorkers() > 0 {
-				data, err := s.fleet.BuildExperimentDoc(ctx, cfg, id, rates, sizes, emit)
-				if err == nil {
-					return data, nil
-				}
-				if !errors.Is(err, fleet.ErrNotWireable) {
-					return nil, err
-				}
-			}
-			c := cfg
-			c.CellResult = func(k int, rep harness.ReportJSON) {
-				rb, err := json.Marshal(rep)
-				if err != nil {
-					progress(nil) // count the cell even if the payload failed
-					return
-				}
-				emit(k, rb)
-			}
-			doc, err := harness.BuildExperimentDoc(ctx, c, id, rates, sizes)
+			doc, err := sh.Doc(reports)
 			if err != nil {
 				return nil, err
 			}
@@ -371,10 +358,7 @@ func (s *Server) runJob(req runRequest) (jobs.Request, error) {
 		key += ":metrics"
 	}
 	withMetrics := req.Metrics
-	sysLabel := system.String()
-	if pol := policy.Normalize(spec.Policy); pol != "" {
-		sysLabel += "+" + pol
-	}
+	sysLabel := harness.SystemLabel(spec.System, spec.Policy)
 	label := fmt.Sprintf("run:%s@%dMHz/%dB", sysLabel, spec.IssueMHz, spec.SizeBytes)
 	if req.ExtendRefs > 0 {
 		label = fmt.Sprintf("extend:%s@%dMHz/%dB+%d", sysLabel, spec.IssueMHz, spec.SizeBytes, req.ExtendRefs)
@@ -395,11 +379,7 @@ func (s *Server) runJob(req runRequest) (jobs.Request, error) {
 			if err != nil {
 				return nil, err
 			}
-			if rb, merr := json.Marshal(harness.NewReportJSON(rep)); merr == nil {
-				progress(cellEvent(0, spec, rb))
-			} else {
-				progress(nil)
-			}
+			progress(cellEvent(0, spec, harness.NewReportJSON(rep)))
 			var buf bytes.Buffer
 			if err := harness.WriteJSON(&buf, harness.NewRunDoc(rep, col)); err != nil {
 				return nil, err

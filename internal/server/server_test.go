@@ -114,8 +114,13 @@ func TestListExperiments(t *testing.T) {
 	}
 }
 
+// TestExperimentRequestErrors pins the sync route's refusals. Grids no
+// cell could run (a rate with no integral cycle time, a size that is
+// not a power of two, zero or repeated values) are refused by the
+// expand step before anything is queued or simulated.
 func TestExperimentRequestErrors(t *testing.T) {
-	ts, _ := newTestServer(t, server.Config{Workers: 1, QueueDepth: 4})
+	var stats metrics.ServiceStats
+	ts, _ := newTestServer(t, server.Config{Workers: 1, QueueDepth: 4, Stats: &stats})
 	for _, tc := range []struct {
 		path string
 		code int
@@ -125,6 +130,10 @@ func TestExperimentRequestErrors(t *testing.T) {
 		{"/v1/experiments/table3?scale=mega", http.StatusBadRequest},
 		{"/v1/experiments/table3?seed=abc", http.StatusBadRequest},
 		{"/v1/experiments/table3?rates=12,x", http.StatusBadRequest},
+		{"/v1/experiments/table3?scale=tiny&rates=300", http.StatusBadRequest},
+		{"/v1/experiments/table3?scale=tiny&sizes=3000", http.StatusBadRequest},
+		{"/v1/experiments/table3?scale=tiny&sizes=0", http.StatusBadRequest},
+		{"/v1/experiments/table3?scale=tiny&rates=200,200", http.StatusBadRequest},
 		{"/v1/jobs/nosuch", http.StatusNotFound},
 	} {
 		code, body, _ := get(t, ts.URL+tc.path)
@@ -137,6 +146,9 @@ func TestExperimentRequestErrors(t *testing.T) {
 		if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
 			t.Errorf("GET %s: error body %q not a JSON error", tc.path, body)
 		}
+	}
+	if n := stats.Get(metrics.SvcJobsAccepted); n != 0 {
+		t.Errorf("%d jobs accepted for refused requests, want 0", n)
 	}
 }
 
@@ -428,14 +440,23 @@ func TestRunWithMetrics(t *testing.T) {
 	}
 }
 
+// TestSubmitJobErrors pins the async route's refusals, which answer
+// before anything is queued. A repeated rate once got 202 and crashed
+// the server when its sweep left a row unfilled.
 func TestSubmitJobErrors(t *testing.T) {
-	ts, _ := newTestServer(t, server.Config{Workers: 1, QueueDepth: 4})
+	var stats metrics.ServiceStats
+	ts, _ := newTestServer(t, server.Config{Workers: 1, QueueDepth: 4, Stats: &stats})
 	for _, tc := range []struct {
 		body string
 		code int
 	}{
 		{`{"kind":"dance"}`, http.StatusBadRequest},
 		{`{"kind":"experiment","id":"nosuch"}`, http.StatusNotFound},
+		{`{"kind":"experiment","id":"table3","scale":"tiny","rates_mhz":[200,200],"sizes_bytes":[4096]}`, http.StatusBadRequest},
+		{`{"kind":"experiment","id":"table3","scale":"tiny","rates_mhz":[0]}`, http.StatusBadRequest},
+		{`{"kind":"experiment","id":"table3","scale":"tiny","rates_mhz":[300]}`, http.StatusBadRequest},
+		{`{"kind":"experiment","id":"table3","scale":"tiny","sizes_bytes":[3000]}`, http.StatusBadRequest},
+		{`{"kind":"experiment","id":"table4","scale":"tiny","sizes_bytes":[4096,4096]}`, http.StatusBadRequest},
 		{`{"kind":"run","scale":"tiny","system":"warp","issue_mhz":800,"size_bytes":128}`, http.StatusBadRequest},
 		{`{"kind":"run","scale":"tiny","system":"rampage","issue_mhz":800,"size_bytes":3000}`, http.StatusBadRequest},
 		{`{"kind":"run","unknown_field":1}`, http.StatusBadRequest},
@@ -449,6 +470,9 @@ func TestSubmitJobErrors(t *testing.T) {
 		if code != tc.code {
 			t.Errorf("POST %s = %d (%s), want %d", tc.body, code, body, tc.code)
 		}
+	}
+	if n := stats.Get(metrics.SvcJobsAccepted); n != 0 {
+		t.Errorf("%d jobs accepted for refused submissions, want 0", n)
 	}
 }
 

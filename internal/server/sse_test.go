@@ -148,11 +148,11 @@ func cachedDoc(t *testing.T, doc any) []byte {
 // liveCell is the payload a live job publishes for one cell.
 func liveCell(t *testing.T, k int, spec harness.RunSpec, rep harness.ReportJSON) []byte {
 	t.Helper()
-	rb, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatal(err)
+	b := cellEvent(k, spec, rep)
+	if b == nil {
+		t.Fatal("cell payload failed to encode")
 	}
-	return cellEvent(k, spec, rb)
+	return b
 }
 
 // TestSynthesizeEventsExperiment checks that a cache-hit experiment's

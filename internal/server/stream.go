@@ -11,7 +11,6 @@ import (
 
 	"rampage/internal/harness"
 	"rampage/internal/jobs"
-	"rampage/internal/policy"
 )
 
 // GET /v1/jobs/{id}/events streams a job's sweep cells as they
@@ -34,25 +33,24 @@ import (
 // row-major position in the final document), its grid coordinates and
 // its compact ReportJSON.
 type cellPayload struct {
-	Index       int             `json:"index"`
-	System      string          `json:"system"`
-	SwitchTrace bool            `json:"switch_trace"`
-	RateMHz     uint64          `json:"rate_mhz"`
-	SizeBytes   uint64          `json:"size_bytes"`
-	Report      json.RawMessage `json:"report"`
+	Index       int    `json:"index"`
+	System      string `json:"system"`
+	SwitchTrace bool   `json:"switch_trace"`
+	RateMHz     uint64 `json:"rate_mhz"`
+	SizeBytes   uint64 `json:"size_bytes"`
+	// Report is a harness.ReportJSON from a live run, or the same
+	// report's json.RawMessage from a cached document (a plain []byte
+	// would encode as base64); both encode to the same compact bytes.
+	Report any `json:"report"`
 }
 
 // cellEvent serializes one cell payload for the job event stream; nil
 // on a marshal failure (the event is then recorded as count-only
 // progress).
-func cellEvent(k int, spec harness.RunSpec, report json.RawMessage) []byte {
-	label := spec.System.String()
-	if p := policy.Normalize(spec.Policy); p != "" {
-		label += "+" + p
-	}
+func cellEvent(k int, spec harness.RunSpec, report any) []byte {
 	b, err := json.Marshal(cellPayload{
 		Index:       k,
-		System:      label,
+		System:      harness.SystemLabel(spec.System, spec.Policy),
 		SwitchTrace: spec.SwitchTrace,
 		RateMHz:     spec.IssueMHz,
 		SizeBytes:   spec.SizeBytes,
