@@ -21,11 +21,12 @@ vet:
 
 # The concurrency-bearing paths: scheduler and sweep machinery, the
 # replacement policies (whose eviction counters are process-global
-# atomics), plus the experiment service's job queue and HTTP layer
-# (-short skips the service's full-scale golden test; the golden CI
-# job runs it).
+# atomics), the content-addressed store and the checkpoint index over
+# it, plus the experiment service's job queue and HTTP layer (-short
+# skips the service's full-scale golden test; the golden CI job runs
+# it).
 race:
-	$(GO) test -race ./internal/policy/ ./internal/harness/... ./internal/sim/... ./internal/regress/ ./internal/metrics/
+	$(GO) test -race ./internal/policy/ ./internal/harness/... ./internal/sim/... ./internal/regress/ ./internal/metrics/ ./internal/cas/ ./internal/checkpoint/
 	$(GO) test -race -short ./internal/server/... ./internal/jobs/... ./internal/fleet/
 
 # The full multi-process fleet gate: in-process unit tests, then a real

@@ -261,12 +261,12 @@ func checkpointBenchSweep(b *testing.B, cfg rampage.Config) {
 // the capture-and-store overhead.
 func BenchmarkSweepCheckpointCold(b *testing.B) {
 	cfg := benchConfig()
-	cfg.Checkpoints = checkpoint.NewStore(0, "", nil)
+	cfg.Checkpoints = memCheckpoints(b)
 	checkpointBenchSweep(b, cfg) // warm the workload cache, as runExperiment does
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cfg.Checkpoints = checkpoint.NewStore(0, "", nil)
+		cfg.Checkpoints = memCheckpoints(b)
 		checkpointBenchSweep(b, cfg)
 	}
 }
@@ -278,7 +278,7 @@ func BenchmarkSweepCheckpointCold(b *testing.B) {
 // BenchmarkSweepCheckpointCold.
 func BenchmarkSweepCheckpointWarm(b *testing.B) {
 	cfg := benchConfig()
-	cfg.Checkpoints = checkpoint.NewStore(0, "", nil)
+	cfg.Checkpoints = memCheckpoints(b)
 	checkpointBenchSweep(b, cfg) // cold pass: populates the store
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -296,7 +296,7 @@ func BenchmarkRunCheckpointResume(b *testing.B) {
 	cfg := benchConfig()
 	cfg.MaxRefs = 1_000_000
 	half := cfg
-	half.Checkpoints = checkpoint.NewStore(0, "", nil)
+	half.Checkpoints = memCheckpoints(b)
 	half.MaxRefs = cfg.MaxRefs / 2
 	if _, err := rampage.Run(context.Background(), half, spec); err != nil {
 		b.Fatal(err)
@@ -312,7 +312,7 @@ func BenchmarkRunCheckpointResume(b *testing.B) {
 		// A fresh store holding only the half checkpoint: every iteration
 		// resumes (the full-budget capture of the previous iteration would
 		// otherwise turn the rest into complete restores).
-		warm.Checkpoints = checkpoint.NewStore(0, "", nil)
+		warm.Checkpoints = memCheckpoints(b)
 		warm.Checkpoints.Put(halfCk)
 		if _, err := rampage.Run(context.Background(), warm, spec); err != nil {
 			b.Fatal(err)
@@ -402,3 +402,14 @@ func BenchmarkTraceFileWrite(b *testing.B) {
 type discard struct{}
 
 func (discard) Write(p []byte) (int, error) { return len(p), nil }
+
+// memCheckpoints returns a memory-only checkpoint store with no
+// budget.
+func memCheckpoints(b *testing.B) *checkpoint.Store {
+	b.Helper()
+	s, err := checkpoint.NewStore(0, "", nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return s
+}

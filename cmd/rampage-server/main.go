@@ -46,6 +46,7 @@ import (
 	"syscall"
 	"time"
 
+	"rampage/internal/cas"
 	"rampage/internal/checkpoint"
 	"rampage/internal/fleet"
 	"rampage/internal/jobs"
@@ -63,7 +64,7 @@ func main() {
 		sweepWorkers = flag.Int("sweep-parallel", 0, "per-job grid-cell parallelism (0 = one per CPU)")
 		drainTimeout = flag.Duration("drain-timeout", 2*time.Minute, "how long shutdown waits for in-flight jobs before canceling them")
 		ckptMB       = flag.Int64("checkpoint-mb", 64, "warm-state checkpoint store resident budget in MiB (0 = unlimited)")
-		ckptDir      = flag.String("checkpoint-dir", "", "checkpoint spill directory, owned by the store: stale *.ckpt spill files are deleted at startup (empty = evictions are dropped)")
+		ckptDir      = flag.String("checkpoint-dir", "", "checkpoint directory: every captured checkpoint is written through and re-indexed at startup, so checkpoints survive a restart; may be -store-dir (empty = memory only, evictions are dropped)")
 		storeDir     = flag.String("store-dir", "", "persistent result store directory (empty = memory-only caching)")
 		storeMB      = flag.Int64("store-mb", 1024, "persistent result store budget in MiB (0 = unlimited)")
 		leaseTTL     = flag.Duration("lease-ttl", 0, "fleet lease TTL before a silent worker's cells are requeued (0 = default 15s)")
@@ -151,7 +152,7 @@ func runWorker(url, name string, parallel int, ckptBytes int64, ckptDir, storeDi
 		name, _ = os.Hostname()
 	}
 	stats := &metrics.ServiceStats{}
-	var disk *jobs.DiskStore
+	var disk *cas.Store
 	if storeDir != "" {
 		d, err := jobs.NewDiskStore(storeDir, storeBytes, stats)
 		if err != nil {
@@ -160,11 +161,16 @@ func runWorker(url, name string, parallel int, ckptBytes int64, ckptDir, storeDi
 		}
 		disk = d
 	}
+	ckpts, err := checkpoint.NewStore(ckptBytes, ckptDir, stats)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "rampage-server:", err)
+		return 2
+	}
 	w, err := fleet.NewWorker(fleet.WorkerConfig{
 		CoordinatorURL: url,
 		Name:           name,
 		Parallel:       parallel,
-		Checkpoints:    checkpoint.NewStore(ckptBytes, ckptDir, stats),
+		Checkpoints:    ckpts,
 		Disk:           disk,
 		Stats:          stats,
 		Logf:           log.Printf,

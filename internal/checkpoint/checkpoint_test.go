@@ -87,9 +87,19 @@ func TestUsableDominance(t *testing.T) {
 	}
 }
 
+// newStore opens a store, failing the test on error.
+func newStore(t *testing.T, budget int64, dir string, svc *metrics.ServiceStats) *Store {
+	t.Helper()
+	s, err := NewStore(budget, dir, svc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestStoreNearestPicksWarmest(t *testing.T) {
 	svc := &metrics.ServiceStats{}
-	s := NewStore(0, "", svc)
+	s := newStore(t, 0, "", svc)
 	s.Put(mkCkpt("p", 100, false, []byte{1}))
 	s.Put(mkCkpt("p", 300, false, []byte{3}))
 	s.Put(mkCkpt("p", 200, false, []byte{2}))
@@ -114,6 +124,10 @@ func TestStoreNearestPicksWarmest(t *testing.T) {
 	}
 }
 
+// TestStoreLRUEvictsToDisk pins the tiering: every Put is written
+// through to disk, the memory tier keeps the most recent checkpoints
+// within its budget, and a checkpoint evicted from memory is still
+// counted and served from its record.
 func TestStoreLRUEvictsToDisk(t *testing.T) {
 	dir := t.TempDir()
 	svc := &metrics.ServiceStats{}
@@ -121,12 +135,12 @@ func TestStoreLRUEvictsToDisk(t *testing.T) {
 	one := mkCkpt("a", 1, false, payload)
 	budget := int64(len(one.Encode())*2 + 1) // room for two residents
 
-	s := NewStore(budget, dir, svc)
+	s := newStore(t, budget, dir, svc)
 	s.Put(one)
 	s.Put(mkCkpt("b", 1, false, payload))
-	s.Put(mkCkpt("c", 1, false, payload)) // evicts "a" (LRU) to disk
+	s.Put(mkCkpt("c", 1, false, payload)) // evicts "a" (LRU) from memory
 	if s.Len() != 3 {
-		t.Fatalf("Len = %d, want 3 (spilled entries still count)", s.Len())
+		t.Fatalf("Len = %d, want 3 (evicted entries on disk still count)", s.Len())
 	}
 	if s.Bytes() > budget {
 		t.Errorf("resident bytes %d exceed budget %d", s.Bytes(), budget)
@@ -135,62 +149,80 @@ func TestStoreLRUEvictsToDisk(t *testing.T) {
 		t.Errorf("evictions = %d, want 1", svc.Get(metrics.SvcCkptEvict))
 	}
 	files, _ := filepath.Glob(filepath.Join(dir, "*.ckpt"))
-	if len(files) != 1 {
-		t.Fatalf("spill files = %v, want exactly one", files)
+	if len(files) != 3 {
+		t.Fatalf("records = %v, want three (every Put is written through)", files)
 	}
-	// The spilled checkpoint is still served, byte-identical.
+	// The evicted checkpoint is still served, byte-identical.
 	c, _, ok := s.Nearest("a", 0)
 	if !ok || !bytes.Equal(c.Payload, payload) {
-		t.Fatalf("spilled checkpoint not restored: ok=%t", ok)
+		t.Fatalf("evicted checkpoint not restored: ok=%t", ok)
 	}
-	// A corrupt spill file is dropped on load, not served or kept.
-	s2 := NewStore(budget, dir, nil)
+	// A corrupt record is a miss and is forgotten, not served or kept.
+	dir2 := t.TempDir()
+	s2 := newStore(t, budget, dir2, nil)
 	s2.Put(mkCkpt("x", 1, false, payload))
 	s2.Put(mkCkpt("y", 1, false, payload))
-	s2.Put(mkCkpt("z", 1, false, payload))
-	files, _ = filepath.Glob(filepath.Join(dir, "*.ckpt"))
+	s2.Put(mkCkpt("z", 1, false, payload)) // evicts "x" from memory
+	files, _ = filepath.Glob(filepath.Join(dir2, "*.ckpt"))
 	for _, f := range files {
 		os.WriteFile(f, []byte("garbage"), 0o644)
 	}
 	if _, _, ok := s2.Nearest("x", 0); ok {
-		t.Error("corrupt spill file served")
+		t.Error("corrupt record served")
 	}
 	if s2.Len() != 2 {
 		t.Errorf("corrupt entry not dropped: Len = %d, want 2", s2.Len())
 	}
 }
 
-// TestStoreOpenRemovesStaleSpills pins that a store owns its spill
-// directory: spill files and torn writes an earlier store left behind
-// are unreachable (the index was in memory) and must be removed when a
-// store opens the directory, while unrelated files stay.
-func TestStoreOpenRemovesStaleSpills(t *testing.T) {
+// TestStoreReopenReindexesCheckpoints pins that checkpoints survive a
+// restart: a store reopened on the directory indexes every record
+// (Meta parsed from its key) and serves it byte-identically, while
+// torn temp files and records that fail their checksum are removed
+// and unrelated files stay.
+func TestStoreReopenReindexesCheckpoints(t *testing.T) {
 	dir := t.TempDir()
 	payload := bytes.Repeat([]byte{7}, 256)
-	budget := int64(len(mkCkpt("a", 1, false, payload).Encode())) - 1 // every put spills
-	s := NewStore(budget, dir, nil)
+	budget := int64(len(mkCkpt("a", 1, false, payload).Encode())) - 1 // every put lives on disk only
+	s := newStore(t, budget, dir, nil)
 	for _, prefix := range []string{"a", "b", "c"} {
 		s.Put(mkCkpt(prefix, 1, false, payload))
 	}
-	spills, _ := filepath.Glob(filepath.Join(dir, "*.ckpt"))
-	if s.Len() != 3 || len(spills) != 3 {
-		t.Fatalf("Len = %d with %d spill files, want 3 spilled checkpoints", s.Len(), len(spills))
+	s.Put(mkCkpt("a", 5, true, payload))
+	records, _ := filepath.Glob(filepath.Join(dir, "*.ckpt"))
+	if s.Len() != 4 || len(records) != 4 {
+		t.Fatalf("Len = %d with %d records, want 4 checkpoints on disk", s.Len(), len(records))
 	}
-	torn := filepath.Join(dir, "0123.ckpt.tmp")
+	tornTmp := filepath.Join(dir, ".tmp-0123")
+	tornSpill := filepath.Join(dir, "0123.ckpt.tmp")
+	corrupt := filepath.Join(dir, "0123.ckpt")
 	other := filepath.Join(dir, "notes.txt")
-	for _, f := range []string{torn, other} {
+	for _, f := range []string{tornTmp, tornSpill, corrupt, other} {
 		if err := os.WriteFile(f, []byte("x"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	reopened := NewStore(budget, dir, nil)
-	if reopened.Len() != 0 {
-		t.Errorf("reopened store has %d entries, want 0 (no re-indexing)", reopened.Len())
+	svc := &metrics.ServiceStats{}
+	reopened := newStore(t, budget, dir, svc)
+	if reopened.Len() != 4 {
+		t.Errorf("reopened store has %d checkpoints, want 4", reopened.Len())
 	}
-	for _, f := range append(spills, torn) {
+	if refs, complete, ok := reopened.Peek("a", 0); !ok || !complete || refs != 5 {
+		t.Errorf("Peek(a) after reopen = (%d, %t, %t), want the complete 5", refs, complete, ok)
+	}
+	for _, prefix := range []string{"a", "b", "c"} {
+		c, _, ok := reopened.Nearest(prefix, 1)
+		if !ok || c.Meta != (Meta{Prefix: prefix, Refs: 1}) || !bytes.Equal(c.Payload, payload) {
+			t.Errorf("Nearest(%s) after reopen = (%+v, %t), want the stored checkpoint", prefix, c, ok)
+		}
+	}
+	if hits := svc.Get(metrics.SvcCkptHit); hits != 3 {
+		t.Errorf("checkpoint_hits = %d, want 3", hits)
+	}
+	for _, f := range []string{tornTmp, tornSpill, corrupt} {
 		if _, err := os.Stat(f); !os.IsNotExist(err) {
-			t.Errorf("stale %s survived the reopen (stat err %v)", filepath.Base(f), err)
+			t.Errorf("%s survived the reopen (stat err %v)", filepath.Base(f), err)
 		}
 	}
 	if _, err := os.Stat(other); err != nil {
@@ -200,24 +232,24 @@ func TestStoreOpenRemovesStaleSpills(t *testing.T) {
 
 // TestStoreOverBudgetPutLivesOnDisk pins the straight-to-disk path
 // for a checkpoint larger than the whole budget: its bytes are held
-// only by the spill file, so the store reports no resident bytes and,
+// only by its record, so the store reports no resident bytes and,
 // once the file is gone, Nearest misses instead of serving a copy
 // kept in memory.
 func TestStoreOverBudgetPutLivesOnDisk(t *testing.T) {
 	dir := t.TempDir()
 	payload := bytes.Repeat([]byte{7}, 256)
 	big := mkCkpt("a", 1, false, payload)
-	s := NewStore(int64(len(big.Encode()))-1, dir, nil)
+	s := newStore(t, int64(len(big.Encode()))-1, dir, nil)
 	s.Put(big)
-	spills, _ := filepath.Glob(filepath.Join(dir, "*.ckpt"))
-	if s.Len() != 1 || len(spills) != 1 || s.Bytes() != 0 {
-		t.Fatalf("Len = %d, spill files = %d, Bytes = %d; want one spilled checkpoint and no resident bytes", s.Len(), len(spills), s.Bytes())
+	records, _ := filepath.Glob(filepath.Join(dir, "*.ckpt"))
+	if s.Len() != 1 || len(records) != 1 || s.Bytes() != 0 {
+		t.Fatalf("Len = %d, records = %d, Bytes = %d; want one checkpoint on disk and no resident bytes", s.Len(), len(records), s.Bytes())
 	}
-	if err := os.Remove(spills[0]); err != nil {
+	if err := os.Remove(records[0]); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, ok := s.Nearest("a", 0); ok {
-		t.Error("Nearest served an over-budget checkpoint whose spill file is gone")
+		t.Error("Nearest served an over-budget checkpoint whose record is gone")
 	}
 }
 
@@ -225,11 +257,14 @@ func TestStoreDropInsteadOfSpill(t *testing.T) {
 	payload := bytes.Repeat([]byte{7}, 256)
 	one := mkCkpt("a", 1, false, payload)
 	budget := int64(len(one.Encode()) + 1) // room for one resident
-	s := NewStore(budget, "", nil)         // no spill directory
+	s := newStore(t, budget, "", nil)      // no directory
 	s.Put(one)
 	s.Put(mkCkpt("b", 1, false, payload)) // evicts and drops "a"
 	if s.Len() != 1 {
-		t.Errorf("Len = %d, want 1 (no spill dir: eviction drops)", s.Len())
+		t.Errorf("Len = %d, want 1 (no directory: eviction drops)", s.Len())
+	}
+	if _, _, ok := s.Peek("a", 0); ok {
+		t.Error("Peek found a dropped checkpoint")
 	}
 	if _, _, ok := s.Nearest("a", 0); ok {
 		t.Error("dropped checkpoint still served")
@@ -238,7 +273,7 @@ func TestStoreDropInsteadOfSpill(t *testing.T) {
 
 func TestStorePeekIsAdvisoryOnly(t *testing.T) {
 	svc := &metrics.ServiceStats{}
-	s := NewStore(0, "", svc)
+	s := newStore(t, 0, "", svc)
 	s.Put(mkCkpt("p", 100, false, []byte{1}))
 	s.Put(mkCkpt("p", 50, true, []byte{2}))
 
@@ -254,6 +289,26 @@ func TestStorePeekIsAdvisoryOnly(t *testing.T) {
 	}
 	if h, m := svc.Get(metrics.SvcCkptHit), svc.Get(metrics.SvcCkptMiss); h != 0 || m != 0 {
 		t.Errorf("Peek counted hits/misses: %d/%d", h, m)
+	}
+}
+
+// TestParseKeyInvertsEntryKey pins the re-index's key parsing: every
+// address entryKey produces parses back to its Meta, and keys it
+// would not produce are refused.
+func TestParseKeyInvertsEntryKey(t *testing.T) {
+	for _, m := range []Meta{
+		{Prefix: "0123abcd", Refs: 500_000},
+		{Prefix: "", Refs: 0, Final: true},
+		{Prefix: "a@b/c", Refs: 1 << 63, Final: true},
+	} {
+		if got, ok := parseKey(entryKey(m)); !ok || got != m {
+			t.Errorf("parseKey(%q) = (%+v, %t), want %+v", entryKey(m), got, ok, m)
+		}
+	}
+	for _, key := range []string{"", "p", "p@1", "p@/true", "p@x/true", "p@01/true", "p@1/yes", "p@1/TRUE", "p/1@true"} {
+		if m, ok := parseKey(key); ok {
+			t.Errorf("parseKey(%q) accepted as %+v", key, m)
+		}
 	}
 }
 

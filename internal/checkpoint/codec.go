@@ -1,7 +1,9 @@
 // Package checkpoint provides warm-state checkpointing for the
 // simulator: a versioned, deterministic binary codec for machine and
-// scheduler state, a content-addressed checkpoint container, and a
-// byte-budget LRU store with optional disk spill.
+// scheduler state, a content-addressed checkpoint container, and the
+// store that keeps checkpoints as one namespace of internal/cas
+// (memory, optionally written through to a directory that survives
+// restarts) and answers dominance lookups over them.
 //
 // The motivation is §4.2 of the paper: warming the SRAM main memory
 // alone costs 25–50 M references, and every grid cell of a sweep used

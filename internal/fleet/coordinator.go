@@ -7,7 +7,7 @@ import (
 	"sync"
 	"time"
 
-	"rampage/internal/jobs"
+	"rampage/internal/cas"
 	"rampage/internal/metrics"
 )
 
@@ -25,11 +25,12 @@ type CoordinatorConfig struct {
 	// count as attempts, so a cell that crashes every worker cannot
 	// cycle forever.
 	MaxAttempts int
-	// Disk, when non-nil, persists completed cell results
-	// content-addressed by their run key: cells shared between
-	// experiments (or re-run after a restart) are answered from disk
-	// instead of re-simulated — fleet-wide dedup.
-	Disk *jobs.DiskStore
+	// Disk, when non-nil, is the results disk tier (jobs.NewDiskStore)
+	// that persists completed cell results content-addressed by their
+	// run key: cells shared between experiments (or re-run after a
+	// restart) are answered from disk instead of re-simulated —
+	// fleet-wide dedup.
+	Disk *cas.Store
 	// Local executes a cell in-process. It is the fallback when cells
 	// are queued but no live worker remains (all died mid-sweep), so a
 	// fleet degrades to a single machine instead of hanging. Required.
@@ -202,7 +203,7 @@ func (c *Coordinator) Complete(req CompleteRequest) error {
 		delete(w.inflight, req.Key)
 	}
 	t, active := c.tasks[req.Key]
-	if req.Error == "" && c.cfg.Disk != nil && len(req.Report) > 0 {
+	if req.Error == "" && len(req.Report) > 0 {
 		c.cfg.Disk.Put(req.Key, req.Report)
 	}
 	if !active {
@@ -381,12 +382,10 @@ func (c *Coordinator) Execute(ctx context.Context, cells []CellSpec, progress fu
 			w.idx = append(w.idx, i)
 			continue
 		}
-		if c.cfg.Disk != nil {
-			if data, ok := c.cfg.Disk.Get(cell.Key); ok {
-				results[i] = data
-				progress(i, data)
-				continue
-			}
+		if data, ok := c.cfg.Disk.Get(cell.Key); ok {
+			results[i] = data
+			progress(i, data)
+			continue
 		}
 		t, ok := c.tasks[cell.Key]
 		if !ok {
@@ -466,9 +465,7 @@ func (c *Coordinator) runOrphansLocally(ctx context.Context) {
 		c.finishLocked(t, nil, err)
 		return
 	}
-	if c.cfg.Disk != nil {
-		c.cfg.Disk.Put(t.cell.Key, data)
-	}
+	c.cfg.Disk.Put(t.cell.Key, data)
 	c.cfg.Stats.Add(metrics.SvcFleetLocal, 1)
 	c.cfg.Stats.Add(metrics.SvcFleetCompleted, 1)
 	c.finishLocked(t, data, nil)

@@ -12,8 +12,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"rampage/internal/cas"
 	"rampage/internal/checkpoint"
-	"rampage/internal/jobs"
 	"rampage/internal/metrics"
 )
 
@@ -31,13 +31,13 @@ type WorkerConfig struct {
 	// Checkpoints, when non-nil, is the worker's local warm-state
 	// store; leased batches are ordered warmest-first against it.
 	Checkpoints *checkpoint.Store
-	// Disk, when non-nil, is the worker's local content-addressed
-	// result store. Leased cells are answered from it without
+	// Disk, when non-nil, is the worker's local results disk tier
+	// (jobs.NewDiskStore). Leased cells are answered from it without
 	// re-simulating (cell keys are harness.RunKey hashes, so a stored
 	// document is the cell's exact bytes), and freshly simulated cells
 	// are written back so a re-lease after coordinator restart or
 	// requeue costs one disk read instead of a simulation.
-	Disk *jobs.DiskStore
+	Disk *cas.Store
 	// Stats receives local counters (sim runs, checkpoint hits); its
 	// snapshot piggybacks on lease requests for the coordinator's
 	// per-worker rollup. May be nil.
@@ -72,11 +72,9 @@ func (w *Worker) Simulated() uint64 { return w.simulated.Load() }
 // memoized path), simulation on miss with a write-back so the next
 // lease of the same cell is a disk hit.
 func (w *Worker) executeCell(ctx context.Context, cell CellSpec) ([]byte, error) {
-	if w.cfg.Disk != nil {
-		if data, ok := w.cfg.Disk.Get(cell.Key); ok {
-			w.logf("cell %s served from local store", shortKey(cell.Key))
-			return data, nil
-		}
+	if data, ok := w.cfg.Disk.Get(cell.Key); ok {
+		w.logf("cell %s served from local store", shortKey(cell.Key))
+		return data, nil
 	}
 	data, err := ExecuteCell(ctx, cell, w.cfg.Checkpoints)
 	if err != nil {
@@ -84,9 +82,7 @@ func (w *Worker) executeCell(ctx context.Context, cell CellSpec) ([]byte, error)
 	}
 	w.simulated.Add(1)
 	w.cfg.Stats.Add(metrics.SvcSimRuns, 1)
-	if w.cfg.Disk != nil {
-		w.cfg.Disk.Put(cell.Key, data)
-	}
+	w.cfg.Disk.Put(cell.Key, data)
 	return data, nil
 }
 

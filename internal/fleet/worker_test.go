@@ -52,13 +52,24 @@ func (cs *coordServer) swap(c *Coordinator) {
 	cs.mu.Unlock()
 }
 
+// memCheckpoints returns a memory-only checkpoint store with an 8 MiB
+// budget.
+func memCheckpoints(t *testing.T) *checkpoint.Store {
+	t.Helper()
+	s, err := checkpoint.NewStore(8<<20, "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func startWorker(t *testing.T, url, name string) (*Worker, chan error) {
 	t.Helper()
 	w, err := NewWorker(WorkerConfig{
 		CoordinatorURL: url,
 		Name:           name,
 		Parallel:       2,
-		Checkpoints:    checkpoint.NewStore(8<<20, "", nil),
+		Checkpoints:    memCheckpoints(t),
 		Stats:          &metrics.ServiceStats{},
 		Logf:           t.Logf,
 	})
@@ -182,7 +193,7 @@ func TestWorkerMemoizesReLeasedCells(t *testing.T) {
 		CoordinatorURL: cs.ts.URL,
 		Name:           "memo",
 		Parallel:       2,
-		Checkpoints:    checkpoint.NewStore(8<<20, "", nil),
+		Checkpoints:    memCheckpoints(t),
 		Disk:           disk,
 		Stats:          &metrics.ServiceStats{},
 		Logf:           t.Logf,

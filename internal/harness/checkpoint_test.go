@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -14,6 +16,17 @@ import (
 	"rampage/internal/stats"
 	"rampage/internal/trace"
 )
+
+// memCheckpoints returns a memory-only checkpoint store with no
+// budget.
+func memCheckpoints(tb testing.TB, svc *metrics.ServiceStats) *checkpoint.Store {
+	tb.Helper()
+	s, err := checkpoint.NewStore(0, "", svc)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
 
 // ckptTestConfig is a fast configuration with enough references to
 // cross several quanta, page faults and TLB refills per system.
@@ -60,7 +73,7 @@ func TestCheckpointResumeMatchesScratch(t *testing.T) {
 				t.Fatalf("scratch run: %v", err)
 			}
 
-			store := checkpoint.NewStore(0, "", nil)
+			store := memCheckpoints(t, nil)
 			warm := cfg
 			warm.Checkpoints = store
 			warm.MaxRefs = 120_000
@@ -102,7 +115,7 @@ func TestCheckpointResumeCapturedAndVerify(t *testing.T) {
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			warm := ckptTestConfig()
-			warm.Checkpoints = checkpoint.NewStore(0, "", nil)
+			warm.Checkpoints = memCheckpoints(t, nil)
 			warm.Verify = mode.verify
 			run := func(maxRefs uint64) (*stats.Report, error) {
 				warm.MaxRefs = maxRefs
@@ -139,7 +152,7 @@ func TestCheckpointCompleteSkipsRun(t *testing.T) {
 	}
 
 	svc := &metrics.ServiceStats{}
-	store := checkpoint.NewStore(0, "", svc)
+	store := memCheckpoints(t, svc)
 	warm := cfg
 	warm.Checkpoints = store
 	if _, err := Run(context.Background(), warm, spec); err != nil {
@@ -163,6 +176,63 @@ func TestCheckpointCompleteSkipsRun(t *testing.T) {
 	}
 }
 
+// TestCheckpointCorruptRecordRunsCold pins that a checkpoint record
+// with one payload byte flipped is a miss: the run starts cold and
+// reports what a fresh run reports, instead of resuming from corrupt
+// state. The flipped byte is the low byte of the captured report's
+// cycle count, which a restore would otherwise carry into the result.
+func TestCheckpointCorruptRecordRunsCold(t *testing.T) {
+	spec := RunSpec{System: RAMpage, IssueMHz: 1000, SizeBytes: 512}
+	cfg := ckptTestConfig()
+	cfg.MaxRefs = 240_000
+	want, err := Run(context.Background(), cfg, spec)
+	if err != nil {
+		t.Fatalf("scratch run: %v", err)
+	}
+
+	// A budget smaller than any checkpoint: restores come from disk.
+	dir := t.TempDir()
+	svc := &metrics.ServiceStats{}
+	store, err := checkpoint.NewStore(1, dir, svc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := cfg
+	warm.Checkpoints = store
+	warm.MaxRefs = 120_000
+	if _, err := Run(context.Background(), warm, spec); err != nil {
+		t.Fatalf("prefix run: %v", err)
+	}
+	records, _ := filepath.Glob(filepath.Join(dir, "*.ckpt"))
+	if len(records) != 1 {
+		t.Fatalf("records = %v, want the prefix run's checkpoint", records)
+	}
+	rec, err := os.ReadFile(records[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(rec, binary.LittleEndian.AppendUint32(nil, checkpoint.MarkReport))
+	if at < 0 {
+		t.Fatal("record holds no report section")
+	}
+	rec[at+4] ^= 1
+	if err := os.WriteFile(records[0], rec, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	warm.MaxRefs = 240_000
+	got, err := Run(context.Background(), warm, spec)
+	if err != nil {
+		t.Fatalf("run over the corrupt record: %v", err)
+	}
+	if hits, misses := svc.Get(metrics.SvcCkptHit), svc.Get(metrics.SvcCkptMiss); hits != 0 || misses != 2 {
+		t.Errorf("checkpoint hits/misses = %d/%d, want 0/2 (both runs cold)", hits, misses)
+	}
+	if *got != *want {
+		t.Errorf("report over the corrupt record differs from a fresh run:\n got: %+v\nwant: %+v", *got, *want)
+	}
+}
+
 // TestCheckpointFinalAtBudgetNotReused pins the dominance edge: a
 // budget-capped run that happens to drain the workload exactly at its
 // budget is final, and a later run with that same budget must NOT be
@@ -183,7 +253,7 @@ func TestCheckpointFinalAnswersLargerBudget(t *testing.T) {
 		t.Fatalf("uncapped run: %v", err)
 	}
 
-	store := checkpoint.NewStore(0, "", nil)
+	store := memCheckpoints(t, nil)
 	warm := cfg
 	warm.Checkpoints = store
 	if _, err := Run(context.Background(), warm, spec); err != nil {
@@ -217,7 +287,7 @@ func TestSweepWithCheckpoints(t *testing.T) {
 	}
 
 	svc := &metrics.ServiceStats{}
-	cfg.Checkpoints = checkpoint.NewStore(0, "", svc)
+	cfg.Checkpoints = memCheckpoints(t, svc)
 	cold, err := Sweep(context.Background(), cfg, RAMpage, rates, sizes, false)
 	if err != nil {
 		t.Fatalf("cold sweep: %v", err)
@@ -251,7 +321,7 @@ func TestSweepWithCheckpoints(t *testing.T) {
 func TestPlanSweepOrdersWarmFirst(t *testing.T) {
 	cfg := ckptTestConfig()
 	cfg.MaxRefs = 60_000
-	cfg.Checkpoints = checkpoint.NewStore(0, "", nil)
+	cfg.Checkpoints = memCheckpoints(t, nil)
 	specs := gridSpecs(RunSpec{System: RAMpage}, []uint64{1000}, []uint64{256, 512, 1024})
 
 	// Warm exactly one cell.
@@ -285,7 +355,7 @@ func TestPlanSweepOrdersWarmFirst(t *testing.T) {
 func TestSweepSpecRepeatedRateWithStore(t *testing.T) {
 	cfg := ckptTestConfig()
 	cfg.MaxRefs = 60_000
-	cfg.Checkpoints = checkpoint.NewStore(0, "", nil)
+	cfg.Checkpoints = memCheckpoints(t, nil)
 	rates, sizes := []uint64{1000, 1000}, []uint64{512}
 	grid, err := SweepSpec(context.Background(), cfg, RunSpec{System: RAMpage}, rates, sizes)
 	if err != nil {
@@ -403,7 +473,7 @@ func TestGoldenExperimentsCheckpointEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			warm := tinyConfig()
-			warm.Checkpoints = checkpoint.NewStore(0, "", nil)
+			warm.Checkpoints = memCheckpoints(t, nil)
 			for _, phase := range []string{"cold", "warm"} {
 				doc, err := BuildExperimentDoc(context.Background(), warm, id, rates, sizes)
 				if err != nil {
@@ -436,7 +506,7 @@ func TestCheckpointBytesExecutionPathInvariant(t *testing.T) {
 	capture := func(name string, mutate func(*Config), readers func(Config) []trace.Reader) []byte {
 		t.Helper()
 		cfg := base
-		cfg.Checkpoints = checkpoint.NewStore(0, "", nil)
+		cfg.Checkpoints = memCheckpoints(t, nil)
 		mutate(&cfg)
 		rs, err := cfg.Readers()
 		if err != nil {
@@ -482,7 +552,7 @@ func TestSeededCheckpointCorruptionDetected(t *testing.T) {
 		t.Fatalf("scratch run: %v", err)
 	}
 
-	store := checkpoint.NewStore(0, "", nil)
+	store := memCheckpoints(t, nil)
 	prefixCfg := cfg
 	prefixCfg.Checkpoints = store
 	prefixCfg.MaxRefs = 120_000
@@ -509,7 +579,7 @@ func TestSeededCheckpointCorruptionDetected(t *testing.T) {
 	corrupted.Payload = append([]byte{}, ck.Payload...)
 	corrupted.Payload[at] ^= 1
 
-	evil := checkpoint.NewStore(0, "", nil)
+	evil := memCheckpoints(t, nil)
 	evil.Put(corrupted)
 	warm := cfg
 	warm.Checkpoints = evil
@@ -525,7 +595,7 @@ func TestSeededCheckpointCorruptionDetected(t *testing.T) {
 	}
 	// An uncorrupted copy of the same checkpoint still resumes cleanly —
 	// the divergence above is the corruption, not the restore path.
-	clean := checkpoint.NewStore(0, "", nil)
+	clean := memCheckpoints(t, nil)
 	clean.Put(ck)
 	warm.Checkpoints = clean
 	if got, err = Run(context.Background(), warm, spec); err != nil || *got != *want {

@@ -8,7 +8,7 @@ import (
 )
 
 func TestCacheGetPut(t *testing.T) {
-	c := NewCache(0, nil) // unlimited
+	c := newResultCache(0, nil, nil) // unlimited
 	if _, ok := c.Get("missing"); ok {
 		t.Error("empty cache returned a value")
 	}
@@ -19,16 +19,27 @@ func TestCacheGetPut(t *testing.T) {
 	if c.Len() != 1 || c.Bytes() != 5 {
 		t.Errorf("len=%d bytes=%d", c.Len(), c.Bytes())
 	}
-	// Replacing a key updates accounting rather than double-counting.
-	c.Put("a", []byte("doc-a-longer"))
-	if c.Len() != 1 || c.Bytes() != 12 {
-		t.Errorf("after replace: len=%d bytes=%d", c.Len(), c.Bytes())
+	// A re-put keeps the first bytes (the key addresses that content)
+	// and refreshes recency: "b" is now the least recently used.
+	c = newResultCache(10, nil, nil)
+	c.Put("a", []byte("doc-a"))
+	c.Put("b", []byte("doc-b"))
+	c.Put("a", []byte("doc-A"))
+	if c.Len() != 2 || c.Bytes() != 10 {
+		t.Errorf("after re-put: len=%d bytes=%d", c.Len(), c.Bytes())
+	}
+	c.Put("c", []byte("doc-c"))
+	if v, ok := c.Get("a"); !ok || string(v) != "doc-a" {
+		t.Errorf("re-put key: Get(a) = (%q, %v), want the first bytes", v, ok)
+	}
+	if _, ok := c.Get("b"); ok {
+		t.Error("b survived; the re-put should have made it least recently used")
 	}
 }
 
 func TestCacheEvictsLRU(t *testing.T) {
 	var stats metrics.ServiceStats
-	c := NewCache(30, &stats)
+	c := newResultCache(30, nil, &stats)
 	for i := 0; i < 3; i++ {
 		c.Put(fmt.Sprintf("k%d", i), make([]byte, 10))
 	}
@@ -55,7 +66,7 @@ func TestCacheEvictsLRU(t *testing.T) {
 }
 
 func TestCacheRejectsOverBudgetValue(t *testing.T) {
-	c := NewCache(10, nil)
+	c := newResultCache(10, nil, nil)
 	c.Put("small", make([]byte, 4))
 	c.Put("huge", make([]byte, 64))
 	if _, ok := c.Get("huge"); ok {
@@ -67,7 +78,7 @@ func TestCacheRejectsOverBudgetValue(t *testing.T) {
 }
 
 func TestCacheKeepsNewestWhenBudgetTight(t *testing.T) {
-	c := NewCache(10, nil)
+	c := newResultCache(10, nil, nil)
 	c.Put("a", make([]byte, 8))
 	c.Put("b", make([]byte, 9))
 	if _, ok := c.Get("a"); ok {

@@ -3,6 +3,9 @@ package jobs
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,10 +13,29 @@ import (
 	"testing"
 	"time"
 
+	"rampage/internal/cas"
 	"rampage/internal/metrics"
 )
 
-func newDisk(t *testing.T, budget int64) (*DiskStore, string, *metrics.ServiceStats) {
+// rrs1 builds a result record by hand from the documented layout:
+// "RRS1", little-endian uint32 key length, key, SHA-256 of key and
+// payload, payload.
+func rrs1(key string, payload []byte) []byte {
+	rec := append([]byte("RRS1"), binary.LittleEndian.AppendUint32(nil, uint32(len(key)))...)
+	rec = append(rec, key...)
+	sum := sha256.Sum256(append([]byte(key), payload...))
+	rec = append(rec, sum[:]...)
+	return append(rec, payload...)
+}
+
+// resultPath is the documented file name of a result record:
+// hex(sha256(key)).res in the store's directory.
+func resultPath(dir, key string) string {
+	sum := sha256.Sum256([]byte(key))
+	return filepath.Join(dir, hex.EncodeToString(sum[:])+".res")
+}
+
+func newDisk(t *testing.T, budget int64) (*cas.Store, string, *metrics.ServiceStats) {
 	t.Helper()
 	dir := t.TempDir()
 	stats := &metrics.ServiceStats{}
@@ -54,7 +76,7 @@ func TestDiskStoreCrashSafety(t *testing.T) {
 
 	// Find the published file and tear it: truncate to half, as if the
 	// machine died mid-write of a non-atomic writer.
-	files, err := filepath.Glob(filepath.Join(dir, "*"+diskFileExt))
+	files, err := filepath.Glob(filepath.Join(dir, "*.res"))
 	if err != nil || len(files) != 1 {
 		t.Fatalf("glob: %v, %d files", err, len(files))
 	}
@@ -74,7 +96,7 @@ func TestDiskStoreCrashSafety(t *testing.T) {
 
 	// Corrupt one payload byte (size unchanged): checksum must catch it.
 	s.Put("victim2", payload)
-	files, _ = filepath.Glob(filepath.Join(dir, "*"+diskFileExt))
+	files, _ = filepath.Glob(filepath.Join(dir, "*.res"))
 	if len(files) != 1 {
 		t.Fatalf("%d files, want 1", len(files))
 	}
@@ -92,7 +114,7 @@ func TestDiskStoreCrashSafety(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, ".tmp-123"), []byte("partial"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "torn"+diskFileExt), []byte("RRS1 garbage"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "torn.res"), []byte("RRS1 garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s2, err := NewDiskStore(dir, 0, nil)
@@ -105,7 +127,7 @@ func TestDiskStoreCrashSafety(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, ".tmp-123")); !os.IsNotExist(err) {
 		t.Error("temp file survived recovery")
 	}
-	if _, err := os.Stat(filepath.Join(dir, "torn"+diskFileExt)); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(dir, "torn.res")); !os.IsNotExist(err) {
 		t.Error("torn file survived recovery")
 	}
 }
@@ -115,7 +137,7 @@ func TestDiskStoreCrashSafety(t *testing.T) {
 // evictions are counted.
 func TestDiskStoreGC(t *testing.T) {
 	val := []byte(strings.Repeat("v", 1000))
-	one := int64(len(encodeDisk("k00", val))) // all keys same length
+	one := int64(len(rrs1("k00", val))) // all keys same length
 	s, dir, stats := newDisk(t, 3*one)
 	for i := 0; i < 5; i++ {
 		s.Put(fmt.Sprintf("k%02d", i), val)
@@ -126,7 +148,7 @@ func TestDiskStoreGC(t *testing.T) {
 	if n := s.Len(); n != 3 {
 		t.Errorf("Len = %d, want 3", n)
 	}
-	files, _ := filepath.Glob(filepath.Join(dir, "*"+diskFileExt))
+	files, _ := filepath.Glob(filepath.Join(dir, "*.res"))
 	if len(files) != 3 {
 		t.Errorf("%d files on disk, want 3", len(files))
 	}
@@ -199,11 +221,11 @@ func TestDiskStoreRestartRecovery(t *testing.T) {
 	base := time.Now().Add(-time.Hour)
 	for i := 0; i < 4; i++ {
 		when := base.Add(time.Duration(i) * time.Minute)
-		if err := os.Chtimes(s.path(fmt.Sprintf("key-%d", i)), when, when); err != nil {
+		if err := os.Chtimes(resultPath(dir, fmt.Sprintf("key-%d", i)), when, when); err != nil {
 			t.Fatal(err)
 		}
 	}
-	budget := int64(len(encodeDisk("key-2", vals["key-2"])) + len(encodeDisk("key-3", vals["key-3"])))
+	budget := int64(len(rrs1("key-2", vals["key-2"])) + len(rrs1("key-3", vals["key-3"])))
 	s3, err := NewDiskStore(dir, budget, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -213,6 +235,52 @@ func TestDiskStoreRestartRecovery(t *testing.T) {
 	}
 	if _, ok := s3.Get("key-3"); !ok {
 		t.Error("key-3 (newest mtime) evicted by budgeted recovery")
+	}
+}
+
+// TestDiskStoreReindexesHandBuiltRecords pins the results record
+// format: a directory of records written by hand from the documented
+// layout and names (as an earlier build's store left them) re-indexes
+// and serves every document byte-identically, without a run.
+func TestDiskStoreReindexesHandBuiltRecords(t *testing.T) {
+	dir := t.TempDir()
+	docs := map[string][]byte{
+		"run:0123abcd":            []byte(`{"version":1,"kind":"run"}`),
+		"experiment:table3:89ef":  []byte(`{"version":1,"kind":"experiment","id":"table3"}`),
+		"cell:4567:metrics":       bytes.Repeat([]byte{0, 0xff, '\n'}, 1000),
+		"":                        []byte("empty key"),
+		"experiment:empty-result": {},
+	}
+	for key, doc := range docs {
+		if err := os.WriteFile(resultPath(dir, key), rrs1(key, doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stats := &metrics.ServiceStats{}
+	disk, err := NewDiskStore(dir, 0, stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if disk.Len() != len(docs) {
+		t.Fatalf("re-indexed %d records, want %d", disk.Len(), len(docs))
+	}
+	m := NewManager(Config{Workers: 1, QueueDepth: 4, Stats: stats, Disk: disk})
+	defer drain(t, m)
+	for key, want := range docs {
+		j, err := m.Submit(Request{Key: key, Do: func(context.Context, func([]byte)) ([]byte, error) {
+			t.Errorf("%q: ran instead of serving the stored record", key)
+			return nil, nil
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := m.Wait(context.Background(), j)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%q: served %q, %v; want %q", key, got, err, want)
+		}
+	}
+	if hits := stats.Get(metrics.SvcDiskHit); hits != uint64(len(docs)) {
+		t.Errorf("disk_hits = %d, want %d", hits, len(docs))
 	}
 }
 

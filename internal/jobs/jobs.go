@@ -24,6 +24,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"rampage/internal/cas"
 	"rampage/internal/metrics"
 )
 
@@ -187,11 +188,11 @@ type Config struct {
 	JobTimeout time.Duration
 	// CacheBytes is the result cache budget (<= 0 = unlimited).
 	CacheBytes int64
-	// Disk, when non-nil, backs the in-memory LRU with a persistent
-	// content-addressed store: lookups that miss memory are answered
+	// Disk, when non-nil, is the results disk tier (NewDiskStore)
+	// under the in-memory cache: lookups that miss memory are answered
 	// from disk (and promoted), finished results are written through.
 	// Results therefore survive restarts and are shared fleet-wide.
-	Disk *DiskStore
+	Disk *cas.Store
 	// KeepFinished bounds how many terminal jobs stay pollable (min 1;
 	// default 512). Older finished jobs are forgotten FIFO.
 	KeepFinished int
@@ -211,12 +212,32 @@ type Config struct {
 	Tenants *metrics.TenantStats
 }
 
+// NewDiskStore opens the results namespace of a disk store rooted at
+// dir (see internal/cas): one sha256(key).res record per document,
+// held to budgetBytes (<= 0 = unlimited). It counts disk_hits,
+// disk_stores and disk_evictions on stats, which may be nil.
+func NewDiskStore(dir string, budgetBytes int64, stats *metrics.ServiceStats) (*cas.Store, error) {
+	return cas.Open(dir, ".res", budgetBytes, cas.Counters{
+		Hit:   stats.Counter(metrics.SvcDiskHit),
+		Store: stats.Counter(metrics.SvcDiskStore),
+		Evict: stats.Counter(metrics.SvcDiskEvict),
+	})
+}
+
+// newResultCache returns the in-memory results tier over disk (which
+// may be nil), counting cache_hits and cache_evictions on stats.
+func newResultCache(budgetBytes int64, disk *cas.Store, stats *metrics.ServiceStats) *cas.Store {
+	return cas.NewMemory(budgetBytes, disk, cas.Counters{
+		Hit:   stats.Counter(metrics.SvcCacheHit),
+		Evict: stats.Counter(metrics.SvcCacheEvict),
+	})
+}
+
 // Manager owns the queue, the worker pool, the singleflight index and
 // the result cache.
 type Manager struct {
 	cfg     Config
-	cache   *Cache
-	disk    *DiskStore // nil when no persistent store is attached
+	cache   *cas.Store // memory over the disk tier, when one is attached
 	stats   *metrics.ServiceStats
 	tenants *metrics.TenantStats
 	limiter *rateLimiter // nil when no tenant rate is configured
@@ -254,8 +275,7 @@ func NewManager(cfg Config) *Manager {
 	}
 	m := &Manager{
 		cfg:        cfg,
-		cache:      NewCache(cfg.CacheBytes, cfg.Stats),
-		disk:       cfg.Disk,
+		cache:      newResultCache(cfg.CacheBytes, cfg.Disk, cfg.Stats),
 		stats:      cfg.Stats,
 		tenants:    cfg.Tenants,
 		limiter:    newRateLimiter(cfg.TenantRate, cfg.TenantBurst),
@@ -272,39 +292,15 @@ func NewManager(cfg Config) *Manager {
 	return m
 }
 
-// Cache exposes the result store (the HTTP layer reports its size).
-func (m *Manager) Cache() *Cache { return m.cache }
-
-// Disk exposes the persistent result store; nil when none is attached.
-func (m *Manager) Disk() *DiskStore { return m.disk }
-
-// lookup answers a key from memory, then from the disk store
-// (promoting the hit into memory). The disk store does its own hit
-// accounting; memory hits are counted by the caller.
-func (m *Manager) lookup(key string) ([]byte, bool, bool) {
-	if data, ok := m.cache.Get(key); ok {
-		return data, true, true
-	}
-	if m.disk != nil {
-		if data, ok := m.disk.Get(key); ok {
-			m.cache.Put(key, data)
-			return data, true, false
-		}
-	}
-	return nil, false, false
-}
+// Cache exposes the in-memory result tier (the HTTP layer reports its
+// size).
+func (m *Manager) Cache() *cas.Store { return m.cache }
 
 // Lookup serves a result straight from the cache — the in-memory LRU
 // first, then the persistent disk store when one is attached. It does
 // not create a job; misses are uncounted (the caller follows up with
 // Submit, which does the miss accounting).
-func (m *Manager) Lookup(key string) ([]byte, bool) {
-	data, ok, mem := m.lookup(key)
-	if ok && mem {
-		m.stats.Add(metrics.SvcCacheHit, 1)
-	}
-	return data, ok
-}
+func (m *Manager) Lookup(key string) ([]byte, bool) { return m.cache.Get(key) }
 
 // Submit admits a request. The returned job may already be terminal
 // (cache hit), may be shared with earlier identical submissions
@@ -318,10 +314,7 @@ func (m *Manager) Submit(req Request) (*Job, error) {
 	}
 	// Cache check (memory, then disk) under the manager lock so a
 	// result installed between check and enqueue cannot be missed.
-	if data, ok, mem := m.lookup(req.Key); ok {
-		if mem {
-			m.stats.Add(metrics.SvcCacheHit, 1)
-		}
+	if data, ok := m.cache.Get(req.Key); ok {
 		j := m.newJobLocked(req)
 		j.cellsDone.Store(uint64(req.Cells))
 		j.state = StateDone
@@ -514,9 +507,6 @@ func (m *Manager) runJob(j *Job) {
 	switch {
 	case err == nil:
 		m.cache.Put(j.Key, data)
-		if m.disk != nil {
-			m.disk.Put(j.Key, data)
-		}
 		m.stats.Add(metrics.SvcJobsDone, 1)
 		m.tenants.Add(j.Tenant, metrics.TenantDone, 1)
 		finish(StateDone, data, nil)

@@ -35,7 +35,7 @@ const (
 	SvcJobsCanceled
 	// SvcCkptHit is a run warm-started from a stored checkpoint;
 	// SvcCkptMiss one that had to start cold; SvcCkptEvict a checkpoint
-	// spilled or dropped by the store's resident-byte budget. Together
+	// pushed out of memory by the store's resident-byte budget. Together
 	// with the store's byte gauge they make the fleet's warm ratio
 	// observable on /metricsz.
 	SvcCkptHit
@@ -141,6 +141,21 @@ func (s *ServiceStats) Add(c ServiceCounter, n uint64) {
 	}
 	s.counts[c].Add(n)
 }
+
+// Counter is one counter of a set, bound so that code outside the
+// service layer (the content-addressed store's tiers) can count an
+// event without knowing which counter its owner charges. The zero
+// Counter, like one bound on a nil set, discards.
+type Counter struct {
+	stats *ServiceStats
+	c     ServiceCounter
+}
+
+// Counter binds counter c of the set.
+func (s *ServiceStats) Counter(c ServiceCounter) Counter { return Counter{s, c} }
+
+// Add increments the bound counter by n.
+func (c Counter) Add(n uint64) { c.stats.Add(c.c, n) }
 
 // Get returns one counter's current value.
 func (s *ServiceStats) Get(c ServiceCounter) uint64 {

@@ -2,8 +2,9 @@
 // snapshots against committed goldens. It is the comparator behind the
 // tools/regress CLI (which stays a thin wrapper) and the server's
 // POST /v1/compare endpoint, so the gate logic — exact report diffs
-// with version checking, tolerance-based bench comparison, hard errors
-// for missing files — lives in exactly one place.
+// with version checking, tolerance-based bench comparison, the
+// checkpoint cold/warm ratio gate, hard errors for missing files —
+// lives in exactly one place.
 //
 // Throughout, the first argument is the golden (want) and the second
 // the candidate (got). A nil diff slice means the documents match; a
@@ -20,6 +21,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 )
 
 func loadJSON(path string, v any) error {
@@ -287,4 +289,44 @@ func CompareBenchFiles(goldenPath, gotPath string, tol float64, subset bool) ([]
 		return nil, fmt.Errorf("%s: no benchmark entries", goldenPath)
 	}
 	return CompareBench(golden, got, tol, subset)
+}
+
+// bestMatching returns the minimum ns/op among benchmarks whose name
+// contains substr; zero when none match.
+func bestMatching(results []BenchResult, substr string) float64 {
+	var best float64
+	for _, r := range results {
+		if strings.Contains(r.Name, substr) && r.NsPerOp > 0 && (best == 0 || r.NsPerOp < best) {
+			best = r.NsPerOp
+		}
+	}
+	return best
+}
+
+// CompareRatio gates the warm-state checkpoint payoff recorded in one
+// benchjson snapshot (BENCH_checkpoint.json): the cold sweep's best
+// ns/op over the warm sweep's must be at least minRatio. Each side takes
+// its minimum sample, the least noisy one, since interference only
+// slows a benchmark down. It returns the ratio; a snapshot missing
+// either sweep is an error, and a ratio below minRatio is one diff.
+func CompareRatio(results []BenchResult, minRatio float64) (float64, []string, error) {
+	cold := bestMatching(results, "SweepCheckpointCold")
+	warm := bestMatching(results, "SweepCheckpointWarm")
+	if cold == 0 || warm == 0 {
+		return 0, nil, fmt.Errorf("snapshot is missing the cold or warm sweep benchmark (cold=%v warm=%v)", cold, warm)
+	}
+	ratio := cold / warm
+	if ratio < minRatio {
+		return ratio, []string{fmt.Sprintf("warm sweep is only %.1fx faster than cold (want >= %.1fx): cold %.0f ns/op, warm %.0f ns/op", ratio, minRatio, cold, warm)}, nil
+	}
+	return ratio, nil, nil
+}
+
+// CompareRatioFile is CompareRatio over a snapshot file.
+func CompareRatioFile(path string, minRatio float64) (float64, []string, error) {
+	var results []BenchResult
+	if err := loadJSON(path, &results); err != nil {
+		return 0, nil, err
+	}
+	return CompareRatio(results, minRatio)
 }

@@ -191,6 +191,45 @@ func TestCompareBench(t *testing.T) {
 	}
 }
 
+// TestCompareRatioPassesAndFails pins the ratio mode: the best cold
+// sample over the best warm sample, other benchmarks ignored, gated
+// at the minimum.
+func TestCompareRatioPassesAndFails(t *testing.T) {
+	results := []BenchResult{
+		{Name: "BenchmarkSweepCheckpointCold", NsPerOp: 150e6},
+		{Name: "BenchmarkSweepCheckpointCold", NsPerOp: 145e6}, // best cold
+		{Name: "BenchmarkSweepCheckpointWarm", NsPerOp: 1.4e6},
+		{Name: "BenchmarkSweepCheckpointWarm", NsPerOp: 1.3e6}, // best warm
+		{Name: "BenchmarkRunCheckpointResume", NsPerOp: 23e6},  // ignored
+	}
+	ratio, diffs, err := CompareRatio(results, 3)
+	if err != nil || len(diffs) != 0 {
+		t.Fatalf("CompareRatio = (%v, %v)", diffs, err)
+	}
+	if want := 145e6 / 1.3e6; ratio != want {
+		t.Errorf("ratio = %v, want best-sample ratio %v", ratio, want)
+	}
+	if _, diffs, err := CompareRatio(results, 200); err != nil || len(diffs) != 1 {
+		t.Errorf("200x requirement: diffs %v, err %v; want one shortfall", diffs, err)
+	}
+}
+
+// TestCompareRatioRefusesIncompleteSnapshot pins that a snapshot
+// missing either sweep, or no snapshot at all, is a hard error rather
+// than a pass.
+func TestCompareRatioRefusesIncompleteSnapshot(t *testing.T) {
+	onlyCold := []BenchResult{{Name: "BenchmarkSweepCheckpointCold", NsPerOp: 150e6}}
+	if _, _, err := CompareRatio(onlyCold, 3); err == nil || !strings.Contains(err.Error(), "missing") {
+		t.Errorf("cold-only snapshot: err = %v, want missing-benchmark error", err)
+	}
+	if _, _, err := CompareRatio(nil, 3); err == nil {
+		t.Error("empty snapshot accepted")
+	}
+	if _, _, err := CompareRatioFile(filepath.Join(t.TempDir(), "BENCH_checkpoint.json"), 3); err == nil {
+		t.Error("missing snapshot file accepted")
+	}
+}
+
 func TestIsDir(t *testing.T) {
 	if !IsDir(t.TempDir()) {
 		t.Error("IsDir(tempdir) = false")

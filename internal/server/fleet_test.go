@@ -31,6 +31,17 @@ func localDoc(t *testing.T, cfg harness.Config, id string, rates, sizes []uint64
 	return buf.Bytes()
 }
 
+// memCheckpoints returns a memory-only checkpoint store with an 8 MiB
+// budget.
+func memCheckpoints(t *testing.T) *checkpoint.Store {
+	t.Helper()
+	s, err := checkpoint.NewStore(8<<20, "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // startFleetWorker runs an in-process worker against the server's
 // coordinator endpoints and cleans it up with the test.
 func startFleetWorker(t *testing.T, url, name string) {
@@ -39,7 +50,7 @@ func startFleetWorker(t *testing.T, url, name string) {
 		CoordinatorURL: url,
 		Name:           name,
 		Parallel:       2,
-		Checkpoints:    checkpoint.NewStore(8<<20, "", nil),
+		Checkpoints:    memCheckpoints(t),
 		Stats:          &metrics.ServiceStats{},
 		Logf:           t.Logf,
 	})

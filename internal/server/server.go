@@ -24,6 +24,7 @@ import (
 	"strings"
 	"time"
 
+	"rampage/internal/cas"
 	"rampage/internal/checkpoint"
 	"rampage/internal/fleet"
 	"rampage/internal/harness"
@@ -70,10 +71,12 @@ type Config struct {
 	TenantStats *metrics.TenantStats
 	// CheckpointBytes budgets the warm-state checkpoint store's
 	// resident bytes (<= 0 = unlimited); CheckpointDir is its disk
-	// spill directory ("" = evictions are dropped), which the store
-	// owns: spill files left by an earlier server are deleted when it
-	// opens. Every job's runs share the store, so repeated and extended
-	// requests warm-start from the newest dominating checkpoint.
+	// directory ("" = evictions are dropped). Every captured checkpoint
+	// is written through to the directory and re-indexed when a server
+	// opens it, so checkpoints survive a restart; it may be DiskDir
+	// itself. Every job's runs share the store, so repeated and
+	// extended requests warm-start from the newest dominating
+	// checkpoint.
 	CheckpointBytes int64
 	CheckpointDir   string
 	// DiskDir, when set, roots the persistent disk-backed result store
@@ -95,14 +98,14 @@ type Server struct {
 	stats   *metrics.ServiceStats
 	tenants *metrics.TenantStats
 	ckpts   *checkpoint.Store
-	disk    *jobs.DiskStore
+	disk    *cas.Store // the results disk tier; nil without DiskDir
 	fleet   *fleet.Coordinator
 	mux     *http.ServeMux
 }
 
 // New builds the service and starts its worker pool. Callers must
 // Drain it on shutdown. The only construction failure is an unusable
-// disk-store directory.
+// result or checkpoint directory.
 func New(cfg Config) (*Server, error) {
 	if cfg.Stats == nil {
 		cfg.Stats = &metrics.ServiceStats{}
@@ -113,7 +116,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.RetryAfter <= 0 {
 		cfg.RetryAfter = 5 * time.Second
 	}
-	var disk *jobs.DiskStore
+	var disk *cas.Store
 	if cfg.DiskDir != "" {
 		d, err := jobs.NewDiskStore(cfg.DiskDir, cfg.DiskBytes, cfg.Stats)
 		if err != nil {
@@ -121,11 +124,15 @@ func New(cfg Config) (*Server, error) {
 		}
 		disk = d
 	}
+	ckpts, err := checkpoint.NewStore(cfg.CheckpointBytes, cfg.CheckpointDir, cfg.Stats)
+	if err != nil {
+		return nil, err
+	}
 	s := &Server{
 		cfg:     cfg,
 		stats:   cfg.Stats,
 		tenants: cfg.TenantStats,
-		ckpts:   checkpoint.NewStore(cfg.CheckpointBytes, cfg.CheckpointDir, cfg.Stats),
+		ckpts:   ckpts,
 		disk:    disk,
 		mgr: jobs.NewManager(jobs.Config{
 			Workers:       cfg.Workers,
@@ -717,7 +724,7 @@ func (s *Server) writeMetricsProm(w http.ResponseWriter) {
 		{"rampage_queue_capacity", "Queue admission bound.", uint64(capacity)},
 		{"rampage_cache_entries", "Result cache entries resident in memory.", uint64(s.mgr.Cache().Len())},
 		{"rampage_cache_bytes", "Result cache resident bytes.", uint64(s.mgr.Cache().Bytes())},
-		{"rampage_checkpoint_entries", "Warm-state checkpoints resident in memory.", uint64(s.ckpts.Len())},
+		{"rampage_checkpoint_entries", "Warm-state checkpoints stored, in memory or on disk.", uint64(s.ckpts.Len())},
 		{"rampage_checkpoint_bytes", "Warm-state checkpoint resident bytes.", uint64(s.ckpts.Bytes())},
 	}
 	if s.disk != nil {

@@ -603,6 +603,40 @@ func TestExtendJobWarmStart(t *testing.T) {
 	}
 }
 
+// TestCheckpointDirSurvivesRestart pins the checkpoint directory at
+// the service boundary: a CheckpointDir whose parent does not exist is
+// created, the checkpoint a run captures is written through to it,
+// and a server reopened on the directory warm-starts from it. A
+// directory that cannot be created fails New.
+func TestCheckpointDirSurvivesRestart(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "missing", "checkpoints")
+	ts1, _ := newTestServer(t, server.Config{Workers: 1, QueueDepth: 4, CheckpointDir: dir})
+	code, body, _ := post(t, ts1.URL+"/v1/runs",
+		`{"scale":"tiny","system":"rampage","issue_mhz":1000,"size_bytes":512,"max_refs":40000}`)
+	if code != http.StatusOK {
+		t.Fatalf("first run: %d %s", code, body)
+	}
+
+	var stats metrics.ServiceStats
+	ts2, _ := newTestServer(t, server.Config{Workers: 1, QueueDepth: 4, CheckpointDir: dir, Stats: &stats})
+	code, body, _ = post(t, ts2.URL+"/v1/runs",
+		`{"scale":"tiny","system":"rampage","issue_mhz":1000,"size_bytes":512,"max_refs":60000}`)
+	if code != http.StatusOK {
+		t.Fatalf("run after reopen: %d %s", code, body)
+	}
+	if hits, misses := stats.Get(metrics.SvcCkptHit), stats.Get(metrics.SvcCkptMiss); hits != 1 || misses != 0 {
+		t.Errorf("reopened server: checkpoint hits/misses = %d/%d, want 1/0", hits, misses)
+	}
+
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := server.New(server.Config{CheckpointDir: filepath.Join(file, "checkpoints")}); err == nil {
+		t.Error("New accepted a checkpoint directory under a regular file")
+	}
+}
+
 // TestServeTable3GoldenE2E is the acceptance gate: the service at the
 // default scale serves table3 byte-identical to the committed golden,
 // and the repeat is a pure cache hit. It runs the full default-scale

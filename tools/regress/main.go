@@ -19,7 +19,13 @@
 //	# (relative). Improvements never fail.
 //	go run ./tools/regress -mode bench -tol 0.05 BENCH_batch.json /tmp/bench.json
 //
-// The first path is the golden (want), the second the candidate (got).
+//	# Ratio gate on one snapshot (make bench-checkpoint output): the
+//	# best cold checkpoint sweep must be at least -min times slower
+//	# than the best warm one.
+//	go run ./tools/regress -mode ratio -min 3 BENCH_checkpoint.json
+//
+// In the two-file modes the first path is the golden (want), the
+// second the candidate (got).
 //
 // The comparator itself lives in internal/regress (the server's
 // POST /v1/compare endpoint shares it); this command is a thin CLI
@@ -42,18 +48,23 @@ var (
 	compareReportDirs  = regress.CompareReportDirs
 	compareBench       = regress.CompareBench
 	compareBenchFiles  = regress.CompareBenchFiles
+	compareRatioFile   = regress.CompareRatioFile
 	isDir              = regress.IsDir
 )
 
 type benchResult = regress.BenchResult
 
 func main() {
-	mode := flag.String("mode", "report", "comparison mode: report (exact), bench (ns/op tolerance)")
+	mode := flag.String("mode", "report", "comparison mode: report (exact), bench (ns/op tolerance), ratio (checkpoint cold/warm speedup)")
 	tol := flag.Float64("tol", 0.05, "bench mode: allowed relative ns/op regression per benchmark")
 	subset := flag.Bool("subset", false, "bench mode: the candidate covers only some golden benchmarks; skip the rest instead of failing")
+	minRatio := flag.Float64("min", 3, "ratio mode: minimum cold/warm checkpoint sweep speedup")
 	flag.Parse()
+	if *mode == "ratio" {
+		os.Exit(ratioMode(flag.Args(), *minRatio))
+	}
 	if flag.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: regress [-mode report|bench] [-tol frac] golden.json got.json")
+		fmt.Fprintln(os.Stderr, "usage: regress [-mode report|bench] [-tol frac] golden.json got.json\n       regress -mode ratio [-min ratio] BENCH_checkpoint.json")
 		os.Exit(2)
 	}
 	goldenPath, gotPath := flag.Arg(0), flag.Arg(1)
@@ -71,7 +82,7 @@ func main() {
 	case "bench":
 		diffs, err = compareBenchFiles(goldenPath, gotPath, *tol, *subset)
 	default:
-		err = fmt.Errorf("unknown mode %q (want report or bench)", *mode)
+		err = fmt.Errorf("unknown mode %q (want report, bench or ratio)", *mode)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "regress:", err)
@@ -85,4 +96,24 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("regress: %s matches %s\n", gotPath, goldenPath)
+}
+
+// ratioMode gates one checkpoint benchmark snapshot on its cold/warm
+// sweep speedup, returning the exit code.
+func ratioMode(args []string, minRatio float64) int {
+	if len(args) != 1 {
+		fmt.Fprintln(os.Stderr, "usage: regress -mode ratio [-min ratio] BENCH_checkpoint.json")
+		return 2
+	}
+	ratio, diffs, err := compareRatioFile(args[0], minRatio)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "regress:", err)
+		return 2
+	}
+	if len(diffs) > 0 {
+		fmt.Fprintf(os.Stderr, "regress: %s: %s\n", args[0], diffs[0])
+		return 1
+	}
+	fmt.Printf("regress: %s: warm sweep %.1fx faster than cold (>= %.1fx required)\n", args[0], ratio, minRatio)
+	return 0
 }
