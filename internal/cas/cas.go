@@ -1,8 +1,8 @@
 // Package cas is the content-addressed store behind the experiment
 // service: served result documents and warm-state checkpoints are two
 // namespaces of its one Store type. Keys are canonical content
-// addresses (harness.RunKey, a checkpoint's prefix and reference
-// count), so the bytes stored under a key never change and any tier
+// addresses (harness.RunKey, ExperimentKey and CellKey, a checkpoint's
+// prefix and reference count), so the bytes stored under a key never change and any tier
 // may answer for any other.
 //
 // A Store is one tier of a byte-budget LRU:

@@ -27,13 +27,16 @@ type CoordinatorConfig struct {
 	MaxAttempts int
 	// Disk, when non-nil, is the results disk tier (jobs.NewDiskStore)
 	// that persists completed cell results content-addressed by their
-	// run key: cells shared between experiments (or re-run after a
-	// restart) are answered from disk instead of re-simulated —
-	// fleet-wide dedup.
+	// cell key (harness.CellKey): cells shared between experiments (or
+	// re-run after a restart) are answered from disk instead of
+	// re-simulated — fleet-wide dedup.
 	Disk *cas.Store
-	// Local executes a cell in-process. It is the fallback when cells
-	// are queued but no live worker remains (all died mid-sweep), so a
-	// fleet degrades to a single machine instead of hanging. Required.
+	// Local runs one orphaned cell in process and returns its
+	// ReportJSON bytes. The coordinator calls it when cells are queued
+	// but no live worker remains (all died mid-sweep), so a fleet
+	// degrades to a single machine instead of hanging. The server runs
+	// the cell through RunLocal, as a worker would; tests substitute
+	// their own. Required.
 	Local func(ctx context.Context, cell CellSpec) ([]byte, error)
 	// Stats receives fleet counters; may be nil.
 	Stats *metrics.ServiceStats

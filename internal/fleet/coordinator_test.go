@@ -310,13 +310,13 @@ func TestCoordinatorStaleWorkerRemoved(t *testing.T) {
 	}
 }
 
-// TestRunCellsKeysMatchRunKeys pins the content addresses the fleet
+// TestRunCellsKeysMatchCellKeys pins the content addresses the fleet
 // dispatches on and its strict decode: every leased cell is keyed by
-// the harness run key for the reconstructed canonical config (so fleet
-// results, the result cache and the disk store all address the same
-// bytes), reports come back aligned with the specs, and a payload with
-// an unknown field fails the call.
-func TestRunCellsKeysMatchRunKeys(t *testing.T) {
+// the harness cell key for the reconstructed canonical config (so
+// fleet results and the disk store address the same bytes, apart from
+// any run job's document), reports come back aligned with the specs,
+// and a payload with an unknown field fails the call.
+func TestRunCellsKeysMatchCellKeys(t *testing.T) {
 	c, _ := testCoordinator(t, nil)
 	w := register(t, c, "w")
 	cfg := harness.QuickScaled()
@@ -328,7 +328,10 @@ func TestRunCellsKeysMatchRunKeys(t *testing.T) {
 	specs := sh.CellSpecs()
 	index := make(map[string]int, len(specs))
 	for k, spec := range specs {
-		key := harness.RunKey(cfg, spec)
+		key := harness.CellKey(cfg, spec)
+		if key == harness.RunKey(cfg, spec) {
+			t.Fatalf("cell %d: cell key equals the run key", k)
+		}
 		if _, dup := index[key]; dup {
 			t.Fatalf("duplicate key %s", key)
 		}
@@ -348,13 +351,13 @@ func TestRunCellsKeysMatchRunKeys(t *testing.T) {
 		for _, cell := range leaseAll(t, c, w, len(specs)) {
 			k, ok := index[cell.Key]
 			if !ok {
-				t.Fatalf("leased key %s is not the run key of any spec", cell.Key)
+				t.Fatalf("leased key %s is not the cell key of any spec", cell.Key)
 			}
 			if cell.Spec != specs[k] {
 				t.Errorf("cell %d spec = %+v, want %+v", k, cell.Spec, specs[k])
 			}
-			if want := harness.RunKey(cell.Config.Config(), cell.Spec); cell.Key != want {
-				t.Errorf("cell %d key differs from the wire config's run key", k)
+			if want := harness.CellKey(cell.Config.Config(), cell.Spec); cell.Key != want {
+				t.Errorf("cell %d key differs from the wire config's cell key", k)
 			}
 			if err := c.Complete(CompleteRequest{WorkerID: w, Key: cell.Key, Report: json.RawMessage(payload(k))}); err != nil {
 				t.Fatal(err)

@@ -11,7 +11,7 @@ import (
 )
 
 // RunCells is the fleet's cell runner, with harness.RunCells'
-// signature: it keys each spec by harness.RunKey over the canonical
+// signature: it keys each spec by harness.CellKey over the canonical
 // configuration, Executes the cells (disk hits, worker leases, local
 // fallback) and decodes each worker payload strictly. done, when
 // non-nil, receives each resolved cell with its index into specs as it
@@ -25,7 +25,7 @@ func (c *Coordinator) RunCells(ctx context.Context, cfg harness.Config, specs []
 	canonical := wc.Config()
 	cells := make([]CellSpec, len(specs))
 	for k, spec := range specs {
-		cells[k] = CellSpec{Key: harness.RunKey(canonical, spec), Config: wc, Spec: spec}
+		cells[k] = CellSpec{Key: harness.CellKey(canonical, spec), Config: wc, Spec: spec}
 	}
 	reports := make([]harness.ReportJSON, len(cells))
 	var bad error
@@ -52,59 +52,50 @@ func (c *Coordinator) RunCells(ctx context.Context, cfg harness.Config, specs []
 	return reports, nil
 }
 
-// ExecuteCell runs one sweep cell locally and returns its ReportJSON
-// bytes. It is the single execution path shared by workers and by the
-// coordinator's no-workers fallback, so a cell's bytes are identical
-// wherever it runs: reconstruct the canonical configuration, attach
-// the local warm-state checkpoint store (warm restores are
-// bit-identical to cold runs), simulate, flatten.
-func ExecuteCell(ctx context.Context, cell CellSpec, ckpts *checkpoint.Store) ([]byte, error) {
-	cfg := cell.Config.Config()
-	cfg.Checkpoints = ckpts
-	rep, err := harness.Run(ctx, cfg, cell.Spec)
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(harness.NewReportJSON(rep))
-}
-
-// orderCells returns the leased batch warmest-first against the local
-// checkpoint store, per harness.PlanCells: cells a stored checkpoint
-// completes outright run (and stream back) first, then resumable ones
-// by warmth, then cold cells in lease order. Batches can mix
-// configurations (cells from different experiments or scales), so the
-// plan is computed per configuration group and groups keep their
-// relative order.
-func orderCells(cells []CellSpec, ckpts *checkpoint.Store) []CellSpec {
-	if ckpts == nil || len(cells) < 2 {
-		return cells
-	}
-	type group struct {
-		wire  harness.WireConfig
-		cells []CellSpec
-	}
-	var groups []*group
-	byCfg := make(map[harness.WireConfig]*group)
-	for _, c := range cells {
-		g, ok := byCfg[c.Config]
-		if !ok {
-			g = &group{wire: c.Config}
-			byCfg[c.Config] = g
-			groups = append(groups, g)
+// RunLocal runs cells in this process through harness.RunCells, the
+// runner behind workers' leased batches and the coordinator's orphan
+// fallback. Cells are grouped by wire configuration in first-appearance
+// order, and each group is one RunCells call on parallel goroutines
+// with the local checkpoint store attached, so a group runs
+// warmest-first and captures its workload at most once. done receives
+// each cell's index into cells with its ReportJSON bytes — the bytes a
+// coordinator decodes — or, for every cell of a group whose call failed
+// before that cell finished, the group's error. It is called from the
+// pool's goroutines. A cancelled ctx stops the run and returns
+// ctx.Err() without reporting the cells it did not finish.
+func RunLocal(ctx context.Context, cells []CellSpec, ckpts *checkpoint.Store, parallel int, done func(i int, report []byte, err error)) error {
+	var configs []harness.WireConfig
+	groups := make(map[harness.WireConfig][]int)
+	for i, cell := range cells {
+		if _, ok := groups[cell.Config]; !ok {
+			configs = append(configs, cell.Config)
 		}
-		g.cells = append(g.cells, c)
+		groups[cell.Config] = append(groups[cell.Config], i)
 	}
-	out := make([]CellSpec, 0, len(cells))
-	for _, g := range groups {
-		cfg := g.wire.Config()
-		cfg.Checkpoints = ckpts
-		specs := make([]harness.RunSpec, len(g.cells))
-		for i, c := range g.cells {
-			specs[i] = c.Spec
+	for _, wc := range configs {
+		idx := groups[wc]
+		cfg := wc.Config()
+		cfg.Checkpoints, cfg.Workers = ckpts, parallel
+		specs := make([]harness.RunSpec, len(idx))
+		for k, i := range idx {
+			specs[k] = cells[i].Spec
 		}
-		for _, pc := range harness.PlanCells(cfg, specs).Cells {
-			out = append(out, g.cells[pc.Index])
+		finished := make([]bool, len(idx))
+		_, err := harness.RunCells(ctx, cfg, specs, func(k int, rep harness.ReportJSON) {
+			finished[k] = true
+			data, err := json.Marshal(rep)
+			done(idx[k], data, err)
+		})
+		if ctx.Err() != nil {
+			return ctx.Err()
+		}
+		if err != nil {
+			for k, i := range idx {
+				if !finished[k] {
+					done(i, nil, err)
+				}
+			}
 		}
 	}
-	return out
+	return nil
 }

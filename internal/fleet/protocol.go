@@ -38,9 +38,9 @@ var (
 
 // CellSpec is one sweep cell in wire form: the canonical content
 // address, the serializable configuration and the simulation point.
-// Key is harness.RunKey(Config.Config(), Spec) — the same hash the
-// result cache uses — so identical cells collapse across experiments,
-// workers and restarts.
+// Key is harness.CellKey(Config.Config(), Spec), the address the
+// results store keeps the cell's report under, so identical cells
+// collapse across experiments, workers and restarts.
 type CellSpec struct {
 	Key    string             `json:"key"`
 	Config harness.WireConfig `json:"config"`

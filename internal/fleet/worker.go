@@ -24,17 +24,19 @@ type WorkerConfig struct {
 	CoordinatorURL string
 	// Name labels the worker in the coordinator's status document.
 	Name string
-	// Parallel is how many cells to execute concurrently (default 1) —
-	// also the lease batch size, so a worker never hoards cells it
-	// cannot start.
+	// Parallel is how many cells of a leased batch run concurrently
+	// (default 1): the batch runs through RunLocal, a harness.RunCells
+	// call per configuration with Parallel pool goroutines. It is also
+	// the lease batch size, so a worker never hoards cells it cannot
+	// start.
 	Parallel int
 	// Checkpoints, when non-nil, is the worker's local warm-state
-	// store; leased batches are ordered warmest-first against it.
+	// store; RunLocal runs each batch warmest-first against it.
 	Checkpoints *checkpoint.Store
 	// Disk, when non-nil, is the worker's local results disk tier
 	// (jobs.NewDiskStore). Leased cells are answered from it without
-	// re-simulating (cell keys are harness.RunKey hashes, so a stored
-	// document is the cell's exact bytes), and freshly simulated cells
+	// re-simulating (cell keys are harness.CellKey hashes, so a stored
+	// record is the cell's exact bytes), and freshly simulated cells
 	// are written back so a re-lease after coordinator restart or
 	// requeue costs one disk read instead of a simulation.
 	Disk *cas.Store
@@ -68,24 +70,6 @@ type Worker struct {
 // simulated; cells answered from its local result store don't count.
 func (w *Worker) Simulated() uint64 { return w.simulated.Load() }
 
-// executeCell answers one leased cell: local result store first (the
-// memoized path), simulation on miss with a write-back so the next
-// lease of the same cell is a disk hit.
-func (w *Worker) executeCell(ctx context.Context, cell CellSpec) ([]byte, error) {
-	if data, ok := w.cfg.Disk.Get(cell.Key); ok {
-		w.logf("cell %s served from local store", shortKey(cell.Key))
-		return data, nil
-	}
-	data, err := ExecuteCell(ctx, cell, w.cfg.Checkpoints)
-	if err != nil {
-		return nil, err
-	}
-	w.simulated.Add(1)
-	w.cfg.Stats.Add(metrics.SvcSimRuns, 1)
-	w.cfg.Disk.Put(cell.Key, data)
-	return data, nil
-}
-
 // NewWorker validates cfg and returns a worker ready to Run.
 func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.CoordinatorURL == "" {
@@ -116,7 +100,7 @@ func (w *Worker) Drain() {
 }
 
 // Run is the worker loop: register (retrying until the coordinator is
-// reachable), then lease → execute warmest-first → complete, renewing
+// reachable), then lease → execute (executeBatch) → complete, renewing
 // leases at TTL/3 while cells execute. It returns when Drain is called
 // (after finishing in-flight cells and deregistering), when the
 // coordinator reports it is draining with no work left, or when ctx is
@@ -171,23 +155,20 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 }
 
-// executeBatch runs a leased batch: warmest-first ordering, Parallel
-// concurrent executors, one shared renewer keeping all still-running
-// leases alive.
+// executeBatch runs a leased batch: cells the local result store
+// holds complete first, and the rest run through RunLocal, with each
+// simulated cell written back to that store. A renewer keeps the
+// batch's leases alive meanwhile; renewing a finished cell is a no-op,
+// since the coordinator only extends leases the worker still holds.
 func (w *Worker) executeBatch(ctx context.Context, cells []CellSpec) {
-	cells = orderCells(cells, w.cfg.Checkpoints)
-
-	// The renewer tracks which keys are still unfinished.
-	var mu sync.Mutex
-	alive := make(map[string]bool, len(cells))
-	for _, c := range cells {
-		alive[c.Key] = true
+	keys := make([]string, len(cells))
+	for i, cell := range cells {
+		keys[i] = cell.Key
 	}
 	renewCtx, stopRenew := context.WithCancel(ctx)
-	var renewWG sync.WaitGroup
-	renewWG.Add(1)
+	renewed := make(chan struct{})
 	go func() {
-		defer renewWG.Done()
+		defer close(renewed)
 		interval := w.leaseTTL / 3
 		if interval <= 0 {
 			interval = time.Second
@@ -199,45 +180,44 @@ func (w *Worker) executeBatch(ctx context.Context, cells []CellSpec) {
 			case <-renewCtx.Done():
 				return
 			case <-tick.C:
-			}
-			mu.Lock()
-			keys := make([]string, 0, len(alive))
-			for k := range alive {
-				keys = append(keys, k)
-			}
-			mu.Unlock()
-			if len(keys) > 0 {
 				w.renew(renewCtx, keys)
 			}
 		}
 	}()
+	defer func() {
+		stopRenew()
+		<-renewed
+	}()
 
-	sem := make(chan struct{}, w.cfg.Parallel)
-	var wg sync.WaitGroup
-	for _, cell := range cells {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(cell CellSpec) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			data, err := w.executeCell(ctx, cell)
-			mu.Lock()
-			delete(alive, cell.Key)
-			mu.Unlock()
-			if ctx.Err() != nil {
-				return // hard stop; lease expiry requeues the cell
-			}
-			if err != nil {
-				w.logf("cell %s failed: %v", shortKey(cell.Key), err)
-				w.complete(ctx, CompleteRequest{WorkerID: w.id, Key: cell.Key, Error: err.Error()})
-				return
-			}
-			w.complete(ctx, CompleteRequest{WorkerID: w.id, Key: cell.Key, Report: data})
-		}(cell)
+	finish := func(key string, report []byte, err error) {
+		if ctx.Err() != nil {
+			return // hard stop; lease expiry requeues the cell
+		}
+		req := CompleteRequest{Key: key, Report: report}
+		if err != nil {
+			w.logf("cell %s failed: %v", shortKey(key), err)
+			req.Error = err.Error()
+		}
+		w.complete(ctx, req)
 	}
-	wg.Wait()
-	stopRenew()
-	renewWG.Wait()
+	var run []CellSpec
+	for _, cell := range cells {
+		if data, ok := w.cfg.Disk.Get(cell.Key); ok {
+			w.logf("cell %s served from local store", shortKey(cell.Key))
+			finish(cell.Key, data, nil)
+			continue
+		}
+		run = append(run, cell)
+	}
+	// A hard stop returns ctx.Err(), which Run's loop sees next.
+	RunLocal(ctx, run, w.cfg.Checkpoints, w.cfg.Parallel, func(i int, report []byte, err error) {
+		if err == nil {
+			w.simulated.Add(1)
+			w.cfg.Stats.Add(metrics.SvcSimRuns, 1)
+			w.cfg.Disk.Put(run[i].Key, report)
+		}
+		finish(run[i].Key, report, err)
+	})
 }
 
 // register keeps trying until the coordinator answers or ctx ends.

@@ -3,7 +3,9 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -61,6 +63,15 @@ func memCheckpoints(t *testing.T) *checkpoint.Store {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// localCell is the coordinator's Local seam as the server wires it:
+// one orphaned cell through RunLocal, here with no checkpoint store.
+func localCell(ctx context.Context, cell CellSpec) (report []byte, err error) {
+	if stop := RunLocal(ctx, []CellSpec{cell}, nil, 1, func(_ int, r []byte, e error) { report, err = r, e }); stop != nil {
+		return nil, stop
+	}
+	return report, err
 }
 
 func startWorker(t *testing.T, url, name string) (*Worker, chan error) {
@@ -130,7 +141,7 @@ func TestWorkerExecutesExperiment(t *testing.T) {
 		Stats:        stats,
 		Local: func(ctx context.Context, cell CellSpec) ([]byte, error) {
 			t.Error("local fallback ran with a live worker")
-			return ExecuteCell(ctx, cell, nil)
+			return localCell(ctx, cell)
 		},
 	})
 	cs := newCoordServer(t, c)
@@ -180,7 +191,7 @@ func TestWorkerMemoizesReLeasedCells(t *testing.T) {
 		PollInterval: 20 * time.Millisecond,
 		Local: func(ctx context.Context, cell CellSpec) ([]byte, error) {
 			t.Error("local fallback ran with a live worker")
-			return ExecuteCell(ctx, cell, nil)
+			return localCell(ctx, cell)
 		},
 	})
 	cs := newCoordServer(t, c)
@@ -249,7 +260,7 @@ func TestWorkerSurvivesCoordinatorRestart(t *testing.T) {
 			LeaseTTL:     2 * time.Second,
 			PollInterval: 20 * time.Millisecond,
 			Local: func(ctx context.Context, cell CellSpec) ([]byte, error) {
-				return ExecuteCell(ctx, cell, nil)
+				return localCell(ctx, cell)
 			},
 		})
 	}
@@ -284,7 +295,7 @@ func TestWorkerDrain(t *testing.T) {
 		LeaseTTL:     2 * time.Second,
 		PollInterval: 10 * time.Millisecond,
 		Local: func(ctx context.Context, cell CellSpec) ([]byte, error) {
-			return ExecuteCell(ctx, cell, nil)
+			return localCell(ctx, cell)
 		},
 	})
 	cs := newCoordServer(t, c)
@@ -333,7 +344,7 @@ func TestWorkerHardStopRequeues(t *testing.T) {
 		PollInterval: 20 * time.Millisecond,
 		Stats:        stats,
 		Local: func(ctx context.Context, cell CellSpec) ([]byte, error) {
-			return ExecuteCell(ctx, cell, nil)
+			return localCell(ctx, cell)
 		},
 	})
 	cs := newCoordServer(t, c)
@@ -394,5 +405,172 @@ func TestWorkerHardStopRequeues(t *testing.T) {
 	}
 	if n := stats.Get(metrics.SvcFleetRequeued); n < 1 {
 		t.Errorf("fleet_cells_requeued = %d, want >= 1", n)
+	}
+}
+
+// completions is a stand-in coordinator for driving executeBatch
+// directly: it accepts every call and records the completions in
+// arrival order.
+type completions struct {
+	mu   sync.Mutex
+	reqs []CompleteRequest
+}
+
+func (c *completions) list() []CompleteRequest {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]CompleteRequest(nil), c.reqs...)
+}
+
+// batchWorker returns a worker talking to a fresh stand-in coordinator.
+func batchWorker(t *testing.T, parallel int, ckpts *checkpoint.Store) (*Worker, *completions) {
+	t.Helper()
+	rec := &completions{}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/fleet/v1/complete" {
+			var req CompleteRequest
+			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+				t.Errorf("complete body: %v", err)
+			}
+			rec.mu.Lock()
+			rec.reqs = append(rec.reqs, req)
+			rec.mu.Unlock()
+		}
+		io.WriteString(w, "{}")
+	}))
+	t.Cleanup(ts.Close)
+	w, err := NewWorker(WorkerConfig{
+		CoordinatorURL: ts.URL,
+		Parallel:       parallel,
+		Checkpoints:    ckpts,
+		Stats:          &metrics.ServiceStats{},
+		Logf:           t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w, rec
+}
+
+// wireCell is the leased form of one cell under cfg.
+func wireCell(t *testing.T, cfg harness.Config, spec harness.RunSpec) CellSpec {
+	t.Helper()
+	wc, ok := harness.NewWireConfig(cfg)
+	if !ok {
+		t.Fatal("configuration is not wireable")
+	}
+	return CellSpec{Key: harness.CellKey(wc.Config(), spec), Config: wc, Spec: spec}
+}
+
+// cellBytes is the report a coordinator expects for a cell: its
+// ReportJSON bytes from a direct run.
+func cellBytes(t *testing.T, cell CellSpec) []byte {
+	t.Helper()
+	rep, err := harness.Run(context.Background(), cell.Config.Config(), cell.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(harness.NewReportJSON(rep))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestWorkerCompletesCheckpointedCellFirst pins warmest-first order
+// within a leased batch: a cell whose complete checkpoint the worker's
+// store holds completes before the cold cell leased ahead of it.
+func TestWorkerCompletesCheckpointedCellFirst(t *testing.T) {
+	cfg := tinyConfig()
+	ckpts := memCheckpoints(t)
+	cold := wireCell(t, cfg, harness.RunSpec{System: harness.BaselineDM, IssueMHz: 400, SizeBytes: 1 << 12})
+	warm := wireCell(t, cfg, harness.RunSpec{System: harness.RAMpage, IssueMHz: 400, SizeBytes: 1 << 12})
+	stored := cfg
+	stored.Checkpoints = ckpts
+	if _, err := harness.Run(context.Background(), stored, warm.Spec); err != nil {
+		t.Fatal(err)
+	}
+
+	w, rec := batchWorker(t, 1, ckpts)
+	w.executeBatch(context.Background(), []CellSpec{cold, warm})
+	got := rec.list()
+	if len(got) != 2 || got[0].Key != warm.Key || got[1].Key != cold.Key {
+		t.Fatalf("completion order = %v, want the checkpointed cell first", got)
+	}
+	for i, cell := range []CellSpec{warm, cold} {
+		if got[i].Error != "" || !bytes.Equal(got[i].Report, cellBytes(t, cell)) {
+			t.Errorf("cell %s completed with %q / %s, want its direct-run report", shortKey(cell.Key), got[i].Error, got[i].Report)
+		}
+	}
+	if n := w.Simulated(); n != 2 {
+		t.Errorf("Simulated = %d, want 2", n)
+	}
+}
+
+// TestWorkerRunsMixedConfigurationBatch pins a batch that interleaves
+// cells of two configurations: every cell completes with its own
+// configuration's report.
+func TestWorkerRunsMixedConfigurationBatch(t *testing.T) {
+	a, b := tinyConfig(), tinyConfig()
+	b.Seed = 7
+	var batch []CellSpec
+	for _, rate := range []uint64{200, 1000} {
+		for _, cfg := range []harness.Config{a, b} {
+			batch = append(batch, wireCell(t, cfg, harness.RunSpec{System: harness.RAMpage, IssueMHz: rate, SizeBytes: 1 << 10}))
+		}
+	}
+	w, rec := batchWorker(t, 2, memCheckpoints(t))
+	w.executeBatch(context.Background(), batch)
+	got := make(map[string]CompleteRequest)
+	for _, req := range rec.list() {
+		got[req.Key] = req
+	}
+	if len(got) != len(batch) {
+		t.Fatalf("%d distinct cells completed, want %d", len(got), len(batch))
+	}
+	for _, cell := range batch {
+		req := got[cell.Key]
+		if req.Error != "" || !bytes.Equal(req.Report, cellBytes(t, cell)) {
+			t.Errorf("cell seed %d @ %d MHz completed with %q / %s, want its direct-run report", cell.Config.Seed, cell.Spec.IssueMHz, req.Error, req.Report)
+		}
+	}
+}
+
+// TestWorkerFailedGroupCompletesUnfinishedCells pins failure
+// accounting: when a configuration group's run fails, every cell of
+// that group that did not finish completes with the error (so the
+// coordinator charges each an attempt), while cells that finished and
+// other groups complete with their reports.
+func TestWorkerFailedGroupCompletesUnfinishedCells(t *testing.T) {
+	a, b := tinyConfig(), tinyConfig()
+	b.Seed = 7
+	good := wireCell(t, a, harness.RunSpec{System: harness.RAMpage, IssueMHz: 1000, SizeBytes: 1 << 10})
+	bad := wireCell(t, a, harness.RunSpec{System: harness.RAMpage, IssueMHz: 1000, SizeBytes: 3})
+	after := wireCell(t, a, harness.RunSpec{System: harness.BaselineDM, IssueMHz: 1000, SizeBytes: 1 << 10})
+	other := wireCell(t, b, harness.RunSpec{System: harness.RAMpage, IssueMHz: 1000, SizeBytes: 1 << 10})
+
+	// One pool goroutine runs group a in lease order: good finishes,
+	// bad fails and after never starts.
+	w, rec := batchWorker(t, 1, nil)
+	w.executeBatch(context.Background(), []CellSpec{good, bad, other, after})
+	got := make(map[string]CompleteRequest)
+	for _, req := range rec.list() {
+		got[req.Key] = req
+	}
+	if len(got) != 4 {
+		t.Fatalf("%d cells completed, want 4", len(got))
+	}
+	for _, cell := range []CellSpec{good, other} {
+		if req := got[cell.Key]; req.Error != "" || !bytes.Equal(req.Report, cellBytes(t, cell)) {
+			t.Errorf("cell %s completed with %q, want its report", shortKey(cell.Key), req.Error)
+		}
+	}
+	for _, cell := range []CellSpec{bad, after} {
+		if req := got[cell.Key]; !strings.Contains(req.Error, "not a positive power of two") || req.Report != nil {
+			t.Errorf("cell %s completed with %q / %s, want the group's error", shortKey(cell.Key), req.Error, req.Report)
+		}
+	}
+	if n := w.Simulated(); n != 2 {
+		t.Errorf("Simulated = %d, want 2", n)
 	}
 }

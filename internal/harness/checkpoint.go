@@ -83,8 +83,8 @@ type SweepPlan struct {
 
 // PlanCells consults the configuration's checkpoint store and orders
 // the cells warmest-first. The in-process pool dispatches in this
-// order, and fleet workers order a leased batch by it: complete
-// restores return immediately and resumable cells finish early, so the
+// order, fleet workers' leased batches included: complete restores
+// return immediately and resumable cells finish early, so the
 // wall-clock goes to the genuinely cold cells. With no store attached
 // every cell is cold and input order is kept.
 func PlanCells(cfg Config, specs []RunSpec) SweepPlan {

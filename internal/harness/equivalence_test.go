@@ -47,10 +47,10 @@ func referenceRun(t *testing.T, cfg Config, spec RunSpec) *stats.Report {
 }
 
 // capturedReaders replays the configuration's workload from captured
-// columns, as every sweep cell does.
+// columns, as every cell of a multi-cell call does.
 func capturedReaders(t *testing.T, cfg Config) []trace.Reader {
 	t.Helper()
-	bufs := preloadWorkload(cfg)
+	bufs := preloadWorkload(cfg, 2)
 	if bufs == nil {
 		t.Fatal("workload could not be captured in columns")
 	}
@@ -184,6 +184,81 @@ func TestSweepPreloadEquivalence(t *testing.T) {
 				t.Errorf("cell %dMHz/%dB diverges from direct run:\nsweep: %+v\ndirect: %+v", rate, size, grid[i][j], direct)
 			}
 		}
+	}
+}
+
+// TestRunCellsCaptureRule pins when the cell pool captures a workload:
+// only when the capture will be reused. A one-cell call captures when
+// the workload cache has room to keep it, and the next call replays
+// the kept capture; on a full cache a one-cell call generates through
+// the refill window instead, while a call of two or more cells still
+// captures. Every call reports what direct Runs do.
+func TestRunCellsCaptureRule(t *testing.T) {
+	ctx := context.Background()
+	specs := []RunSpec{
+		{System: RAMpage, IssueMHz: 1000, SizeBytes: 1024},
+		{System: BaselineDM, IssueMHz: 4000, SizeBytes: 256},
+	}
+	// Seeds no other test uses, so neither workload is cached yet.
+	room, full := tinyConfig(), tinyConfig()
+	room.Seed, full.Seed = 0x5eed01, 0x5eed02
+	keyOf := func(cfg Config) workloadKey {
+		return workloadKey{seed: cfg.Seed, refScale: cfg.RefScale, sizeScale: cfg.SizeScale}
+	}
+	cached := func(cfg Config) []*trace.ColumnarBuffer {
+		v, ok := workloadCache.Load(keyOf(cfg))
+		if !ok {
+			return nil
+		}
+		return v.([]*trace.ColumnarBuffer)
+	}
+	saved := workloadCacheLen.Load()
+	t.Cleanup(func() {
+		workloadCache.Delete(keyOf(room))
+		workloadCacheLen.Store(saved)
+	})
+	check := func(cfg Config, specs []RunSpec) {
+		t.Helper()
+		got, err := RunCells(ctx, cfg, specs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, spec := range specs {
+			rep, err := Run(ctx, cfg, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := NewReportJSON(rep); !reflect.DeepEqual(got[k], want) {
+				t.Errorf("seed %#x cell %d diverges from a direct run:\npool: %+v\nrun:  %+v", cfg.Seed, k, got[k], want)
+			}
+		}
+	}
+
+	workloadCacheLen.Store(0)
+	check(room, specs[:1])
+	kept := cached(room)
+	if kept == nil {
+		t.Fatal("a one-cell call with room in the cache kept no capture")
+	}
+	workloadCacheLen.Store(workloadCacheCap)
+	if got := preloadWorkload(room, 1); len(got) == 0 || got[0] != kept[0] {
+		t.Error("a one-cell call does not replay the kept capture")
+	}
+	check(room, specs[1:])
+	if got := cached(room); got[0] != kept[0] {
+		t.Error("the kept capture was replaced")
+	}
+
+	if bufs := preloadWorkload(full, 1); bufs != nil {
+		t.Error("a one-cell call on a full cache captured its workload")
+	}
+	check(full, specs[:1])
+	if bufs := preloadWorkload(full, 2); bufs == nil {
+		t.Error("a two-cell call on a full cache captured nothing")
+	}
+	check(full, specs)
+	if cached(full) != nil {
+		t.Error("a full cache kept a capture")
 	}
 }
 

@@ -66,11 +66,19 @@ func hashKey(doc keyDoc) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// RunKey returns the content-address of one single-run request: the
-// hex SHA-256 of the canonical (config, spec) encoding.
-func RunKey(cfg Config, spec RunSpec) string {
+// RunKey returns the content-address of one single-run request's
+// document: the hex SHA-256 of the canonical (config, spec) encoding.
+func RunKey(cfg Config, spec RunSpec) string { return specKey("run", cfg, spec) }
+
+// CellKey returns the content-address of one cell's bare ReportJSON
+// bytes, which fleet workers return and the results store keeps. It
+// hashes the same fields as RunKey under a kind of its own, so a cell's
+// report and a run job's document never share an address.
+func CellKey(cfg Config, spec RunSpec) string { return specKey("cell", cfg, spec) }
+
+func specKey(kind string, cfg Config, spec RunSpec) string {
 	spec = spec.Normalized()
-	return hashKey(keyDoc{Version: ReportVersion, Kind: "run", Config: canonicalOf(cfg), Spec: &spec})
+	return hashKey(keyDoc{Version: ReportVersion, Kind: kind, Config: canonicalOf(cfg), Spec: &spec})
 }
 
 // ExperimentKey returns the content-address of one experiment-sweep

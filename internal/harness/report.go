@@ -247,7 +247,18 @@ func ShapeOf(id string, rates, sizes []uint64) (ExperimentShape, error) {
 			policies[i] = policy.Normalize(shape.policies[i])
 		}
 	}
-	sh := ExperimentShape{
+	// RunSpec.Validate checks each field on its own, so pairing every
+	// rate with the first size and every size with the first rate
+	// validates the whole cross product without building it.
+	for i, system := range shape.systems {
+		base := RunSpec{System: system, SwitchTrace: shape.switchTrace[i], Policy: policies[i]}
+		for _, cell := range append(gridSpecs(base, rates, sizes[:1]), gridSpecs(base, rates[:1], sizes)...) {
+			if err := cell.Validate(); err != nil {
+				return ExperimentShape{}, err
+			}
+		}
+	}
+	return ExperimentShape{
 		ID:          id,
 		Title:       exp.Title,
 		RatesMHz:    rates,
@@ -255,13 +266,7 @@ func ShapeOf(id string, rates, sizes []uint64) (ExperimentShape, error) {
 		Systems:     shape.systems,
 		SwitchTrace: shape.switchTrace,
 		Policies:    policies,
-	}
-	for _, spec := range sh.CellSpecs() {
-		if err := spec.Validate(); err != nil {
-			return ExperimentShape{}, err
-		}
-	}
-	return sh, nil
+	}, nil
 }
 
 // CellSpecs enumerates every simulation point of the experiment in the

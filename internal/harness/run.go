@@ -374,18 +374,25 @@ var (
 const workloadCacheCap = 8
 
 // preloadWorkload materializes the configuration's reference streams
-// in columnar form so a sweep can replay them across grid cells — and
-// later sweeps of the same workload can skip generation entirely. It
-// returns nil when the workload is too large to hold (full-scale
-// runs), a stream's length is unknown, or a stream is not single-
-// process; callers then regenerate per cell as before.
-func preloadWorkload(cfg Config) []*trace.ColumnarBuffer {
+// in columnar form so a call of cells cells can replay them across its
+// cells — and later calls on the same workload can skip generation
+// entirely. It captures only when the capture will be reused: the
+// workload is already cached, two or more cells will replay it, or the
+// cache has room to keep it. It returns nil otherwise, and when the
+// workload is too large to hold (full-scale runs), a stream's length is
+// unknown, or a stream is not single-process; callers then generate
+// each cell's streams through the refill window.
+func preloadWorkload(cfg Config, cells int) []*trace.ColumnarBuffer {
 	key := workloadKey{seed: cfg.Seed, refScale: cfg.RefScale, sizeScale: cfg.SizeScale, processes: cfg.Processes, profile: cfg.ProfileName}
 	cacheable := cfg.profiles == nil // custom profile sets are not in the key
 	if cacheable {
 		if v, ok := workloadCache.Load(key); ok {
 			return v.([]*trace.ColumnarBuffer)
 		}
+	}
+	keep := cacheable && workloadCacheLen.Load() < workloadCacheCap
+	if cells < 2 && !keep {
+		return nil
 	}
 	readers, err := cfg.Readers()
 	if err != nil {
@@ -411,7 +418,7 @@ func preloadWorkload(cfg Config) []*trace.ColumnarBuffer {
 		}
 		out[i] = buf
 	}
-	if cacheable && workloadCacheLen.Load() < workloadCacheCap {
+	if keep {
 		if _, loaded := workloadCache.LoadOrStore(key, out); !loaded {
 			workloadCacheLen.Add(1)
 		}
@@ -463,12 +470,13 @@ func gridSpecs(base RunSpec, rates, sizes []uint64) []RunSpec {
 }
 
 // RunCells runs a set of simulation points in process and returns
-// their flattened reports aligned with specs. It is the local cell
-// runner behind every experiment document (fleet.Coordinator.RunCells
-// is the distributed one, with the same signature). done, when
-// non-nil, receives each finished cell with its index into specs; it
-// is called from the pool's goroutines, so it must be safe for
-// concurrent use. Cancelling ctx abandons unstarted cells, stops
+// their flattened reports aligned with specs. It is the one local cell
+// runner, behind every experiment document and run job, fleet workers'
+// batches and the coordinator's orphan fallback
+// (fleet.Coordinator.RunCells is the distributed one, with the same
+// signature). done, when non-nil, receives each finished cell with its
+// index into specs; it is called from the pool's goroutines, so it
+// must be safe for concurrent use. Cancelling ctx abandons unstarted cells, stops
 // in-flight ones at the next batch boundary, and returns ctx.Err().
 func RunCells(ctx context.Context, cfg Config, specs []RunSpec, done func(k int, rep ReportJSON)) ([]ReportJSON, error) {
 	out := make([]ReportJSON, len(specs))
@@ -485,19 +493,20 @@ func RunCells(ctx context.Context, cfg Config, specs []RunSpec, done func(k int,
 }
 
 // runPool is the one in-process cell pool. It captures the workload
-// once for the whole call and replays it in every cell (each cell gets
-// fresh ColumnarReaders over the shared, read-only columns, since the
-// streams are independent of the cell's parameters), dispatches the
-// cells warmest-first per PlanCells, and runs them on cfg.Workers
-// goroutines (0 = one per CPU). Cells are addressed by their index
-// into specs, so repeated specs each get their own report; put
-// receives every report with that index.
+// at most once for the whole call, under preloadWorkload's rule, and
+// replays it in every cell (each cell gets fresh ColumnarReaders over
+// the shared, read-only columns, since the streams are independent of
+// the cell's parameters), dispatches the cells warmest-first per
+// PlanCells, and runs them on cfg.Workers goroutines (0 = one per
+// CPU). Cells are addressed by their index into specs, so repeated
+// specs each get their own report; put receives every report with that
+// index.
 func runPool(ctx context.Context, cfg Config, specs []RunSpec, put func(k int, rep *stats.Report)) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	cfg.Observer = nil // collectors are not safe across parallel cells
-	preloaded := preloadWorkload(cfg)
+	preloaded := preloadWorkload(cfg, len(specs))
 	cellRun := func(spec RunSpec) (*stats.Report, error) {
 		if preloaded == nil {
 			return Run(ctx, cfg, spec)

@@ -31,6 +31,21 @@ func localDoc(t *testing.T, cfg harness.Config, id string, rates, sizes []uint64
 	return buf.Bytes()
 }
 
+// localRunDoc builds the reference bytes of a run job: the rampage-sim
+// -format json document of a direct harness run.
+func localRunDoc(t *testing.T, cfg harness.Config, spec harness.RunSpec) []byte {
+	t.Helper()
+	rep, err := harness.Run(context.Background(), cfg, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := harness.WriteJSON(&buf, harness.NewRunDoc(rep, nil)); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // memCheckpoints returns a memory-only checkpoint store with an 8 MiB
 // budget.
 func memCheckpoints(t *testing.T) *checkpoint.Store {
@@ -258,5 +273,89 @@ func TestStreamFleetServedExperiment(t *testing.T) {
 		if !bytes.Equal(fleetCells[k], local) {
 			t.Errorf("cell %d payload differs:\nfleet: %s\nlocal: %s", k, fleetCells[k], local)
 		}
+	}
+}
+
+// TestOneCellJobsStayInProcess pins the runner choice: with a live
+// worker, a one-cell experiment and a run job run in process, leasing
+// nothing, and serve the local bytes.
+func TestOneCellJobsStayInProcess(t *testing.T) {
+	var stats metrics.ServiceStats
+	ts, svc := newTestServer(t, server.Config{Workers: 2, QueueDepth: 8, Stats: &stats})
+	startFleetWorker(t, ts.URL, "w1")
+	waitForFleetWorkers(t, svc, 1)
+	tiny := testScales()["tiny"]
+
+	code, body, _ := get(t, ts.URL+"/v1/experiments/table5?scale=tiny&rates=400&sizes=1024")
+	if want := localDoc(t, tiny, "table5", []uint64{400}, []uint64{1024}); code != http.StatusOK || !bytes.Equal(body, want) {
+		t.Fatalf("one-cell experiment: status %d, %d bytes; want 200 and the local %d bytes", code, len(body), len(want))
+	}
+	code, body, _ = post(t, ts.URL+"/v1/runs", `{"scale":"tiny","system":"rampage","issue_mhz":400,"size_bytes":1024}`)
+	want := localRunDoc(t, tiny, harness.RunSpec{System: harness.RAMpage, IssueMHz: 400, SizeBytes: 1024})
+	if code != http.StatusOK || !bytes.Equal(body, want) {
+		t.Fatalf("run job: status %d: %s\nwant %s", code, body, want)
+	}
+	if n := stats.Get(metrics.SvcFleetLeased); n != 0 {
+		t.Errorf("one-cell jobs leased %d cells, want 0", n)
+	}
+}
+
+// TestFleetCellAndRunDocumentAddressesDisjoint pins that a fleet cell's
+// bare report and a run job's document never share a content address
+// in the one results store: with a store and a live worker, a run of
+// one of a fleet-served experiment's cells serves its run document,
+// and in the other order the experiment still assembles from cells.
+func TestFleetCellAndRunDocumentAddressesDisjoint(t *testing.T) {
+	tiny := testScales()["tiny"]
+	wantDoc := localDoc(t, tiny, "table3", []uint64{200}, []uint64{4096})
+	wantRun := localRunDoc(t, tiny, harness.RunSpec{System: harness.BaselineDM, IssueMHz: 200, SizeBytes: 4096})
+	for _, runFirst := range []bool{false, true} {
+		var stats metrics.ServiceStats
+		ts, svc := newTestServer(t, server.Config{Workers: 2, QueueDepth: 8, Stats: &stats, DiskDir: t.TempDir()})
+		startFleetWorker(t, ts.URL, "w1")
+		waitForFleetWorkers(t, svc, 1)
+		experiment := func() {
+			code, body, _ := get(t, ts.URL+"/v1/experiments/table3?scale=tiny&rates=200&sizes=4096")
+			if code != http.StatusOK || !bytes.Equal(body, wantDoc) {
+				t.Errorf("run first %v: experiment status %d: %.300s", runFirst, code, body)
+			}
+		}
+		run := func() {
+			code, body, _ := post(t, ts.URL+"/v1/runs", `{"scale":"tiny","system":"baseline","issue_mhz":200,"size_bytes":4096}`)
+			if code != http.StatusOK || !bytes.Equal(body, wantRun) {
+				t.Errorf("run first %v: run status %d: %.300s", runFirst, code, body)
+			}
+		}
+		if runFirst {
+			run()
+			experiment()
+		} else {
+			experiment()
+			run()
+		}
+		if n := stats.Get(metrics.SvcFleetLeased); n != 2 {
+			t.Errorf("run first %v: experiment leased %d cells, want 2", runFirst, n)
+		}
+	}
+}
+
+// TestOrphanedCellsRunInProcess pins the coordinator's fallback as the
+// server wires it: cells queued for a worker that goes silent before
+// leasing run in process, one at a time through fleet.RunLocal, and
+// the served document is the local one.
+func TestOrphanedCellsRunInProcess(t *testing.T) {
+	var stats metrics.ServiceStats
+	ts, svc := newTestServer(t, server.Config{Workers: 1, QueueDepth: 4, Stats: &stats, FleetLeaseTTL: 2 * time.Second})
+	// Registered but never polling: live until it has been silent for
+	// 1.5 lease TTLs, long enough for the job to pick the fleet.
+	if _, err := svc.Fleet().Register(fleet.RegisterRequest{Version: fleet.ProtoVersion, Name: "silent"}); err != nil {
+		t.Fatal(err)
+	}
+	code, body, _ := get(t, ts.URL+"/v1/experiments/table3?scale=tiny&rates=200&sizes=4096")
+	if want := localDoc(t, testScales()["tiny"], "table3", []uint64{200}, []uint64{4096}); code != http.StatusOK || !bytes.Equal(body, want) {
+		t.Fatalf("status %d, %d bytes; want 200 and the local %d bytes", code, len(body), len(want))
+	}
+	if n := stats.Get(metrics.SvcFleetLocal); n != 2 {
+		t.Errorf("fleet_cells_local = %d, want 2", n)
 	}
 }

@@ -152,12 +152,20 @@ func New(cfg Config) (*Server, error) {
 		LeaseTTL: cfg.FleetLeaseTTL,
 		Disk:     disk,
 		Stats:    cfg.Stats,
-		Local: func(ctx context.Context, cell fleet.CellSpec) ([]byte, error) {
-			return fleet.ExecuteCell(ctx, cell, s.ckpts)
-		},
+		Local:    s.runOrphan,
 	})
 	s.routes()
 	return s, nil
+}
+
+// runOrphan runs a fleet cell no live worker remains to take, through
+// the runner workers use, with this server's checkpoint store.
+func (s *Server) runOrphan(ctx context.Context, cell fleet.CellSpec) (report []byte, err error) {
+	stop := fleet.RunLocal(ctx, []fleet.CellSpec{cell}, s.ckpts, 1, func(_ int, r []byte, e error) { report, err = r, e })
+	if stop != nil {
+		return nil, stop
+	}
+	return report, err
 }
 
 func (s *Server) routes() {
@@ -273,9 +281,7 @@ func errorf(code int, format string, args ...any) *httpError {
 // experimentJob turns an experiment request into a jobs.Request whose
 // document is byte-identical to rampage-bench -format json output. The
 // request is expanded once, up front, so a bad grid is refused with
-// 400 before anything is queued. The job runs the cells on the fleet
-// when workers are live and in process otherwise, then folds them
-// once.
+// 400 before anything is queued.
 func (s *Server) experimentJob(req experimentRequest) (jobs.Request, error) {
 	if !harness.HasJSONForm(req.ID) {
 		if _, ok := harness.FindExperiment(req.ID); !ok {
@@ -288,46 +294,19 @@ func (s *Server) experimentJob(req experimentRequest) (jobs.Request, error) {
 	if err != nil {
 		return jobs.Request{}, errorf(http.StatusBadRequest, "%v", err)
 	}
-	cfg.Checkpoints = s.ckpts
 	sh, err := harness.ShapeOf(req.ID, req.RatesMHz, req.SizesBytes)
 	if err != nil {
 		return jobs.Request{}, errorf(http.StatusBadRequest, "%v", err)
 	}
-	specs := sh.CellSpecs()
-	return jobs.Request{
-		Key:    harness.ExperimentKey(cfg, req.ID, req.RatesMHz, req.SizesBytes),
-		Label:  "experiment:" + req.ID,
-		Cells:  len(specs),
-		Replay: func(doc []byte) ([][]byte, error) { return experimentCells(doc, sh) },
-		Do: func(ctx context.Context, progress func(cell []byte)) ([]byte, error) {
-			run := harness.RunCells
-			if s.fleet.LiveWorkers() > 0 {
-				run = s.fleet.RunCells
-			}
-			// Each completed cell is published to the job's event stream
-			// as a cell payload: its canonical index (CellSpecs order),
-			// grid coordinates and compact ReportJSON.
-			reports, err := run(ctx, cfg, specs, func(k int, rep harness.ReportJSON) {
-				progress(cellEvent(k, specs[k], rep))
-			})
-			if err != nil {
-				return nil, err
-			}
-			doc, err := sh.Doc(reports)
-			if err != nil {
-				return nil, err
-			}
-			var buf bytes.Buffer
-			if err := harness.WriteJSON(&buf, doc); err != nil {
-				return nil, err
-			}
-			return buf.Bytes(), nil
-		},
-	}, nil
+	key := harness.ExperimentKey(cfg, req.ID, req.RatesMHz, req.SizesBytes)
+	return s.cellJob(cfg, key, "experiment:"+req.ID, sh.CellSpecs(), func(reports []harness.ReportJSON) (any, error) {
+		return sh.Doc(reports)
+	}), nil
 }
 
 // runJob turns a run request into a jobs.Request producing the
-// rampage-sim -format json document.
+// rampage-sim -format json document: a one-cell job folded into a run
+// document.
 func (s *Server) runJob(req runRequest) (jobs.Request, error) {
 	cfg, err := s.configFor(req.Scale, req.Seed)
 	if err != nil {
@@ -355,45 +334,85 @@ func (s *Server) runJob(req runRequest) (jobs.Request, error) {
 			return jobs.Request{}, errorf(http.StatusBadRequest,
 				"extend_refs needs a base budget (set max_refs or use a budgeted scale)")
 		}
+		if cfg.MaxRefs+req.ExtendRefs < cfg.MaxRefs {
+			return jobs.Request{}, errorf(http.StatusBadRequest,
+				"extend_refs %d overflows the %d-reference base budget", req.ExtendRefs, cfg.MaxRefs)
+		}
 		cfg.MaxRefs += req.ExtendRefs
 	}
-	cfg.Checkpoints = s.ckpts
 	key := harness.RunKey(cfg, spec)
-	if req.Metrics {
-		// The observer never changes the report, but the document gains
-		// a metrics section, so it is a distinct cache entry.
-		key += ":metrics"
-	}
-	withMetrics := req.Metrics
 	sysLabel := harness.SystemLabel(spec.System, spec.Policy)
 	label := fmt.Sprintf("run:%s@%dMHz/%dB", sysLabel, spec.IssueMHz, spec.SizeBytes)
 	if req.ExtendRefs > 0 {
 		label = fmt.Sprintf("extend:%s@%dMHz/%dB+%d", sysLabel, spec.IssueMHz, spec.SizeBytes, req.ExtendRefs)
 	}
-	return jobs.Request{
-		Key:    key,
-		Label:  label,
-		Cells:  1,
-		Replay: func(doc []byte) ([][]byte, error) { return runCells(doc, spec) },
-		Do: func(ctx context.Context, progress func(cell []byte)) ([]byte, error) {
+	jr := s.cellJob(cfg, key, label, []harness.RunSpec{spec}, func(reports []harness.ReportJSON) (any, error) {
+		return harness.RunDoc{Version: harness.ReportVersion, Kind: "run", Report: reports[0]}, nil
+	})
+	if req.Metrics {
+		// The one job off the cell runner: the pool drops observers, and
+		// a run with one never restores. The observer never changes the
+		// report, but the document gains a metrics section, so it is a
+		// distinct cache entry.
+		jr.Key += ":metrics"
+		jr.Do = func(ctx context.Context, progress func(cell []byte)) ([]byte, error) {
+			col := metrics.NewCollector(0)
 			c := cfg
-			var col *metrics.Collector
-			if withMetrics {
-				col = metrics.NewCollector(0)
-				c.Observer = col
-			}
+			c.Checkpoints, c.Observer = s.ckpts, col
 			rep, err := harness.Run(ctx, c, spec)
 			if err != nil {
 				return nil, err
 			}
 			progress(cellEvent(0, spec, harness.NewReportJSON(rep)))
-			var buf bytes.Buffer
-			if err := harness.WriteJSON(&buf, harness.NewRunDoc(rep, col)); err != nil {
+			return encodeDoc(harness.NewRunDoc(rep, col))
+		}
+	}
+	return jr, nil
+}
+
+// cellJob builds the jobs.Request for a job of cells: Do runs specs
+// under cfg with this server's checkpoint store, publishes each
+// finished cell to the job's event stream as a cell payload (its
+// canonical index, grid coordinates and compact ReportJSON), and folds
+// the reports into the job's document; Replay re-derives those events
+// from a cached document. The cells run on the fleet only when workers
+// are live and the job has two or more cells: a lease waits for a
+// worker's poll, and an extend job restores the base run this server's
+// checkpoint store holds.
+func (s *Server) cellJob(cfg harness.Config, key, label string, specs []harness.RunSpec, fold func([]harness.ReportJSON) (any, error)) jobs.Request {
+	cfg.Checkpoints = s.ckpts
+	return jobs.Request{
+		Key:    key,
+		Label:  label,
+		Cells:  len(specs),
+		Replay: func(doc []byte) ([][]byte, error) { return replayCells(doc, specs) },
+		Do: func(ctx context.Context, progress func(cell []byte)) ([]byte, error) {
+			run := harness.RunCells
+			if len(specs) > 1 && s.fleet.LiveWorkers() > 0 {
+				run = s.fleet.RunCells
+			}
+			reports, err := run(ctx, cfg, specs, func(k int, rep harness.ReportJSON) {
+				progress(cellEvent(k, specs[k], rep))
+			})
+			if err != nil {
 				return nil, err
 			}
-			return buf.Bytes(), nil
+			doc, err := fold(reports)
+			if err != nil {
+				return nil, err
+			}
+			return encodeDoc(doc)
 		},
-	}, nil
+	}
+}
+
+// encodeDoc renders a document in the stable WriteJSON layout.
+func encodeDoc(doc any) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := harness.WriteJSON(&buf, doc); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
 // handleListExperiments inventories the experiments and marks which
@@ -505,25 +524,17 @@ func (s *Server) serveSync(w http.ResponseWriter, r *http.Request, req jobs.Requ
 }
 
 // jobRequest is the async submission body: kind "experiment", "run" or
-// "extend" plus that kind's fields (flattened — embedding the request
-// structs would collide on the shared scale/seed tags). An "extend"
-// job lengthens a run by extend_refs references on top of its base
-// budget, warm-starting from the newest dominating checkpoint.
+// "extend" plus that kind's fields. The run fields (scale and seed
+// included) are runRequest's, promoted; an experiment's own are id and
+// its grids. An "extend" job lengthens a run by extend_refs references
+// on top of its base budget, warm-starting from the newest dominating
+// checkpoint.
 type jobRequest struct {
-	Kind        string   `json:"kind"`
-	ID          string   `json:"id,omitempty"`
-	Scale       string   `json:"scale,omitempty"`
-	Seed        *uint64  `json:"seed,omitempty"`
-	RatesMHz    []uint64 `json:"rates_mhz,omitempty"`
-	SizesBytes  []uint64 `json:"sizes_bytes,omitempty"`
-	System      string   `json:"system,omitempty"`
-	IssueMHz    uint64   `json:"issue_mhz,omitempty"`
-	SizeBytes   uint64   `json:"size_bytes,omitempty"`
-	SwitchTrace bool     `json:"switch_trace,omitempty"`
-	Policy      string   `json:"policy,omitempty"`
-	Metrics     bool     `json:"metrics,omitempty"`
-	MaxRefs     uint64   `json:"max_refs,omitempty"`
-	ExtendRefs  uint64   `json:"extend_refs,omitempty"`
+	Kind       string   `json:"kind"`
+	ID         string   `json:"id,omitempty"`
+	RatesMHz   []uint64 `json:"rates_mhz,omitempty"`
+	SizesBytes []uint64 `json:"sizes_bytes,omitempty"`
+	runRequest
 }
 
 // handleSubmitJob enqueues work asynchronously: POST /v1/jobs returns
@@ -535,38 +546,7 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	var (
-		jreq jobs.Request
-		err  error
-	)
-	switch req.Kind {
-	case "experiment":
-		jreq, err = s.experimentJob(experimentRequest{
-			ID: req.ID, Scale: req.Scale, Seed: req.Seed,
-			RatesMHz: req.RatesMHz, SizesBytes: req.SizesBytes,
-		})
-	case "run":
-		jreq, err = s.runJob(runRequest{
-			Scale: req.Scale, Seed: req.Seed, System: req.System,
-			IssueMHz: req.IssueMHz, SizeBytes: req.SizeBytes,
-			SwitchTrace: req.SwitchTrace, Policy: req.Policy, Metrics: req.Metrics,
-			MaxRefs: req.MaxRefs, ExtendRefs: req.ExtendRefs,
-		})
-	case "extend":
-		if req.ExtendRefs == 0 {
-			writeError(w, http.StatusBadRequest, "extend job needs extend_refs > 0")
-			return
-		}
-		jreq, err = s.runJob(runRequest{
-			Scale: req.Scale, Seed: req.Seed, System: req.System,
-			IssueMHz: req.IssueMHz, SizeBytes: req.SizeBytes,
-			SwitchTrace: req.SwitchTrace, Policy: req.Policy, Metrics: req.Metrics,
-			MaxRefs: req.MaxRefs, ExtendRefs: req.ExtendRefs,
-		})
-	default:
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown job kind %q (want experiment, run or extend)", req.Kind))
-		return
-	}
+	jreq, err := s.jobFor(req)
 	if err != nil {
 		writeRequestError(w, err)
 		return
@@ -579,6 +559,26 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Location", "/v1/jobs/"+j.ID)
 	writeJSON(w, http.StatusAccepted, j.Status())
+}
+
+// jobFor builds the jobs.Request for an async submission body without
+// submitting it; a refusal carries its HTTP status.
+func (s *Server) jobFor(req jobRequest) (jobs.Request, error) {
+	switch req.Kind {
+	case "experiment":
+		return s.experimentJob(experimentRequest{
+			ID: req.ID, Scale: req.Scale, Seed: req.Seed,
+			RatesMHz: req.RatesMHz, SizesBytes: req.SizesBytes,
+		})
+	case "extend":
+		if req.ExtendRefs == 0 {
+			return jobs.Request{}, errorf(http.StatusBadRequest, "extend job needs extend_refs > 0")
+		}
+		fallthrough
+	case "run":
+		return s.runJob(req.runRequest)
+	}
+	return jobs.Request{}, errorf(http.StatusBadRequest, "unknown job kind %q (want experiment, run or extend)", req.Kind)
 }
 
 func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {

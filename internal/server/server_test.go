@@ -11,6 +11,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -149,6 +151,35 @@ func TestExperimentRequestErrors(t *testing.T) {
 	}
 	if n := stats.Get(metrics.SvcJobsAccepted); n != 0 {
 		t.Errorf("%d jobs accepted for refused requests, want 0", n)
+	}
+}
+
+// TestLargeInvalidGridRefusedCheaply pins that a grid is validated
+// value by value before its cross product is built: 3000 rates × 3000
+// sizes, a ~30 KB query naming 18 M table3 cells, gets a 400 without
+// the refusal allocating the cells.
+func TestLargeInvalidGridRefusedCheaply(t *testing.T) {
+	vals := make([]uint64, 3000)
+	list := make([]string, len(vals))
+	for i := range vals {
+		vals[i] = uint64(i + 1)
+		list[i] = strconv.Itoa(i + 1)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := harness.ShapeOf("table3", vals, vals)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("ShapeOf accepted a grid of mostly invalid rates and sizes")
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 16<<20 {
+		t.Fatalf("ShapeOf allocated %d MB to refuse the grid, want under 16 MB", n>>20)
+	}
+	ts, _ := newTestServer(t, server.Config{Workers: 1, QueueDepth: 4})
+	q := strings.Join(list, ",")
+	code, body, _ := get(t, ts.URL+"/v1/experiments/table3?scale=tiny&rates="+q+"&sizes="+q)
+	if code != http.StatusBadRequest {
+		t.Errorf("status %d (%.200s), want 400", code, body)
 	}
 }
 
@@ -464,6 +495,9 @@ func TestSubmitJobErrors(t *testing.T) {
 		// tiny scale is uncapped and the request sets no max_refs).
 		{`{"kind":"extend","scale":"tiny","system":"rampage","issue_mhz":800,"size_bytes":128}`, http.StatusBadRequest},
 		{`{"kind":"extend","scale":"tiny","system":"rampage","issue_mhz":800,"size_bytes":128,"extend_refs":1000}`, http.StatusBadRequest},
+		// A base budget plus extend_refs past 2^64 once wrapped into a
+		// run shorter than its base.
+		{`{"kind":"extend","scale":"tiny","system":"rampage","issue_mhz":800,"size_bytes":128,"max_refs":10,"extend_refs":18446744073709551611}`, http.StatusBadRequest},
 		{`not json`, http.StatusBadRequest},
 	} {
 		code, body, _ := post(t, ts.URL+"/v1/jobs", tc.body)

@@ -174,7 +174,7 @@ func TestSynthesizeEventsExperiment(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cells, err := experimentCells(cachedDoc(t, doc), sh)
+		cells, err := replayCells(cachedDoc(t, doc), specs)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
@@ -196,7 +196,7 @@ func TestSynthesizeEventsRun(t *testing.T) {
 	spec := harness.RunSpec{System: harness.RAMpageCS, IssueMHz: 500, SizeBytes: 4096, SwitchTrace: true, Policy: "fifo"}
 	rep := harness.ReportJSON{Name: "rampage-cs+fifo", ClockMHz: 500, BlockBytes: 4096, Cycles: 12345}
 	doc := harness.RunDoc{Version: harness.ReportVersion, Kind: "run", Report: rep}
-	cells, err := runCells(cachedDoc(t, doc), spec)
+	cells, err := replayCells(cachedDoc(t, doc), []harness.RunSpec{spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,25 +213,35 @@ func TestSynthesizeEventsRun(t *testing.T) {
 }
 
 // TestSynthesizeEventsErrors pins the refusal paths: malformed
-// documents and grids that do not match the experiment's shape are
-// errors, not truncated or misattributed streams.
+// documents, ragged grids and documents holding a different number of
+// reports than the job has cells are errors, not truncated or
+// misattributed streams.
 func TestSynthesizeEventsErrors(t *testing.T) {
 	sh, err := harness.ShapeOf("table3", []uint64{100, 200}, []uint64{128})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := experimentCells([]byte(`not json`), sh); err == nil {
+	specs := sh.CellSpecs()
+	if _, err := replayCells([]byte(`not json`), specs); err == nil {
 		t.Error("non-JSON document accepted")
 	}
-	ragged := `{"kind":"experiment","systems":[{"rows":[[{"name":"a"}]]},{"rows":[[{}],[{}]]}]}`
-	if _, err := experimentCells([]byte(ragged), sh); err == nil || !strings.Contains(err.Error(), "ragged") {
-		t.Errorf("ragged grid error = %v", err)
+	for _, ragged := range []string{
+		`{"kind":"experiment","systems":[{"rows":[[{"name":"a"}]]},{"rows":[[{}],[{}]]}]}`,
+		`{"kind":"experiment","systems":[{"rows":[[{}],[{}]]},{"rows":[[{}],[{},{}]]}]}`,
+	} {
+		if _, err := replayCells([]byte(ragged), specs); err == nil || !strings.Contains(err.Error(), "ragged") {
+			t.Errorf("ragged grid %s: error = %v", ragged, err)
+		}
 	}
 	oneSystem := `{"kind":"experiment","systems":[{"rows":[[{}],[{}]]}]}`
-	if _, err := experimentCells([]byte(oneSystem), sh); err == nil || !strings.Contains(err.Error(), "systems") {
-		t.Errorf("system count error = %v", err)
+	if _, err := replayCells([]byte(oneSystem), specs); err == nil || !strings.Contains(err.Error(), "2 reports") {
+		t.Errorf("short document error = %v", err)
 	}
-	if _, err := runCells([]byte(`{"kind":"run"}`), harness.RunSpec{}); err == nil {
+	if _, err := replayCells([]byte(`{"kind":"run"}`), specs[:1]); err == nil {
 		t.Error("run document without a report accepted")
+	}
+	// A cell's bare report is neither document kind.
+	if _, err := replayCells([]byte(`{"name":"rampage","cycles":1}`), specs[:1]); err == nil {
+		t.Error("bare report accepted as a run document")
 	}
 }

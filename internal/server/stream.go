@@ -150,13 +150,16 @@ func parseSSE(frame []byte) (jobs.Event, error) {
 	return e, nil
 }
 
-// experimentCells re-derives a finished experiment document's cell
-// events for a cache-hit job: every cell in CellSpecs order, encoded by
-// cellEvent with the spec the live job published it with. The cached
-// reports are passed through as raw JSON, which cellEvent compacts to
-// the exact bytes the live run produced.
-func experimentCells(data []byte, sh harness.ExperimentShape) ([][]byte, error) {
+// replayCells re-derives a finished document's cell events for a
+// cache-hit job: the document's reports in CellSpecs order — a run
+// document's one report, or an experiment document's grids system by
+// system, row by row — each encoded by cellEvent with the spec the
+// live job published it with. The cached reports are passed through
+// as raw JSON, which cellEvent compacts to the exact bytes the live
+// run produced.
+func replayCells(data []byte, specs []harness.RunSpec) ([][]byte, error) {
 	var doc struct {
+		Report  json.RawMessage `json:"report"`
 		Systems []struct {
 			Rows [][]json.RawMessage `json:"rows"`
 		} `json:"systems"`
@@ -164,41 +167,29 @@ func experimentCells(data []byte, sh harness.ExperimentShape) ([][]byte, error) 
 	if err := json.Unmarshal(data, &doc); err != nil {
 		return nil, err
 	}
-	if len(doc.Systems) != len(sh.Systems) {
-		return nil, fmt.Errorf("document has %d systems, experiment %s has %d", len(doc.Systems), sh.ID, len(sh.Systems))
+	reports := make([]json.RawMessage, 0, len(specs))
+	if doc.Report != nil {
+		reports = append(reports, doc.Report)
 	}
-	specs := sh.CellSpecs()
-	cells := make([][]byte, 0, len(specs))
 	for _, grid := range doc.Systems {
-		if len(grid.Rows) != len(sh.RatesMHz) {
+		if len(grid.Rows) != len(doc.Systems[0].Rows) {
 			return nil, fmt.Errorf("document grid is ragged")
 		}
 		for _, row := range grid.Rows {
-			if len(row) != len(sh.SizesBytes) {
+			if len(row) != len(doc.Systems[0].Rows[0]) {
 				return nil, fmt.Errorf("document grid is ragged")
 			}
-			for _, report := range row {
-				k := len(cells)
-				cells = append(cells, cellEvent(k, specs[k], report))
-			}
+			reports = append(reports, row...)
 		}
 	}
+	if len(reports) != len(specs) {
+		return nil, fmt.Errorf("document holds %d reports, the job has %d cells", len(reports), len(specs))
+	}
+	cells := make([][]byte, len(specs))
+	for k, spec := range specs {
+		cells[k] = cellEvent(k, spec, reports[k])
+	}
 	return cells, nil
-}
-
-// runCells is experimentCells for a single-run document: its one cell,
-// encoded with the run's spec.
-func runCells(data []byte, spec harness.RunSpec) ([][]byte, error) {
-	var doc struct {
-		Report json.RawMessage `json:"report"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return nil, err
-	}
-	if doc.Report == nil {
-		return nil, fmt.Errorf("run document has no report")
-	}
-	return [][]byte{cellEvent(0, spec, doc.Report)}, nil
 }
 
 // handleJobEvents serves GET /v1/jobs/{id}/events.
