@@ -320,6 +320,32 @@ func BenchmarkRunCheckpointResume(b *testing.B) {
 	}
 }
 
+// BenchmarkRunCheckpointComplete times a repeated request: an untimed
+// full-budget run of BenchmarkRunCheckpointResume's spec stores its
+// checkpoint, and each iteration is a Run answered by restoring it. A
+// complete restore simulates nothing and reads no workload stream, so
+// BENCH_checkpoint.json pins BenchmarkRunCheckpointResume at well over
+// 3x slower.
+func BenchmarkRunCheckpointComplete(b *testing.B) {
+	spec := rampage.RunSpec{System: rampage.SystemRAMpage, IssueMHz: 1000, SizeBytes: 1024}
+	cfg := benchConfig()
+	cfg.MaxRefs = 1_000_000
+	cfg.Checkpoints = memCheckpoints(b)
+	if _, err := rampage.Run(context.Background(), cfg, spec); err != nil {
+		b.Fatal(err)
+	}
+	if _, complete, ok := cfg.Checkpoints.Peek(harness.CheckpointPrefixKey(cfg, spec), cfg.MaxRefs); !ok || !complete {
+		b.Fatal("the full-budget run stored no complete checkpoint")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := rampage.Run(context.Background(), cfg, spec); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // --- Component micro-benchmarks ---
 
 // BenchmarkSimRAMpageThroughput measures simulator throughput in

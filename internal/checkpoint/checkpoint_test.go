@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -289,6 +290,33 @@ func TestStorePeekIsAdvisoryOnly(t *testing.T) {
 	}
 	if h, m := svc.Get(metrics.SvcCkptHit), svc.Get(metrics.SvcCkptMiss); h != 0 || m != 0 {
 		t.Errorf("Peek counted hits/misses: %d/%d", h, m)
+	}
+}
+
+// BenchmarkStorePeek times the planner's per-cell lookup against a
+// store that also holds many checkpoints of unrelated prefixes, as a
+// long-lived checkpoint directory does. The prefix index keeps ns/op
+// flat in the number of unrelated prefixes.
+func BenchmarkStorePeek(b *testing.B) {
+	for _, n := range []int{10, 1_000, 10_000} {
+		b.Run(fmt.Sprintf("prefixes=%d", n), func(b *testing.B) {
+			s, err := NewStore(0, "", nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < n; i++ {
+				s.Put(mkCkpt(fmt.Sprintf("unrelated%05d", i), 1_000, true, []byte{1}))
+			}
+			s.Put(mkCkpt("target", 500, false, []byte{2}))
+			s.Put(mkCkpt("target", 1_000, true, []byte{3}))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, complete, ok := s.Peek("target", 2_000); !ok || !complete {
+					b.Fatal("Peek missed the target's final checkpoint")
+				}
+			}
+		})
 	}
 }
 

@@ -15,16 +15,19 @@ import (
 // optional disk tier that every Put writes through to. Entries are
 // addressed by (warm-up prefix hash, reference count, finality);
 // lookups ask for the newest checkpoint dominating a target reference
-// budget. An in-memory index of every stored checkpoint's Meta answers
-// those dominance questions, so choosing a checkpoint parses no keys
-// and reads no disk; Nearest reads only the one it chose. It is safe
-// for concurrent use — sweep cells share one store.
+// budget. An in-memory index of every stored checkpoint's Meta, keyed
+// by prefix, answers those dominance questions, so choosing a
+// checkpoint parses no keys, reads no disk and looks only at its own
+// prefix's checkpoints; Nearest reads only the one it chose. It is
+// safe for concurrent use — sweep cells share one store.
 type Store struct {
 	chain *cas.Store
 	svc   *metrics.ServiceStats
 
-	mu    sync.Mutex
-	metas map[string]Meta // by record key; may name keys the chain has since evicted
+	mu sync.Mutex
+	// metas maps prefix -> record key -> Meta; it may name keys the
+	// chain has since evicted.
+	metas map[string]map[string]Meta
 }
 
 // NewStore returns a store with the given resident-byte budget
@@ -33,7 +36,7 @@ type Store struct {
 // already in it are re-indexed, so they survive a restart. svc may be
 // nil; when set, the store counts hits, misses and evictions on it.
 func NewStore(budgetBytes int64, dir string, svc *metrics.ServiceStats) (*Store, error) {
-	s := &Store{svc: svc, metas: make(map[string]Meta)}
+	s := &Store{svc: svc, metas: make(map[string]map[string]Meta)}
 	var disk *cas.Store
 	if dir != "" {
 		var err error
@@ -42,7 +45,7 @@ func NewStore(budgetBytes int64, dir string, svc *metrics.ServiceStats) (*Store,
 		}
 		for _, key := range disk.Keys() {
 			if m, ok := parseKey(key); ok {
-				s.metas[key] = m
+				s.indexLocked(key, m)
 			}
 		}
 	}
@@ -70,6 +73,26 @@ func parseKey(key string) (Meta, bool) {
 	return m, entryKey(m) == key
 }
 
+// indexLocked records a stored checkpoint's Meta. Caller holds s.mu
+// (or owns s exclusively).
+func (s *Store) indexLocked(key string, m Meta) {
+	byKey := s.metas[m.Prefix]
+	if byKey == nil {
+		byKey = make(map[string]Meta)
+		s.metas[m.Prefix] = byKey
+	}
+	byKey[key] = m
+}
+
+// forgetLocked drops a checkpoint from the index. Caller holds s.mu.
+func (s *Store) forgetLocked(prefix, key string) {
+	byKey := s.metas[prefix]
+	delete(byKey, key)
+	if len(byKey) == 0 {
+		delete(s.metas, prefix)
+	}
+}
+
 // Put stores a checkpoint. Re-putting an existing (prefix, refs,
 // final) address refreshes its recency and keeps the first bytes —
 // checkpoints are deterministic, so the payloads are identical.
@@ -78,7 +101,7 @@ func (s *Store) Put(c *Checkpoint) {
 	s.chain.Put(key, c.Encode())
 	if s.chain.Has(key) {
 		s.mu.Lock()
-		s.metas[key] = c.Meta
+		s.indexLocked(key, c.Meta)
 		s.mu.Unlock()
 	}
 }
@@ -117,13 +140,13 @@ func usable(m Meta, maxRefs uint64) (complete, resume bool) {
 // Checkpoints the chain no longer holds are forgotten on the way.
 // Caller holds s.mu.
 func (s *Store) bestLocked(prefix string, maxRefs uint64) (key string, best Meta, complete, ok bool) {
-	for k, m := range s.metas {
+	for k, m := range s.metas[prefix] {
 		comp, res := usable(m, maxRefs)
-		if m.Prefix != prefix || (!comp && !res) {
+		if !comp && !res {
 			continue
 		}
 		if !s.chain.Has(k) {
-			delete(s.metas, k)
+			s.forgetLocked(prefix, k)
 			continue
 		}
 		if !ok || (comp && !complete) || (comp == complete && m.Refs > best.Refs) {
@@ -151,7 +174,7 @@ func (s *Store) Nearest(prefix string, maxRefs uint64) (c *Checkpoint, complete 
 				return ck, complete, true
 			}
 		}
-		delete(s.metas, key)
+		s.forgetLocked(prefix, key)
 	}
 	s.svc.Add(metrics.SvcCkptMiss, 1)
 	return nil, false, false
@@ -173,12 +196,16 @@ func (s *Store) Peek(prefix string, maxRefs uint64) (refs uint64, complete, ok b
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for k := range s.metas {
-		if !s.chain.Has(k) {
-			delete(s.metas, k)
+	n := 0
+	for prefix, byKey := range s.metas {
+		for k := range byKey {
+			if !s.chain.Has(k) {
+				s.forgetLocked(prefix, k)
+			}
 		}
+		n += len(byKey)
 	}
-	return len(s.metas)
+	return n
 }
 
 // Bytes returns the resident (in-memory) byte total.

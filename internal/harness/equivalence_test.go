@@ -1,12 +1,19 @@
 package harness
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
+	"rampage/internal/checkpoint"
 	"rampage/internal/mem"
+	"rampage/internal/metrics"
 	"rampage/internal/oracle"
 	"rampage/internal/stats"
 	"rampage/internal/trace"
@@ -188,25 +195,27 @@ func TestSweepPreloadEquivalence(t *testing.T) {
 }
 
 // TestRunCellsCaptureRule pins when the cell pool captures a workload:
-// only when the capture will be reused. A one-cell call captures when
-// the workload cache has room to keep it, and the next call replays
-// the kept capture; on a full cache a one-cell call generates through
-// the refill window instead, while a call of two or more cells still
-// captures. Every call reports what direct Runs do.
+// only when cells will read the capture and it will be reused. A
+// one-cell call captures when the workload cache has room to keep it,
+// and the next call replays the kept capture; on a full cache a
+// one-cell call generates through the refill window instead, while a
+// call of two or more cells still captures. Cells planned complete do
+// not count: on a full cache a call whose every cell restores a
+// complete checkpoint captures nothing, one complete cell beside one
+// cold cell generates the cold one through the refill window, and a
+// cell planned complete whose record turns out corrupt runs cold.
+// Every call reports what direct cold Runs do.
 func TestRunCellsCaptureRule(t *testing.T) {
 	ctx := context.Background()
 	specs := []RunSpec{
 		{System: RAMpage, IssueMHz: 1000, SizeBytes: 1024},
 		{System: BaselineDM, IssueMHz: 4000, SizeBytes: 256},
 	}
-	// Seeds no other test uses, so neither workload is cached yet.
-	room, full := tinyConfig(), tinyConfig()
-	room.Seed, full.Seed = 0x5eed01, 0x5eed02
-	keyOf := func(cfg Config) workloadKey {
-		return workloadKey{seed: cfg.Seed, refScale: cfg.RefScale, sizeScale: cfg.SizeScale}
-	}
+	// Seeds no other test uses, so no workload is cached yet.
+	room, full, warm := tinyConfig(), tinyConfig(), tinyConfig()
+	room.Seed, full.Seed, warm.Seed = 0x5eed01, 0x5eed02, 0x5eed03
 	cached := func(cfg Config) []*trace.ColumnarBuffer {
-		v, ok := workloadCache.Load(keyOf(cfg))
+		v, ok := workloadCache.Load(workloadKeyOf(cfg))
 		if !ok {
 			return nil
 		}
@@ -214,17 +223,23 @@ func TestRunCellsCaptureRule(t *testing.T) {
 	}
 	saved := workloadCacheLen.Load()
 	t.Cleanup(func() {
-		workloadCache.Delete(keyOf(room))
+		workloadCache.Delete(workloadKeyOf(room))
 		workloadCacheLen.Store(saved)
 	})
-	check := func(cfg Config, specs []RunSpec) {
+	// check runs specs through the pool and compares every cell with a
+	// direct cold Run; it returns how many workloads the call captured.
+	check := func(cfg Config, specs []RunSpec) uint64 {
 		t.Helper()
+		before := WorkloadCaptures()
 		got, err := RunCells(ctx, cfg, specs, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		captures := WorkloadCaptures() - before
+		cold := cfg
+		cold.Checkpoints = nil
 		for k, spec := range specs {
-			rep, err := Run(ctx, cfg, spec)
+			rep, err := Run(ctx, cold, spec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -232,10 +247,13 @@ func TestRunCellsCaptureRule(t *testing.T) {
 				t.Errorf("seed %#x cell %d diverges from a direct run:\npool: %+v\nrun:  %+v", cfg.Seed, k, got[k], want)
 			}
 		}
+		return captures
 	}
 
 	workloadCacheLen.Store(0)
-	check(room, specs[:1])
+	if n := check(room, specs[:1]); n != 1 {
+		t.Errorf("a one-cell call with room in the cache took %d captures, want 1", n)
+	}
 	kept := cached(room)
 	if kept == nil {
 		t.Fatal("a one-cell call with room in the cache kept no capture")
@@ -244,7 +262,12 @@ func TestRunCellsCaptureRule(t *testing.T) {
 	if got := preloadWorkload(room, 1); len(got) == 0 || got[0] != kept[0] {
 		t.Error("a one-cell call does not replay the kept capture")
 	}
-	check(room, specs[1:])
+	if got := preloadWorkload(room, 0); len(got) == 0 || got[0] != kept[0] {
+		t.Error("a call with no readers does not replay the kept capture")
+	}
+	if n := check(room, specs[1:]); n != 0 {
+		t.Errorf("a call over a kept capture took %d captures", n)
+	}
 	if got := cached(room); got[0] != kept[0] {
 		t.Error("the kept capture was replaced")
 	}
@@ -252,13 +275,118 @@ func TestRunCellsCaptureRule(t *testing.T) {
 	if bufs := preloadWorkload(full, 1); bufs != nil {
 		t.Error("a one-cell call on a full cache captured its workload")
 	}
-	check(full, specs[:1])
-	if bufs := preloadWorkload(full, 2); bufs == nil {
-		t.Error("a two-cell call on a full cache captured nothing")
+	if n := check(full, specs[:1]); n != 0 {
+		t.Errorf("a one-cell call on a full cache took %d captures", n)
 	}
-	check(full, specs)
+	if n := check(full, specs); n != 1 {
+		t.Errorf("a two-cell call on a full cache took %d captures, want 1", n)
+	}
 	if cached(full) != nil {
 		t.Error("a full cache kept a capture")
+	}
+
+	// Cells planned complete: every checkpoint is stored by a direct
+	// Run, which never captures.
+	put := func(cfg Config, spec RunSpec) {
+		t.Helper()
+		if _, err := Run(ctx, cfg, spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inMem := warm
+	inMem.Checkpoints = memCheckpoints(t, nil)
+	put(inMem, specs[0])
+	if n := check(inMem, specs); n != 0 {
+		t.Errorf("one complete cell beside one cold cell took %d captures on a full cache", n)
+	}
+	put(inMem, specs[1])
+	if plan := PlanCells(inMem, specs); plan.Complete != len(specs) {
+		t.Fatalf("%d of %d cells planned complete", plan.Complete, len(specs))
+	}
+	if n := check(inMem, specs); n != 0 {
+		t.Errorf("an all-complete call took %d captures on a full cache", n)
+	}
+
+	// A budget smaller than any checkpoint keeps records on disk only,
+	// where one of them is corrupted after planning can see it.
+	dir := t.TempDir()
+	svc := &metrics.ServiceStats{}
+	disk := warm
+	var err error
+	if disk.Checkpoints, err = checkpoint.NewStore(1, dir, svc); err != nil {
+		t.Fatal(err)
+	}
+	put(disk, specs[0])
+	records, _ := filepath.Glob(filepath.Join(dir, "*.ckpt"))
+	if len(records) != 1 {
+		t.Fatalf("records = %v, want the first cell's checkpoint", records)
+	}
+	rec, err := os.ReadFile(records[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(rec, binary.LittleEndian.AppendUint32(nil, checkpoint.MarkReport))
+	if at < 0 {
+		t.Fatal("record holds no report section")
+	}
+	rec[at+4] ^= 1
+	if err := os.WriteFile(records[0], rec, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	put(disk, specs[1])
+	if plan := PlanCells(disk, specs); plan.Complete != len(specs) {
+		t.Fatalf("%d of %d cells over the corrupt record planned complete", plan.Complete, len(specs))
+	}
+	hits, misses := svc.Get(metrics.SvcCkptHit), svc.Get(metrics.SvcCkptMiss)
+	if n := check(disk, specs); n != 0 {
+		t.Errorf("an all-complete call over a corrupt record took %d captures on a full cache", n)
+	}
+	if h, m := svc.Get(metrics.SvcCkptHit)-hits, svc.Get(metrics.SvcCkptMiss)-misses; h != 1 || m != 1 {
+		t.Errorf("checkpoint hits/misses over the corrupt record = %d/%d, want 1/1", h, m)
+	}
+}
+
+// TestWorkloadCacheStaysWithinCap races captures for the cache's last
+// slot: with one slot free, eight concurrent one-cell captures on
+// distinct workloads must leave exactly one new entry, and the
+// cache's count at its cap.
+func TestWorkloadCacheStaysWithinCap(t *testing.T) {
+	cfgs := make([]Config, 8)
+	for i := range cfgs {
+		cfgs[i] = tinyConfig()
+		cfgs[i].Seed = 0x5eed10 + uint64(i)
+	}
+	saved := workloadCacheLen.Load()
+	t.Cleanup(func() {
+		for _, cfg := range cfgs {
+			workloadCache.Delete(workloadKeyOf(cfg))
+		}
+		workloadCacheLen.Store(saved)
+	})
+	workloadCacheLen.Store(workloadCacheCap - 1)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, cfg := range cfgs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			preloadWorkload(cfg, 1)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	kept := 0
+	for _, cfg := range cfgs {
+		if _, ok := workloadCache.Load(workloadKeyOf(cfg)); ok {
+			kept++
+		}
+	}
+	if kept != 1 {
+		t.Errorf("%d of 8 racing captures were kept in the cache's one free slot", kept)
+	}
+	if n := workloadCacheLen.Load(); n != workloadCacheCap {
+		t.Errorf("workloadCacheLen = %d, want the cap %d", n, workloadCacheCap)
 	}
 }
 

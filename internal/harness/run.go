@@ -363,37 +363,87 @@ type workloadKey struct {
 	profile   string
 }
 
+// workloadKeyOf returns the key of cfg's workload.
+func workloadKeyOf(cfg Config) workloadKey {
+	return workloadKey{seed: cfg.Seed, refScale: cfg.RefScale, sizeScale: cfg.SizeScale, processes: cfg.Processes, profile: cfg.ProfileName}
+}
+
 // workloadCache holds captured workloads across sweeps, keyed by
-// workloadKey; workloadCacheLen approximates its size so a pathological
-// caller cycling through configurations cannot grow it without bound.
+// workloadKey. workloadCacheLen counts its entries plus the slots
+// reserved by captures in progress, so concurrent captures cannot push
+// it past workloadCacheCap; a pathological caller cycling through
+// configurations cannot grow it without bound.
 var (
 	workloadCache    sync.Map // workloadKey -> []*trace.ColumnarBuffer
 	workloadCacheLen atomic.Int32
+	workloadCaptures atomic.Uint64
 )
 
 const workloadCacheCap = 8
 
+// WorkloadCaptures returns how many workloads the cell pool has
+// captured in this process.
+func WorkloadCaptures() uint64 { return workloadCaptures.Load() }
+
+// reserveWorkloadSlot claims a slot in the workload cache, reporting
+// false when the cache is full.
+func reserveWorkloadSlot() bool {
+	for {
+		n := workloadCacheLen.Load()
+		if n >= workloadCacheCap {
+			return false
+		}
+		if workloadCacheLen.CompareAndSwap(n, n+1) {
+			return true
+		}
+	}
+}
+
 // preloadWorkload materializes the configuration's reference streams
-// in columnar form so a call of cells cells can replay them across its
-// cells — and later calls on the same workload can skip generation
-// entirely. It captures only when the capture will be reused: the
-// workload is already cached, two or more cells will replay it, or the
-// cache has room to keep it. It returns nil otherwise, and when the
-// workload is too large to hold (full-scale runs), a stream's length is
-// unknown, or a stream is not single-process; callers then generate
+// in columnar form so a call's cells can replay them, and later calls
+// on the same workload can skip generation entirely. readers counts
+// the call's cells that will read the streams: a cell that restores a
+// complete checkpoint reads none. A cached workload is always
+// replayed. Otherwise it captures only when the capture will be
+// reused: two or more readers will replay it, or one will and the
+// cache has room to keep it, so a call with no readers captures
+// nothing. It returns nil when it does not capture, and when the
+// workload is too large to hold (full-scale runs), a stream's length
+// is unknown, or a stream is not single-process; callers then generate
 // each cell's streams through the refill window.
-func preloadWorkload(cfg Config, cells int) []*trace.ColumnarBuffer {
-	key := workloadKey{seed: cfg.Seed, refScale: cfg.RefScale, sizeScale: cfg.SizeScale, processes: cfg.Processes, profile: cfg.ProfileName}
+func preloadWorkload(cfg Config, readers int) []*trace.ColumnarBuffer {
+	key := workloadKeyOf(cfg)
 	cacheable := cfg.profiles == nil // custom profile sets are not in the key
 	if cacheable {
 		if v, ok := workloadCache.Load(key); ok {
 			return v.([]*trace.ColumnarBuffer)
 		}
 	}
-	keep := cacheable && workloadCacheLen.Load() < workloadCacheCap
-	if cells < 2 && !keep {
+	if readers == 0 {
 		return nil
 	}
+	keep := cacheable && reserveWorkloadSlot()
+	if readers < 2 && !keep {
+		return nil
+	}
+	out := captureWorkload(cfg)
+	if !keep {
+		return out
+	}
+	if out == nil {
+		workloadCacheLen.Add(-1)
+		return nil
+	}
+	if v, loaded := workloadCache.LoadOrStore(key, out); loaded {
+		workloadCacheLen.Add(-1) // another call stored it first
+		return v.([]*trace.ColumnarBuffer)
+	}
+	return out
+}
+
+// captureWorkload generates the configuration's streams into columns,
+// or returns nil under preloadWorkload's fallback conditions.
+func captureWorkload(cfg Config) []*trace.ColumnarBuffer {
 	readers, err := cfg.Readers()
 	if err != nil {
 		return nil
@@ -418,11 +468,7 @@ func preloadWorkload(cfg Config, cells int) []*trace.ColumnarBuffer {
 		}
 		out[i] = buf
 	}
-	if keep {
-		if _, loaded := workloadCache.LoadOrStore(key, out); !loaded {
-			workloadCacheLen.Add(1)
-		}
-	}
+	workloadCaptures.Add(1)
 	return out
 }
 
@@ -492,21 +538,26 @@ func RunCells(ctx context.Context, cfg Config, specs []RunSpec, done func(k int,
 	return out, nil
 }
 
-// runPool is the one in-process cell pool. It captures the workload
-// at most once for the whole call, under preloadWorkload's rule, and
-// replays it in every cell (each cell gets fresh ColumnarReaders over
-// the shared, read-only columns, since the streams are independent of
-// the cell's parameters), dispatches the cells warmest-first per
-// PlanCells, and runs them on cfg.Workers goroutines (0 = one per
-// CPU). Cells are addressed by their index into specs, so repeated
-// specs each get their own report; put receives every report with that
-// index.
+// runPool is the one in-process cell pool. It plans the cells with
+// PlanCells first, then captures the workload at most once for the
+// whole call, under preloadWorkload's rule over the cells not planned
+// complete, and replays it in every cell (each cell gets fresh
+// ColumnarReaders over the shared, read-only columns, since the
+// streams are independent of the cell's parameters). A call whose
+// every cell is planned complete captures nothing: its restores read
+// no stream. The plan is advisory, so a planned-complete cell whose
+// checkpoint is gone by the time it runs simulates cold through the
+// refill window. Cells are dispatched warmest-first and run on
+// cfg.Workers goroutines (0 = one per CPU). They are addressed by
+// their index into specs, so repeated specs each get their own report;
+// put receives every report with that index.
 func runPool(ctx context.Context, cfg Config, specs []RunSpec, put func(k int, rep *stats.Report)) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	cfg.Observer = nil // collectors are not safe across parallel cells
-	preloaded := preloadWorkload(cfg, len(specs))
+	plan := PlanCells(cfg, specs)
+	preloaded := preloadWorkload(cfg, len(specs)-plan.Complete)
 	cellRun := func(spec RunSpec) (*stats.Report, error) {
 		if preloaded == nil {
 			return Run(ctx, cfg, spec)
@@ -556,7 +607,7 @@ func runPool(ctx context.Context, cfg Config, specs []RunSpec, put func(k int, r
 	// With a checkpoint store attached, complete restores return
 	// immediately and the pool spends its time on the cold cells;
 	// without one every cell is cold and specs order is kept.
-	for _, pc := range PlanCells(cfg, specs).Cells {
+	for _, pc := range plan.Cells {
 		cells <- pc.Index
 	}
 	close(cells)

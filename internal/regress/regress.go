@@ -303,30 +303,53 @@ func bestMatching(results []BenchResult, substr string) float64 {
 	return best
 }
 
-// CompareRatio gates the warm-state checkpoint payoff recorded in one
+// Ratio is one checkpoint payoff: the best ns/op of a slow benchmark
+// over that of a fast one.
+type Ratio struct {
+	Slow, Fast string
+	Value      float64
+}
+
+// ratioPairs are the payoffs a checkpoint snapshot must show: a warm
+// sweep against the cold one, and a complete restore against a resumed
+// run of the same spec and budget.
+var ratioPairs = []struct{ slow, fast string }{
+	{"SweepCheckpointCold", "SweepCheckpointWarm"},
+	{"RunCheckpointResume", "RunCheckpointComplete"},
+}
+
+// CompareRatio gates the warm-state checkpoint payoffs recorded in one
 // benchjson snapshot (BENCH_checkpoint.json): the cold sweep's best
-// ns/op over the warm sweep's must be at least minRatio. Each side takes
-// its minimum sample, the least noisy one, since interference only
-// slows a benchmark down. It returns the ratio; a snapshot missing
-// either sweep is an error, and a ratio below minRatio is one diff.
-func CompareRatio(results []BenchResult, minRatio float64) (float64, []string, error) {
-	cold := bestMatching(results, "SweepCheckpointCold")
-	warm := bestMatching(results, "SweepCheckpointWarm")
-	if cold == 0 || warm == 0 {
-		return 0, nil, fmt.Errorf("snapshot is missing the cold or warm sweep benchmark (cold=%v warm=%v)", cold, warm)
+// ns/op over the warm sweep's, and the resumed run's over the complete
+// restore's, must each be at least minRatio. Each side takes its
+// minimum sample, the least noisy one, since interference only slows a
+// benchmark down. It returns the ratios in that order; a snapshot
+// missing any of the four benchmarks is an error, and each ratio below
+// minRatio is one diff.
+func CompareRatio(results []BenchResult, minRatio float64) ([]Ratio, []string, error) {
+	var (
+		ratios []Ratio
+		diffs  []string
+	)
+	for _, p := range ratioPairs {
+		slow, fast := bestMatching(results, p.slow), bestMatching(results, p.fast)
+		if slow == 0 || fast == 0 {
+			return nil, nil, fmt.Errorf("snapshot is missing Benchmark%s or Benchmark%s (%s=%v %s=%v)", p.slow, p.fast, p.slow, slow, p.fast, fast)
+		}
+		r := Ratio{Slow: p.slow, Fast: p.fast, Value: slow / fast}
+		if r.Value < minRatio {
+			diffs = append(diffs, fmt.Sprintf("%s is only %.1fx faster than %s (want >= %.1fx): %.0f vs %.0f ns/op", p.fast, r.Value, p.slow, minRatio, fast, slow))
+		}
+		ratios = append(ratios, r)
 	}
-	ratio := cold / warm
-	if ratio < minRatio {
-		return ratio, []string{fmt.Sprintf("warm sweep is only %.1fx faster than cold (want >= %.1fx): cold %.0f ns/op, warm %.0f ns/op", ratio, minRatio, cold, warm)}, nil
-	}
-	return ratio, nil, nil
+	return ratios, diffs, nil
 }
 
 // CompareRatioFile is CompareRatio over a snapshot file.
-func CompareRatioFile(path string, minRatio float64) (float64, []string, error) {
+func CompareRatioFile(path string, minRatio float64) ([]Ratio, []string, error) {
 	var results []BenchResult
 	if err := loadJSON(path, &results); err != nil {
-		return 0, nil, err
+		return nil, nil, err
 	}
 	return CompareRatio(results, minRatio)
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -191,36 +192,66 @@ func TestCompareBench(t *testing.T) {
 	}
 }
 
-// TestCompareRatioPassesAndFails pins the ratio mode: the best cold
-// sample over the best warm sample, other benchmarks ignored, gated
-// at the minimum.
+// TestCompareRatioPassesAndFails pins the ratio mode: for the sweeps
+// and for the single runs, the best slow sample over the best fast
+// sample, other benchmarks ignored, each gated at the minimum.
 func TestCompareRatioPassesAndFails(t *testing.T) {
 	results := []BenchResult{
 		{Name: "BenchmarkSweepCheckpointCold", NsPerOp: 150e6},
 		{Name: "BenchmarkSweepCheckpointCold", NsPerOp: 145e6}, // best cold
 		{Name: "BenchmarkSweepCheckpointWarm", NsPerOp: 1.4e6},
 		{Name: "BenchmarkSweepCheckpointWarm", NsPerOp: 1.3e6}, // best warm
-		{Name: "BenchmarkRunCheckpointResume", NsPerOp: 23e6},  // ignored
+		{Name: "BenchmarkRunCheckpointResume-2", NsPerOp: 24e6},
+		{Name: "BenchmarkRunCheckpointResume-2", NsPerOp: 23e6}, // best resume
+		{Name: "BenchmarkRunCheckpointComplete-2", NsPerOp: 0.2e6},
+		{Name: "BenchmarkRunCheckpointComplete-2", NsPerOp: 0.25e6},
+		{Name: "BenchmarkSimRAMpageThroughput", NsPerOp: 50e6}, // ignored
 	}
-	ratio, diffs, err := CompareRatio(results, 3)
+	ratios, diffs, err := CompareRatio(results, 3)
 	if err != nil || len(diffs) != 0 {
 		t.Fatalf("CompareRatio = (%v, %v)", diffs, err)
 	}
-	if want := 145e6 / 1.3e6; ratio != want {
-		t.Errorf("ratio = %v, want best-sample ratio %v", ratio, want)
+	want := []Ratio{
+		{Slow: "SweepCheckpointCold", Fast: "SweepCheckpointWarm", Value: 145e6 / 1.3e6},
+		{Slow: "RunCheckpointResume", Fast: "RunCheckpointComplete", Value: 23e6 / 0.2e6},
 	}
-	if _, diffs, err := CompareRatio(results, 200); err != nil || len(diffs) != 1 {
-		t.Errorf("200x requirement: diffs %v, err %v; want one shortfall", diffs, err)
+	if !reflect.DeepEqual(ratios, want) {
+		t.Errorf("ratios = %+v, want best-sample ratios %+v", ratios, want)
+	}
+	if _, diffs, err := CompareRatio(results, 112); err != nil || len(diffs) != 1 || !strings.Contains(diffs[0], "SweepCheckpointWarm") {
+		t.Errorf("112x requirement: diffs %v, err %v; want the sweep's shortfall alone", diffs, err)
+	}
+	if _, diffs, err := CompareRatio(results, 200); err != nil || len(diffs) != 2 {
+		t.Errorf("200x requirement: diffs %v, err %v; want two shortfalls", diffs, err)
+	}
+
+	// A complete restore that costs what the resumed run does, as when
+	// the restore regenerates the executed prefix, fails on its own.
+	slowRestore := append([]BenchResult(nil), results...)
+	slowRestore[6].NsPerOp, slowRestore[7].NsPerOp = 17e6, 18e6
+	if _, diffs, err := CompareRatio(slowRestore, 3); err != nil || len(diffs) != 1 || !strings.Contains(diffs[0], "RunCheckpointComplete") {
+		t.Errorf("a slow complete restore: diffs %v, err %v; want its shortfall alone", diffs, err)
 	}
 }
 
 // TestCompareRatioRefusesIncompleteSnapshot pins that a snapshot
-// missing either sweep, or no snapshot at all, is a hard error rather
-// than a pass.
+// missing any of the four benchmarks, or no snapshot at all, is a hard
+// error rather than a pass.
 func TestCompareRatioRefusesIncompleteSnapshot(t *testing.T) {
-	onlyCold := []BenchResult{{Name: "BenchmarkSweepCheckpointCold", NsPerOp: 150e6}}
-	if _, _, err := CompareRatio(onlyCold, 3); err == nil || !strings.Contains(err.Error(), "missing") {
-		t.Errorf("cold-only snapshot: err = %v, want missing-benchmark error", err)
+	full := []BenchResult{
+		{Name: "BenchmarkSweepCheckpointCold", NsPerOp: 150e6},
+		{Name: "BenchmarkSweepCheckpointWarm", NsPerOp: 1.3e6},
+		{Name: "BenchmarkRunCheckpointResume", NsPerOp: 23e6},
+		{Name: "BenchmarkRunCheckpointComplete", NsPerOp: 0.2e6},
+	}
+	if _, _, err := CompareRatio(full, 3); err != nil {
+		t.Fatalf("full snapshot: %v", err)
+	}
+	for drop := range full {
+		partial := append(append([]BenchResult(nil), full[:drop]...), full[drop+1:]...)
+		if _, _, err := CompareRatio(partial, 3); err == nil || !strings.Contains(err.Error(), "missing") {
+			t.Errorf("snapshot without %s: err = %v, want missing-benchmark error", full[drop].Name, err)
+		}
 	}
 	if _, _, err := CompareRatio(nil, 3); err == nil {
 		t.Error("empty snapshot accepted")

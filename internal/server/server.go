@@ -673,8 +673,9 @@ func (s *Server) writeMetricsJSON(w http.ResponseWriter) {
 			"length":   length,
 			"capacity": capacity,
 		},
-		"fleet":            s.fleet.Status(),
-		"policy_evictions": policy.EvictionsSnapshot(),
+		"fleet":             s.fleet.Status(),
+		"policy_evictions":  policy.EvictionsSnapshot(),
+		"workload_captures": harness.WorkloadCaptures(),
 	}
 	if s.disk != nil {
 		doc["disk"] = map[string]any{
@@ -687,7 +688,8 @@ func (s *Server) writeMetricsJSON(w http.ResponseWriter) {
 
 // writeMetricsProm renders every counter and gauge in the Prometheus
 // text format, deterministically ordered: service counters first, then
-// the labeled per-policy and per-tenant families, then the gauges.
+// the labeled per-policy family, the process-wide workload-capture
+// counter and the per-tenant families, then the gauges.
 func (s *Server) writeMetricsProm(w http.ResponseWriter) {
 	w.Header().Set("Content-Type", metrics.PromContentType)
 	p := metrics.NewPromWriter(w)
@@ -703,6 +705,8 @@ func (s *Server) writeMetricsProm(w http.ResponseWriter) {
 	for _, pol := range metrics.SortedKeys(evictions) {
 		p.SampleUint("rampage_policy_evictions_total", [][2]string{{"policy", pol}}, evictions[pol])
 	}
+	p.Counter("rampage_workload_captures_total", "Workloads the cell pool captured in columns, process-wide.")
+	p.SampleUint("rampage_workload_captures_total", nil, harness.WorkloadCaptures())
 
 	tenants := s.tenants.Snapshot()
 	tenantNames := metrics.SortedKeys(tenants)

@@ -526,12 +526,16 @@ func TestMetricszShape(t *testing.T) {
 		Queue struct {
 			Capacity int `json:"capacity"`
 		} `json:"queue"`
+		WorkloadCaptures *uint64 `json:"workload_captures"`
 	}
 	if err := json.Unmarshal(body, &doc); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := doc.Counters["cache_hits"]; !ok {
 		t.Errorf("counters missing cache_hits: %v", doc.Counters)
+	}
+	if doc.WorkloadCaptures == nil {
+		t.Error("metricsz missing workload_captures")
 	}
 	if doc.Queue.Capacity != 4 {
 		t.Errorf("queue capacity = %d, want 4", doc.Queue.Capacity)

@@ -3,12 +3,14 @@ package server_test
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -814,6 +816,7 @@ func TestMetricszPrometheus(t *testing.T) {
 		"rampage_queue_capacity",
 		"rampage_cache_entries",
 		"rampage_fleet_workers",
+		"rampage_workload_captures_total",
 		`rampage_tenant_jobs_accepted_total{tenant="alice"}`,
 		`rampage_tenant_jobs_done_total{tenant="alice"}`,
 	} {
@@ -865,5 +868,85 @@ func TestStreamTable3GoldenScaleE2E(t *testing.T) {
 	rebuilt := reassemble(t, "table3", nil, nil, events)
 	if !bytes.Equal(rebuilt, golden) {
 		t.Fatalf("streamed table3 differs from the committed golden (%d vs %d bytes)", len(rebuilt), len(golden))
+	}
+}
+
+// workloadCaptures reads the process-wide workload capture count from
+// /metricsz.
+func workloadCaptures(t *testing.T, base string) uint64 {
+	t.Helper()
+	code, body, _ := get(t, base+"/metricsz?format=json")
+	if code != http.StatusOK {
+		t.Fatalf("metricsz: %d", code)
+	}
+	var doc struct {
+		WorkloadCaptures *uint64 `json:"workload_captures"`
+	}
+	if err := json.Unmarshal(body, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if doc.WorkloadCaptures == nil {
+		t.Fatalf("metricsz has no workload_captures: %s", body)
+	}
+	return *doc.WorkloadCaptures
+}
+
+// fullCacheChild marks the child process in which
+// TestWarmJobsCaptureNoWorkload fills the workload cache.
+const fullCacheChild = "RAMPAGE_TEST_FULL_WORKLOAD_CACHE"
+
+// TestWarmJobsCaptureNoWorkload pins the cell pool's capture rule at
+// the service boundary, on a server whose workload cache is full, as
+// on any server that has run for a while. A cold quick-scale table3
+// sub-grid captures its workload once for its four cells. The fig3 and
+// fig4 rows over those cells restore a complete checkpoint in every
+// cell, so they capture nothing and count one checkpoint hit a cell.
+// The workload cache is process-wide and never evicts, so the test
+// runs in a child process of the test binary, and the full cache dies
+// with it.
+func TestWarmJobsCaptureNoWorkload(t *testing.T) {
+	if os.Getenv(fullCacheChild) == "" {
+		args := []string{"-test.run=^TestWarmJobsCaptureNoWorkload$", "-test.count=1"}
+		if testing.Short() {
+			args = append(args, "-test.short")
+		}
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Env = append(os.Environ(), fullCacheChild+"=1")
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("child test process: %v\n%s", err, out)
+		}
+		return
+	}
+	fill := testScales()["tiny"]
+	fill.MaxRefs = 1
+	for i := uint64(0); i < 8; i++ {
+		fill.Seed = 0xf111ed + i
+		_, err := harness.RunCells(context.Background(), fill, []harness.RunSpec{{System: harness.RAMpage, IssueMHz: 1000, SizeBytes: 4096}}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	var stats metrics.ServiceStats
+	ts, _ := newTestServer(t, server.Config{
+		Workers:    1,
+		QueueDepth: 4,
+		Stats:      &stats,
+		Scales:     map[string]harness.Config{"quick": harness.QuickScaled()},
+	})
+	const seed = 0xc01d
+	before := workloadCaptures(t, ts.URL)
+	submitAndWaitDone(t, ts.URL, fmt.Sprintf(`{"kind":"experiment","id":"table3","scale":"quick","seed":%d,"rates_mhz":[1000,4000],"sizes_bytes":[4096]}`, seed))
+	if n := workloadCaptures(t, ts.URL) - before; n != 1 {
+		t.Errorf("the cold table3 job took %d workload captures, want 1", n)
+	}
+	for _, id := range []string{"fig3", "fig4"} {
+		before, hits := workloadCaptures(t, ts.URL), stats.Get(metrics.SvcCkptHit)
+		submitAndWaitDone(t, ts.URL, fmt.Sprintf(`{"kind":"experiment","id":%q,"scale":"quick","seed":%d,"sizes_bytes":[4096]}`, id, seed))
+		if n := workloadCaptures(t, ts.URL) - before; n != 0 {
+			t.Errorf("the warm %s job took %d workload captures, want 0", id, n)
+		}
+		if n := stats.Get(metrics.SvcCkptHit) - hits; n != 2 {
+			t.Errorf("the warm %s job counted %d checkpoint hits, want 2", id, n)
+		}
 	}
 }

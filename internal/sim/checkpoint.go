@@ -37,7 +37,11 @@ func CaptureState(m Machine, s *Scheduler) ([]byte, error) {
 
 // RestoreState decodes a CaptureState payload into a freshly
 // constructed machine and scheduler of the identical configuration.
-// The next Run continues exactly where the captured run stopped.
+// The next Run continues exactly where the captured run stopped. A
+// restore reads no stream: captured columns and synthetic generators
+// are checked against their cursors, and a refilled stream is advanced
+// past its executed prefix only when its process next runs, so a
+// restore that is the finished run reads nothing.
 func RestoreState(m Machine, s *Scheduler, payload []byte) error {
 	snap, ok := m.(Snapshotter)
 	if !ok {
@@ -88,7 +92,9 @@ func (s *Scheduler) EncodeState(e *checkpoint.Enc) {
 
 // DecodeState restores state captured by EncodeState into a scheduler
 // built over fresh readers of the same workload, repositioning each
-// stream to its cursor, and arms the resume entry path.
+// stream to its cursor (see repositionReader), and arms the resume
+// entry path. It fails on a stream that reports a length shorter than
+// its cursor.
 func (s *Scheduler) DecodeState(d *checkpoint.Dec) {
 	d.Marker(checkpoint.MarkScheduler)
 	s.executed = d.U64()
@@ -110,7 +116,7 @@ func (s *Scheduler) DecodeState(d *checkpoint.Dec) {
 		if p.src != nil {
 			// Drop any refill read-ahead: the cursor counts executed
 			// references only.
-			p.win.Kinds, p.win.Addrs, p.rdErr = p.win.Kinds[:0], p.win.Addrs[:0], nil
+			p.win.Kinds, p.win.Addrs, p.rdErr, p.skip = p.win.Kinds[:0], p.win.Addrs[:0], nil, 0
 			p.col.Reset()
 		}
 	}
@@ -151,11 +157,14 @@ func (s *Scheduler) DecodeState(d *checkpoint.Dec) {
 	s.resumeCur = int(running)
 }
 
-// repositionReader advances a fresh reader past the p.done references
-// the captured run already executed. Captured columns skip in O(1);
-// refilled streams read and discard, which is exact because the
-// synthetic generators produce references as a pure function of
-// consumption count.
+// repositionReader positions a fresh reader at the p.done references
+// the captured run already executed. Captured columns skip in O(1). A
+// refilled stream is not read here: the process discards the prefix on
+// its next refill, which is exact because the generators produce
+// references as a pure function of consumption count. A stream that
+// reports its length (every generator does) is checked against the
+// cursor now, so a short one fails the restore; a short stream of
+// unknown length fails the process's next refill.
 func (s *Scheduler) repositionReader(p *proc) error {
 	if p.done == 0 {
 		return nil
@@ -167,20 +176,29 @@ func (s *Scheduler) repositionReader(p *proc) error {
 		p.col.Skip(int(p.done))
 		return nil
 	}
-	scratch := make([]mem.Ref, 4096)
-	left := p.done
-	for left > 0 {
+	if sized, ok := p.src.(interface{ Remaining() uint64 }); ok {
+		if rem := sized.Remaining(); rem < p.done {
+			return fmt.Errorf("stream has %d references, cursor wants %d", rem, p.done)
+		}
+	}
+	p.skip = p.done
+	return nil
+}
+
+// discard reads and drops the next n references of r through scratch.
+func discard(r trace.Reader, n uint64, scratch []mem.Ref) error {
+	for left := n; left > 0; {
 		want := uint64(len(scratch))
 		if want > left {
 			want = left
 		}
-		n, err := trace.ReadBatch(p.src, scratch[:want])
-		left -= uint64(n)
+		got, err := trace.ReadBatch(r, scratch[:want])
+		left -= uint64(got)
 		if err != nil {
-			return fmt.Errorf("stream ended %d references short of cursor %d: %w", left, p.done, err)
+			return fmt.Errorf("stream ended %d references short of cursor %d: %w", left, n, err)
 		}
-		if n == 0 {
-			return fmt.Errorf("stream stalled %d references short of cursor %d", left, p.done)
+		if got == 0 {
+			return fmt.Errorf("stream stalled %d references short of cursor %d", left, n)
 		}
 	}
 	return nil

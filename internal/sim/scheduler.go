@@ -44,6 +44,10 @@ type proc struct {
 	src   trace.Reader
 	win   trace.ColumnarBuffer
 	rdErr error
+	// skip counts executed references a restore left in src: the
+	// stream is advanced past them on the process's next refill, so a
+	// restored process that never runs again never reads its stream.
+	skip uint64
 }
 
 // refillRefs is the per-process refill window of a stream that is not
@@ -51,12 +55,20 @@ type proc struct {
 const refillRefs = 512
 
 // refill reloads an exhausted window from the process's stream through
-// rows, a scratch buffer shared by all processes. It returns nil with
-// an empty window at end of stream, and the stream's error once every
-// reference read before it has executed.
+// rows, a scratch buffer shared by all processes, first discarding any
+// prefix a restore left to skip. It returns nil with an empty window at
+// end of stream, and the stream's error once every reference read
+// before it has executed.
 func (p *proc) refill(rows []mem.Ref) error {
 	if p.src == nil {
 		return nil // captured: the columns are the whole stream
+	}
+	if p.skip > 0 {
+		n := p.skip
+		p.skip = 0
+		if err := discard(p.src, n, rows); err != nil {
+			return fmt.Errorf("sim: repositioning process %d: %w", p.pid, err)
+		}
 	}
 	if p.rdErr == nil {
 		if p.win.Kinds == nil {

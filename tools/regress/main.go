@@ -21,7 +21,8 @@
 //
 //	# Ratio gate on one snapshot (make bench-checkpoint output): the
 //	# best cold checkpoint sweep must be at least -min times slower
-//	# than the best warm one.
+//	# than the best warm one, and the best resumed run at least -min
+//	# times slower than the best complete restore.
 //	go run ./tools/regress -mode ratio -min 3 BENCH_checkpoint.json
 //
 // In the two-file modes the first path is the golden (want), the
@@ -55,10 +56,10 @@ var (
 type benchResult = regress.BenchResult
 
 func main() {
-	mode := flag.String("mode", "report", "comparison mode: report (exact), bench (ns/op tolerance), ratio (checkpoint cold/warm speedup)")
+	mode := flag.String("mode", "report", "comparison mode: report (exact), bench (ns/op tolerance), ratio (checkpoint speedups)")
 	tol := flag.Float64("tol", 0.05, "bench mode: allowed relative ns/op regression per benchmark")
 	subset := flag.Bool("subset", false, "bench mode: the candidate covers only some golden benchmarks; skip the rest instead of failing")
-	minRatio := flag.Float64("min", 3, "ratio mode: minimum cold/warm checkpoint sweep speedup")
+	minRatio := flag.Float64("min", 3, "ratio mode: minimum checkpoint speedup (cold/warm sweep and resume/complete run)")
 	flag.Parse()
 	if *mode == "ratio" {
 		os.Exit(ratioMode(flag.Args(), *minRatio))
@@ -98,22 +99,26 @@ func main() {
 	fmt.Printf("regress: %s matches %s\n", gotPath, goldenPath)
 }
 
-// ratioMode gates one checkpoint benchmark snapshot on its cold/warm
-// sweep speedup, returning the exit code.
+// ratioMode gates one checkpoint benchmark snapshot on its speedups,
+// returning the exit code.
 func ratioMode(args []string, minRatio float64) int {
 	if len(args) != 1 {
 		fmt.Fprintln(os.Stderr, "usage: regress -mode ratio [-min ratio] BENCH_checkpoint.json")
 		return 2
 	}
-	ratio, diffs, err := compareRatioFile(args[0], minRatio)
+	ratios, diffs, err := compareRatioFile(args[0], minRatio)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "regress:", err)
 		return 2
 	}
+	for _, d := range diffs {
+		fmt.Fprintf(os.Stderr, "regress: %s: %s\n", args[0], d)
+	}
 	if len(diffs) > 0 {
-		fmt.Fprintf(os.Stderr, "regress: %s: %s\n", args[0], diffs[0])
 		return 1
 	}
-	fmt.Printf("regress: %s: warm sweep %.1fx faster than cold (>= %.1fx required)\n", args[0], ratio, minRatio)
+	for _, r := range ratios {
+		fmt.Printf("regress: %s: %s %.1fx faster than %s (>= %.1fx required)\n", args[0], r.Fast, r.Value, r.Slow, minRatio)
+	}
 	return 0
 }
