@@ -2,8 +2,10 @@
 
 GO ?= go
 
-# Experiments with a JSON form (tables 3-5, figs 2-4) are mirrored
-# under testdata/golden/, one <id>.json each.
+# Every experiment's text is mirrored under testdata/golden/, one
+# <id>.txt each, beside one <id>.json for each experiment with a JSON
+# form (tables 3-5, figs 2-4 and policies). tiny/ holds the texts the
+# harness unit tests check at their tiny scale.
 GOLDEN_DIR := testdata/golden
 
 .PHONY: all build test vet race fleet-test verify verify-long bench bench-hot bench-snapshot bench-check bench-checkpoint profile golden regress clean
@@ -30,8 +32,8 @@ race:
 	$(GO) test -race -short ./internal/server/... ./internal/jobs/... ./internal/fleet/
 
 # The full multi-process fleet gate: in-process unit tests, then a real
-# coordinator + two worker processes serving the six golden experiments
-# byte-identically (with a disk-store restart), then the chaos run that
+# coordinator + two worker processes serving the six sweep goldens
+# (table3-5, fig2-4) byte-identically (with a disk-store restart), then the chaos run that
 # SIGKILLs a worker mid-sweep. Mirrors the CI fleet job; budget ~10 min
 # locally (longer under -race).
 fleet-test:
@@ -108,20 +110,23 @@ profile:
 	$(GO) tool pprof -top -nodecount=10 $(PROFILE_DIR)/bench.test $(PROFILE_DIR)/cpu.out
 	$(GO) tool pprof -top -nodecount=10 -sample_index=alloc_space $(PROFILE_DIR)/bench.test $(PROFILE_DIR)/mem.out
 
-# Regenerate the committed golden JSON reports (default scaled
-# configuration, seed 42). Only needed when the simulator's behaviour
+# Regenerate the committed default-scale goldens (seed 42): every
+# experiment's text and each JSON document, from one run that simulates
+# each distinct cell once. Only needed when the simulator's behaviour
 # changes intentionally; commit the result.
 golden:
-	$(GO) run ./cmd/rampage-bench -exp all -scale default -format json -outdir $(GOLDEN_DIR)
+	$(GO) run ./cmd/rampage-bench -exp all -scale default -outdir $(GOLDEN_DIR)
 
-# Regenerate every golden experiment into a temp dir and diff the
-# directories (exact: simulated data is deterministic). The directory
-# mode makes a missing file on either side a hard error, so a deleted
-# golden or an experiment that stopped rendering cannot slip through.
+# Regenerate every golden into a temp dir and diff the directories
+# (exact: simulated data is deterministic): the JSON documents with
+# tools/regress, the texts byte for byte with diff. Both make a file
+# present on one side only a failure, so a deleted golden or an
+# experiment that stopped rendering cannot slip through.
 regress: REGRESS_TMP := $(shell mktemp -d)
 regress:
-	$(GO) run ./cmd/rampage-bench -exp all -scale default -format json -outdir $(REGRESS_TMP)
+	$(GO) run ./cmd/rampage-bench -exp all -scale default -outdir $(REGRESS_TMP)
 	$(GO) run ./tools/regress -mode report $(GOLDEN_DIR) $(REGRESS_TMP)
+	diff -r -x tiny -x '*.json' $(GOLDEN_DIR) $(REGRESS_TMP)
 	rm -rf $(REGRESS_TMP)
 
 clean:

@@ -1,19 +1,28 @@
 // Command rampage-bench regenerates the paper's tables and figures.
-// Each experiment runs the corresponding parameter sweep and prints
-// the rows/series the paper reports.
+// Every experiment expands into simulation cells, and its text — and,
+// for the seven with a JSON form, its versioned document — is folded
+// from the cells' reports. Running several experiments simulates each
+// distinct cell once.
 //
 // Usage:
 //
 //	rampage-bench -exp table3            # one experiment, scaled default
 //	rampage-bench -exp all -scale quick  # everything, fast
+//	rampage-bench -exp all -outdir DIR   # <id>.txt each, <id>.json for JSON forms
 //	rampage-bench -list                  # what exists
 //
-// Experiments: table1 table2 table3 table4 table5 fig2 fig3 fig4 fig5
-// plus the ablations bigtlb, pipelined, victim and biglone (see
-// DESIGN.md for the per-experiment index).
+// Experiments (see DESIGN.md for the per-experiment index):
+//
+//   - the paper's artifacts: table1 table2 table3 table4 table5 fig2
+//     fig3 fig4 fig5;
+//   - the ablations: bigtlb pipelined victim biglone;
+//   - the extensions: sdram threads adaptive perbench prefetch channels
+//     banked phased;
+//   - the policy lab, policies, and the self-checks verdict and warmup.
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -42,8 +51,8 @@ func main() {
 		parallel = flag.Int("parallel", 0, "sweep worker count (0 = one per CPU); results are identical at any setting")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		format   = flag.String("format", "text", "output format: text, json (versioned experiment documents; tables 3-5 and figs 2-4)")
-		outDir   = flag.String("outdir", "", "with -format json: write one <id>.json per experiment here instead of stdout")
+		format   = flag.String("format", "text", "output format: text, json (versioned experiment documents; tables 3-5, figs 2-4 and policies)")
+		outDir   = flag.String("outdir", "", "write each experiment here instead of stdout: <id>.txt, and <id>.json for one with a JSON form (-format json: the .json files only)")
 		verify   = flag.Bool("verify", false, "run under the oracle invariant checker: assert machine invariants online and fail on the first violation (results are unchanged, runs are slower)")
 	)
 	flag.Parse()
@@ -117,89 +126,94 @@ func main() {
 		return
 	}
 
-	var selected []harness.Experiment
-	if *exp == "all" {
-		selected = harness.Experiments()
-	} else {
+	selected := harness.Experiments()
+	if *exp != "all" {
 		e, ok := harness.FindExperiment(*exp)
 		if !ok {
 			fatal(fmt.Errorf("unknown experiment %q; use -list", *exp))
 		}
 		selected = []harness.Experiment{e}
 	}
-
 	if *format == "json" {
-		if err := runJSON(ctx, cfg, selected, rateList, sizeList, *outDir, *exp == "all"); err != nil {
-			fatalOrInterrupted(err)
+		if selected, err = jsonForms(selected, *exp == "all", *outDir); err != nil {
+			fatal(err)
 		}
-		return
 	}
 
-	for _, e := range selected {
-		start := time.Now()
-		fmt.Printf("=== %s: %s ===\n", e.ID, e.Title)
-		out, err := e.Run(ctx, cfg, rateList, sizeList)
-		if err != nil {
-			fatalOrInterrupted(fmt.Errorf("%s: %w", e.ID, err))
+	start := time.Now()
+	arts, err := harness.RunExperiments(ctx, cfg, selected, rateList, sizeList)
+	if err != nil {
+		fatalOrInterrupted(err)
+	}
+	switch {
+	case *outDir != "":
+		err = writeArtifacts(*outDir, selected, arts, *format == "text")
+	case *format == "json":
+		err = harness.WriteJSON(os.Stdout, arts[0].Doc)
+	default:
+		for i, e := range selected {
+			fmt.Printf("=== %s: %s ===\n", e.ID, e.Title)
+			fmt.Println(arts[i].Text)
 		}
-		fmt.Println(out)
-		fmt.Printf("(%s in %v)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("(%s in %v)\n", *exp, time.Since(start).Round(time.Millisecond))
+	}
+	if err != nil {
+		fatal(err)
 	}
 }
 
-// runJSON emits the versioned experiment documents. A single
-// experiment with no -outdir goes to stdout (nothing else is printed,
-// so the output pipes cleanly into tools/regress); otherwise one
-// <id>.json file per experiment lands in the output directory.
-// Experiments without a JSON form are skipped with a note when running
-// "all" and rejected when named explicitly.
-func runJSON(ctx context.Context, cfg harness.Config, selected []harness.Experiment, rates, sizes []uint64, outDir string, all bool) error {
-	var ids []string
+// jsonForms keeps the selected experiments that have a JSON form. The
+// others are skipped with a note when running "all" and refused when
+// named. Without -outdir only one document can go to stdout, so the
+// output pipes cleanly into tools/regress.
+func jsonForms(selected []harness.Experiment, all bool, outDir string) ([]harness.Experiment, error) {
+	var out []harness.Experiment
 	for _, e := range selected {
-		if !harness.HasJSONForm(e.ID) {
+		if !e.HasJSONForm() {
 			if all {
 				fmt.Fprintf(os.Stderr, "rampage-bench: skipping %s (no JSON form)\n", e.ID)
 				continue
 			}
-			return fmt.Errorf("experiment %q has no JSON form (JSON covers tables 3-5 and figs 2-4)", e.ID)
+			return nil, fmt.Errorf("experiment %q has no JSON form (JSON covers tables 3-5, figs 2-4 and policies)", e.ID)
 		}
-		ids = append(ids, e.ID)
+		out = append(out, e)
 	}
-	if len(ids) == 0 {
-		return fmt.Errorf("no selected experiment has a JSON form")
+	if outDir == "" && len(out) > 1 {
+		return nil, fmt.Errorf("multiple JSON experiments need -outdir")
 	}
-	if outDir == "" && len(ids) > 1 {
-		return fmt.Errorf("multiple JSON experiments need -outdir")
+	return out, nil
+}
+
+// writeArtifacts writes each experiment's text to dir/<id>.txt (when
+// text is set) and, for one with a JSON form, its document to
+// dir/<id>.json.
+func writeArtifacts(dir string, exps []harness.Experiment, arts []harness.Artifact, text bool) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
 	}
-	if outDir != "" {
-		if err := os.MkdirAll(outDir, 0o755); err != nil {
-			return err
-		}
-	}
-	for _, id := range ids {
-		doc, err := harness.BuildExperimentDoc(ctx, cfg, id, rates, sizes)
-		if err != nil {
-			return fmt.Errorf("%s: %w", id, err)
-		}
-		if outDir == "" {
-			if err := harness.WriteJSON(os.Stdout, doc); err != nil {
-				return err
-			}
-			continue
-		}
-		path := filepath.Join(outDir, id+".json")
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := harness.WriteJSON(f, doc); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+	write := func(name string, data []byte) error {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "rampage-bench: wrote %s\n", path)
+		return nil
+	}
+	for i, e := range exps {
+		if text {
+			if err := write(e.ID+".txt", []byte(arts[i].Text)); err != nil {
+				return err
+			}
+		}
+		if doc := arts[i].Doc; doc != nil {
+			var buf bytes.Buffer
+			if err := harness.WriteJSON(&buf, doc); err != nil {
+				return err
+			}
+			if err := write(e.ID+".json", buf.Bytes()); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }

@@ -119,13 +119,39 @@ func TestCoordinatorLeaseAndComplete(t *testing.T) {
 
 // TestCoordinatorDedup pins fleet-wide dedup: the same key appearing
 // twice in one Execute, and again in a concurrent Execute, is one
-// task, one lease, one simulation.
+// task, one lease, one simulation. The cell completes only after both
+// callers are attached to the shared task: each Execute leads with a
+// key the disk store holds, and Execute reports that hit while it
+// holds the coordinator's lock and registers its remaining cells
+// before releasing it. Once both hits are in, the Lease and Complete
+// below (which take the lock) come after both registrations.
 func TestCoordinatorDedup(t *testing.T) {
-	c, _ := testCoordinator(t, nil)
+	disk, err := jobs.NewDiskStore(t.TempDir(), 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	disk.Put("stored", []byte("hit"))
+	c, _ := testCoordinator(t, func(cfg *CoordinatorConfig) { cfg.Disk = disk })
 	w := register(t, c, "w")
-	shared := CellSpec{Key: "shared"}
-	res1, err1 := execAsync(c, []CellSpec{shared, shared})
-	res2, err2 := execAsync(c, []CellSpec{shared})
+	stored, shared := CellSpec{Key: "stored"}, CellSpec{Key: "shared"}
+	attached := make(chan struct{}, 2)
+	execute := func(cells ...CellSpec) (chan []json.RawMessage, chan error) {
+		resCh, errCh := make(chan []json.RawMessage, 1), make(chan error, 1)
+		go func() {
+			res, err := c.Execute(context.Background(), cells, func(i int, _ json.RawMessage) {
+				if cells[i] == stored {
+					attached <- struct{}{}
+				}
+			})
+			resCh <- res
+			errCh <- err
+		}()
+		return resCh, errCh
+	}
+	res1, err1 := execute(stored, shared, shared)
+	res2, err2 := execute(stored, shared)
+	<-attached
+	<-attached
 
 	cell := leaseAll(t, c, w, 1)[0]
 	if cell.Key != "shared" {
@@ -143,8 +169,8 @@ func TestCoordinatorDedup(t *testing.T) {
 	if e1 != nil || e2 != nil {
 		t.Fatal(e1, e2)
 	}
-	if string(r1[0]) != "once" || string(r1[1]) != "once" || string(r2[0]) != "once" {
-		t.Errorf("deduped results = %q %q %q", r1[0], r1[1], r2[0])
+	if string(r1[1]) != "once" || string(r1[2]) != "once" || string(r2[1]) != "once" {
+		t.Errorf("deduped results = %q %q %q", r1[1], r1[2], r2[1])
 	}
 }
 

@@ -248,8 +248,10 @@ func startWorkerProc(t *testing.T, bin, base, name string) *proc {
 }
 
 // TestFleetMultiProcessGolden is the CI fleet gate: a coordinator and
-// two worker processes serve all six golden experiments at the default
-// scale byte-identical to testdata/golden/, then the whole fleet is
+// two worker processes serve the six sweep goldens (table3-5, fig2-4;
+// the policy lab's golden is served in process by
+// TestServePoliciesGoldenE2E) at the default scale byte-identical to
+// testdata/golden/, then the whole fleet is
 // torn down and a restarted coordinator — no workers at all — serves
 // table3 again from its disk store alone, byte-identical, with zero
 // new simulation.

@@ -281,14 +281,14 @@ func TestSweepWithCheckpoints(t *testing.T) {
 	rates := []uint64{1000}
 	sizes := []uint64{256, 1024}
 
-	want, err := Sweep(context.Background(), cfg, RAMpage, rates, sizes, false)
+	want, err := SweepSpec(context.Background(), cfg, RunSpec{System: RAMpage}, rates, sizes)
 	if err != nil {
 		t.Fatalf("plain sweep: %v", err)
 	}
 
 	svc := &metrics.ServiceStats{}
 	cfg.Checkpoints = memCheckpoints(t, svc)
-	cold, err := Sweep(context.Background(), cfg, RAMpage, rates, sizes, false)
+	cold, err := SweepSpec(context.Background(), cfg, RunSpec{System: RAMpage}, rates, sizes)
 	if err != nil {
 		t.Fatalf("cold sweep: %v", err)
 	}
@@ -296,7 +296,7 @@ func TestSweepWithCheckpoints(t *testing.T) {
 	if plan.Warm != len(rates)*len(sizes) || plan.Complete != len(rates)*len(sizes) {
 		t.Errorf("plan after cold sweep: warm=%d complete=%d, want both %d", plan.Warm, plan.Complete, len(rates)*len(sizes))
 	}
-	warm, err := Sweep(context.Background(), cfg, RAMpage, rates, sizes, false)
+	warm, err := SweepSpec(context.Background(), cfg, RunSpec{System: RAMpage}, rates, sizes)
 	if err != nil {
 		t.Fatalf("warm sweep: %v", err)
 	}

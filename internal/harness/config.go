@@ -53,9 +53,9 @@ type Config struct {
 	// MaxRefs caps application references per run (0 = run traces to
 	// completion).
 	MaxRefs uint64
-	// Workers bounds the in-process cell pool's parallelism (Sweep,
-	// RunCells; 0 = one worker per CPU). Results are deterministic
-	// regardless of the setting.
+	// Workers bounds the in-process cell pool's parallelism (RunCells
+	// and everything on it; 0 = one worker per CPU). Results are
+	// deterministic regardless of the setting.
 	Workers int
 	// Observer, when non-nil, is attached to the machine and the
 	// scheduler for the run: it receives event probes and periodic Tick

@@ -13,7 +13,7 @@ func TestWriteSweepCSV(t *testing.T) {
 	cfg := tinyConfig()
 	rates := []uint64{200, 4000}
 	sizes := []uint64{512, 2048}
-	grid, err := Sweep(context.Background(), cfg, RAMpage, rates, sizes, false)
+	grid, err := SweepSpec(context.Background(), cfg, RunSpec{System: RAMpage}, rates, sizes)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -170,14 +170,14 @@ func TestBatchedPathEquivalenceMaxRefs(t *testing.T) {
 	runAllPaths(t, cfg, RunSpec{System: RAMpageCS, IssueMHz: 4000, SizeBytes: 512, SwitchTrace: true})
 }
 
-// TestSweepPreloadEquivalence pins Sweep's materialized-workload
+// TestSweepPreloadEquivalence pins SweepSpec's materialized-workload
 // replay against direct Run calls (which regenerate their streams):
 // every grid cell must be bit-identical.
 func TestSweepPreloadEquivalence(t *testing.T) {
 	cfg := tinyConfig()
 	rates := []uint64{1000, 4000}
 	sizes := []uint64{128, 1024}
-	grid, err := Sweep(context.Background(), cfg, RAMpageCS, rates, sizes, true)
+	grid, err := SweepSpec(context.Background(), cfg, RunSpec{System: RAMpageCS, SwitchTrace: true}, rates, sizes)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,14 @@ package harness
 
 import (
 	"context"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"rampage/internal/policy"
+	"rampage/internal/synth"
 )
 
 // tinyConfig is small enough for unit tests: ~100k references.
@@ -81,7 +87,7 @@ func TestRunDeterministic(t *testing.T) {
 
 func TestSweepAndBest(t *testing.T) {
 	cfg := tinyConfig()
-	grid, err := Sweep(context.Background(), cfg, BaselineDM, []uint64{200, 4000}, []uint64{256, 1024}, false)
+	grid, err := SweepSpec(context.Background(), cfg, RunSpec{System: BaselineDM}, []uint64{200, 4000}, []uint64{256, 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +114,9 @@ func TestExperimentRegistry(t *testing.T) {
 			t.Errorf("duplicate experiment %q", e.ID)
 		}
 		seen[e.ID] = true
-		if e.Title == "" || e.Run == nil {
+		// An experiment either has a JSON form, whose document its
+		// text is rendered from, or expands into cells of its own.
+		if e.Title == "" || (e.form == nil) == (e.expand == nil) {
 			t.Errorf("experiment %q incomplete", e.ID)
 		}
 	}
@@ -119,9 +127,6 @@ func TestExperimentRegistry(t *testing.T) {
 	}
 	if _, ok := FindExperiment("nonesuch"); ok {
 		t.Error("FindExperiment(nonesuch) succeeded")
-	}
-	if len(SortedExperimentIDs()) != len(exps) {
-		t.Error("SortedExperimentIDs length mismatch")
 	}
 }
 
@@ -149,6 +154,10 @@ func TestTable2Experiment(t *testing.T) {
 	}
 }
 
+// TestAllSimulationExperimentsRunTiny runs every experiment at the
+// tiny scale on a two-rate, two-size grid and requires each text to
+// match its golden byte for byte (testdata/golden/tiny/<id>.txt), both
+// from one shared run and, for a few, from a run of their own.
 func TestAllSimulationExperimentsRunTiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment")
@@ -156,15 +165,145 @@ func TestAllSimulationExperimentsRunTiny(t *testing.T) {
 	cfg := tinyConfig()
 	rates := []uint64{200, 4000}
 	sizes := []uint64{256, 2048}
-	for _, e := range Experiments() {
-		out, err := e.Run(context.Background(), cfg, rates, sizes)
+	exps := Experiments()
+	arts, err := RunExperiments(context.Background(), cfg, exps, rates, sizes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range exps {
+		want, err := os.ReadFile(filepath.Join(tinyGoldenDir, e.ID+".txt"))
 		if err != nil {
-			t.Errorf("%s: %v", e.ID, err)
-			continue
+			t.Fatal(err)
 		}
-		if len(out) == 0 {
-			t.Errorf("%s: empty output", e.ID)
+		if got := arts[i].Text; got != string(want) {
+			t.Errorf("%s: text differs from its golden:\n%s", e.ID, firstDiff(string(want), got))
 		}
+		// One experiment on its own folds the same text.
+		if e.ID == "table3" || e.ID == "policies" || e.ID == "adaptive" {
+			if out, err := e.Run(context.Background(), cfg, rates, sizes); err != nil || out != string(want) {
+				t.Errorf("%s run alone: %v\n%s", e.ID, err, firstDiff(string(want), out))
+			}
+		}
+	}
+}
+
+// tinyGoldenDir holds every experiment's text at the tiny scale.
+const tinyGoldenDir = "../../testdata/golden/tiny"
+
+// firstDiff describes the first line where got departs from want.
+func firstDiff(want, got string) string {
+	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
+	for i := 0; i < len(w) || i < len(g); i++ {
+		var wl, gl string
+		if i < len(w) {
+			wl = w[i]
+		}
+		if i < len(g) {
+			gl = g[i]
+		}
+		if wl != gl {
+			return fmt.Sprintf("line %d:\n  want %q\n  got  %q", i+1, wl, gl)
+		}
+	}
+	return "no line differs"
+}
+
+// TestRunExperimentsSimulatesEachCellOnce expands every experiment on
+// the paper grid and runs the plan through a counting stand-in for
+// RunCells. The pool must see each distinct cell exactly once — one
+// call per workload: Table 2, each perbench program, the phased set —
+// plus the policy lab's determinism rerun, which must stay a second
+// simulation; and no phased cell may be answered by its Table 2 twin.
+func TestRunExperimentsSimulatesEachCellOnce(t *testing.T) {
+	cfg := tinyConfig()
+	var p plan
+	folds := map[string]func() (Artifact, error){}
+	for _, e := range Experiments() {
+		f, err := e.expandOn(&p, cfg, nil, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+		folds[e.ID] = f
+	}
+	type call struct {
+		cfg   Config
+		specs []RunSpec
+	}
+	var calls []call
+	sims := 0
+	err := p.run(context.Background(), cfg, func(_ context.Context, c Config, specs []RunSpec, _ func(int, ReportJSON)) ([]ReportJSON, error) {
+		calls = append(calls, call{c, specs})
+		reports := make([]ReportJSON, len(specs))
+		for k := range reports {
+			sims++
+			reports[k].Cycles = uint64(sims) // each simulation's own stamp
+		}
+		return reports, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// 367 distinct cells on the paper grid, plus the rerun.
+	if sims != 368 {
+		t.Errorf("simulated %d cells, want 367 distinct plus 1 rerun", sims)
+	}
+	if want := 2 + len(synth.Table2()); len(calls) != want {
+		t.Errorf("%d RunCells calls, want %d (Table 2, each program, phased)", len(calls), want)
+	}
+	var table2, phased *call
+	for i, c := range calls {
+		switch {
+		case c.cfg.profiles != nil:
+			phased = &calls[i]
+		case c.cfg.ProfileName == "":
+			table2 = &calls[i]
+		}
+		// Within a call only the rerun may repeat a spec.
+		seen := map[RunSpec]int{}
+		for _, spec := range c.specs {
+			seen[spec]++
+		}
+		for spec, n := range seen {
+			rerun := spec == RunSpec{System: RAMpage, IssueMHz: 1000, SizeBytes: 4096, Policy: policy.AWRP}
+			if n > 1 && !(rerun && n == 2 && c.cfg.profiles == nil && c.cfg.ProfileName == "") {
+				t.Errorf("%+v simulated %d times in one call", spec, n)
+			}
+		}
+	}
+	if table2 == nil || phased == nil {
+		t.Fatalf("no Table 2 or phased call among %d", len(calls))
+	}
+
+	// The rerun is a second simulation: its report is not the
+	// document's awrp cell.
+	art, err := folds["policies"]()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var awrp uint64
+	for _, g := range art.Doc.Systems {
+		if g.System == SystemLabel(RAMpage, policy.AWRP) {
+			awrp = g.Rows[0][len(g.Rows[0])-1].Cycles
+		}
+	}
+	if awrp == 0 || strings.Contains(art.Text, fmt.Sprintf("awrp repeat: %d cycles", awrp)) {
+		t.Errorf("the determinism rerun shares the awrp cell's report (%d cycles)", awrp)
+	}
+
+	// Every phased cell has a Table 2 twin, and neither answers the
+	// other.
+	twins := map[RunSpec]bool{}
+	for _, spec := range table2.specs {
+		twins[spec] = true
+	}
+	for _, spec := range phased.specs {
+		if !twins[spec] {
+			t.Errorf("phased cell %+v has no Table 2 twin", spec)
+		}
+	}
+	if len(phased.specs) != 7 {
+		t.Errorf("phased call ran %d cells, want 7 (six sizes plus adaptive)", len(phased.specs))
 	}
 }
 
@@ -180,11 +319,11 @@ func TestShapeRAMpageVsBaseline(t *testing.T) {
 	sizes := []uint64{128, 1024, 4096}
 	gains := map[uint64]float64{}
 	for _, mhz := range []uint64{200, 4000} {
-		base, err := Sweep(context.Background(), cfg, BaselineDM, []uint64{mhz}, sizes, false)
+		base, err := SweepSpec(context.Background(), cfg, RunSpec{System: BaselineDM}, []uint64{mhz}, sizes)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rp, err := Sweep(context.Background(), cfg, RAMpage, []uint64{mhz}, sizes, false)
+		rp, err := SweepSpec(context.Background(), cfg, RunSpec{System: RAMpage}, []uint64{mhz}, sizes)
 		if err != nil {
 			t.Fatal(err)
 		}

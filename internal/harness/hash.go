@@ -83,10 +83,12 @@ func specKey(kind string, cfg Config, spec RunSpec) string {
 
 // ExperimentKey returns the content-address of one experiment-sweep
 // request. The grid is normalized exactly as ShapeOf normalizes it
-// (paper defaults for empty slices, the fixed issue rate
-// for the figure experiments), so requests that elide the defaults and
-// requests that spell them out share a key.
+// (paper defaults for empty slices, then the experiment's rate rule,
+// which pins the rate of the figure experiments and the policy lab),
+// so requests that elide the defaults and requests that spell them out
+// share a key.
 func ExperimentKey(cfg Config, id string, rates, sizes []uint64) string {
-	rates, sizes = normalizeExperimentGrid(id, rates, sizes)
+	e, _ := FindExperiment(id)
+	rates, sizes = e.grid(rates, sizes)
 	return hashKey(keyDoc{Version: ReportVersion, Kind: "experiment", Config: canonicalOf(cfg), ID: id, Rates: rates, Sizes: sizes})
 }

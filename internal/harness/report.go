@@ -103,6 +103,15 @@ func NewReportJSON(r *stats.Report) ReportJSON {
 	}
 }
 
+// LevelFraction is stats.Report.LevelFraction over the flattened
+// report: the fraction of run time spent in a level.
+func (r ReportJSON) LevelFraction(l stats.Level) float64 {
+	if r.Cycles == 0 {
+		return 0
+	}
+	return float64(r.LevelCycles[l.String()]) / float64(r.Cycles)
+}
+
 // RunDoc is the JSON document for a single simulation run
 // (rampage-sim -format json).
 type RunDoc struct {
@@ -134,8 +143,9 @@ type SystemGrid struct {
 
 // ExperimentDoc is the JSON document for one experiment's sweep grids
 // (rampage-bench -format json). Only the sweep-structured experiments
-// (Tables 3–5, Figures 2–4) have a JSON form; the prose-style artifacts
-// keep their text renderings.
+// (Tables 3–5, Figures 2–4 and the policy lab) have a JSON form; their
+// text is rendered from the document, and the other artifacts have
+// text only.
 type ExperimentDoc struct {
 	Version    int          `json:"version"`
 	Kind       string       `json:"kind"` // "experiment"
@@ -146,30 +156,18 @@ type ExperimentDoc struct {
 	Systems    []SystemGrid `json:"systems"`
 }
 
-// jsonExperiments maps the experiments with a JSON form to their sweep
-// structure: which systems run, whether the switch trace is inserted,
-// any fixed issue rate (0 = the full rate sweep), and the per-system
-// replacement policy (nil = clock throughout).
-var jsonExperiments = map[string]struct {
+// docForm is the document structure of an experiment with a JSON
+// form: one sweep grid per system, with that system's switch-trace
+// setting and replacement policy (nil policies = clock throughout).
+// text renders the experiment's text from its document; reruns, when
+// set, names document cells the text simulates a second time, and
+// text receives their reports in that order.
+type docForm struct {
 	systems     []SystemKind
 	switchTrace []bool
-	fixedMHz    uint64
 	policies    []string
-}{
-	"table3": {[]SystemKind{BaselineDM, RAMpage}, []bool{false, false}, 0, nil},
-	"table4": {[]SystemKind{RAMpageCS, RAMpage}, []bool{true, false}, 0, nil},
-	"table5": {[]SystemKind{TwoWayL2}, []bool{true}, 0, nil},
-	"fig2":   {[]SystemKind{BaselineDM, RAMpage}, []bool{false, false}, 200, nil},
-	"fig3":   {[]SystemKind{BaselineDM, RAMpage}, []bool{false, false}, 4000, nil},
-	"fig4":   {[]SystemKind{BaselineDM, RAMpage}, []bool{false, false}, 1000, nil},
-	// The policy lab: the RAMpage machine at the paper's 1 GHz midpoint
-	// under every replacement policy, swept across the page sizes.
-	"policies": {
-		[]SystemKind{RAMpage, RAMpage, RAMpage, RAMpage, RAMpage},
-		[]bool{false, false, false, false, false},
-		1000,
-		[]string{policy.Clock, policy.FIFO, policy.Random, policy.AWRP, policy.Bandwidth},
-	},
+	reruns      func(ExperimentShape) []RunSpec
+	text        func(doc ExperimentDoc, reruns []ReportJSON) string
 }
 
 // SystemLabel names a system as result documents and job events label
@@ -180,26 +178,6 @@ func SystemLabel(system SystemKind, pol string) string {
 		return system.String() + "+" + p
 	}
 	return system.String()
-}
-
-// HasJSONForm reports whether BuildExperimentDoc supports the
-// experiment.
-func HasJSONForm(id string) bool {
-	_, ok := jsonExperiments[id]
-	return ok
-}
-
-// normalizeExperimentGrid applies the experiment's sweep shape to a
-// requested grid: the paper defaults for empty slices and the figure
-// experiments' fixed issue rate. Unknown experiments pass through with
-// only the defaults applied.
-func normalizeExperimentGrid(id string, rates, sizes []uint64) ([]uint64, []uint64) {
-	if shape, ok := jsonExperiments[id]; ok && shape.fixedMHz != 0 {
-		rates = []uint64{shape.fixedMHz}
-	} else {
-		rates = defRates(rates)
-	}
-	return rates, defSizes(sizes)
 }
 
 // ExperimentShape is the resolved sweep structure of a JSON-form
@@ -221,26 +199,23 @@ type ExperimentShape struct {
 }
 
 // ShapeOf resolves an experiment's sweep shape under a requested grid
-// (empty slices select the paper defaults; the figure experiments pin
-// their own issue rate). Experiments without a JSON form error, as do
-// grids with zero or repeated values and grids with any cell that
-// fails RunSpec.Validate, so a bad request is refused before anything
-// runs.
+// (empty slices select the paper defaults; the figure experiments and
+// the policy lab pin their own issue rate). Experiments without a JSON
+// form error, as do grids with zero or repeated values and grids with
+// any cell that fails RunSpec.Validate, so a bad request is refused
+// before anything runs.
 func ShapeOf(id string, rates, sizes []uint64) (ExperimentShape, error) {
-	shape, ok := jsonExperiments[id]
-	if !ok {
+	e, ok := FindExperiment(id)
+	if !ok || e.form == nil {
 		return ExperimentShape{}, fmt.Errorf("harness: experiment %q has no JSON form", id)
 	}
-	exp, ok := FindExperiment(id)
-	if !ok {
-		return ExperimentShape{}, fmt.Errorf("harness: unknown experiment %q", id)
-	}
-	rates, sizes = normalizeExperimentGrid(id, rates, sizes)
+	rates, sizes = e.grid(rates, sizes)
 	for _, grid := range [][]uint64{rates, sizes} {
 		if err := checkGrid(grid); err != nil {
 			return ExperimentShape{}, err
 		}
 	}
+	shape := e.form
 	policies := make([]string, len(shape.systems))
 	for i := range policies {
 		if shape.policies != nil {
@@ -260,7 +235,7 @@ func ShapeOf(id string, rates, sizes []uint64) (ExperimentShape, error) {
 	}
 	return ExperimentShape{
 		ID:          id,
-		Title:       exp.Title,
+		Title:       e.Title,
 		RatesMHz:    rates,
 		SizesBytes:  sizes,
 		Systems:     shape.systems,
@@ -329,9 +304,9 @@ func (sh ExperimentShape) Doc(reports []ReportJSON) (ExperimentDoc, error) {
 
 // BuildExperimentDoc runs an experiment's cells in process and
 // returns the versioned JSON document: ShapeOf, then RunCells over
-// CellSpecs, then Doc. It supports the experiments HasJSONForm
-// reports; others return an error. Cancelling ctx aborts the run and
-// returns ctx.Err().
+// CellSpecs, then Doc. It supports the experiments whose
+// Experiment.HasJSONForm holds; others return an error. Cancelling
+// ctx aborts the run and returns ctx.Err().
 func BuildExperimentDoc(ctx context.Context, cfg Config, id string, rates, sizes []uint64) (ExperimentDoc, error) {
 	sh, err := ShapeOf(id, rates, sizes)
 	if err != nil {

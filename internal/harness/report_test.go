@@ -152,16 +152,16 @@ func TestBuildExperimentDocDeterministic(t *testing.T) {
 // HasJSONForm predicate.
 func TestBuildExperimentDocUnsupported(t *testing.T) {
 	for _, id := range []string{"table1", "table2", "fig5", "nope"} {
-		if HasJSONForm(id) {
-			t.Errorf("HasJSONForm(%q) = true", id)
+		if e, ok := FindExperiment(id); ok && e.HasJSONForm() {
+			t.Errorf("%s.HasJSONForm() = true", id)
 		}
 		if _, err := BuildExperimentDoc(context.Background(), tinyConfig(), id, nil, nil); err == nil {
 			t.Errorf("BuildExperimentDoc(%q) succeeded, want error", id)
 		}
 	}
-	for _, id := range []string{"table3", "table4", "table5", "fig2", "fig3", "fig4"} {
-		if !HasJSONForm(id) {
-			t.Errorf("HasJSONForm(%q) = false", id)
+	for _, id := range []string{"table3", "table4", "table5", "fig2", "fig3", "fig4", "policies"} {
+		if e, _ := FindExperiment(id); !e.HasJSONForm() {
+			t.Errorf("%s.HasJSONForm() = false", id)
 		}
 	}
 }

@@ -160,8 +160,8 @@ func Run(ctx context.Context, cfg Config, spec RunSpec) (*stats.Report, error) {
 }
 
 // runWithReaders is Run with the workload streams supplied by the
-// caller — Sweep uses it to replay one materialized workload across
-// every grid cell instead of regenerating it per cell.
+// caller — the cell pool uses it to replay one materialized workload
+// across every cell instead of regenerating it per cell.
 func runWithReaders(ctx context.Context, cfg Config, spec RunSpec, readers []trace.Reader) (*stats.Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -345,9 +345,9 @@ func schedulerConfig(cfg Config, spec RunSpec) sim.SchedulerConfig {
 	}
 }
 
-// preloadRefsCap bounds workload materialization in Sweep: streams
-// totalling more than this many references (9 bytes each in columnar
-// form) are regenerated per cell instead of being stored.
+// preloadRefsCap bounds workload materialization in the cell pool:
+// streams totalling more than this many references (9 bytes each in
+// columnar form) are regenerated per cell instead of being stored.
 const preloadRefsCap = 64 << 20
 
 // workloadKey identifies a materialized workload. The generated
@@ -472,21 +472,14 @@ func captureWorkload(cfg Config) []*trace.ColumnarBuffer {
 	return out
 }
 
-// Sweep runs a grid of points — every issue rate crossed with every
-// size — for one system, returning reports indexed [rate][size]. The
-// cells run on the in-process cell pool (see RunCells), so they share
-// one captured workload and run in parallel; results are deterministic
+// SweepSpec runs a grid of points — every issue rate crossed with
+// every size, each cell a copy of base with its rate and size
+// substituted — returning reports indexed [rate][size]. The cells run
+// on the in-process cell pool (see RunCells), so they share one
+// captured workload and run in parallel; results are deterministic
 // regardless of parallelism. Cancelling ctx abandons unstarted cells,
 // stops in-flight ones at the next batch boundary, and returns
 // ctx.Err().
-func Sweep(ctx context.Context, cfg Config, system SystemKind, rates, sizes []uint64, switchTrace bool) ([][]*stats.Report, error) {
-	return SweepSpec(ctx, cfg, RunSpec{System: system, SwitchTrace: switchTrace}, rates, sizes)
-}
-
-// SweepSpec is Sweep over an arbitrary base spec: every grid cell
-// copies base with its issue rate and size substituted, so extra spec
-// dimensions — replacement policy, DRAM model, prefetch — sweep along
-// without widening Sweep's signature for each.
 func SweepSpec(ctx context.Context, cfg Config, base RunSpec, rates, sizes []uint64) ([][]*stats.Report, error) {
 	out := make([][]*stats.Report, len(rates))
 	for i := range out {

@@ -1,11 +1,11 @@
 package harness
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
 	"rampage/internal/dram"
+	"rampage/internal/mem"
 	"rampage/internal/stats"
 )
 
@@ -18,32 +18,21 @@ type claim struct {
 	detail string
 }
 
-// runVerdict reruns the core sweeps at the configured scale and checks
-// the paper's claims one by one, printing PASS/FAIL per claim. It is
-// the repository's self-test of the reproduction (EXPERIMENTS.md is
-// the prose version).
-func runVerdict(ctx context.Context, cfg Config, rates, sizes []uint64) (string, error) {
-	rates, sizes = defRates(rates), defSizes(sizes)
-	lo, hi := rates[0], rates[len(rates)-1]
-	sweepRates := []uint64{lo, hi}
+// expandVerdict plans the core sweeps at the first and last requested
+// rates — cells Tables 3–5 share — and folds them into the paper's
+// claims one by one, printing PASS/FAIL per claim. It is the
+// repository's self-test of the reproduction (EXPERIMENTS.md is the
+// prose version).
+func expandVerdict(p *plan, _ Config, rates, sizes []uint64) fold {
+	base := p.grid(RunSpec{System: BaselineDM}, rates, sizes)
+	rp := p.grid(RunSpec{System: RAMpage}, rates, sizes)
+	cs := p.grid(RunSpec{System: RAMpageCS, SwitchTrace: true}, rates, sizes)
+	tw := p.grid(RunSpec{System: TwoWayL2, SwitchTrace: true}, rates, sizes)
+	return func() (string, error) { return verdictText(sizes, base, rp, cs, tw), nil }
+}
 
-	base, err := Sweep(ctx, cfg, BaselineDM, sweepRates, sizes, false)
-	if err != nil {
-		return "", err
-	}
-	rp, err := Sweep(ctx, cfg, RAMpage, sweepRates, sizes, false)
-	if err != nil {
-		return "", err
-	}
-	cs, err := Sweep(ctx, cfg, RAMpageCS, sweepRates, sizes, true)
-	if err != nil {
-		return "", err
-	}
-	tw, err := Sweep(ctx, cfg, TwoWayL2, sweepRates, sizes, true)
-	if err != nil {
-		return "", err
-	}
-
+// verdictText checks the claims over grids indexed [slow, fast][size].
+func verdictText(sizes []uint64, base, rp, cs, tw [][]ReportJSON) string {
 	var claims []claim
 	add := func(id, text string, pass bool, detail string) {
 		claims = append(claims, claim{id, text, pass, detail})
@@ -63,13 +52,13 @@ func runVerdict(ctx context.Context, cfg Config, rates, sizes []uint64) (string,
 	add("T3-smallpage", "RAMpage performs badly at the smallest SRAM page (TLB overhead)",
 		rp[0][0].Cycles > base[0][0].Cycles,
 		fmt.Sprintf("rampage %.4fs vs baseline %.4fs at %s/%dB",
-			rp[0][0].Seconds(), base[0][0].Seconds(), rp[0][0].Clock, sizes[0]))
+			rp[0][0].Seconds, base[0][0].Seconds, mem.MustClock(rp[0][0].ClockMHz), sizes[0]))
 
 	// Table 3: best-vs-best win at the fast clock, growing with the gap.
-	_, bLo := Best(base[0])
-	_, rLo := Best(rp[0])
-	_, bHi := Best(base[1])
-	_, rHi := Best(rp[1])
+	_, bLo := best(base[0])
+	_, rLo := best(rp[0])
+	_, bHi := best(base[1])
+	_, rHi := best(rp[1])
 	gainLo := float64(bLo.Cycles) / float64(rLo.Cycles)
 	gainHi := float64(bHi.Cycles) / float64(rHi.Cycles)
 	add("T3-win", "best RAMpage beats best baseline at the fastest clock",
@@ -78,8 +67,8 @@ func runVerdict(ctx context.Context, cfg Config, rates, sizes []uint64) (string,
 		gainHi > gainLo, fmt.Sprintf("%.3f @slow -> %.3f @fast", gainLo, gainHi))
 
 	// Table 4: switch-on-miss pays off as the gap grows.
-	_, cLo := Best(cs[0])
-	_, cHi := Best(cs[1])
+	_, cLo := best(cs[0])
+	_, cHi := best(cs[1])
 	csLo := float64(rLo.Cycles) / float64(cLo.Cycles)
 	csHi := float64(rHi.Cycles) / float64(cHi.Cycles)
 	add("T4-growth", "the value of a context switch on a miss increases with CPU speed",
@@ -89,10 +78,10 @@ func runVerdict(ctx context.Context, cfg Config, rates, sizes []uint64) (string,
 
 	// Table 5 / Figure 5: 2-way competitive, RAMpage ahead at the gap's
 	// far end.
-	_, tHi := Best(tw[1])
+	_, tHi := best(tw[1])
 	add("F5-crossover", "RAMpage-CS matches or beats the 2-way L2 at the fastest clock",
 		cHi.Cycles <= tHi.Cycles,
-		fmt.Sprintf("rampage-cs %.4fs vs 2-way %.4fs", cHi.Seconds(), tHi.Seconds()))
+		fmt.Sprintf("rampage-cs %.4fs vs 2-way %.4fs", cHi.Seconds, tHi.Seconds))
 
 	// Figures 2-3: DRAM share grows with the clock; RAMpage more
 	// tolerant.
@@ -112,7 +101,7 @@ func runVerdict(ctx context.Context, cfg Config, rates, sizes []uint64) (string,
 	// with page size.
 	var bMin, bMax float64 = 2, 0
 	for _, r := range base[1] {
-		o := r.OverheadRatio()
+		o := r.OverheadRatio
 		if o < bMin {
 			bMin = o
 		}
@@ -122,8 +111,8 @@ func runVerdict(ctx context.Context, cfg Config, rates, sizes []uint64) (string,
 	}
 	add("F4-flat", "baseline handler overhead is flat across block sizes",
 		bMax-bMin < 0.02, fmt.Sprintf("spread %.3f", bMax-bMin))
-	first := rp[1][0].OverheadRatio()
-	lastO := rp[1][len(sizes)-1].OverheadRatio()
+	first := rp[1][0].OverheadRatio
+	lastO := rp[1][len(sizes)-1].OverheadRatio
 	add("F4-cliff", "RAMpage handler overhead collapses as pages grow",
 		first > 4*lastO && first > 0.2,
 		fmt.Sprintf("%.1f%% at %dB -> %.1f%% at %dB", 100*first, sizes[0], 100*lastO, sizes[len(sizes)-1]))
@@ -141,5 +130,5 @@ func runVerdict(ctx context.Context, cfg Config, rates, sizes []uint64) (string,
 			strings.Repeat(" ", 24), c.detail)
 	}
 	fmt.Fprintf(&b, "\n%d/%d claims reproduced.\n", passed, len(claims))
-	return b.String(), nil
+	return b.String()
 }

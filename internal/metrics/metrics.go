@@ -163,7 +163,8 @@ const DefaultMaxSnapshots = 1024
 // Collector is the standard Observer: per-event counters, per-event
 // bounded histograms for Observe'd magnitudes, and periodic cumulative
 // snapshots. It is not safe for concurrent use — attach one per run
-// (Sweep runs cells in parallel and therefore detaches observers).
+// (the cell pool runs cells in parallel and therefore detaches
+// observers).
 type Collector struct {
 	counts [NumEvents]uint64
 	hists  [NumEvents]Histogram

@@ -283,12 +283,13 @@ func errorf(code int, format string, args ...any) *httpError {
 // request is expanded once, up front, so a bad grid is refused with
 // 400 before anything is queued.
 func (s *Server) experimentJob(req experimentRequest) (jobs.Request, error) {
-	if !harness.HasJSONForm(req.ID) {
-		if _, ok := harness.FindExperiment(req.ID); !ok {
-			return jobs.Request{}, errorf(http.StatusNotFound, "unknown experiment %q", req.ID)
-		}
+	e, ok := harness.FindExperiment(req.ID)
+	if !ok {
+		return jobs.Request{}, errorf(http.StatusNotFound, "unknown experiment %q", req.ID)
+	}
+	if !e.HasJSONForm() {
 		return jobs.Request{}, errorf(http.StatusBadRequest,
-			"experiment %q has no JSON form (the service serves tables 3-5 and figs 2-4)", req.ID)
+			"experiment %q has no JSON form (the service serves tables 3-5, figs 2-4 and policies)", req.ID)
 	}
 	cfg, err := s.configFor(req.Scale, req.Seed)
 	if err != nil {
@@ -425,7 +426,7 @@ func (s *Server) handleListExperiments(w http.ResponseWriter, r *http.Request) {
 	}
 	var items []item
 	for _, e := range harness.Experiments() {
-		items = append(items, item{ID: e.ID, Title: e.Title, Servable: harness.HasJSONForm(e.ID)})
+		items = append(items, item{ID: e.ID, Title: e.Title, Servable: e.HasJSONForm()})
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"experiments": items, "scales": s.scaleNames()})
 }

@@ -75,7 +75,8 @@ func TestFormatLevelBars(t *testing.T) {
 	r.Charge(L1I, 25)
 	r.Charge(L2, 25)
 	r.Charge(DRAM, 50)
-	out := FormatLevelBars([]*Report{r}, 40)
+	share := func(_ int, l Level) float64 { return r.LevelFraction(l) }
+	out := FormatLevelBars([]uint64{r.BlockBytes}, share, 40)
 	if !strings.Contains(out, "1KB") {
 		t.Errorf("missing size label:\n%s", out)
 	}
@@ -84,14 +85,14 @@ func TestFormatLevelBars(t *testing.T) {
 		t.Errorf("bar segments wrong:\n%s", out)
 	}
 	// Default width kicks in for width <= 0.
-	if out := FormatLevelBars([]*Report{r}, 0); len(out) == 0 {
+	if out := FormatLevelBars([]uint64{r.BlockBytes}, share, 0); len(out) == 0 {
 		t.Error("zero-width call produced nothing")
 	}
 }
 
 func TestFormatLevelBarsEmptyReport(t *testing.T) {
 	r := &Report{Name: "x", Clock: mem.MustClock(200), BlockBytes: 128}
-	out := FormatLevelBars([]*Report{r}, 20)
+	out := FormatLevelBars([]uint64{r.BlockBytes}, func(_ int, l Level) float64 { return r.LevelFraction(l) }, 20)
 	if !strings.Contains(out, "|"+strings.Repeat(" ", 20)+"|") {
 		t.Errorf("empty report should render a blank bar:\n%s", out)
 	}

@@ -94,7 +94,7 @@ func Run(ctx context.Context, cfg Config, spec RunSpec) (*Report, error) {
 // in parallel across the available CPUs. Cancelling ctx abandons the
 // remaining cells.
 func Sweep(ctx context.Context, cfg Config, system SystemKind, rates, sizes []uint64, switchTrace bool) ([][]*Report, error) {
-	return harness.Sweep(ctx, cfg, system, rates, sizes, switchTrace)
+	return harness.SweepSpec(ctx, cfg, harness.RunSpec{System: system, SwitchTrace: switchTrace}, rates, sizes)
 }
 
 // Experiment reproduces one paper artifact (a table or figure).
