@@ -121,13 +121,14 @@ golden:
 # (exact: simulated data is deterministic): the JSON documents with
 # tools/regress, the texts byte for byte with diff. Both make a file
 # present on one side only a failure, so a deleted golden or an
-# experiment that stopped rendering cannot slip through.
-regress: REGRESS_TMP := $(shell mktemp -d)
+# experiment that stopped rendering cannot slip through. The recipe is
+# one shell, so the temp dir is made only when regress runs and is
+# removed on exit, whether the comparison passes or fails.
 regress:
-	$(GO) run ./cmd/rampage-bench -exp all -scale default -outdir $(REGRESS_TMP)
-	$(GO) run ./tools/regress -mode report $(GOLDEN_DIR) $(REGRESS_TMP)
-	diff -r -x tiny -x '*.json' $(GOLDEN_DIR) $(REGRESS_TMP)
-	rm -rf $(REGRESS_TMP)
+	set -e; out=$$(mktemp -d); trap 'rm -rf "$$out"' EXIT; \
+	$(GO) run ./cmd/rampage-bench -exp all -scale default -outdir "$$out"; \
+	$(GO) run ./tools/regress -mode report $(GOLDEN_DIR) "$$out"; \
+	diff -r -x tiny -x '*.json' $(GOLDEN_DIR) "$$out"
 
 clean:
 	$(GO) clean ./...

@@ -15,13 +15,9 @@ import (
 // configuration, Executes the cells (disk hits, worker leases, local
 // fallback) and decodes each worker payload strictly. done, when
 // non-nil, receives each resolved cell with its index into specs as it
-// arrives, so callers can stream cells live. ErrNotWireable marks
-// configurations that cannot be distributed (custom profile sets).
+// arrives, so callers can stream cells live.
 func (c *Coordinator) RunCells(ctx context.Context, cfg harness.Config, specs []harness.RunSpec, done func(k int, rep harness.ReportJSON)) ([]harness.ReportJSON, error) {
-	wc, ok := harness.NewWireConfig(cfg)
-	if !ok {
-		return nil, ErrNotWireable
-	}
+	wc := harness.NewWireConfig(cfg)
 	canonical := wc.Config()
 	cells := make([]CellSpec, len(specs))
 	for k, spec := range specs {

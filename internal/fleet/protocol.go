@@ -27,9 +27,6 @@ const ProtoVersion = harness.ReportVersion
 var (
 	// ErrDraining reports that the coordinator refuses new work.
 	ErrDraining = errors.New("fleet: coordinator is draining")
-	// ErrNotWireable reports a configuration that cannot travel to
-	// workers (custom profile sets).
-	ErrNotWireable = errors.New("fleet: configuration is not serializable for distribution")
 	// ErrUnknownWorker reports a lease/renew/complete from a worker ID
 	// the coordinator does not know — typically after a coordinator
 	// restart. Workers re-register and continue.
@@ -40,7 +37,8 @@ var (
 // address, the serializable configuration and the simulation point.
 // Key is harness.CellKey(Config.Config(), Spec), the address the
 // results store keeps the cell's report under, so identical cells
-// collapse across experiments, workers and restarts.
+// collapse across experiments, workers and restarts; a worker refuses
+// a cell whose Key is anything else.
 type CellSpec struct {
 	Key    string             `json:"key"`
 	Config harness.WireConfig `json:"config"`

@@ -14,6 +14,7 @@ import (
 
 	"rampage/internal/cas"
 	"rampage/internal/checkpoint"
+	"rampage/internal/harness"
 	"rampage/internal/metrics"
 )
 
@@ -155,11 +156,15 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 }
 
-// executeBatch runs a leased batch: cells the local result store
-// holds complete first, and the rest run through RunLocal, with each
-// simulated cell written back to that store. A renewer keeps the
-// batch's leases alive meanwhile; renewing a finished cell is a no-op,
-// since the coordinator only extends leases the worker still holds.
+// executeBatch runs a leased batch. A cell whose key is not the
+// CellKey of its config and spec completes with an error: it is not
+// run, nor served from or stored in the local result store, where its
+// report would sit under another cell's address. Cells the local
+// result store holds complete next, and the rest run through RunLocal,
+// with each simulated cell written back to that store. A renewer keeps
+// the batch's leases alive meanwhile; renewing a finished cell is a
+// no-op, since the coordinator only extends leases the worker still
+// holds.
 func (w *Worker) executeBatch(ctx context.Context, cells []CellSpec) {
 	keys := make([]string, len(cells))
 	for i, cell := range cells {
@@ -202,6 +207,10 @@ func (w *Worker) executeBatch(ctx context.Context, cells []CellSpec) {
 	}
 	var run []CellSpec
 	for _, cell := range cells {
+		if want := harness.CellKey(cell.Config.Config(), cell.Spec); cell.Key != want {
+			finish(cell.Key, nil, fmt.Errorf("fleet: leased key %s is not its cell's key %s", shortKey(cell.Key), shortKey(want)))
+			continue
+		}
 		if data, ok := w.cfg.Disk.Get(cell.Key); ok {
 			w.logf("cell %s served from local store", shortKey(cell.Key))
 			finish(cell.Key, data, nil)

@@ -17,6 +17,7 @@ import (
 	"rampage/internal/harness"
 	"rampage/internal/jobs"
 	"rampage/internal/metrics"
+	"rampage/internal/synth"
 )
 
 func tinyConfig() harness.Config {
@@ -455,10 +456,7 @@ func batchWorker(t *testing.T, parallel int, ckpts *checkpoint.Store) (*Worker, 
 // wireCell is the leased form of one cell under cfg.
 func wireCell(t *testing.T, cfg harness.Config, spec harness.RunSpec) CellSpec {
 	t.Helper()
-	wc, ok := harness.NewWireConfig(cfg)
-	if !ok {
-		t.Fatal("configuration is not wireable")
-	}
+	wc := harness.NewWireConfig(cfg)
 	return CellSpec{Key: harness.CellKey(wc.Config(), spec), Config: wc, Spec: spec}
 }
 
@@ -572,5 +570,125 @@ func TestWorkerFailedGroupCompletesUnfinishedCells(t *testing.T) {
 	}
 	if n := w.Simulated(); n != 2 {
 		t.Errorf("Simulated = %d, want 2", n)
+	}
+}
+
+// TestWorkerRefusesMismatchedKeys pins the worker's key check: a
+// leased cell whose key is not the CellKey of its config and spec
+// completes with an error. It is not run, not answered from the local
+// result store (which holds a record under its key here) and not
+// stored there, while a well-keyed cell of the same batch runs.
+func TestWorkerRefusesMismatchedKeys(t *testing.T) {
+	cfg := tinyConfig()
+	good := wireCell(t, cfg, harness.RunSpec{System: harness.RAMpage, IssueMHz: 1000, SizeBytes: 1 << 10})
+	served := wireCell(t, cfg, harness.RunSpec{System: harness.BaselineDM, IssueMHz: 1000, SizeBytes: 1 << 10})
+	served.Key = harness.RunKey(cfg, served.Spec) // a run document's address
+	stored := wireCell(t, cfg, harness.RunSpec{System: harness.RAMpage, IssueMHz: 200, SizeBytes: 1 << 10})
+	stored.Config.Seed++ // the key is the unchanged config's
+
+	disk, err := jobs.NewDiskStore(t.TempDir(), 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	planted := []byte(`{"name":"planted"}`)
+	disk.Put(served.Key, planted)
+	w, rec := batchWorker(t, 1, nil)
+	w.cfg.Disk = disk
+	w.executeBatch(context.Background(), []CellSpec{served, stored, good})
+
+	got := make(map[string]CompleteRequest)
+	for _, req := range rec.list() {
+		got[req.Key] = req
+	}
+	if len(got) != 3 {
+		t.Fatalf("%d cells completed, want 3", len(got))
+	}
+	for _, cell := range []CellSpec{served, stored} {
+		if req := got[cell.Key]; !strings.Contains(req.Error, "is not its cell's key") || req.Report != nil {
+			t.Errorf("mismatched cell %s completed with %q / %s, want a key error", shortKey(cell.Key), req.Error, req.Report)
+		}
+	}
+	if req := got[good.Key]; req.Error != "" || !bytes.Equal(req.Report, cellBytes(t, good)) {
+		t.Errorf("well-keyed cell completed with %q, want its report", req.Error)
+	}
+	if n := w.Simulated(); n != 1 {
+		t.Errorf("Simulated = %d, want 1 (the well-keyed cell)", n)
+	}
+	if data, _ := disk.Get(served.Key); !bytes.Equal(data, planted) {
+		t.Errorf("record under the served cell's key = %s, want it untouched", data)
+	}
+	if _, ok := disk.Get(stored.Key); ok {
+		t.Error("a mismatched cell's report was stored under its key")
+	}
+}
+
+// TestFleetRunsNamedWorkloads serves phased and perbench cells (the
+// phased set and one Table 2 program) through Coordinator.RunCells to
+// an in-process worker, with no orphan fallback: the workload name
+// travels in the wire config, so every report is byte-identical to the
+// in-process runner's and differs from its Table 2 twin's.
+func TestFleetRunsNamedWorkloads(t *testing.T) {
+	stats := &metrics.ServiceStats{}
+	c := NewCoordinator(CoordinatorConfig{
+		LeaseTTL:     2 * time.Second,
+		PollInterval: 20 * time.Millisecond,
+		Stats:        stats,
+		Local: func(ctx context.Context, cell CellSpec) ([]byte, error) {
+			t.Error("local fallback ran with a live worker")
+			return localCell(ctx, cell)
+		},
+	})
+	cs := newCoordServer(t, c)
+	startWorker(t, cs.ts.URL, "named")
+	waitForWorkers(t, c, 1)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	// Each workload's cells as its experiment plans them: phased runs
+	// fixed pages and the adaptive controller at the fastest rate,
+	// perbench one program's pages at 1 GHz.
+	rp := func(mhz, size uint64, adaptive bool) harness.RunSpec {
+		return harness.RunSpec{System: harness.RAMpage, IssueMHz: mhz, SizeBytes: size, AdaptivePages: adaptive}
+	}
+	cells := 0
+	for _, tc := range []struct {
+		workload string
+		specs    []harness.RunSpec
+	}{
+		{synth.Phased, []harness.RunSpec{rp(4000, 1<<10, false), rp(4000, 1<<12, false), rp(4000, 128, true)}},
+		{"compress", []harness.RunSpec{rp(1000, 1<<10, false), rp(1000, 1<<12, false)}},
+	} {
+		cfg := tinyConfig()
+		table2, err := harness.RunCells(ctx, cfg, tc.specs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.ProfileName = tc.workload
+		got, err := c.RunCells(ctx, cfg, tc.specs, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.workload, err)
+		}
+		want, err := harness.RunCells(ctx, cfg, tc.specs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, spec := range tc.specs {
+			g, _ := json.Marshal(got[k])
+			w, _ := json.Marshal(want[k])
+			twin, _ := json.Marshal(table2[k])
+			if !bytes.Equal(g, w) {
+				t.Errorf("%s %+v: fleet report differs from the in-process one", tc.workload, spec)
+			}
+			if bytes.Equal(g, twin) {
+				t.Errorf("%s %+v: fleet report equals its Table 2 twin", tc.workload, spec)
+			}
+		}
+		cells += len(tc.specs)
+	}
+	if n := stats.Get(metrics.SvcFleetCompleted); n != uint64(cells) {
+		t.Errorf("fleet_cells_completed = %d, want %d", n, cells)
+	}
+	if n := stats.Get(metrics.SvcFleetLocal); n != 0 {
+		t.Errorf("fleet_cells_local = %d with a live worker", n)
 	}
 }

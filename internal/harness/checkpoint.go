@@ -1,9 +1,6 @@
 package harness
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"sort"
 
 	"rampage/internal/checkpoint"
@@ -24,36 +21,24 @@ import (
 // with the checkpoint format version so a format bump invalidates every
 // stored checkpoint at the key level.
 type ckptPrefixDoc struct {
-	Format  uint32          `json:"ckpt_format"`
-	Version int             `json:"v"`
-	Config  canonicalConfig `json:"config"`
-	Spec    RunSpec         `json:"spec"`
+	Format  uint32     `json:"ckpt_format"`
+	Version int        `json:"v"`
+	Config  WireConfig `json:"config"`
+	Spec    RunSpec    `json:"spec"`
 }
 
 // CheckpointPrefixKey returns the warm-up prefix hash for (cfg, spec):
 // the address under which the run's checkpoints are stored and looked
-// up. It returns "" — disabling checkpointing — for configurations
-// whose workload identity is not captured by the canonical config
-// (custom profile sets), mirroring the workload cache's cacheability
-// rule.
+// up.
 func CheckpointPrefixKey(cfg Config, spec RunSpec) string {
-	if cfg.profiles != nil {
-		return ""
-	}
-	cc := canonicalOf(cfg)
-	cc.MaxRefs = 0
-	doc := ckptPrefixDoc{
+	wc := NewWireConfig(cfg)
+	wc.MaxRefs = 0
+	return hashKey(ckptPrefixDoc{
 		Format:  checkpoint.FormatVersion,
 		Version: ReportVersion,
-		Config:  cc,
+		Config:  wc,
 		Spec:    spec.Normalized(),
-	}
-	b, err := json.Marshal(doc)
-	if err != nil {
-		panic("harness: checkpoint prefix encoding failed: " + err.Error())
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
+	})
 }
 
 // PlanCell is one cell's warm-state outlook.
@@ -91,7 +76,7 @@ func PlanCells(cfg Config, specs []RunSpec) SweepPlan {
 	var plan SweepPlan
 	for k, spec := range specs {
 		pc := PlanCell{Index: k, Spec: spec, Prefix: CheckpointPrefixKey(cfg, spec)}
-		if cfg.Checkpoints != nil && pc.Prefix != "" {
+		if cfg.Checkpoints != nil {
 			if refs, complete, ok := cfg.Checkpoints.Peek(pc.Prefix, cfg.MaxRefs); ok {
 				pc.Refs, pc.Complete = refs, complete
 				plan.Warm++

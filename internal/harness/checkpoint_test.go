@@ -14,6 +14,7 @@ import (
 	"rampage/internal/checkpoint"
 	"rampage/internal/metrics"
 	"rampage/internal/stats"
+	"rampage/internal/synth"
 	"rampage/internal/trace"
 )
 
@@ -173,6 +174,50 @@ func TestCheckpointCompleteSkipsRun(t *testing.T) {
 	}
 	if store.Len() != 1 {
 		t.Errorf("store holds %d checkpoints after a complete restore, want 1", store.Len())
+	}
+}
+
+// TestCheckpointWorkloadsShareStore runs one spec on the Table 2
+// workload and on the phased workload against one checkpoint store.
+// The workload name is part of the prefix, so each run restores only
+// its own checkpoint, and each warm report equals its cold run.
+func TestCheckpointWorkloadsShareStore(t *testing.T) {
+	spec := RunSpec{System: RAMpage, IssueMHz: 1000, SizeBytes: 512}
+	table2 := ckptTestConfig()
+	table2.MaxRefs = 150_000
+	phased := table2
+	phased.ProfileName = synth.Phased
+	svc := &metrics.ServiceStats{}
+	store := memCheckpoints(t, svc)
+	want := make([]*stats.Report, 2)
+	for i, cfg := range []Config{table2, phased} {
+		rep, err := Run(context.Background(), cfg, spec)
+		if err != nil {
+			t.Fatalf("scratch run %q: %v", cfg.ProfileName, err)
+		}
+		want[i] = rep
+	}
+	if want[0].Cycles == want[1].Cycles {
+		t.Fatal("the phased workload runs like the Table 2 one; the test cannot tell them apart")
+	}
+	// Two cold runs (one capture per workload), then two warm ones.
+	for round, wantHits := range []uint64{0, 2} {
+		for i, cfg := range []Config{table2, phased} {
+			cfg.Checkpoints = store
+			got, err := Run(context.Background(), cfg, spec)
+			if err != nil {
+				t.Fatalf("round %d, %q: %v", round, cfg.ProfileName, err)
+			}
+			if *got != *want[i] {
+				t.Errorf("round %d, %q: report differs from its cold run:\n got: %+v\nwant: %+v", round, cfg.ProfileName, *got, *want[i])
+			}
+		}
+		if hits := svc.Get(metrics.SvcCkptHit); hits != wantHits {
+			t.Errorf("after round %d: %d checkpoint hits, want %d", round, hits, wantHits)
+		}
+	}
+	if store.Len() != 2 {
+		t.Errorf("store holds %d checkpoints, want one per workload", store.Len())
 	}
 }
 
@@ -412,8 +457,7 @@ func TestRunCellsReportsEveryIndex(t *testing.T) {
 
 // TestCheckpointPrefixKeyExcludesBudget pins the prefix identity: runs
 // differing only in MaxRefs share a trajectory; any result-affecting
-// spec or config change separates them; custom profile sets disable
-// checkpointing entirely.
+// spec or config change separates them, the workload name included.
 func TestCheckpointPrefixKeyExcludesBudget(t *testing.T) {
 	cfg := ckptTestConfig()
 	spec := RunSpec{System: RAMpage, IssueMHz: 1000, SizeBytes: 512}
@@ -442,10 +486,10 @@ func TestCheckpointPrefixKeyExcludesBudget(t *testing.T) {
 	if CheckpointPrefixKey(cfg, spec2) == base {
 		t.Error("spec change kept the prefix")
 	}
-	custom := cfg
-	custom.profiles = PhasedTable2()
-	if CheckpointPrefixKey(custom, spec) != "" {
-		t.Error("custom profile set did not disable checkpointing")
+	phased := cfg
+	phased.ProfileName = synth.Phased
+	if CheckpointPrefixKey(phased, spec) == base {
+		t.Error("the phased workload kept the Table 2 prefix")
 	}
 }
 

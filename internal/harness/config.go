@@ -45,9 +45,11 @@ type Config struct {
 	// 500,000; scaled by default so the switch *rate* per reference
 	// matches the paper).
 	Quantum uint64
-	// Processes limits the workload to the first N Table 2 programs
-	// (0 = all 18). ProfileName instead selects exactly one program by
-	// name (for per-benchmark studies).
+	// ProfileName names the workload (synth.Workload): "" is the
+	// Table 2 set, a Table 2 program's name is that program alone (the
+	// per-benchmark study) and "phased" is the phased set (the §6.2
+	// phased-workload study). Processes limits the workload to its
+	// first N programs (0 = all of them).
 	Processes   int
 	ProfileName string
 	// MaxRefs caps application references per run (0 = run traces to
@@ -79,10 +81,6 @@ type Config struct {
 	// knobs above, Verify is excluded from result cache keys. Each run
 	// gets its own checker, so verified sweeps remain parallel-safe.
 	Verify bool
-
-	// profiles, when non-nil, replaces the Table 2 profile set (used by
-	// the phased-workload experiment).
-	profiles []synth.Profile
 }
 
 // FullScale returns the paper's exact configuration: 4 MB L2, 1.1
@@ -156,9 +154,9 @@ func (c Config) Validate() error {
 	if c.Workers < 0 {
 		return fmt.Errorf("harness: negative sweep worker count %d", c.Workers)
 	}
-	if c.ProfileName != "" && c.profiles == nil {
-		if _, ok := synth.FindProfile(c.ProfileName); !ok {
-			return fmt.Errorf("harness: unknown profile %q (see Table2 for the workload inventory)", c.ProfileName)
+	if c.ProfileName != "" {
+		if _, ok := synth.Workload(c.ProfileName); !ok {
+			return fmt.Errorf("harness: unknown profile %q (want a Table 2 program or %q)", c.ProfileName, synth.Phased)
 		}
 	}
 	return nil
@@ -250,19 +248,14 @@ func (c Config) SRAMBytes(pageBytes uint64) uint64 {
 }
 
 // Readers builds the per-process workload streams: one generator per
-// Table 2 program, deterministic for the configuration's seed.
+// program of the named workload, deterministic for the configuration's
+// seed.
 func (c Config) Readers() ([]trace.Reader, error) {
-	profiles := c.profiles
-	if profiles == nil {
-		profiles = synth.Table2()
+	profiles, ok := synth.Workload(c.ProfileName)
+	if !ok {
+		return nil, fmt.Errorf("harness: unknown profile %q", c.ProfileName)
 	}
-	if c.ProfileName != "" {
-		p, ok := synth.FindProfile(c.ProfileName)
-		if !ok {
-			return nil, fmt.Errorf("harness: unknown profile %q", c.ProfileName)
-		}
-		profiles = []synth.Profile{p}
-	} else if c.Processes > 0 && c.Processes < len(profiles) {
+	if c.Processes > 0 && c.Processes < len(profiles) {
 		profiles = profiles[:c.Processes]
 	}
 	readers := make([]trace.Reader, 0, len(profiles))

@@ -155,28 +155,16 @@ func (e Experiment) expandOn(p *plan, cfg Config, rates, sizes []uint64) (func()
 	}, nil
 }
 
-// cellID identifies one simulation: a spec on a workload, which is
-// the configured Table 2 set unless program narrows it to one Table 2
-// program (perbench) or phased swaps in the phased profile set
-// (PhasedTable2, which no cache or checkpoint key covers). A repeat is
-// a deliberate second simulation of a cell (the policy lab's
-// determinism check), so it never shares a report with the first.
+// cellID identifies one simulation: a spec on a workload, named as
+// Config.ProfileName names it ("" runs the configured workload, the
+// Table 2 set by default; perbench names one Table 2 program and phased
+// the phased set). A repeat is a deliberate second simulation of a cell
+// (the policy lab's determinism check), so it never shares a report
+// with the first.
 type cellID struct {
-	program string
-	phased  bool
-	spec    RunSpec
-	repeat  bool
-}
-
-// config returns cfg running the cell's workload.
-func (id cellID) config(cfg Config) Config {
-	if id.program != "" {
-		cfg.ProfileName = id.program
-	}
-	if id.phased {
-		cfg.profiles = PhasedTable2()
-	}
-	return cfg
+	workload string
+	spec     RunSpec
+	repeat   bool
 }
 
 // plan collects the cells a set of experiments needs, each distinct
@@ -225,14 +213,13 @@ func (p *plan) grid(base RunSpec, rates, sizes []uint64) [][]ReportJSON {
 // test's stand-in), one call per workload in the order the workloads
 // were first planned, and stores each report wherever it was wanted.
 func (p *plan) run(ctx context.Context, cfg Config, runCells func(context.Context, Config, []RunSpec, func(int, ReportJSON)) ([]ReportJSON, error)) error {
-	var order []cellID // one per workload: its program and phased fields
-	byWorkload := make(map[cellID][]int)
+	var order []string // workload names, in first-planned order
+	byWorkload := make(map[string][]int)
 	for k, id := range p.ids {
-		w := cellID{program: id.program, phased: id.phased}
-		if _, ok := byWorkload[w]; !ok {
-			order = append(order, w)
+		if _, ok := byWorkload[id.workload]; !ok {
+			order = append(order, id.workload)
 		}
-		byWorkload[w] = append(byWorkload[w], k)
+		byWorkload[id.workload] = append(byWorkload[id.workload], k)
 	}
 	for _, w := range order {
 		ks := byWorkload[w]
@@ -240,7 +227,11 @@ func (p *plan) run(ctx context.Context, cfg Config, runCells func(context.Contex
 		for i, k := range ks {
 			specs[i] = p.ids[k].spec
 		}
-		reports, err := runCells(ctx, w.config(cfg), specs, nil)
+		c := cfg
+		if w != "" {
+			c.ProfileName = w
+		}
+		reports, err := runCells(ctx, c, specs, nil)
 		if err != nil {
 			return err
 		}

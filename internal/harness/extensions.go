@@ -242,39 +242,8 @@ func warmupRefs(cfg Config, pageBytes uint64) (uint64, uint64, error) {
 	return n, frames, nil
 }
 
-// PhasedTable2 returns the Table 2 profiles with explicit program
-// phases: each multi-region program first concentrates on its first
-// region, then on the remainder, then mixes — the input/compute/output
-// structure real programs have and the situation §6.2's dynamic page
-// sizing is motivated by.
-func PhasedTable2() []synth.Profile {
-	profiles := synth.Table2()
-	for i, p := range profiles {
-		if len(p.Regions) < 2 {
-			continue
-		}
-		first := make([]float64, len(p.Regions))
-		rest := make([]float64, len(p.Regions))
-		mixed := make([]float64, len(p.Regions))
-		for j, r := range p.Regions {
-			mixed[j] = r.Weight
-			if j == 0 {
-				first[j] = r.Weight
-			} else {
-				rest[j] = r.Weight
-			}
-		}
-		profiles[i].Phases = []synth.Phase{
-			{Frac: 1, Weights: first},
-			{Frac: 1, Weights: rest},
-			{Frac: 1, Weights: mixed},
-		}
-	}
-	return profiles
-}
-
 func expandPhased(p *plan, _ Config, rates, sizes []uint64) fold {
-	phased := cellID{phased: true}
+	phased := cellID{workload: synth.Phased}
 	fixed := p.cells(phased, gridSpecs(RunSpec{System: RAMpage}, rates, sizes))
 	adaptive := p.cells(phased, []RunSpec{{System: RAMpage, IssueMHz: rates[0], SizeBytes: sizes[0], AdaptivePages: true}})
 	return func() (string, error) {
@@ -315,7 +284,7 @@ func expandPerBench(p *plan, _ Config, rates, sizes []uint64) fold {
 	programs := synth.Table2()
 	rows := make([][]ReportJSON, len(programs))
 	for i, prog := range programs {
-		rows[i] = p.cells(cellID{program: prog.Name}, gridSpecs(RunSpec{System: RAMpage}, rates, sizes))
+		rows[i] = p.cells(cellID{workload: prog.Name}, gridSpecs(RunSpec{System: RAMpage}, rates, sizes))
 	}
 	return func() (string, error) {
 		var b strings.Builder

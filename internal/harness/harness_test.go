@@ -253,10 +253,10 @@ func TestRunExperimentsSimulatesEachCellOnce(t *testing.T) {
 	}
 	var table2, phased *call
 	for i, c := range calls {
-		switch {
-		case c.cfg.profiles != nil:
+		switch c.cfg.ProfileName {
+		case synth.Phased:
 			phased = &calls[i]
-		case c.cfg.ProfileName == "":
+		case "":
 			table2 = &calls[i]
 		}
 		// Within a call only the rerun may repeat a spec.
@@ -266,7 +266,7 @@ func TestRunExperimentsSimulatesEachCellOnce(t *testing.T) {
 		}
 		for spec, n := range seen {
 			rerun := spec == RunSpec{System: RAMpage, IssueMHz: 1000, SizeBytes: 4096, Policy: policy.AWRP}
-			if n > 1 && !(rerun && n == 2 && c.cfg.profiles == nil && c.cfg.ProfileName == "") {
+			if n > 1 && !(rerun && n == 2 && c.cfg.ProfileName == "") {
 				t.Errorf("%+v simulated %d times in one call", spec, n)
 			}
 		}

@@ -13,54 +13,28 @@ import (
 // execution knobs (Workers, Observer, Verify) that the equivalence
 // tests pin as having no effect on reports.
 
-// canonicalConfig is the result-affecting projection of a Config, in a
-// fixed field order so its JSON encoding is byte-stable.
-type canonicalConfig struct {
-	Seed        uint64  `json:"seed"`
-	RefScale    float64 `json:"ref_scale"`
-	SizeScale   float64 `json:"size_scale"`
-	L2Bytes     uint64  `json:"l2_bytes"`
-	DRAMBytes   uint64  `json:"dram_bytes"`
-	Quantum     uint64  `json:"quantum"`
-	Processes   int     `json:"processes"`
-	ProfileName string  `json:"profile"`
-	MaxRefs     uint64  `json:"max_refs"`
-}
-
-func canonicalOf(cfg Config) canonicalConfig {
-	return canonicalConfig{
-		Seed:        cfg.Seed,
-		RefScale:    cfg.RefScale,
-		SizeScale:   cfg.SizeScale,
-		L2Bytes:     cfg.L2Bytes,
-		DRAMBytes:   cfg.DRAMBytes,
-		Quantum:     cfg.Quantum,
-		Processes:   cfg.Processes,
-		ProfileName: cfg.ProfileName,
-		MaxRefs:     cfg.MaxRefs,
-	}
-}
-
 // keyDoc is the hashed request shape. Version salts the key with the
 // report schema version so a schema bump can never serve a stale
 // cached document.
 type keyDoc struct {
-	Version int             `json:"v"`
-	Kind    string          `json:"kind"`
-	Config  canonicalConfig `json:"config"`
-	Spec    *RunSpec        `json:"spec,omitempty"`
-	ID      string          `json:"id,omitempty"`
-	Rates   []uint64        `json:"rates,omitempty"`
-	Sizes   []uint64        `json:"sizes,omitempty"`
+	Version int        `json:"v"`
+	Kind    string     `json:"kind"`
+	Config  WireConfig `json:"config"`
+	Spec    *RunSpec   `json:"spec,omitempty"`
+	ID      string     `json:"id,omitempty"`
+	Rates   []uint64   `json:"rates,omitempty"`
+	Sizes   []uint64   `json:"sizes,omitempty"`
 }
 
-func hashKey(doc keyDoc) string {
-	// Struct fields marshal in declaration order and the doc contains
+// hashKey returns the hex SHA-256 of a key document's JSON encoding:
+// a keyDoc, or a ckptPrefixDoc for checkpoint prefixes.
+func hashKey(doc any) string {
+	// Struct fields marshal in declaration order and the docs contain
 	// no maps, so the encoding — and therefore the hash — is canonical.
 	b, err := json.Marshal(doc)
 	if err != nil {
-		// Only unsupported types can fail here, and keyDoc has none.
-		panic("harness: cache key encoding failed: " + err.Error())
+		// Only unsupported types can fail here, and the docs have none.
+		panic("harness: key encoding failed: " + err.Error())
 	}
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
@@ -78,7 +52,7 @@ func CellKey(cfg Config, spec RunSpec) string { return specKey("cell", cfg, spec
 
 func specKey(kind string, cfg Config, spec RunSpec) string {
 	spec = spec.Normalized()
-	return hashKey(keyDoc{Version: ReportVersion, Kind: kind, Config: canonicalOf(cfg), Spec: &spec})
+	return hashKey(keyDoc{Version: ReportVersion, Kind: kind, Config: NewWireConfig(cfg), Spec: &spec})
 }
 
 // ExperimentKey returns the content-address of one experiment-sweep
@@ -90,5 +64,5 @@ func specKey(kind string, cfg Config, spec RunSpec) string {
 func ExperimentKey(cfg Config, id string, rates, sizes []uint64) string {
 	e, _ := FindExperiment(id)
 	rates, sizes = e.grid(rates, sizes)
-	return hashKey(keyDoc{Version: ReportVersion, Kind: "experiment", Config: canonicalOf(cfg), ID: id, Rates: rates, Sizes: sizes})
+	return hashKey(keyDoc{Version: ReportVersion, Kind: "experiment", Config: NewWireConfig(cfg), ID: id, Rates: rates, Sizes: sizes})
 }

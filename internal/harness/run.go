@@ -203,7 +203,7 @@ func runWithReaders(ctx context.Context, cfg Config, spec RunSpec, readers []tra
 		prefix = CheckpointPrefixKey(cfg, spec)
 	}
 	restoredComplete := false
-	if prefix != "" && cfg.Observer == nil {
+	if cfg.Checkpoints != nil && cfg.Observer == nil {
 		if ck, complete, ok := cfg.Checkpoints.Nearest(prefix, cfg.MaxRefs); ok {
 			if err := sim.RestoreState(machine, sched, ck.Payload); err != nil {
 				return nil, fmt.Errorf("harness: restoring checkpoint %s@%d: %w", ck.System, ck.Meta.Refs, err)
@@ -233,7 +233,7 @@ func runWithReaders(ctx context.Context, cfg Config, spec RunSpec, readers []tra
 	// answered entirely by a complete checkpoint has nothing new to
 	// store; Put dedups re-captures of an existing (prefix, refs,
 	// final) address anyway.
-	if prefix != "" && !restoredComplete {
+	if cfg.Checkpoints != nil && !restoredComplete {
 		refs := sched.Executed()
 		final := !(cfg.MaxRefs > 0 && refs >= cfg.MaxRefs)
 		if payload, err := sim.CaptureState(machine, sched); err == nil {
@@ -350,31 +350,26 @@ func schedulerConfig(cfg Config, spec RunSpec) sim.SchedulerConfig {
 // columnar form) are regenerated per cell instead of being stored.
 const preloadRefsCap = 64 << 20
 
-// workloadKey identifies a materialized workload. The generated
-// streams depend only on the seed, the two scales and the profile
-// selection (never on a cell's rate, size or system), so sweeps over
-// the same configuration — including successive sweeps in one process,
-// as in benchmarks — can share one capture.
-type workloadKey struct {
-	seed      uint64
-	refScale  float64
-	sizeScale float64
-	processes int
-	profile   string
-}
-
-// workloadKeyOf returns the key of cfg's workload.
-func workloadKeyOf(cfg Config) workloadKey {
-	return workloadKey{seed: cfg.Seed, refScale: cfg.RefScale, sizeScale: cfg.SizeScale, processes: cfg.Processes, profile: cfg.ProfileName}
+// workloadKeyOf identifies cfg's materialized workload: its wire
+// form with the fields that cannot change the generated streams
+// zeroed. The streams depend only on the seed, the two scales, the
+// workload name and the process count (never on the capacities, the
+// quantum, the budget, or a cell's rate, size or system), so sweeps
+// over the same configuration — including successive sweeps in one
+// process, as in benchmarks — can share one capture.
+func workloadKeyOf(cfg Config) WireConfig {
+	w := NewWireConfig(cfg)
+	w.L2Bytes, w.DRAMBytes, w.Quantum, w.MaxRefs = 0, 0, 0, 0
+	return w
 }
 
 // workloadCache holds captured workloads across sweeps, keyed by
-// workloadKey. workloadCacheLen counts its entries plus the slots
+// workloadKeyOf. workloadCacheLen counts its entries plus the slots
 // reserved by captures in progress, so concurrent captures cannot push
 // it past workloadCacheCap; a pathological caller cycling through
 // configurations cannot grow it without bound.
 var (
-	workloadCache    sync.Map // workloadKey -> []*trace.ColumnarBuffer
+	workloadCache    sync.Map // WireConfig -> []*trace.ColumnarBuffer
 	workloadCacheLen atomic.Int32
 	workloadCaptures atomic.Uint64
 )
@@ -413,16 +408,13 @@ func reserveWorkloadSlot() bool {
 // each cell's streams through the refill window.
 func preloadWorkload(cfg Config, readers int) []*trace.ColumnarBuffer {
 	key := workloadKeyOf(cfg)
-	cacheable := cfg.profiles == nil // custom profile sets are not in the key
-	if cacheable {
-		if v, ok := workloadCache.Load(key); ok {
-			return v.([]*trace.ColumnarBuffer)
-		}
+	if v, ok := workloadCache.Load(key); ok {
+		return v.([]*trace.ColumnarBuffer)
 	}
 	if readers == 0 {
 		return nil
 	}
-	keep := cacheable && reserveWorkloadSlot()
+	keep := reserveWorkloadSlot()
 	if readers < 2 && !keep {
 		return nil
 	}

@@ -30,6 +30,7 @@ func TestConfigValidate(t *testing.T) {
 		{"negative workers", func(c *Config) { c.Workers = -1 }, "negative sweep worker count"},
 		{"unknown profile", func(c *Config) { c.ProfileName = "doom" }, "unknown profile"},
 		{"known profile", func(c *Config) { c.ProfileName = "compress" }, ""},
+		{"phased workload", func(c *Config) { c.ProfileName = "phased" }, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -38,6 +39,16 @@ func TestConfigValidate(t *testing.T) {
 			err := cfg.Validate()
 			checkValidation(t, err, tc.wantErr)
 		})
+	}
+}
+
+// TestValidateDefaultWorkloadAllocatesNothing pins that Validate,
+// which the service runs on every request (memory hits included),
+// builds no profile set for the default workload.
+func TestValidateDefaultWorkloadAllocatesNothing(t *testing.T) {
+	cfg := DefaultScaled()
+	if n := testing.AllocsPerRun(100, func() { cfg.Validate() }); n != 0 {
+		t.Errorf("Validate allocates %v times per call on the default workload", n)
 	}
 }
 

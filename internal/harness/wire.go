@@ -1,13 +1,17 @@
 package harness
 
-// WireConfig is the serializable projection of a Config: exactly the
-// result-affecting fields the canonical cache key covers, in wire
-// (JSON) form. It is how sweep cells travel between a fleet
-// coordinator and its workers — a worker reconstructing a Config from
-// a WireConfig is guaranteed the same report bytes the coordinator
-// would have produced locally, because everything excluded (execution
-// knobs, observers, stores) is pinned by the equivalence tests as
-// having no effect on results.
+// WireConfig is the result-affecting projection of a Config, in a
+// fixed field order so its JSON encoding is byte-stable. It is the one
+// identity of a configuration: hashed, it is the config part of every
+// content address (RunKey, CellKey, ExperimentKey and, with MaxRefs
+// zeroed, CheckpointPrefixKey); on the wire, it is how sweep cells
+// travel between a fleet coordinator and its workers; and with its
+// workload fields alone, it keys the workload cache. A worker
+// reconstructing a Config from a WireConfig is guaranteed the same
+// report bytes the coordinator would have produced locally, because
+// everything excluded (execution knobs, observers, stores) is pinned
+// by the equivalence tests as having no effect on results. No field
+// is omitted when empty: the hashed encoding must stay byte for byte.
 type WireConfig struct {
 	Seed        uint64  `json:"seed"`
 	RefScale    float64 `json:"ref_scale"`
@@ -15,18 +19,13 @@ type WireConfig struct {
 	L2Bytes     uint64  `json:"l2_bytes"`
 	DRAMBytes   uint64  `json:"dram_bytes"`
 	Quantum     uint64  `json:"quantum"`
-	Processes   int     `json:"processes,omitempty"`
-	ProfileName string  `json:"profile,omitempty"`
-	MaxRefs     uint64  `json:"max_refs,omitempty"`
+	Processes   int     `json:"processes"`
+	ProfileName string  `json:"profile"`
+	MaxRefs     uint64  `json:"max_refs"`
 }
 
-// NewWireConfig projects a Config onto its wire form. ok is false for
-// configurations whose workload identity the projection cannot carry
-// (custom profile sets) — those must not be distributed.
-func NewWireConfig(cfg Config) (WireConfig, bool) {
-	if cfg.profiles != nil {
-		return WireConfig{}, false
-	}
+// NewWireConfig projects a Config onto its wire form.
+func NewWireConfig(cfg Config) WireConfig {
 	return WireConfig{
 		Seed:        cfg.Seed,
 		RefScale:    cfg.RefScale,
@@ -37,7 +36,7 @@ func NewWireConfig(cfg Config) (WireConfig, bool) {
 		Processes:   cfg.Processes,
 		ProfileName: cfg.ProfileName,
 		MaxRefs:     cfg.MaxRefs,
-	}, true
+	}
 }
 
 // Config reconstructs the harness configuration: the canonical fields

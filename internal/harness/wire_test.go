@@ -13,43 +13,40 @@ import (
 // TestWireConfigRoundTrip pins the fleet's correctness foundation: a
 // Config projected to wire form and reconstructed remotely must hash
 // to the same canonical keys, so a worker's content addresses agree
-// with the coordinator's.
+// with the coordinator's. The workload name travels too: a phased or
+// one-program configuration is as wireable as the Table 2 one.
 func TestWireConfigRoundTrip(t *testing.T) {
-	cfg := QuickScaled()
-	cfg.RefScale = 1.0 / 10000
-	cfg.MaxRefs = 12345
-	cfg.Workers = 7 // execution knob: must not affect the wire form
+	for _, profile := range []string{"", "compress", synth.Phased} {
+		cfg := QuickScaled()
+		cfg.RefScale = 1.0 / 10000
+		cfg.MaxRefs = 12345
+		cfg.ProfileName = profile
+		cfg.Workers = 7 // execution knob: must not affect the wire form
 
-	wc, ok := NewWireConfig(cfg)
-	if !ok {
-		t.Fatal("standard config not wireable")
-	}
-	// JSON round-trip, as the cell travels over HTTP.
-	raw, err := json.Marshal(wc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back WireConfig
-	if err := json.Unmarshal(raw, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back != wc {
-		t.Fatalf("wire round-trip changed config: %+v vs %+v", back, wc)
-	}
-	got := back.Config()
-	spec := RunSpec{System: RAMpage, IssueMHz: 400, SizeBytes: 1 << 12}
-	if RunKey(got, spec) != RunKey(cfg, spec) {
-		t.Error("run key differs after wire round-trip")
-	}
-	if ExperimentKey(got, "table3", nil, nil) != ExperimentKey(cfg, "table3", nil, nil) {
-		t.Error("experiment key differs after wire round-trip")
-	}
-
-	// A custom profile set cannot travel.
-	custom := cfg
-	custom.profiles = []synth.Profile{}
-	if _, ok := NewWireConfig(custom); ok {
-		t.Error("config with custom profiles reported wireable")
+		wc := NewWireConfig(cfg)
+		// JSON round-trip, as the cell travels over HTTP.
+		raw, err := json.Marshal(wc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back WireConfig
+		if err := json.Unmarshal(raw, &back); err != nil {
+			t.Fatal(err)
+		}
+		if back != wc {
+			t.Fatalf("%q: wire round-trip changed config: %+v vs %+v", profile, back, wc)
+		}
+		got := back.Config()
+		spec := RunSpec{System: RAMpage, IssueMHz: 400, SizeBytes: 1 << 12}
+		if RunKey(got, spec) != RunKey(cfg, spec) || CellKey(got, spec) != CellKey(cfg, spec) {
+			t.Errorf("%q: run or cell key differs after wire round-trip", profile)
+		}
+		if CheckpointPrefixKey(got, spec) != CheckpointPrefixKey(cfg, spec) {
+			t.Errorf("%q: checkpoint prefix differs after wire round-trip", profile)
+		}
+		if ExperimentKey(got, "table3", nil, nil) != ExperimentKey(cfg, "table3", nil, nil) {
+			t.Errorf("%q: experiment key differs after wire round-trip", profile)
+		}
 	}
 }
 

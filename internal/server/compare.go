@@ -7,6 +7,15 @@ import (
 	"rampage/internal/regress"
 )
 
+// maxCompareBody bounds a POST /v1/compare body at two inline copies
+// of the largest document the service can build. An accepted job has
+// at most 5 systems (the policy lab's) × 49 issue rates (the divisors
+// of 10^6, the rates with an integral picosecond cycle) × 64
+// power-of-two sizes = 15,680 cells, and WriteJSON renders a report in
+// ≈1.27 KB (1,300 B rounded up), so a side is ≈20 MB. A side named by
+// job ID is fetched from the service, not sent, and costs nothing here.
+const maxCompareBody = 2 * (5 * 49 * 64) * 1_300
+
 // compareRequest is the POST /v1/compare body. Each side is either a
 // JSON string naming a finished job (its result document is fetched)
 // or an inline result document. golden is the want side, candidate the
@@ -48,10 +57,8 @@ func (s *Server) resolveCompareSide(raw json.RawMessage, side string) ([]byte, s
 // the CLI gate would flag is exactly what this endpoint reports.
 func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	var req compareRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad compare request: "+err.Error())
+	if err := decodeBody(r, &req, maxCompareBody); err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	golden, msg, ok := s.resolveCompareSide(req.Golden, "golden")

@@ -48,7 +48,7 @@ func FuzzJobRequest(f *testing.F) {
 	f.Cleanup(func() { s.Drain(context.Background()) })
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var req jobRequest
-		if err := decodeBody(httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body)), &req); err != nil {
+		if err := decodeBody(httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body)), &req, maxRequestBody); err != nil {
 			return // handleSubmitJob answers 400
 		}
 		jreq, err := s.jobFor(req)

@@ -474,7 +474,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 // handleRun serves one simulation point synchronously: POST /v1/runs.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req runRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(r, &req, maxRequestBody); err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
@@ -543,7 +543,7 @@ type jobRequest struct {
 // GET /v1/jobs/{id}/result.
 func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	var req jobRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(r, &req, maxRequestBody); err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
@@ -750,8 +750,13 @@ func (s *Server) writeMetricsProm(w http.ResponseWriter) {
 	}
 }
 
-func decodeBody(r *http.Request, dst any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 1<<20))
+// maxRequestBody bounds run and job request bodies.
+const maxRequestBody = 1 << 20
+
+// decodeBody decodes a JSON request body of at most limit bytes into
+// dst, refusing unknown fields.
+func decodeBody(r *http.Request, dst any, limit int64) error {
+	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, limit))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
 		return fmt.Errorf("bad request body: %w", err)

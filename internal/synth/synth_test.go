@@ -284,6 +284,28 @@ func TestFindProfile(t *testing.T) {
 	}
 }
 
+// TestWorkloadNames pins the three kinds of workload name: "" is the
+// Table 2 set, a program's name is that program alone, and Phased is
+// the Table 2 set with phases; any other name is refused.
+func TestWorkloadNames(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		n      int
+		phased bool
+	}{{"", 18, false}, {"compress", 1, false}, {Phased, 18, true}} {
+		profiles, ok := Workload(tc.name)
+		if !ok || len(profiles) != tc.n {
+			t.Fatalf("Workload(%q) = %d profiles, %v; want %d", tc.name, len(profiles), ok, tc.n)
+		}
+		if phased := len(profiles[0].Phases) > 0; phased != tc.phased {
+			t.Errorf("Workload(%q): first program phased = %v, want %v", tc.name, phased, tc.phased)
+		}
+	}
+	if _, ok := Workload("nonesuch"); ok {
+		t.Error("Workload(nonesuch) succeeded")
+	}
+}
+
 func TestAllProfilesGenerate(t *testing.T) {
 	for _, p := range Table2() {
 		g, err := NewGenerator(p, Options{Seed: 3, Scale: 0.0005})

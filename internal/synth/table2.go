@@ -214,6 +214,56 @@ func FindProfile(name string) (Profile, bool) {
 	return Profile{}, false
 }
 
+// Phased names the phased workload (see PhasedTable2).
+const Phased = "phased"
+
+// Workload resolves a workload name to its profile set: "" is the
+// Table 2 set, a Table 2 program's name is that program alone, and
+// Phased is PhasedTable2. ok is false for any other name.
+func Workload(name string) (profiles []Profile, ok bool) {
+	switch name {
+	case "":
+		return Table2(), true
+	case Phased:
+		return PhasedTable2(), true
+	}
+	if p, ok := FindProfile(name); ok {
+		return []Profile{p}, true
+	}
+	return nil, false
+}
+
+// PhasedTable2 returns the Table 2 profiles with explicit program
+// phases: each multi-region program first concentrates on its first
+// region, then on the remainder, then mixes — the input/compute/output
+// structure real programs have and the situation §6.2's dynamic page
+// sizing is motivated by.
+func PhasedTable2() []Profile {
+	profiles := Table2()
+	for i, p := range profiles {
+		if len(p.Regions) < 2 {
+			continue
+		}
+		first := make([]float64, len(p.Regions))
+		rest := make([]float64, len(p.Regions))
+		mixed := make([]float64, len(p.Regions))
+		for j, r := range p.Regions {
+			mixed[j] = r.Weight
+			if j == 0 {
+				first[j] = r.Weight
+			} else {
+				rest[j] = r.Weight
+			}
+		}
+		profiles[i].Phases = []Phase{
+			{Frac: 1, Weights: first},
+			{Frac: 1, Weights: rest},
+			{Frac: 1, Weights: mixed},
+		}
+	}
+	return profiles
+}
+
 // Table2TotalMillions returns the combined reference count of the full
 // workload in millions (~1093, the paper's "1.1 billion").
 func Table2TotalMillions() float64 {

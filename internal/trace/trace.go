@@ -104,45 +104,6 @@ func (s *SliceReader) ReadBatch(dst []mem.Ref) (int, error) {
 // Reset rewinds the reader to the beginning of the slice.
 func (s *SliceReader) Reset() { s.pos = 0 }
 
-// Limit wraps r so that at most n references are delivered. It models
-// the paper's practice of truncating traces to a fixed reference
-// budget.
-type Limit struct {
-	r         Reader
-	remaining uint64
-}
-
-// NewLimit returns a Reader that yields at most n references from r.
-func NewLimit(r Reader, n uint64) *Limit {
-	return &Limit{r: r, remaining: n}
-}
-
-// Next implements Reader.
-func (l *Limit) Next() (mem.Ref, error) {
-	if l.remaining == 0 {
-		return mem.Ref{}, io.EOF
-	}
-	ref, err := l.r.Next()
-	if err != nil {
-		return mem.Ref{}, err
-	}
-	l.remaining--
-	return ref, nil
-}
-
-// ReadBatch implements BatchReader.
-func (l *Limit) ReadBatch(dst []mem.Ref) (int, error) {
-	if l.remaining == 0 {
-		return 0, io.EOF
-	}
-	if uint64(len(dst)) > l.remaining {
-		dst = dst[:l.remaining]
-	}
-	n, err := ReadBatch(l.r, dst)
-	l.remaining -= uint64(n)
-	return n, err
-}
-
 // Concat chains readers end to end: when one returns io.EOF the next
 // takes over.
 type Concat struct {
@@ -182,36 +143,6 @@ func (c *Concat) ReadBatch(dst []mem.Ref) (int, error) {
 	}
 	return 0, io.EOF
 }
-
-// Counting wraps a Reader and counts the references delivered. The
-// simulator uses it to enforce reference budgets and to report
-// progress.
-type Counting struct {
-	r Reader
-	n uint64
-}
-
-// NewCounting returns a counting wrapper around r.
-func NewCounting(r Reader) *Counting { return &Counting{r: r} }
-
-// Next implements Reader.
-func (c *Counting) Next() (mem.Ref, error) {
-	ref, err := c.r.Next()
-	if err == nil {
-		c.n++
-	}
-	return ref, err
-}
-
-// ReadBatch implements BatchReader.
-func (c *Counting) ReadBatch(dst []mem.Ref) (int, error) {
-	n, err := ReadBatch(c.r, dst)
-	c.n += uint64(n)
-	return n, err
-}
-
-// Count returns the number of references delivered so far.
-func (c *Counting) Count() uint64 { return c.n }
 
 // Retag wraps a Reader and overrides the PID of every reference. The
 // interleaver uses it to assign process identities to per-benchmark

@@ -36,27 +36,6 @@ func TestSliceReader(t *testing.T) {
 	}
 }
 
-func TestLimit(t *testing.T) {
-	in := make([]mem.Ref, 10)
-	for i := range in {
-		in[i] = ref(0, mem.Load, uint64(i))
-	}
-	got := mustDrain(t, NewLimit(NewSliceReader(in), 4))
-	if len(got) != 4 {
-		t.Fatalf("Limit(4) yielded %d refs, want 4", len(got))
-	}
-	// Limit larger than the source is capped by the source.
-	got = mustDrain(t, NewLimit(NewSliceReader(in), 100))
-	if len(got) != 10 {
-		t.Errorf("Limit(100) yielded %d refs, want 10", len(got))
-	}
-	// Zero limit yields nothing.
-	got = mustDrain(t, NewLimit(NewSliceReader(in), 0))
-	if len(got) != 0 {
-		t.Errorf("Limit(0) yielded %d refs, want 0", len(got))
-	}
-}
-
 func TestConcat(t *testing.T) {
 	a := NewSliceReader([]mem.Ref{ref(0, mem.IFetch, 1)})
 	b := NewSliceReader(nil)
@@ -67,14 +46,6 @@ func TestConcat(t *testing.T) {
 	}
 	if got[0].Addr != 1 || got[1].Addr != 2 || got[2].Addr != 3 {
 		t.Errorf("Concat order wrong: %v", got)
-	}
-}
-
-func TestCounting(t *testing.T) {
-	c := NewCounting(NewSliceReader([]mem.Ref{ref(0, mem.Load, 1), ref(0, mem.Load, 2)}))
-	mustDrain(t, c)
-	if c.Count() != 2 {
-		t.Errorf("Count = %d, want 2", c.Count())
 	}
 }
 
