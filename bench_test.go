@@ -408,6 +408,32 @@ func BenchmarkGeneratorThroughput(b *testing.B) {
 	}
 }
 
+// BenchmarkWorkloadCapture captures the benchmark config's Table 2
+// workload into columns as the cell pool's preload does: fresh
+// generators, each drained by trace.CaptureColumnar sized by its
+// Remaining().
+func BenchmarkWorkloadCapture(b *testing.B) {
+	cfg := benchConfig()
+	b.ReportAllocs()
+	b.ResetTimer()
+	var refs uint64
+	for i := 0; i < b.N; i++ {
+		readers, err := cfg.Readers()
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, r := range readers {
+			want := r.(interface{ Remaining() uint64 }).Remaining()
+			buf, err := trace.CaptureColumnar(r, want)
+			if err != nil || uint64(buf.Len()) != want {
+				b.Fatalf("captured %v refs of %d: %v", buf, want, err)
+			}
+			refs += want
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(refs), "ns/ref")
+}
+
 // BenchmarkTraceFileWrite measures the binary trace encoder.
 func BenchmarkTraceFileWrite(b *testing.B) {
 	w, err := trace.NewFileWriter(discard{})

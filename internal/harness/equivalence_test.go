@@ -68,15 +68,21 @@ func capturedReaders(t *testing.T, cfg Config) []trace.Reader {
 	return readers
 }
 
-// shortBatches caps every ReadBatch at n references, so the scheduler's
-// refill window is reloaded in windows of at most n.
+// shortBatches caps every batch, column or row, at n references, so
+// the scheduler's refill window is reloaded from the generator's column
+// loop in windows of at most n.
 type shortBatches struct {
-	trace.Reader
+	trace.ColumnReader
 	n int
 }
 
+func (s shortBatches) ReadColumns(kinds []mem.RefKind, addrs []mem.VAddr) (int, error) {
+	n := min(len(kinds), s.n)
+	return s.ColumnReader.ReadColumns(kinds[:n], addrs[:n])
+}
+
 func (s shortBatches) ReadBatch(dst []mem.Ref) (int, error) {
-	return trace.ReadBatch(s.Reader, dst[:min(len(dst), s.n)])
+	return trace.ReadBatch(s.ColumnReader, dst[:min(len(dst), s.n)])
 }
 
 // refillRun is Run with every generated stream read in batches of at
@@ -88,7 +94,7 @@ func refillRun(t *testing.T, cfg Config, spec RunSpec, n int) *stats.Report {
 		t.Fatal(err)
 	}
 	for i, r := range readers {
-		readers[i] = shortBatches{r, n}
+		readers[i] = shortBatches{r.(trace.ColumnReader), n}
 	}
 	rep, err := runWithReaders(context.Background(), cfg, spec, readers)
 	if err != nil {

@@ -56,6 +56,22 @@ func TestReaders(t *testing.T) {
 	}
 }
 
+// TestReadersAllocs pins what building the Table 2 set's generators
+// costs: a complete checkpoint restore builds all 18 and reads none,
+// so a generator keeps its region state inline and its RNG by value,
+// and builds its draw tables only on its first read.
+func TestReadersAllocs(t *testing.T) {
+	cfg := DefaultScaled()
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := cfg.Readers(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 80 {
+		t.Errorf("Readers() for the Table 2 set makes %.0f allocations, want at most 80", allocs)
+	}
+}
+
 func TestRunAllSystems(t *testing.T) {
 	cfg := tinyConfig()
 	for _, sys := range []SystemKind{BaselineDM, TwoWayL2, RAMpage, RAMpageCS} {

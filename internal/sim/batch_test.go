@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rampage/internal/mem"
+	"rampage/internal/synth"
 	"rampage/internal/trace"
 )
 
@@ -212,4 +213,43 @@ func TestExecBatchZeroAllocSteadyState(t *testing.T) {
 	}
 	t.Run("baseline", func(t *testing.T) { run(t, newBatchBaseline(t)) })
 	t.Run("rampage", func(t *testing.T) { run(t, newBatchRAMpage(t)) })
+}
+
+// TestRefillFromGeneratorZeroAlloc pins the refill window over a
+// generator: the scheduler keeps no row scratch for it, and once the
+// window and the generator's draw tables exist, refilling the window
+// from the column loop, and discarding a restored prefix first,
+// allocate nothing.
+func TestRefillFromGeneratorZeroAlloc(t *testing.T) {
+	p, _ := synth.FindProfile("swm256")
+	g, err := synth.NewGenerator(p, synth.Options{Seed: 1, RefScale: 1.0 / 48, SizeScale: 1.0 / 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewScheduler(newBatchBaseline(t), []trace.Reader{g}, SchedulerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.rows != nil {
+		t.Error("a scheduler over generators keeps row scratch")
+	}
+	pr := s.procs[0]
+	refill := func() {
+		if err := pr.refill(s.rows); err != nil {
+			t.Fatal(err)
+		}
+		if n := pr.col.Remaining(); n != refillRefs {
+			t.Fatalf("refilled window holds %d refs, want %d", n, refillRefs)
+		}
+	}
+	refill() // warm up: the window and the draw tables
+	if allocs := testing.AllocsPerRun(50, refill); allocs != 0 {
+		t.Errorf("refilling from a generator allocates %.1f times per window", allocs)
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		pr.skip = 3 * refillRefs / 2
+		refill()
+	}); allocs != 0 {
+		t.Errorf("discarding a prefix and refilling allocates %.1f times per window", allocs)
+	}
 }

@@ -185,14 +185,15 @@ func (s *Scheduler) repositionReader(p *proc) error {
 	return nil
 }
 
-// discard reads and drops the next n references of r through scratch.
-func discard(r trace.Reader, n uint64, scratch []mem.Ref) error {
+// discard reads and drops the next n references of r through the
+// scratch columns kinds and addrs, with trace.ReadColumns.
+func discard(r trace.Reader, n uint64, kinds []mem.RefKind, addrs []mem.VAddr, rows []mem.Ref) error {
 	for left := n; left > 0; {
-		want := uint64(len(scratch))
+		want := uint64(len(kinds))
 		if want > left {
 			want = left
 		}
-		got, err := trace.ReadBatch(r, scratch[:want])
+		got, err := trace.ReadColumns(r, kinds[:want], addrs[:want], rows)
 		left -= uint64(got)
 		if err != nil {
 			return fmt.Errorf("stream ended %d references short of cursor %d: %w", left, n, err)

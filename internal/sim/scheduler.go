@@ -55,37 +55,37 @@ type proc struct {
 const refillRefs = 512
 
 // refill reloads an exhausted window from the process's stream through
-// rows, a scratch buffer shared by all processes, first discarding any
-// prefix a restore left to skip. It returns nil with an empty window at
-// end of stream, and the stream's error once every reference read
+// trace.ReadColumns, first discarding any prefix a restore left to
+// skip. A generator writes straight into the window; rows is the
+// scratch shared by all processes for any other stream (nil when every
+// stream is a trace.ColumnReader). It returns nil with an empty window
+// at end of stream, and the stream's error once every reference read
 // before it has executed.
 func (p *proc) refill(rows []mem.Ref) error {
 	if p.src == nil {
 		return nil // captured: the columns are the whole stream
 	}
+	if p.win.Kinds == nil {
+		p.win.Kinds = make([]mem.RefKind, 0, refillRefs)
+		p.win.Addrs = make([]mem.VAddr, 0, refillRefs)
+	}
+	kinds, addrs := p.win.Kinds[:refillRefs], p.win.Addrs[:refillRefs]
 	if p.skip > 0 {
 		n := p.skip
 		p.skip = 0
-		if err := discard(p.src, n, rows); err != nil {
+		if err := discard(p.src, n, kinds, addrs, rows); err != nil {
 			return fmt.Errorf("sim: repositioning process %d: %w", p.pid, err)
 		}
 	}
 	if p.rdErr == nil {
-		if p.win.Kinds == nil {
-			p.win.Kinds = make([]mem.RefKind, 0, refillRefs)
-			p.win.Addrs = make([]mem.VAddr, 0, refillRefs)
-		}
-		n, err := trace.ReadBatch(p.src, rows)
+		// The scheduler tags every reference with the process PID, so
+		// only kinds and addresses are kept.
+		n, err := trace.ReadColumns(p.src, kinds, addrs, rows)
 		if n == 0 && err == nil {
 			err = io.EOF // defensive: empty read with no error
 		}
 		p.rdErr = err
-		// The scheduler tags every reference with the process PID, so
-		// only kinds and addresses are kept.
-		p.win.Kinds, p.win.Addrs = p.win.Kinds[:n], p.win.Addrs[:n]
-		for i, ref := range rows[:n] {
-			p.win.Kinds[i], p.win.Addrs[i] = ref.Kind, ref.Addr
-		}
+		p.win.Kinds, p.win.Addrs = kinds[:n], addrs[:n]
 		p.col.Reset()
 		if n > 0 {
 			return nil
@@ -210,7 +210,7 @@ type Scheduler struct {
 	wakeAt mem.Cycles // earliest blocked readyAt (0 = none)
 	kernel *synth.Kernel
 	buf    []mem.Ref // switch-trace scratch
-	rows   []mem.Ref // refill scratch, shared by every process
+	rows   []mem.Ref // refill row scratch, shared by every process that is not a trace.ColumnReader
 
 	// executed counts application references across the scheduler's
 	// whole life, surviving checkpoint restores, so a resumed run stops
@@ -249,7 +249,7 @@ func NewScheduler(m Machine, readers []trace.Reader, cfg SchedulerConfig) (*Sche
 		} else {
 			p.src = r
 			p.col = trace.NewColumnarReader(&p.win)
-			if s.rows == nil {
+			if _, cols := r.(trace.ColumnReader); !cols && s.rows == nil {
 				s.rows = make([]mem.Ref, refillRefs)
 			}
 		}

@@ -10,9 +10,11 @@ import (
 
 // TestGeneratorReadBatchMatchesNext drains two identically-seeded
 // generators — one reference at a time and in deliberately odd batch
-// sizes — and requires the exact same stream. This pins the batched
-// path's RNG call order: phases must advance once per reference window
-// exactly as the scalar path does.
+// sizes — and requires the exact same stream, which must also be the
+// frozen float reference's (reference_test.go): Next and ReadBatch
+// share one step, so the reference is the independent oracle. This
+// pins the batched path's RNG call order: phases must advance once per
+// reference window exactly as the scalar path does.
 func TestGeneratorReadBatchMatchesNext(t *testing.T) {
 	p, ok := FindProfile("swm256")
 	if !ok {
@@ -27,14 +29,22 @@ func TestGeneratorReadBatchMatchesNext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref := newRefGenerator(t, p, opts)
 	var want []mem.Ref
 	for {
+		r, rerr := ref.Next()
 		ref, err := scalar.Next()
 		if errors.Is(err, io.EOF) {
+			if !errors.Is(rerr, io.EOF) {
+				t.Fatalf("Next ended after %d refs, the reference did not", len(want))
+			}
 			break
 		}
 		if err != nil {
 			t.Fatal(err)
+		}
+		if ref != r {
+			t.Fatalf("ref %d: Next %+v, reference %+v", len(want), ref, r)
 		}
 		want = append(want, ref)
 	}
@@ -60,27 +70,47 @@ func TestGeneratorReadBatchMatchesNext(t *testing.T) {
 	}
 }
 
-// TestGeneratorReadBatchZeroAlloc pins the generator's batched fill:
-// steady-state batches must not allocate.
+// TestGeneratorReadBatchZeroAlloc pins the generator's batched fills,
+// into rows and into columns: once the first read has built the draw
+// tables, batches must not allocate, phase switches included. (The
+// scheduler's refill window over a generator is pinned in internal/sim,
+// TestRefillFromGeneratorZeroAlloc.)
 func TestGeneratorReadBatchZeroAlloc(t *testing.T) {
-	p, ok := FindProfile("swm256")
-	if !ok {
-		t.Fatal("swm256 profile missing")
-	}
-	g, err := NewGenerator(p, Options{Seed: 1, RefScale: 1, SizeScale: 1.0 / 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]mem.Ref, 256)
-	if _, err := g.ReadBatch(buf); err != nil { // warm up
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		if n, err := g.ReadBatch(buf); err != nil || n == 0 {
-			t.Fatalf("ReadBatch = %d, %v", n, err)
+	for _, workload := range []string{"", Phased} {
+		profiles, _ := Workload(workload)
+		var p Profile
+		for _, p = range profiles {
+			if p.Name == "swm256" {
+				break
+			}
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("ReadBatch allocates %.1f times per batch", allocs)
+		g, err := NewGenerator(p, Options{Seed: 1, RefScale: 1.0 / 48, SizeScale: 1.0 / 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]mem.Ref, 256)
+		kinds, addrs := make([]mem.RefKind, 4096), make([]mem.VAddr, 4096)
+		if _, err := g.ReadBatch(buf); err != nil { // warm up
+			t.Fatal(err)
+		}
+		// Rows, then columns, through every phase to the end.
+		if allocs := testing.AllocsPerRun(50, func() {
+			if n, err := g.ReadBatch(buf); err != nil || n == 0 {
+				t.Fatalf("ReadBatch = %d, %v", n, err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: ReadBatch allocates %.1f times per batch", p.Name, allocs)
+		}
+		reads := int(g.Remaining()/4096) + len(p.Phases) + 1
+		if allocs := testing.AllocsPerRun(reads, func() {
+			if _, err := g.ReadColumns(kinds, addrs); err != nil && !errors.Is(err, io.EOF) {
+				t.Fatalf("ReadColumns: %v", err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s %q: ReadColumns allocates %.1f times per batch", p.Name, workload, allocs)
+		}
+		if g.Remaining() != 0 {
+			t.Errorf("%s %q: %d refs left unread", p.Name, workload, g.Remaining())
+		}
 	}
 }

@@ -84,18 +84,28 @@ type Region struct {
 	HotFrac, HotProb float64
 }
 
-// regionState is the per-run cursor state for a region.
+// regionState is the per-run cursor state for a region, with the
+// region's draw constants.
 type regionState struct {
 	spec   Region
 	base   uint64 // virtual base address
 	size   uint64 // scaled size, aligned to elem
 	elem   uint64
 	stride uint64
+	elems  uint64 // size / elem
 	cursor uint64 // offset within region
 	depth  uint64 // Stack: current depth in bytes
+
+	// storeT and hotT are the thresholds (xrand.Threshold) of StoreFrac
+	// and of HotCold's hot probability; hotElems is the hot subset's
+	// size in elements.
+	storeT, hotT, hotElems uint64
 }
 
-func newRegionState(spec Region, base, scaledSize uint64) *regionState {
+// stackPushT is the threshold of a Stack access pushing a frame.
+var stackPushT = xrand.Threshold(0.5)
+
+func newRegionState(spec Region, base, scaledSize uint64) regionState {
 	elem := spec.Elem
 	if elem == 0 {
 		elem = 8
@@ -109,13 +119,30 @@ func newRegionState(spec Region, base, scaledSize uint64) *regionState {
 		size = 4 * elem
 	}
 	size = size - size%elem
-	return &regionState{spec: spec, base: base, size: size, elem: elem, stride: stride}
+	rs := regionState{spec: spec, base: base, size: size, elem: elem, stride: stride, elems: size / elem}
+	rs.storeT = xrand.Threshold(spec.StoreFrac)
+	if spec.Pattern == HotCold {
+		hotFrac := spec.HotFrac
+		if hotFrac == 0 {
+			hotFrac = 1.0 / 16
+		}
+		hotProb := spec.HotProb
+		if hotProb == 0 {
+			hotProb = 0.93
+		}
+		rs.hotT = xrand.Threshold(hotProb)
+		rs.hotElems = uint64(float64(rs.elems) * hotFrac)
+		if rs.hotElems == 0 {
+			rs.hotElems = 1
+		}
+	}
+	return rs
 }
 
 // nextOffset advances the region cursor per its pattern and returns the
 // offset of the next access within the region.
 func (rs *regionState) nextOffset(r *xrand.RNG) uint64 {
-	n := rs.size / rs.elem // number of elements
+	n := rs.elems
 	switch rs.spec.Pattern {
 	case Sequential:
 		off := rs.cursor
@@ -135,20 +162,8 @@ func (rs *regionState) nextOffset(r *xrand.RNG) uint64 {
 	case Random:
 		return r.Uintn(n) * rs.elem
 	case HotCold:
-		hotFrac := rs.spec.HotFrac
-		if hotFrac == 0 {
-			hotFrac = 1.0 / 16
-		}
-		hotProb := rs.spec.HotProb
-		if hotProb == 0 {
-			hotProb = 0.93
-		}
-		hotElems := uint64(float64(n) * hotFrac)
-		if hotElems == 0 {
-			hotElems = 1
-		}
-		if r.Chance(hotProb) {
-			return r.Uintn(hotElems) * rs.elem
+		if r.Below(rs.hotT) {
+			return r.Uintn(rs.hotElems) * rs.elem
 		}
 		return r.Uintn(n) * rs.elem
 	case PointerChase:
@@ -173,7 +188,7 @@ func (rs *regionState) nextOffset(r *xrand.RNG) uint64 {
 	case Stack:
 		// Push/pop with small biased random walk; access near the top.
 		frame := rs.elem * 8
-		if r.Chance(0.5) && rs.depth+frame < rs.size {
+		if r.Below(stackPushT) && rs.depth+frame < rs.size {
 			rs.depth += frame
 		} else if rs.depth >= frame {
 			rs.depth -= frame

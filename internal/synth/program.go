@@ -3,6 +3,7 @@ package synth
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"rampage/internal/mem"
 	"rampage/internal/xrand"
@@ -119,19 +120,31 @@ const (
 )
 
 // Generator produces a deterministic reference stream for one profile.
-// It implements trace.Reader.
+// It implements trace.Reader, trace.BatchReader and trace.ColumnReader,
+// and all three read through one per-reference step.
+//
+// Every random decision compares a draw's top 53 bits against an
+// integer threshold (xrand.Threshold), and the region pick compares
+// the same bits against bucket edges (see buildPick). NewGenerator
+// only lays the program out; the first read draws the first loop and
+// builds the pick, so a generator that is never read costs no draws.
 type Generator struct {
-	prof     Profile
-	pid      mem.PID
-	rng      *xrand.RNG
-	left     uint64
-	dataFrac float64
+	rng   xrand.RNG
+	pid   mem.PID
+	left  uint64
+	total uint64
 
-	regions   []*regionState
-	weightSum float64
-	weights   []float64 // current per-region weights (phase-dependent)
+	// rebuildAt is the emitted-reference count at which the next read
+	// must bring the draw state up to date (see advance): 0 before the
+	// first read, then the current phase's end.
+	rebuildAt uint64
+	started   bool
 
-	total       uint64
+	dataT uint64 // threshold of a data reference
+
+	regions []regionState
+	pick    []pickEdge // current region pick, in ascending edge order
+
 	phaseEnds   []uint64    // absolute emitted-reference phase boundaries
 	phaseWeight [][]float64 // per-phase weight vectors
 	phaseIdx    int
@@ -141,11 +154,21 @@ type Generator struct {
 	loopStart uint64
 	loopEnd   uint64
 	iterLeft  uint64
-
-	hotCodeFrac  float64
-	loopMeanIter float64
-	loopMeanBody float64
+	hotCode   uint64          // bytes of code holding the hot loops
+	body      xrand.Geometric // loop body size, in instructions
+	iters     xrand.Geometric // loop trip count
 }
+
+// pickEdge is one bucket of the region pick: a draw whose top 53 bits
+// are below limit, and at or above the previous edge's limit, picks
+// region.
+type pickEdge struct {
+	limit  uint64
+	region *regionState
+}
+
+// hotLoopT is the threshold of a new loop starting in the hot code.
+var hotLoopT = xrand.Threshold(0.9)
 
 // NewGenerator builds a Generator for profile p. It returns an error
 // for degenerate profiles (no references, no regions with positive
@@ -160,49 +183,48 @@ func NewGenerator(p Profile, opts Options) (*Generator, error) {
 		return nil, fmt.Errorf("synth: profile %q yields zero references at scale %g", p.Name, refScale)
 	}
 	g := &Generator{
-		prof:         p,
-		pid:          opts.PID,
-		rng:          xrand.New(opts.Seed ^ hashName(p.Name)),
-		left:         total,
-		total:        total,
-		dataFrac:     1 - p.IFetchFrac(),
-		hotCodeFrac:  defaultF(p.HotCodeFrac, 1.0/8),
-		loopMeanIter: defaultF(p.LoopMeanIter, 16),
-		loopMeanBody: defaultF(p.LoopMeanBody, 128),
+		rng:   *xrand.New(opts.Seed ^ hashName(p.Name)),
+		pid:   opts.PID,
+		left:  total,
+		total: total,
+		dataT: xrand.Threshold(1 - p.IFetchFrac()),
+		body:  xrand.NewGeometric(defaultF(p.LoopMeanBody, 128) / 4),
+		iters: xrand.NewGeometric(defaultF(p.LoopMeanIter, 16)),
 	}
 	g.codeSize = uint64(float64(p.CodeBytes) * sizeScale)
 	if g.codeSize < 1024 {
 		g.codeSize = 1024
 	}
 	g.codeSize = mem.AlignUp(g.codeSize, 64)
-
-	base := uint64(dataBase)
-	for _, spec := range p.Regions {
-		scaled := uint64(float64(spec.Size) * sizeScale)
-		rs := newRegionState(spec, base, scaled)
-		g.regions = append(g.regions, rs)
-		g.weightSum += spec.Weight
-		base = mem.AlignUp(base+rs.size+regionAlign, regionAlign)
+	g.hotCode = uint64(float64(g.codeSize) * defaultF(p.HotCodeFrac, 1.0/8))
+	if g.hotCode < 256 {
+		g.hotCode = 256
 	}
-	if g.dataFrac > 0 && g.weightSum <= 0 {
+	if g.hotCode > g.codeSize {
+		g.hotCode = g.codeSize
+	}
+
+	g.regions = make([]regionState, len(p.Regions))
+	base := uint64(dataBase)
+	var weightSum float64
+	for i, spec := range p.Regions {
+		scaled := uint64(float64(spec.Size) * sizeScale)
+		g.regions[i] = newRegionState(spec, base, scaled)
+		weightSum += spec.Weight
+		base = mem.AlignUp(base+g.regions[i].size+regionAlign, regionAlign)
+	}
+	if g.dataT > 0 && weightSum <= 0 {
 		return nil, fmt.Errorf("synth: profile %q needs data regions with positive weight", p.Name)
 	}
 	if err := g.buildPhases(p, total); err != nil {
 		return nil, err
 	}
-	g.newLoop()
 	return g, nil
 }
 
-// buildPhases validates the phase schedule and sets the initial weight
-// vector.
+// buildPhases validates the phase schedule.
 func (g *Generator) buildPhases(p Profile, total uint64) error {
-	base := make([]float64, len(p.Regions))
-	for i, r := range p.Regions {
-		base[i] = r.Weight
-	}
 	if len(p.Phases) == 0 {
-		g.weights = base
 		return nil
 	}
 	var fracSum float64
@@ -221,7 +243,7 @@ func (g *Generator) buildPhases(p Profile, total uint64) error {
 			}
 			sum += w
 		}
-		if g.dataFrac > 0 && sum <= 0 {
+		if g.dataT > 0 && sum <= 0 {
 			return fmt.Errorf("synth: profile %q phase %d silences every region", p.Name, i)
 		}
 		fracSum += ph.Frac
@@ -235,29 +257,91 @@ func (g *Generator) buildPhases(p Profile, total uint64) error {
 		g.phaseWeight[i] = ph.Weights
 	}
 	g.phaseEnds[len(p.Phases)-1] = total // absorb rounding
-	g.setPhase(0)
 	return nil
 }
 
-// setPhase installs phase i's weight vector.
-func (g *Generator) setPhase(i int) {
-	g.phaseIdx = i
-	g.weights = g.phaseWeight[i]
-	g.weightSum = 0
-	for _, w := range g.weights {
-		g.weightSum += w
-	}
-}
-
-// advancePhase moves to the next phase when the emitted count crosses
-// a boundary.
-func (g *Generator) advancePhase() {
-	if g.phaseEnds == nil {
-		return
+// advance brings the draw state up to date for the next reference. The
+// first read draws the first loop. The first read and every read at a
+// phase boundary move to the phase the emitted count is in, passing
+// any empty phase, and rebuild the region pick for its weights.
+func (g *Generator) advance() {
+	if !g.started {
+		g.started = true
+		g.pick = make([]pickEdge, 0, len(g.regions))
+		g.newLoop()
 	}
 	emitted := g.total - g.left
-	for g.phaseIdx < len(g.phaseEnds)-1 && emitted >= g.phaseEnds[g.phaseIdx] {
-		g.setPhase(g.phaseIdx + 1)
+	last := len(g.phaseEnds) - 1
+	for g.phaseIdx < last && emitted >= g.phaseEnds[g.phaseIdx] {
+		g.phaseIdx++
+	}
+	g.rebuildAt = math.MaxUint64
+	if g.phaseIdx < last {
+		g.rebuildAt = g.phaseEnds[g.phaseIdx]
+	}
+	g.buildPick()
+}
+
+// weight returns region i's weight in the current phase.
+func (g *Generator) weight(i int) float64 {
+	if g.phaseWeight == nil {
+		return g.regions[i].spec.Weight
+	}
+	return g.phaseWeight[g.phaseIdx][i]
+}
+
+// floatPick is the region pick as a float computation on a draw's top
+// 53 bits u: scale u·2⁻⁵³ by the weight sum, subtract each positive
+// weight in turn and take the region that drives the remainder
+// negative, falling back to the last positive-weight region (the last
+// region when none is positive). It defines the pick; buildPick only
+// tabulates it.
+func (g *Generator) floatPick(u uint64, weightSum float64) int {
+	x := float64(u) / float64(1<<53) * weightSum
+	last := len(g.regions) - 1
+	for i := range g.regions {
+		w := g.weight(i)
+		if w <= 0 {
+			continue
+		}
+		x -= w
+		if x < 0 {
+			return i
+		}
+		last = i
+	}
+	return last
+}
+
+// buildPick tabulates floatPick for the current phase as bucket edges.
+// Rounding is monotone, so floatPick never decreases as u grows, and
+// each bucket's end is found by bisecting floatPick itself, not from
+// cumulative weight sums, which round differently.
+func (g *Generator) buildPick() {
+	var weightSum float64
+	for i := range g.regions {
+		weightSum += g.weight(i)
+	}
+	g.pick = g.pick[:0]
+	if g.dataT == 0 {
+		return // no data references, so nothing is picked
+	}
+	const end = 1 << 53
+	for lo := uint64(0); lo < end; {
+		region := g.floatPick(lo, weightSum)
+		// floatPick(lo) == region; hi is end or the first u whose pick
+		// differs.
+		hi := uint64(end)
+		for hi-lo > 1 {
+			mid := lo + (hi-lo)/2
+			if g.floatPick(mid, weightSum) == region {
+				lo = mid
+			} else {
+				hi = mid
+			}
+		}
+		g.pick = append(g.pick, pickEdge{limit: hi, region: &g.regions[region]})
+		lo = hi
 	}
 }
 
@@ -282,83 +366,121 @@ func hashName(name string) uint64 {
 // Remaining returns the number of references still to be generated.
 func (g *Generator) Remaining() uint64 { return g.left }
 
-// Next implements trace.Reader.
+// PID returns the process ID the generator tags its references with.
+func (g *Generator) PID() mem.PID { return g.pid }
+
+// Next implements trace.Reader: one step.
 func (g *Generator) Next() (mem.Ref, error) {
 	if g.left == 0 {
 		return mem.Ref{}, io.EOF
 	}
-	g.advancePhase()
-	g.left--
-	if g.rng.Chance(g.dataFrac) {
-		return g.nextData(), nil
+	if g.total-g.left >= g.rebuildAt {
+		g.advance()
 	}
-	return g.nextIFetch(), nil
+	g.left--
+	kind, addr := g.step()
+	return mem.Ref{PID: g.pid, Kind: kind, Addr: addr}, nil
 }
 
-// ReadBatch implements trace.BatchReader. A batch never crosses a
-// phase boundary, so checking the phase schedule once per batch
-// consumes the random stream in exactly the order repeated Next calls
-// would — the two paths generate bit-identical traces.
+// ReadColumns implements trace.ColumnReader: the generator loop, one
+// step per reference, writing straight into the columns.
+func (g *Generator) ReadColumns(kinds []mem.RefKind, addrs []mem.VAddr) (int, error) {
+	n, err := g.window(len(kinds))
+	kinds, addrs = kinds[:n], addrs[:n]
+	for i := range kinds {
+		kinds[i], addrs[i] = g.step()
+	}
+	g.left -= uint64(n)
+	return n, err
+}
+
+// ReadBatch implements trace.BatchReader: the generator loop into rows.
 func (g *Generator) ReadBatch(dst []mem.Ref) (int, error) {
+	n, err := g.window(len(dst))
+	dst = dst[:n]
+	for i := range dst {
+		kind, addr := g.step()
+		dst[i] = mem.Ref{PID: g.pid, Kind: kind, Addr: addr}
+	}
+	g.left -= uint64(n)
+	return n, err
+}
+
+// window readies the draw state for the next batch of at most want
+// references and returns its size: (0, io.EOF) at end of stream. A
+// batch never crosses a phase boundary, so bringing the state up to
+// date once per batch consumes the random stream exactly as one step
+// per Next call does, and every read path generates the same stream.
+func (g *Generator) window(want int) (int, error) {
 	if g.left == 0 {
 		return 0, io.EOF
 	}
-	if len(dst) == 0 {
+	if want == 0 {
 		return 0, nil
 	}
-	g.advancePhase()
-	n := uint64(len(dst))
+	emitted := g.total - g.left
+	if emitted >= g.rebuildAt {
+		g.advance()
+	}
+	n := uint64(want)
 	if n > g.left {
 		n = g.left
 	}
-	if g.phaseEnds != nil && g.phaseIdx < len(g.phaseEnds)-1 {
-		if until := g.phaseEnds[g.phaseIdx] - (g.total - g.left); until < n {
-			n = until
-		}
-	}
-	for i := uint64(0); i < n; i++ {
-		g.left--
-		if g.rng.Chance(g.dataFrac) {
-			dst[i] = g.nextData()
-		} else {
-			dst[i] = g.nextIFetch()
-		}
+	if until := g.rebuildAt - emitted; until < n {
+		n = until
 	}
 	return int(n), nil
 }
 
-// nextIFetch advances the program counter through the current loop.
-func (g *Generator) nextIFetch() mem.Ref {
-	addr := mem.VAddr(codeBase + g.pc)
-	g.pc += 4
-	if g.pc >= g.loopEnd {
-		if g.iterLeft > 0 {
-			g.iterLeft--
-			g.pc = g.loopStart
-		} else {
-			g.newLoop()
+// step generates one reference: an instruction fetch that advances
+// the program counter through the current loop, or a data reference to
+// the region the pick's edges select, at an offset its pattern draws.
+func (g *Generator) step() (mem.RefKind, mem.VAddr) {
+	if !g.rng.Below(g.dataT) {
+		addr := mem.VAddr(codeBase + g.pc)
+		g.pc += 4
+		if g.pc >= g.loopEnd {
+			if g.iterLeft > 0 {
+				g.iterLeft--
+				g.pc = g.loopStart
+			} else {
+				g.newLoop()
+			}
+		}
+		return mem.IFetch, addr
+	}
+	rs := g.pickAt(g.rng.Next() >> 11)
+	off := rs.nextOffset(&g.rng)
+	kind := mem.Load
+	if g.rng.Below(rs.storeT) {
+		kind = mem.Store
+	}
+	return kind, mem.VAddr(rs.base + off)
+}
+
+// pickAt returns the region a draw's top 53 bits u pick: the bucket
+// is the count of edges at or below u, and the last edge, 2^53, is
+// above every u.
+func (g *Generator) pickAt(u uint64) *regionState {
+	i := 0
+	for _, e := range g.pick[:len(g.pick)-1] {
+		if u >= e.limit {
+			i++
 		}
 	}
-	return mem.Ref{PID: g.pid, Kind: mem.IFetch, Addr: addr}
+	return g.pick[i].region
 }
 
 // newLoop picks the next loop: usually within the hot fraction of the
 // code, occasionally anywhere (a call into colder code).
 func (g *Generator) newLoop() {
-	hot := uint64(float64(g.codeSize) * g.hotCodeFrac)
-	if hot < 256 {
-		hot = 256
-	}
-	if hot > g.codeSize {
-		hot = g.codeSize
-	}
 	var start uint64
-	if g.rng.Chance(0.9) {
-		start = g.rng.Uintn(hot/4) * 4
+	if g.rng.Below(hotLoopT) {
+		start = g.rng.Uintn(g.hotCode/4) * 4
 	} else {
 		start = g.rng.Uintn(g.codeSize/4) * 4
 	}
-	body := 32 + g.rng.Geometric(g.loopMeanBody/4)*4
+	body := 32 + g.body.Draw(&g.rng)*4
 	if start+body > g.codeSize {
 		start = g.codeSize - body
 		if start > g.codeSize { // underflow: body larger than code
@@ -369,33 +491,5 @@ func (g *Generator) newLoop() {
 	g.loopStart = start
 	g.loopEnd = start + body
 	g.pc = start
-	g.iterLeft = g.rng.Geometric(g.loopMeanIter)
-}
-
-// nextData picks a region by weight and an offset by its pattern.
-func (g *Generator) nextData() mem.Ref {
-	rs := g.pickRegion()
-	off := rs.nextOffset(g.rng)
-	kind := mem.Load
-	if g.rng.Chance(rs.spec.StoreFrac) {
-		kind = mem.Store
-	}
-	return mem.Ref{PID: g.pid, Kind: kind, Addr: mem.VAddr(rs.base + off)}
-}
-
-func (g *Generator) pickRegion() *regionState {
-	x := g.rng.Float() * g.weightSum
-	last := g.regions[len(g.regions)-1]
-	for i, rs := range g.regions {
-		w := g.weights[i]
-		if w <= 0 {
-			continue
-		}
-		x -= w
-		if x < 0 {
-			return rs
-		}
-		last = rs
-	}
-	return last
+	g.iterLeft = g.iters.Draw(&g.rng)
 }

@@ -71,8 +71,9 @@ func TestRNGGeometricMean(t *testing.T) {
 	r := xrand.New(13)
 	const n = 50000
 	var sum uint64
+	d := xrand.NewGeometric(16)
 	for i := 0; i < n; i++ {
-		sum += r.Geometric(16)
+		sum += d.Draw(r)
 	}
 	mean := float64(sum) / n
 	if mean < 12 || mean > 20 {
@@ -123,7 +124,8 @@ func TestSequentialPatternAdvances(t *testing.T) {
 func TestPointerChaseDeterministicSuccessor(t *testing.T) {
 	// The same element must always be followed by the same successor.
 	mk := func() *regionState {
-		return newRegionState(Region{Size: 4096, Pattern: PointerChase}, 0, 4096)
+		rs := newRegionState(Region{Size: 4096, Pattern: PointerChase}, 0, 4096)
+		return &rs
 	}
 	a, b := mk(), mk()
 	r1, r2 := xrand.New(1), xrand.New(2) // rng is unused by chase, but differ anyway

@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"rampage/internal/mem"
 )
@@ -28,56 +29,62 @@ type ColumnarBuffer struct {
 // Len returns the number of references in the buffer.
 func (b *ColumnarBuffer) Len() int { return len(b.Kinds) }
 
+// Ref reconstructs reference i.
+func (b *ColumnarBuffer) Ref(i int) mem.Ref {
+	return mem.Ref{PID: b.PID, Kind: b.Kinds[i], Addr: b.Addrs[i]}
+}
+
 // Append adds one reference to the columns.
 func (b *ColumnarBuffer) Append(kind mem.RefKind, addr mem.VAddr) {
 	b.Kinds = append(b.Kinds, kind)
 	b.Addrs = append(b.Addrs, addr)
 }
 
-// Ref reconstructs reference i.
-func (b *ColumnarBuffer) Ref(i int) mem.Ref {
-	return mem.Ref{PID: b.PID, Kind: b.Kinds[i], Addr: b.Addrs[i]}
-}
-
-// captureChunk sizes the scratch batch used when draining a Reader
-// into columns.
+// captureChunk is how many references a capture reads per call.
 const captureChunk = 4096
 
 // CaptureColumnar drains r — at most limit references, or the whole
-// stream when limit is 0 — into a ColumnarBuffer. The stream must be
-// single-process: a second PID aborts the capture with an error (the
-// caller falls back to row-form preloading). The references read are
-// bit-identical to what the same Reader would have delivered to the
-// simulator directly, because the drain uses the Reader's own batch
-// path.
+// stream when limit is 0 — into a ColumnarBuffer, reading through
+// ReadColumns: a ColumnReader writes straight into the buffer's
+// columns, and any other stream is read in rows. The stream must be
+// single-process: rows with a second PID abort the capture with an
+// error (the caller falls back to row-form preloading). The references
+// read are bit-identical to what the same Reader would have delivered
+// to the simulator directly.
 func CaptureColumnar(r Reader, limit uint64) (*ColumnarBuffer, error) {
 	buf := &ColumnarBuffer{}
 	if limit > 0 {
 		buf.Kinds = make([]mem.RefKind, 0, limit)
 		buf.Addrs = make([]mem.VAddr, 0, limit)
 	}
-	var scratch [captureChunk]mem.Ref
-	first := true
-	var n uint64
+	var rows []mem.Ref // nil for a ColumnReader, which names its PID
+	if cr, ok := r.(ColumnReader); ok {
+		buf.PID = cr.PID()
+	} else {
+		rows = make([]mem.Ref, captureChunk)
+	}
 	for {
-		chunk := scratch[:]
-		if limit > 0 && limit-n < captureChunk {
-			chunk = scratch[:limit-n]
+		kinds, addrs := buf.Kinds, buf.Addrs
+		n := len(kinds)
+		chunk := captureChunk
+		if limit > 0 && limit-uint64(n) < captureChunk {
+			chunk = int(limit - uint64(n))
 		}
-		if len(chunk) == 0 {
+		if chunk == 0 {
 			return buf, nil
 		}
-		got, err := ReadBatch(r, chunk)
-		for _, ref := range chunk[:got] {
-			if first {
-				buf.PID = ref.PID
-				first = false
-			} else if ref.PID != buf.PID {
-				return nil, fmt.Errorf("trace: columnar capture saw PIDs %d and %d; stream is not single-process", buf.PID, ref.PID)
+		kinds, addrs = slices.Grow(kinds, chunk), slices.Grow(addrs, chunk)
+		got, err := ReadColumns(r, kinds[n:n+chunk], addrs[n:n+chunk], rows)
+		if rows != nil {
+			for i, ref := range rows[:got] {
+				if n+i == 0 {
+					buf.PID = ref.PID
+				} else if ref.PID != buf.PID {
+					return nil, fmt.Errorf("trace: columnar capture saw PIDs %d and %d; stream is not single-process", buf.PID, ref.PID)
+				}
 			}
-			buf.Append(ref.Kind, ref.Addr)
 		}
-		n += uint64(got)
+		buf.Kinds, buf.Addrs = kinds[:n+got], addrs[:n+got]
 		if err == io.EOF {
 			return buf, nil
 		}

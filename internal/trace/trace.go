@@ -59,6 +59,37 @@ func ReadBatch(r Reader, dst []mem.Ref) (int, error) {
 	return len(dst), nil
 }
 
+// ColumnReader is the column twin of BatchReader: a single-process
+// stream that writes kinds and addresses straight into caller-owned
+// columns, with the process ID given once for the whole stream.
+//
+// ReadColumns fills the equal-length columns kinds and addrs with up
+// to len(kinds) references and returns the number written. Its
+// contract is otherwise that of BatchReader.ReadBatch.
+type ColumnReader interface {
+	Reader
+	PID() mem.PID
+	ReadColumns(kinds []mem.RefKind, addrs []mem.VAddr) (n int, err error)
+}
+
+// ReadColumns fills the equal-length columns kinds and addrs from r.
+// A ColumnReader fills them itself. Any other reader is read as rows
+// into rows, which must be at least as long as the columns, and their
+// kinds and addresses are copied out: this is the one row-to-column
+// copy, and the rows stay in rows[:n] for a caller that needs their
+// PIDs. The contract is that of BatchReader.ReadBatch.
+func ReadColumns(r Reader, kinds []mem.RefKind, addrs []mem.VAddr, rows []mem.Ref) (int, error) {
+	if cr, ok := r.(ColumnReader); ok {
+		return cr.ReadColumns(kinds, addrs)
+	}
+	n, err := ReadBatch(r, rows[:len(kinds)])
+	addrs = addrs[:n]
+	for i, ref := range rows[:n] {
+		kinds[i], addrs[i] = ref.Kind, ref.Addr
+	}
+	return n, err
+}
+
 // Writer consumes memory references, typically into a trace file.
 type Writer interface {
 	Write(mem.Ref) error

@@ -5,6 +5,11 @@
 // keeps every simulation bit-for-bit reproducible from its seed.
 package xrand
 
+import (
+	"math"
+	"math/bits"
+)
+
 // RNG is a SplitMix64 generator. The zero value is a valid generator
 // seeded with zero; use New to seed explicitly. RNG is not safe for
 // concurrent use.
@@ -34,30 +39,68 @@ func (r *RNG) Next() uint64 {
 
 // Uintn returns a uniform value in [0, n). n must be positive.
 func (r *RNG) Uintn(n uint64) uint64 {
-	hi, _ := mul64(r.Next(), n)
+	hi, _ := bits.Mul64(r.Next(), n)
 	return hi
 }
 
 // Intn returns a uniform int in [0, n). n must be positive.
 func (r *RNG) Intn(n int) int { return int(r.Uintn(uint64(n))) }
 
-// Float returns a uniform value in [0, 1).
+// Float returns a uniform value in [0, 1): the top 53 bits of a draw,
+// scaled exactly.
 func (r *RNG) Float() float64 {
 	return float64(r.Next()>>11) / float64(1<<53)
 }
 
-// Chance reports true with probability p.
-func (r *RNG) Chance(p float64) bool { return r.Float() < p }
+// Threshold returns the integer threshold of probability p: a draw's
+// top 53 bits x satisfy Float() < p exactly when x < Threshold(p).
+// Float() is x·2⁻⁵³ exactly, and x·2⁻⁵³ < p holds for an integer x
+// exactly when x < ⌈p·2⁵³⌉, so the threshold is that ceiling, clamped:
+// 0 for p ≤ 0 or NaN, 2⁵³ for p ≥ 1.
+func Threshold(p float64) uint64 {
+	if !(p > 0) {
+		return 0
+	}
+	if p >= 1 {
+		return 1 << 53
+	}
+	return uint64(math.Ceil(p * (1 << 53)))
+}
 
-// Geometric returns a geometrically distributed value with mean ~mean
-// (support 1..), used for loop trip counts and burst lengths.
-func (r *RNG) Geometric(mean float64) uint64 {
+// Below draws once and reports whether the draw falls under threshold
+// t, which is true with probability t·2⁻⁵³. Below(Threshold(p)) is
+// Chance(p), with the threshold computed once.
+func (r *RNG) Below(t uint64) bool { return r.Next()>>11 < t }
+
+// Chance reports true with probability p. It consumes one draw and
+// agrees with Float() < p on every draw.
+func (r *RNG) Chance(p float64) bool { return r.Below(Threshold(p)) }
+
+// Geometric is a geometric distribution over 1, 2, ... with mean about
+// a given mean, precomputed so that a draw compares integers only.
+// Loop trip counts and burst lengths draw from it.
+type Geometric struct {
+	one bool   // mean <= 1: every value is 1 and nothing is drawn
+	t   uint64 // the threshold of one trial's success, 1/mean
+	cap uint64 // trials stop once the value reaches mean·64
+}
+
+// NewGeometric precomputes the distribution with mean about mean.
+func NewGeometric(mean float64) Geometric {
 	if mean <= 1 {
+		return Geometric{one: true}
+	}
+	return Geometric{t: Threshold(1 / mean), cap: uint64(mean * 64)}
+}
+
+// Draw returns the number of trials up to the first success, capped.
+// Every trial draws, the one that reaches the cap included.
+func (g Geometric) Draw(r *RNG) uint64 {
+	if g.one {
 		return 1
 	}
 	n := uint64(1)
-	p := 1 / mean
-	for !r.Chance(p) && n < uint64(mean*64) {
+	for !r.Below(g.t) && n < g.cap {
 		n++
 	}
 	return n
@@ -70,18 +113,4 @@ func Mix(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	return z ^ (z >> 31)
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask = 0xFFFFFFFF
-	aLo, aHi := a&mask, a>>32
-	bLo, bHi := b&mask, b>>32
-	t := aLo*bHi + (aLo*bLo)>>32
-	w1 := t & mask
-	w2 := t >> 32
-	w1 += aHi * bLo
-	hi = aHi*bHi + w2 + (w1 >> 32)
-	lo = a * b
-	return hi, lo
 }
