@@ -16,6 +16,11 @@
 //
 //	# RAMpage with context switches on misses, full paper scale (slow!)
 //	rampage-sim -system rampage-cs -mhz 4000 -size 4096 -scale full -switchtrace
+//
+//	# Replay a trace file written by rampage-trace on the paper's 2-way
+//	# L2; -scale and the spec flags (-victim, -tlb, -policy, -sdram,
+//	# -prefetch, ...) build the machine exactly as for a synthetic run
+//	rampage-sim -tracefile all.rmpt -system 2way -mhz 1000 -size 128
 package main
 
 import (
@@ -23,6 +28,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
@@ -54,7 +60,7 @@ func main() {
 		prefetch    = flag.Bool("prefetch", false, "sequential next-page prefetch (RAMpage systems)")
 		banked      = flag.Bool("banked", false, "banked open-row RDRAM timing instead of the flat model")
 		channels    = flag.Int("channels", 1, "stripe the DRAM across N Rambus channels")
-		traceFile   = flag.String("tracefile", "", "replay a binary trace file instead of the synthetic workload (no scheduler; not for rampage-cs)")
+		traceFile   = flag.String("tracefile", "", "replay a binary trace file instead of the synthetic workload, on the machine -system, -scale and the spec flags build (no scheduler; not for rampage-cs)")
 		format      = flag.String("format", "text", "output format: text, json (versioned report document)")
 		snapEvery   = flag.Uint64("snapinterval", 0, "with -format json: cut a metrics snapshot every N simulated cycles (0 = none)")
 	)
@@ -70,13 +76,6 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if *traceFile != "" {
-		if err := replayFile(*traceFile, *system, *mhz, *size, *seed, *format, *snapEvery); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
 	cfg, err := harness.ConfigForScale(*scale)
 	if err != nil {
 		fatal(err)
@@ -85,17 +84,11 @@ func main() {
 	cfg.MaxRefs = *maxRefs
 	cfg.Processes = *procs
 
-	var col *metrics.Collector
-	if *format == "json" {
-		col = metrics.NewCollector(*snapEvery)
-		cfg.Observer = col
-	}
-
 	kind, err := harness.ParseSystemKind(*system)
 	if err != nil {
 		fatal(err)
 	}
-	rep, err := harness.Run(ctx, cfg, harness.RunSpec{
+	spec := harness.RunSpec{
 		System:             kind,
 		IssueMHz:           *mhz,
 		SizeBytes:          *size,
@@ -111,7 +104,21 @@ func main() {
 		BankedDRAM:         *banked,
 		DRAMChannels:       *channels,
 		Policy:             *policyName,
-	})
+	}
+
+	if *traceFile != "" {
+		if err := replayFile(os.Stdout, *traceFile, cfg, spec, *format, *snapEvery); err != nil {
+			fatal(err)
+		}
+		return
+	}
+
+	var col *metrics.Collector
+	if *format == "json" {
+		col = metrics.NewCollector(*snapEvery)
+		cfg.Observer = col
+	}
+	rep, err := harness.Run(ctx, cfg, spec)
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
 			fmt.Fprintln(os.Stderr, "rampage-sim: interrupted")
@@ -128,33 +135,20 @@ func main() {
 	fmt.Print(rep.String())
 }
 
-// replayFile runs a binary trace file through a machine directly (no
-// scheduler, references in file order) and prints the report.
-func replayFile(path, system string, mhz, size, seed uint64, format string, snapEvery uint64) error {
-	kind, err := harness.ParseSystemKind(system)
+// replayFile runs a binary trace file directly through the machine
+// that cfg and spec build on the synthetic path (no scheduler,
+// references in file order) and writes the report to w.
+func replayFile(w io.Writer, path string, cfg harness.Config, spec harness.RunSpec, format string, snapEvery uint64) error {
+	if spec.System == harness.RAMpageCS {
+		return fmt.Errorf("-tracefile supports baseline, 2way and rampage (no scheduler for rampage-cs)")
+	}
+	// The adaptive controller's epoch spans one rotation of the
+	// configured workload's processes, as on the synthetic path.
+	readers, err := cfg.Readers()
 	if err != nil {
 		return err
 	}
-	params := sim.DefaultParams(mhz)
-	params.Seed = seed
-	var machine sim.Machine
-	switch kind {
-	case harness.BaselineDM, harness.TwoWayL2:
-		assoc := 1
-		if kind == harness.TwoWayL2 {
-			assoc = 2
-		}
-		machine, err = sim.NewBaseline(sim.BaselineConfig{
-			Params: params, L2Bytes: 512 << 10, L2Block: size, L2Assoc: assoc,
-		})
-	case harness.RAMpage:
-		cfg := harness.DefaultScaled()
-		machine, err = sim.NewRAMpage(sim.RAMpageConfig{
-			Params: params, SRAMBytes: cfg.SRAMBytes(size), PageBytes: size,
-		})
-	default:
-		return fmt.Errorf("-tracefile supports baseline, 2way and rampage (no scheduler for rampage-cs)")
-	}
+	machine, err := harness.NewMachine(cfg, spec, len(readers))
 	if err != nil {
 		return err
 	}
@@ -176,10 +170,10 @@ func replayFile(path, system string, mhz, size, seed uint64, format string, snap
 		return err
 	}
 	if format == "json" {
-		return harness.WriteJSON(os.Stdout, harness.NewRunDoc(machine.Report(), col))
+		return harness.WriteJSON(w, harness.NewRunDoc(machine.Report(), col))
 	}
-	fmt.Print(machine.Report().String())
-	return nil
+	_, err = io.WriteString(w, machine.Report().String())
+	return err
 }
 
 func fatal(err error) {

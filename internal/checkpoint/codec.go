@@ -225,6 +225,20 @@ func (d *Dec) String() string {
 	return s
 }
 
+// Count reads the entry count of a variable-length section whose
+// entries take entryBytes each, and fails unless the unread bytes can
+// hold that many entries: a forged count must not make a decoder size
+// a map or slice beyond what the payload carries.
+func (d *Dec) Count(entryBytes int) uint32 {
+	at := d.off
+	n := d.U32()
+	if d.err == nil && uint64(n)*uint64(entryBytes) > uint64(d.Remaining()) {
+		d.Fail("count %d at offset %d needs %d bytes, %d remain", n, at, uint64(n)*uint64(entryBytes), d.Remaining())
+		return 0
+	}
+	return n
+}
+
 // length reads a slice length prefix and verifies it matches want —
 // component state is decoded in place into live arrays, so a geometry
 // mismatch is a configuration error, not a resize.

@@ -51,7 +51,7 @@ func (m *Memory) DecodeState(d *checkpoint.Dec) {
 	d.Marker(checkpoint.MarkCore)
 	m.pt.DecodeState(d)
 	m.tlb.DecodeState(d)
-	n := d.U32()
+	n := d.Count(24) // pid, vpn and count: three U64s an entry
 	seen := make(map[seenKey]uint64, n)
 	for i := uint32(0); i < n && d.Err() == nil; i++ {
 		pid := mem.PID(d.U64())

@@ -84,12 +84,18 @@ func statusFor(err error) int {
 	return http.StatusInternalServerError
 }
 
+// maxFleetBody bounds every fleet request body. A completion carries
+// one report of about 1.3 KB and a renew one 64-hex key per leased
+// cell, so the cap leaves ample room while keeping any caller from
+// making the coordinator buffer a body of any size.
+const maxFleetBody = 1 << 20
+
 func decodeFleet(w http.ResponseWriter, r *http.Request, into any) bool {
 	if r.Method != http.MethodPost {
 		fleetError(w, http.StatusMethodNotAllowed, errors.New("fleet: POST only"))
 		return false
 	}
-	if err := json.NewDecoder(r.Body).Decode(into); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxFleetBody)).Decode(into); err != nil {
 		fleetError(w, http.StatusBadRequest, err)
 		return false
 	}

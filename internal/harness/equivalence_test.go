@@ -41,8 +41,7 @@ func referenceRun(t *testing.T, cfg Config, spec RunSpec) *stats.Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec = spec.Normalized()
-	m, err := newMachine(cfg, spec, len(readers))
+	m, err := NewMachine(cfg, spec, len(readers))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,8 +67,8 @@ func capturedReaders(t *testing.T, cfg Config) []trace.Reader {
 	return readers
 }
 
-// shortBatches caps every batch, column or row, at n references, so
-// the scheduler's refill window is reloaded from the generator's column
+// shortBatches caps every column batch at n references, so the
+// scheduler's refill window is reloaded from the generator's column
 // loop in windows of at most n.
 type shortBatches struct {
 	trace.ColumnReader
@@ -79,10 +78,6 @@ type shortBatches struct {
 func (s shortBatches) ReadColumns(kinds []mem.RefKind, addrs []mem.VAddr) (int, error) {
 	n := min(len(kinds), s.n)
 	return s.ColumnReader.ReadColumns(kinds[:n], addrs[:n])
-}
-
-func (s shortBatches) ReadBatch(dst []mem.Ref) (int, error) {
-	return trace.ReadBatch(s.ColumnReader, dst[:min(len(dst), s.n)])
 }
 
 // refillRun is Run with every generated stream read in batches of at

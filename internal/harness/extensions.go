@@ -206,20 +206,15 @@ func warmupText(cfg Config, sizes []uint64) (string, error) {
 // warmupRefs feeds the interleaved workload to a RAMpage machine until
 // the SRAM is full, returning the references consumed.
 func warmupRefs(cfg Config, pageBytes uint64) (uint64, uint64, error) {
-	params := sim.DefaultParams(1000)
-	params.Seed = cfg.Seed
-	machine, err := sim.NewRAMpage(sim.RAMpageConfig{
-		Params:    params,
-		SRAMBytes: cfg.SRAMBytes(pageBytes),
-		PageBytes: pageBytes,
-	})
-	if err != nil {
-		return 0, 0, err
-	}
 	readers, err := cfg.Readers()
 	if err != nil {
 		return 0, 0, err
 	}
+	m, err := NewMachine(cfg, RunSpec{System: RAMpage, IssueMHz: 1000, SizeBytes: pageBytes}, len(readers))
+	if err != nil {
+		return 0, 0, err
+	}
+	machine := m.(*sim.RAMpage)
 	il, err := trace.NewInterleaver(readers, cfg.Quantum)
 	if err != nil {
 		return 0, 0, err

@@ -163,17 +163,11 @@ func Run(ctx context.Context, cfg Config, spec RunSpec) (*stats.Report, error) {
 // caller — the cell pool uses it to replay one materialized workload
 // across every cell instead of regenerating it per cell.
 func runWithReaders(ctx context.Context, cfg Config, spec RunSpec, readers []trace.Reader) (*stats.Report, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	spec = spec.Normalized()
-	machine, err := newMachine(cfg, spec, len(readers))
+	machine, err := NewMachine(cfg, spec, len(readers))
 	if err != nil {
 		return nil, err
 	}
+	spec = spec.Normalized()
 	obs := cfg.Observer
 	var checker *oracle.InvariantChecker
 	if cfg.Verify {
@@ -253,9 +247,17 @@ func runWithReaders(ctx context.Context, cfg Config, spec RunSpec, readers []tra
 	return rep, nil
 }
 
-// newMachine builds the machine a validated, normalized spec
-// simulates under cfg, for a workload of procs processes.
-func newMachine(cfg Config, spec RunSpec, procs int) (sim.Machine, error) {
+// NewMachine builds the machine spec simulates under cfg, for a
+// workload of procs processes, after validating both: the one builder
+// behind every run, the warm-up study and rampage-sim's trace replay.
+func NewMachine(cfg Config, spec RunSpec, procs int) (sim.Machine, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
+	spec = spec.Normalized()
 	params := sim.DefaultParams(spec.IssueMHz)
 	params.Seed = cfg.Seed
 	if spec.TLBEntries > 0 {

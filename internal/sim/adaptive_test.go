@@ -2,8 +2,11 @@ package sim
 
 import (
 	"context"
+	"encoding/binary"
+	"strings"
 	"testing"
 
+	"rampage/internal/checkpoint"
 	"rampage/internal/mem"
 	"rampage/internal/trace"
 )
@@ -68,6 +71,46 @@ func TestAdaptiveRejectsSwitchOnMiss(t *testing.T) {
 	}}
 	if _, err := NewAdaptiveRAMpage(cfg); err == nil {
 		t.Error("adaptive machine accepted switch-on-miss")
+	}
+}
+
+// TestAdaptiveDecodeRejectsUnreachableGeometry forges the SRAM
+// geometry an adaptive checkpoint opens with. Decode rebuilds the SRAM
+// at that geometry, so a capacity the controller cannot reach must fail
+// the decode before anything is allocated: 2^40 bytes of 128-byte
+// pages would need a page table of 2^33 frames.
+func TestAdaptiveDecodeRejectsUnreachableGeometry(t *testing.T) {
+	build := func() *AdaptiveRAMpage {
+		a, err := NewAdaptiveRAMpage(AdaptiveConfig{RAMpageConfig: RAMpageConfig{
+			Params:    DefaultParams(1000),
+			SRAMBytes: 264 << 10,
+			PageBytes: 1024,
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	e := checkpoint.NewEnc()
+	build().EncodeState(e)
+	payload := e.Bytes()
+	// The marker, then the page size and the SRAM capacity.
+	for _, geom := range [][2]uint64{{128, 1 << 40}, {64, 264 << 10}, {8192, 264 << 10}} {
+		forged := append([]byte(nil), payload...)
+		binary.LittleEndian.PutUint64(forged[4:], geom[0])
+		binary.LittleEndian.PutUint64(forged[12:], geom[1])
+		d := checkpoint.NewDec(forged)
+		build().DecodeState(d)
+		if err := d.Err(); err == nil || !strings.Contains(err.Error(), "geometry") {
+			t.Errorf("geometry %d B pages, %d B SRAM: decode error = %v, want a geometry error", geom[0], geom[1], err)
+		}
+	}
+	reachable := append([]byte(nil), payload...)
+	binary.LittleEndian.PutUint64(reachable[4:], 2048)
+	d := checkpoint.NewDec(reachable)
+	build().DecodeState(d)
+	if err := d.Err(); err != nil && strings.Contains(err.Error(), "geometry") {
+		t.Errorf("reachable geometry refused: %v", err)
 	}
 }
 

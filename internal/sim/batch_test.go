@@ -141,12 +141,12 @@ func refilledProc(refs []mem.Ref) (*proc, *trace.SliceReader) {
 
 // execRefilled drains p's stream, executing each refill window with
 // one ExecBatchColumnar call.
-func execRefilled(t *testing.T, m Machine, p *proc, rows []mem.Ref) {
+func execRefilled(t *testing.T, m Machine, p *proc) {
 	t.Helper()
 	for {
 		kinds, addrs := p.col.Tail()
 		if len(kinds) == 0 {
-			if err := p.refill(rows); err != nil {
+			if err := p.refill(); err != nil {
 				t.Fatal(err)
 			}
 			if kinds, addrs = p.col.Tail(); len(kinds) == 0 {
@@ -163,15 +163,16 @@ func execRefilled(t *testing.T, m Machine, p *proc, rows []mem.Ref) {
 
 // TestExecBatchColumnarMatchesExecBatch requires captured columns
 // executed in deliberately unaligned windows to produce a bit-identical
-// report to the same stream read as row batches (trace.ReadBatch)
-// through the refill window, whose windows fall elsewhere.
+// report to the same stream read one reference at a time from a
+// SliceReader (trace.ReadColumns' fallback) through the refill window,
+// whose windows fall elsewhere.
 func TestExecBatchColumnarMatchesExecBatch(t *testing.T) {
 	refs := batchWorkload(4096)
 	pid, kinds, addrs := colsOf(t, refs)
 	run := func(t *testing.T, rows, cols Machine) {
 		t.Helper()
 		p, _ := refilledProc(refs)
-		execRefilled(t, rows, p, make([]mem.Ref, refillRefs))
+		execRefilled(t, rows, p)
 		for off := 0; off < len(refs); off += 129 {
 			end := off + 129
 			if end > len(refs) {
@@ -190,18 +191,17 @@ func TestExecBatchColumnarMatchesExecBatch(t *testing.T) {
 }
 
 // TestExecBatchZeroAllocSteadyState pins the refill path: once the TLB
-// and L1 are warm, reading a row stream through the refill window and
+// and L1 are warm, reading a SliceReader through the refill window and
 // executing its windows must not allocate at all.
 func TestExecBatchZeroAllocSteadyState(t *testing.T) {
 	refs := batchWorkload(2048)
 	run := func(t *testing.T, m Machine) {
 		t.Helper()
 		p, src := refilledProc(refs)
-		rows := make([]mem.Ref, refillRefs)
 		replay := func() {
 			src.Reset()
 			p.rdErr = nil
-			execRefilled(t, m, p, rows)
+			execRefilled(t, m, p)
 		}
 		// Warm up: fault the pages in, fill the caches and the window.
 		for i := 0; i < 4; i++ {
@@ -216,10 +216,9 @@ func TestExecBatchZeroAllocSteadyState(t *testing.T) {
 }
 
 // TestRefillFromGeneratorZeroAlloc pins the refill window over a
-// generator: the scheduler keeps no row scratch for it, and once the
-// window and the generator's draw tables exist, refilling the window
-// from the column loop, and discarding a restored prefix first,
-// allocate nothing.
+// generator: once the window and the generator's draw tables exist,
+// refilling the window from the column loop, and discarding a restored
+// prefix first, allocate nothing.
 func TestRefillFromGeneratorZeroAlloc(t *testing.T) {
 	p, _ := synth.FindProfile("swm256")
 	g, err := synth.NewGenerator(p, synth.Options{Seed: 1, RefScale: 1.0 / 48, SizeScale: 1.0 / 8})
@@ -230,12 +229,9 @@ func TestRefillFromGeneratorZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.rows != nil {
-		t.Error("a scheduler over generators keeps row scratch")
-	}
 	pr := s.procs[0]
 	refill := func() {
-		if err := pr.refill(s.rows); err != nil {
+		if err := pr.refill(); err != nil {
 			t.Fatal(err)
 		}
 		if n := pr.col.Remaining(); n != refillRefs {

@@ -187,13 +187,13 @@ func (s *Scheduler) repositionReader(p *proc) error {
 
 // discard reads and drops the next n references of r through the
 // scratch columns kinds and addrs, with trace.ReadColumns.
-func discard(r trace.Reader, n uint64, kinds []mem.RefKind, addrs []mem.VAddr, rows []mem.Ref) error {
+func discard(r trace.Reader, n uint64, kinds []mem.RefKind, addrs []mem.VAddr) error {
 	for left := n; left > 0; {
 		want := uint64(len(kinds))
 		if want > left {
 			want = left
 		}
-		got, err := trace.ReadColumns(r, kinds[:want], addrs[:want], rows)
+		got, err := trace.ReadColumns(r, kinds[:want], addrs[:want])
 		left -= uint64(got)
 		if err != nil {
 			return fmt.Errorf("stream ended %d references short of cursor %d: %w", left, n, err)
@@ -294,7 +294,7 @@ func (r *RAMpage) decodeRAMpage(d *checkpoint.Dec) {
 	r.kernel.SetRNGState(d.U64())
 	r.rep.DecodeState(d)
 	r.chanFreeAt = mem.Cycles(d.U64())
-	nf := d.U32()
+	nf := d.Count(16)
 	if d.Err() != nil {
 		return
 	}
@@ -304,7 +304,7 @@ func (r *RAMpage) decodeRAMpage(d *checkpoint.Dec) {
 		ready := mem.Cycles(d.U64())
 		r.inFlight = append(r.inFlight, inFlightPage{page: page, ready: ready})
 	}
-	np := d.U32()
+	np := d.Count(16)
 	if d.Err() != nil {
 		return
 	}
@@ -341,7 +341,10 @@ func (a *AdaptiveRAMpage) EncodeState(e *checkpoint.Enc) {
 // geometry differs from the constructed one, the SRAM main memory is
 // rebuilt at the captured geometry first — directly, with no simulated
 // resize cost, since the captured run already paid it — and the cached
-// fast-path views are refreshed.
+// fast-path views are refreshed. A geometry the controller cannot reach
+// (a page size outside its bounds, or an SRAM capacity other than the
+// configured one for that page size) fails the decode before anything
+// is built, so a forged record cannot size the rebuilt memory.
 func (a *AdaptiveRAMpage) DecodeState(d *checkpoint.Dec) {
 	d.Marker(checkpoint.MarkAdaptive)
 	pageBytes := d.U64()
@@ -350,6 +353,10 @@ func (a *AdaptiveRAMpage) DecodeState(d *checkpoint.Dec) {
 		return
 	}
 	if pageBytes != a.RAMpage.cfg.PageBytes || sramBytes != a.RAMpage.cfg.SRAMBytes {
+		if pageBytes < a.cfg.MinPage || pageBytes > a.cfg.MaxPage || sramBytes != a.cfg.SRAMBytesFor(pageBytes) {
+			d.Fail("sim: checkpoint geometry (%d B pages, %d B SRAM) is not one the controller reaches", pageBytes, sramBytes)
+			return
+		}
 		mm, err := core.New(core.Config{
 			TotalBytes: sramBytes,
 			PageBytes:  pageBytes,

@@ -13,31 +13,29 @@ import (
 	"rampage/internal/trace"
 )
 
-// countingReader serves a slice of references and counts how many
-// have been read from it. It does not report its length.
+// countingReader serves a slice of references in full column batches
+// and counts how many have been read from it. It does not report its
+// length.
 type countingReader struct {
 	refs []mem.Ref
 	read int
 }
 
-// ReadBatch implements trace.BatchReader.
-func (c *countingReader) ReadBatch(dst []mem.Ref) (int, error) {
+// ReadColumns implements trace.ColumnReader.
+func (c *countingReader) ReadColumns(kinds []mem.RefKind, addrs []mem.VAddr) (int, error) {
 	if c.read == len(c.refs) {
 		return 0, io.EOF
 	}
-	n := copy(dst, c.refs[c.read:])
+	n := fillColumns(c.refs[c.read:], kinds, addrs)
 	c.read += n
 	return n, nil
 }
 
+// PID implements trace.ColumnReader.
+func (c *countingReader) PID() mem.PID { return 0 }
+
 // Next implements trace.Reader.
-func (c *countingReader) Next() (mem.Ref, error) {
-	var one [1]mem.Ref
-	if _, err := c.ReadBatch(one[:]); err != nil {
-		return mem.Ref{}, err
-	}
-	return one[0], nil
-}
+func (c *countingReader) Next() (mem.Ref, error) { return nextOf(c) }
 
 // sizedReader is a countingReader that reports its length, as the
 // synthetic generators do.
@@ -77,7 +75,7 @@ func counted(streams [][]mem.Ref, sized bool) ([]trace.Reader, []*countingReader
 
 // ckptCapture runs ckptStreams over refilled readers to maxRefs and
 // returns the run's report and its checkpoint payload.
-func ckptCapture(t *testing.T, maxRefs uint64) (*stats.Report, []byte, *Scheduler) {
+func ckptCapture(t testing.TB, maxRefs uint64) (*stats.Report, []byte, *Scheduler) {
 	t.Helper()
 	readers, _ := counted(ckptStreams(), true)
 	m := testRAMpage(t, 4000, 1024, true)
@@ -204,6 +202,23 @@ func TestCheckpointResumeReadsPrefixOnFirstRun(t *testing.T) {
 	}
 }
 
+// TestCheckpointResumeOverShortReads resumes a run over streams that
+// make short, irregular reads, so the restored prefix is discarded in
+// pieces smaller than the refill window: the resumed run must still
+// report what an uninterrupted run does.
+func TestCheckpointResumeOverShortReads(t *testing.T) {
+	want := ckptUninterrupted(t)
+	_, payload, _ := ckptCapture(t, 20_000)
+	_, s := ckptRestore(t, payload, choppy(ckptStreams()), 0)
+	got, err := s.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("resumed report differs from an uninterrupted run:\n got: %+v\nwant: %+v", got, want)
+	}
+}
+
 // TestCheckpointCursorPastStreamFails pins that a stream shorter than
 // its cursor still fails: a synthetic generator, checked against the
 // length it reports, inside RestoreState, and a stream of unknown
@@ -255,4 +270,24 @@ func TestCheckpointCursorPastStreamFails(t *testing.T) {
 	if _, err := s.Run(context.Background()); err == nil || !strings.Contains(err.Error(), "cursor") {
 		t.Errorf("run over short streams of unknown length: err = %v, want a cursor error", err)
 	}
+}
+
+// FuzzRestoreState feeds mutations of a captured RAMpage payload to
+// RestoreState, which must return an error or nil and never panic or
+// run out of memory: checkpoint records are read back from a directory
+// that survives restarts, and anyone who can write there can forge one,
+// so every count and length in a payload is untrusted.
+func FuzzRestoreState(f *testing.F) {
+	_, payload, _ := ckptCapture(f, 20_000)
+	f.Add(payload)
+	streams := ckptStreams()
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		readers, _ := counted(streams, true)
+		m := testRAMpage(t, 4000, 1024, true)
+		s, err := NewScheduler(m, readers, ckptConfig(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = RestoreState(m, s, payload)
+	})
 }

@@ -56,12 +56,11 @@ const refillRefs = 512
 
 // refill reloads an exhausted window from the process's stream through
 // trace.ReadColumns, first discarding any prefix a restore left to
-// skip. A generator writes straight into the window; rows is the
-// scratch shared by all processes for any other stream (nil when every
-// stream is a trace.ColumnReader). It returns nil with an empty window
-// at end of stream, and the stream's error once every reference read
-// before it has executed.
-func (p *proc) refill(rows []mem.Ref) error {
+// skip: a generator writes straight into the window, and any other
+// stream is read one reference at a time. It returns nil with an empty
+// window at end of stream, and the stream's error once every reference
+// read before it has executed.
+func (p *proc) refill() error {
 	if p.src == nil {
 		return nil // captured: the columns are the whole stream
 	}
@@ -73,14 +72,14 @@ func (p *proc) refill(rows []mem.Ref) error {
 	if p.skip > 0 {
 		n := p.skip
 		p.skip = 0
-		if err := discard(p.src, n, kinds, addrs, rows); err != nil {
+		if err := discard(p.src, n, kinds, addrs); err != nil {
 			return fmt.Errorf("sim: repositioning process %d: %w", p.pid, err)
 		}
 	}
 	if p.rdErr == nil {
 		// The scheduler tags every reference with the process PID, so
 		// only kinds and addresses are kept.
-		n, err := trace.ReadColumns(p.src, kinds, addrs, rows)
+		n, err := trace.ReadColumns(p.src, kinds, addrs)
 		if n == 0 && err == nil {
 			err = io.EOF // defensive: empty read with no error
 		}
@@ -210,7 +209,6 @@ type Scheduler struct {
 	wakeAt mem.Cycles // earliest blocked readyAt (0 = none)
 	kernel *synth.Kernel
 	buf    []mem.Ref // switch-trace scratch
-	rows   []mem.Ref // refill row scratch, shared by every process that is not a trace.ColumnReader
 
 	// executed counts application references across the scheduler's
 	// whole life, surviving checkpoint restores, so a resumed run stops
@@ -249,9 +247,6 @@ func NewScheduler(m Machine, readers []trace.Reader, cfg SchedulerConfig) (*Sche
 		} else {
 			p.src = r
 			p.col = trace.NewColumnarReader(&p.win)
-			if _, cols := r.(trace.ColumnReader); !cols && s.rows == nil {
-				s.rows = make([]mem.Ref, refillRefs)
-			}
 		}
 		s.procs[i] = p
 		s.queue.pushBack(i)
@@ -314,7 +309,7 @@ func (s *Scheduler) Run(ctx context.Context) (*stats.Report, error) {
 		p := s.procs[cur]
 		kinds, addrs := p.col.Tail()
 		if len(kinds) == 0 {
-			if err := p.refill(s.rows); err != nil {
+			if err := p.refill(); err != nil {
 				return rep, err
 			}
 			if kinds, addrs = p.col.Tail(); len(kinds) == 0 {

@@ -12,8 +12,8 @@ import (
 	"rampage/internal/trace"
 )
 
-// choppyReader serves a stream in short batches of irregular length
-// and ends with err, delivered together with the final batch.
+// choppyReader serves a stream in short column batches of irregular
+// length and ends with err, delivered together with the final batch.
 type choppyReader struct {
 	refs  []mem.Ref
 	pos   int
@@ -21,15 +21,14 @@ type choppyReader struct {
 	err   error
 }
 
-// ReadBatch implements trace.BatchReader.
-func (c *choppyReader) ReadBatch(dst []mem.Ref) (int, error) {
+// ReadColumns implements trace.ColumnReader.
+func (c *choppyReader) ReadColumns(kinds []mem.RefKind, addrs []mem.VAddr) (int, error) {
 	if c.pos == len(c.refs) {
 		return 0, c.err
 	}
 	c.calls++
 	n := 1 + c.calls*37%61
-	n = min(n, len(dst), len(c.refs)-c.pos)
-	copy(dst, c.refs[c.pos:c.pos+n])
+	n = fillColumns(c.refs[c.pos:min(len(c.refs), c.pos+n)], kinds, addrs)
 	c.pos += n
 	if c.pos == len(c.refs) {
 		return n, c.err
@@ -37,13 +36,30 @@ func (c *choppyReader) ReadBatch(dst []mem.Ref) (int, error) {
 	return n, nil
 }
 
+// PID implements trace.ColumnReader.
+func (c *choppyReader) PID() mem.PID { return 0 }
+
 // Next implements trace.Reader.
-func (c *choppyReader) Next() (mem.Ref, error) {
-	var one [1]mem.Ref
-	if n, err := c.ReadBatch(one[:]); n == 0 {
+func (c *choppyReader) Next() (mem.Ref, error) { return nextOf(c) }
+
+// fillColumns copies as many of refs as the columns hold into them and
+// returns how many it copied.
+func fillColumns(refs []mem.Ref, kinds []mem.RefKind, addrs []mem.VAddr) int {
+	n := min(len(refs), len(kinds))
+	for i, ref := range refs[:n] {
+		kinds[i], addrs[i] = ref.Kind, ref.Addr
+	}
+	return n
+}
+
+// nextOf is Next for a test ColumnReader: a one-reference column read.
+func nextOf(r trace.ColumnReader) (mem.Ref, error) {
+	var kind [1]mem.RefKind
+	var addr [1]mem.VAddr
+	if n, err := r.ReadColumns(kind[:], addr[:]); n == 0 {
 		return mem.Ref{}, err
 	}
-	return one[0], nil
+	return mem.Ref{PID: r.PID(), Kind: kind[0], Addr: addr[0]}, nil
 }
 
 // refillStreams is a switch-on-miss workload: four processes stream
@@ -81,7 +97,7 @@ func choppy(streams [][]mem.Ref) []trace.Reader {
 	return readers
 }
 
-func runRefill(t *testing.T, m Machine, readers []trace.Reader, cfg SchedulerConfig) (*Scheduler, *stats.Report, error) {
+func runRefill(t testing.TB, m Machine, readers []trace.Reader, cfg SchedulerConfig) (*Scheduler, *stats.Report, error) {
 	t.Helper()
 	s, err := NewScheduler(m, readers, cfg)
 	if err != nil {

@@ -25,7 +25,7 @@ func testBaseline(t *testing.T, mhz uint64, l2Block uint64) *Baseline {
 	return b
 }
 
-func testRAMpage(t *testing.T, mhz uint64, page uint64, switchOnMiss bool) *RAMpage {
+func testRAMpage(t testing.TB, mhz uint64, page uint64, switchOnMiss bool) *RAMpage {
 	t.Helper()
 	r, err := NewRAMpage(RAMpageConfig{
 		Params:       DefaultParams(mhz),

@@ -9,12 +9,13 @@ import (
 )
 
 // TestGeneratorReadBatchMatchesNext drains two identically-seeded
-// generators — one reference at a time and in deliberately odd batch
-// sizes — and requires the exact same stream, which must also be the
-// frozen float reference's (reference_test.go): Next and ReadBatch
-// share one step, so the reference is the independent oracle. This
-// pins the batched path's RNG call order: phases must advance once per
-// reference window exactly as the scalar path does.
+// generators — one reference at a time and through the column loop in
+// deliberately odd batch sizes — and requires the exact same stream,
+// which must also be the frozen float reference's (reference_test.go):
+// Next and ReadColumns share one step, so the reference is the
+// independent oracle. This pins the batched path's RNG call order:
+// phases must advance once per reference window exactly as the scalar
+// path does.
 func TestGeneratorReadBatchMatchesNext(t *testing.T) {
 	p, ok := FindProfile("swm256")
 	if !ok {
@@ -49,10 +50,12 @@ func TestGeneratorReadBatchMatchesNext(t *testing.T) {
 		want = append(want, ref)
 	}
 	var got []mem.Ref
-	buf := make([]mem.Ref, 0, 257)
+	kinds, addrs := make([]mem.RefKind, 257), make([]mem.VAddr, 257)
 	for size := 1; ; size = size%257 + 1 { // cycle through window sizes
-		n, err := batched.ReadBatch(buf[:size])
-		got = append(got, buf[:n]...)
+		n, err := batched.ReadColumns(kinds[:size], addrs[:size])
+		for i := range n {
+			got = append(got, mem.Ref{PID: batched.PID(), Kind: kinds[i], Addr: addrs[i]})
+		}
 		if errors.Is(err, io.EOF) {
 			break
 		}
@@ -70,11 +73,11 @@ func TestGeneratorReadBatchMatchesNext(t *testing.T) {
 	}
 }
 
-// TestGeneratorReadBatchZeroAlloc pins the generator's batched fills,
-// into rows and into columns: once the first read has built the draw
-// tables, batches must not allocate, phase switches included. (The
-// scheduler's refill window over a generator is pinned in internal/sim,
-// TestRefillFromGeneratorZeroAlloc.)
+// TestGeneratorReadBatchZeroAlloc pins the generator's batched fills
+// through the column loop: once the first read has built the draw
+// tables, batches must not allocate, whether they are short or long,
+// phase switches included. (The scheduler's refill window over a
+// generator is pinned in internal/sim, TestRefillFromGeneratorZeroAlloc.)
 func TestGeneratorReadBatchZeroAlloc(t *testing.T) {
 	for _, workload := range []string{"", Phased} {
 		profiles, _ := Workload(workload)
@@ -88,18 +91,17 @@ func TestGeneratorReadBatchZeroAlloc(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		buf := make([]mem.Ref, 256)
 		kinds, addrs := make([]mem.RefKind, 4096), make([]mem.VAddr, 4096)
-		if _, err := g.ReadBatch(buf); err != nil { // warm up
+		if _, err := g.ReadColumns(kinds[:256], addrs[:256]); err != nil { // warm up
 			t.Fatal(err)
 		}
-		// Rows, then columns, through every phase to the end.
+		// Short batches, then long ones through every phase to the end.
 		if allocs := testing.AllocsPerRun(50, func() {
-			if n, err := g.ReadBatch(buf); err != nil || n == 0 {
-				t.Fatalf("ReadBatch = %d, %v", n, err)
+			if n, err := g.ReadColumns(kinds[:256], addrs[:256]); err != nil || n == 0 {
+				t.Fatalf("ReadColumns = %d, %v", n, err)
 			}
 		}); allocs != 0 {
-			t.Errorf("%s: ReadBatch allocates %.1f times per batch", p.Name, allocs)
+			t.Errorf("%s %q: short ReadColumns allocates %.1f times per batch", p.Name, workload, allocs)
 		}
 		reads := int(g.Remaining()/4096) + len(p.Phases) + 1
 		if allocs := testing.AllocsPerRun(reads, func() {

@@ -120,8 +120,8 @@ const (
 )
 
 // Generator produces a deterministic reference stream for one profile.
-// It implements trace.Reader, trace.BatchReader and trace.ColumnReader,
-// and all three read through one per-reference step.
+// It implements trace.Reader and trace.ColumnReader, and both read
+// through one per-reference step.
 //
 // Every random decision compares a draw's top 53 bits against an
 // integer threshold (xrand.Threshold), and the region pick compares
@@ -383,52 +383,27 @@ func (g *Generator) Next() (mem.Ref, error) {
 }
 
 // ReadColumns implements trace.ColumnReader: the generator loop, one
-// step per reference, writing straight into the columns.
+// step per reference, writing straight into the columns. A batch never
+// crosses a phase boundary, so bringing the draw state up to date once
+// per batch consumes the random stream exactly as one step per Next
+// call does, and both read paths generate the same stream.
 func (g *Generator) ReadColumns(kinds []mem.RefKind, addrs []mem.VAddr) (int, error) {
-	n, err := g.window(len(kinds))
-	kinds, addrs = kinds[:n], addrs[:n]
-	for i := range kinds {
-		kinds[i], addrs[i] = g.step()
-	}
-	g.left -= uint64(n)
-	return n, err
-}
-
-// ReadBatch implements trace.BatchReader: the generator loop into rows.
-func (g *Generator) ReadBatch(dst []mem.Ref) (int, error) {
-	n, err := g.window(len(dst))
-	dst = dst[:n]
-	for i := range dst {
-		kind, addr := g.step()
-		dst[i] = mem.Ref{PID: g.pid, Kind: kind, Addr: addr}
-	}
-	g.left -= uint64(n)
-	return n, err
-}
-
-// window readies the draw state for the next batch of at most want
-// references and returns its size: (0, io.EOF) at end of stream. A
-// batch never crosses a phase boundary, so bringing the state up to
-// date once per batch consumes the random stream exactly as one step
-// per Next call does, and every read path generates the same stream.
-func (g *Generator) window(want int) (int, error) {
 	if g.left == 0 {
 		return 0, io.EOF
 	}
-	if want == 0 {
+	if len(kinds) == 0 {
 		return 0, nil
 	}
 	emitted := g.total - g.left
 	if emitted >= g.rebuildAt {
 		g.advance()
 	}
-	n := uint64(want)
-	if n > g.left {
-		n = g.left
+	n := min(uint64(len(kinds)), g.left, g.rebuildAt-emitted)
+	kinds, addrs = kinds[:n], addrs[:n]
+	for i := range kinds {
+		kinds[i], addrs[i] = g.step()
 	}
-	if until := g.rebuildAt - emitted; until < n {
-		n = until
-	}
+	g.left -= n
 	return int(n), nil
 }
 

@@ -348,8 +348,8 @@ func TestPickMatchesFloat(t *testing.T) {
 }
 
 // matchReference drives three generators built from p and opts — the
-// column loop in windows of at most window references, ReadBatch in
-// cycling odd sizes, and Next — and fails unless each delivers exactly
+// column loop in windows of at most window references, the column loop
+// in cycling odd sizes, and Next — and fails unless each delivers exactly
 // the reference's stream and then reports the end of it. When capture
 // is set, a fourth generator is captured with trace.CaptureColumnar and
 // compared too.
@@ -363,7 +363,7 @@ func matchReference(t *testing.T, p Profile, opts Options, window int, capture b
 		}
 		return g
 	}
-	cols, rows, next := mk(), mk(), mk()
+	cols, odd, next := mk(), mk(), mk()
 	var captured *trace.ColumnarBuffer
 	if capture {
 		var err error
@@ -374,7 +374,7 @@ func matchReference(t *testing.T, p Profile, opts Options, window int, capture b
 	const chunk = 4096
 	want := make([]mem.Ref, chunk)
 	kinds, addrs := make([]mem.RefKind, chunk), make([]mem.VAddr, chunk)
-	batch := make([]mem.Ref, chunk)
+	oddKinds, oddAddrs := make([]mem.RefKind, chunk), make([]mem.VAddr, chunk)
 	size := 1
 	for at := 0; ; {
 		n := 0
@@ -394,9 +394,10 @@ func matchReference(t *testing.T, p Profile, opts Options, window int, capture b
 			got += k
 		}
 		for got := 0; got < n; {
-			k, err := rows.ReadBatch(batch[got:min(n, got+size)])
+			end := min(n, got+size)
+			k, err := odd.ReadColumns(oddKinds[got:end], oddAddrs[got:end])
 			if err != nil || k == 0 {
-				t.Fatalf("%s: ReadBatch at ref %d = %d, %v", p.Name, at+got, k, err)
+				t.Fatalf("%s: odd-sized ReadColumns at ref %d = %d, %v", p.Name, at+got, k, err)
 			}
 			got += k
 			if size += 2; size > 511 {
@@ -407,8 +408,8 @@ func matchReference(t *testing.T, p Profile, opts Options, window int, capture b
 			if got := (mem.Ref{PID: cols.PID(), Kind: kinds[i], Addr: addrs[i]}); got != w {
 				t.Fatalf("%s ref %d: column loop %+v, reference %+v", p.Name, at+i, got, w)
 			}
-			if batch[i] != w {
-				t.Fatalf("%s ref %d: ReadBatch %+v, reference %+v", p.Name, at+i, batch[i], w)
+			if got := (mem.Ref{PID: odd.PID(), Kind: oddKinds[i], Addr: oddAddrs[i]}); got != w {
+				t.Fatalf("%s ref %d: odd-sized column loop %+v, reference %+v", p.Name, at+i, got, w)
 			}
 			if got, err := next.Next(); err != nil || got != w {
 				t.Fatalf("%s ref %d: Next %+v, %v, reference %+v", p.Name, at+i, got, err, w)
@@ -425,7 +426,7 @@ func matchReference(t *testing.T, p Profile, opts Options, window int, capture b
 			break
 		}
 	}
-	for name, g := range map[string]*Generator{"column loop": cols, "ReadBatch": rows, "Next": next} {
+	for name, g := range map[string]*Generator{"column loop": cols, "odd-sized column loop": odd, "Next": next} {
 		if g.Remaining() != 0 {
 			t.Fatalf("%s: %s has %d refs left after the reference ended", p.Name, name, g.Remaining())
 		}
@@ -435,17 +436,14 @@ func matchReference(t *testing.T, p Profile, opts Options, window int, capture b
 		if k, err := g.ReadColumns(kinds, addrs); k != 0 || !errors.Is(err, io.EOF) {
 			t.Fatalf("%s: %s ReadColumns after the end = %d, %v", p.Name, name, k, err)
 		}
-		if k, err := g.ReadBatch(batch); k != 0 || !errors.Is(err, io.EOF) {
-			t.Fatalf("%s: %s ReadBatch after the end = %d, %v", p.Name, name, k, err)
-		}
 	}
 }
 
 // TestGeneratorMatchesReference drives every Table 2 program and the
-// phased set through the column loop, ReadBatch and Next, and requires
-// the reference's stream from each: at the quick scale (1/1000 of the
-// references, 1/16 of the sizes) for three seeds, and at the default
-// scale (1/48, 1/8) for seed 42.
+// phased set through the column loop, in two batch patterns, and Next,
+// and requires the reference's stream from each: at the quick scale
+// (1/1000 of the references, 1/16 of the sizes) for three seeds, and at
+// the default scale (1/48, 1/8) for seed 42.
 func TestGeneratorMatchesReference(t *testing.T) {
 	type scale struct {
 		name      string

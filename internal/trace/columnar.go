@@ -44,25 +44,23 @@ func (b *ColumnarBuffer) Append(kind mem.RefKind, addr mem.VAddr) {
 const captureChunk = 4096
 
 // CaptureColumnar drains r — at most limit references, or the whole
-// stream when limit is 0 — into a ColumnarBuffer, reading through
-// ReadColumns: a ColumnReader writes straight into the buffer's
-// columns, and any other stream is read in rows. The stream must be
-// single-process: rows with a second PID abort the capture with an
-// error (the caller falls back to row-form preloading). The references
-// read are bit-identical to what the same Reader would have delivered
-// to the simulator directly.
+// stream when limit is 0 — into a ColumnarBuffer. A ColumnReader is
+// read in column chunks straight into the buffer. Any other stream is
+// read one Next at a time and must be single-process: a second PID
+// aborts the capture with an error (the caller falls back to refilling
+// from the stream). The references read are bit-identical to what the
+// same Reader would have delivered to the simulator directly.
 func CaptureColumnar(r Reader, limit uint64) (*ColumnarBuffer, error) {
 	buf := &ColumnarBuffer{}
 	if limit > 0 {
 		buf.Kinds = make([]mem.RefKind, 0, limit)
 		buf.Addrs = make([]mem.VAddr, 0, limit)
 	}
-	var rows []mem.Ref // nil for a ColumnReader, which names its PID
-	if cr, ok := r.(ColumnReader); ok {
-		buf.PID = cr.PID()
-	} else {
-		rows = make([]mem.Ref, captureChunk)
+	cr, ok := r.(ColumnReader)
+	if !ok {
+		return captureRows(r, limit, buf)
 	}
+	buf.PID = cr.PID()
 	for {
 		kinds, addrs := buf.Kinds, buf.Addrs
 		n := len(kinds)
@@ -74,16 +72,7 @@ func CaptureColumnar(r Reader, limit uint64) (*ColumnarBuffer, error) {
 			return buf, nil
 		}
 		kinds, addrs = slices.Grow(kinds, chunk), slices.Grow(addrs, chunk)
-		got, err := ReadColumns(r, kinds[n:n+chunk], addrs[n:n+chunk], rows)
-		if rows != nil {
-			for i, ref := range rows[:got] {
-				if n+i == 0 {
-					buf.PID = ref.PID
-				} else if ref.PID != buf.PID {
-					return nil, fmt.Errorf("trace: columnar capture saw PIDs %d and %d; stream is not single-process", buf.PID, ref.PID)
-				}
-			}
-		}
+		got, err := cr.ReadColumns(kinds[n:n+chunk], addrs[n:n+chunk])
 		buf.Kinds, buf.Addrs = kinds[:n+got], addrs[:n+got]
 		if err == io.EOF {
 			return buf, nil
@@ -97,11 +86,31 @@ func CaptureColumnar(r Reader, limit uint64) (*ColumnarBuffer, error) {
 	}
 }
 
-// ColumnarReader replays a ColumnarBuffer. It implements Reader and
-// BatchReader; ReadBatch rebuilds references from the columns in one
-// tight loop with no per-reference interface dispatch. The buffer is
-// not copied — several ColumnarReaders may replay the same buffer
-// concurrently (the buffer is read-only while being replayed).
+// captureRows is CaptureColumnar for a stream without a column path.
+func captureRows(r Reader, limit uint64, buf *ColumnarBuffer) (*ColumnarBuffer, error) {
+	for n := uint64(0); limit == 0 || n < limit; n++ {
+		ref, err := r.Next()
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if n == 0 {
+			buf.PID = ref.PID
+		} else if ref.PID != buf.PID {
+			return nil, fmt.Errorf("trace: columnar capture saw PIDs %d and %d; stream is not single-process", buf.PID, ref.PID)
+		}
+		buf.Append(ref.Kind, ref.Addr)
+	}
+	return buf, nil
+}
+
+// ColumnarReader replays a ColumnarBuffer. The scheduler executes it
+// in place through Tail and Skip; Next rebuilds one reference at a
+// time for any other consumer. The buffer is not copied — several
+// ColumnarReaders may replay the same buffer concurrently (the buffer
+// is read-only while being replayed).
 type ColumnarReader struct {
 	buf *ColumnarBuffer
 	pos int
@@ -120,25 +129,6 @@ func (r *ColumnarReader) Next() (mem.Ref, error) {
 	ref := r.buf.Ref(r.pos)
 	r.pos++
 	return ref, nil
-}
-
-// ReadBatch implements BatchReader.
-func (r *ColumnarReader) ReadBatch(dst []mem.Ref) (int, error) {
-	if r.pos >= r.buf.Len() {
-		return 0, io.EOF
-	}
-	kinds := r.buf.Kinds[r.pos:]
-	addrs := r.buf.Addrs[r.pos:]
-	n := len(dst)
-	if n > len(kinds) {
-		n = len(kinds)
-	}
-	addrs = addrs[:len(kinds)]
-	for i := 0; i < n; i++ {
-		dst[i] = mem.Ref{PID: r.buf.PID, Kind: kinds[i], Addr: addrs[i]}
-	}
-	r.pos += n
-	return n, nil
 }
 
 // Remaining reports how many references are left, satisfying the

@@ -11,9 +11,9 @@ import (
 // FuzzColumnarRoundTrip proves the columnar capture/replay pipeline is
 // lossless against the per-reference generator: capturing a synthetic
 // workload into a ColumnarBuffer and replaying it through a
-// ColumnarReader (in fuzzed batch sizes) must reproduce exactly the
-// reference sequence an identical generator delivers one Next() call
-// at a time. The fuzzer varies the seed, the Table 2 profile, the
+// ColumnarReader (read through ReadColumns in fuzzed batch sizes) must
+// reproduce exactly the reference sequence an identical generator
+// delivers one Next() call at a time. The fuzzer varies the seed, the Table 2 profile, the
 // stream length, the capture limit, and the replay batch size.
 func FuzzColumnarRoundTrip(f *testing.F) {
 	f.Add(uint64(1), uint8(0), uint16(4000), uint16(0), uint8(64))
@@ -71,22 +71,22 @@ func FuzzColumnarRoundTrip(f *testing.F) {
 	})
 }
 
-// drainAndCompare drains replay in fixed-size ReadBatch windows and
-// compares every materialized reference against the oracle generator's
-// per-reference Next() stream.
+// drainAndCompare drains replay through ReadColumns in fixed-size
+// windows and compares every reference, tagged with the buffer's PID,
+// against the oracle generator's per-reference Next() stream.
 func drainAndCompare(t *testing.T, replay *ColumnarReader, oracle *synth.Generator, batch, total int) {
 	t.Helper()
-	dst := make([]mem.Ref, batch)
+	kinds, addrs := make([]mem.RefKind, batch), make([]mem.VAddr, batch)
 	seen := 0
 	for {
-		n, err := replay.ReadBatch(dst)
+		n, err := ReadColumns(replay, kinds, addrs)
 		for i := 0; i < n; i++ {
 			want, oerr := oracle.Next()
 			if oerr != nil {
 				t.Fatalf("oracle ended early at ref %d: %v", seen+i, oerr)
 			}
-			if dst[i] != want {
-				t.Fatalf("ref %d: replay %+v, oracle %+v", seen+i, dst[i], want)
+			if got := (mem.Ref{PID: replay.buf.PID, Kind: kinds[i], Addr: addrs[i]}); got != want {
+				t.Fatalf("ref %d: replay %+v, oracle %+v", seen+i, got, want)
 			}
 		}
 		seen += n

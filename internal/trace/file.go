@@ -159,20 +159,3 @@ func (fr *FileReader) Next() (mem.Ref, error) {
 	fr.lastVA[pid] = addr
 	return mem.Ref{PID: pid, Kind: kind, Addr: addr}, nil
 }
-
-// ReadBatch implements BatchReader: it decodes records through the
-// concrete Next (no interface dispatch) until dst is full or the
-// stream ends.
-func (fr *FileReader) ReadBatch(dst []mem.Ref) (int, error) {
-	for i := range dst {
-		ref, err := fr.Next()
-		if err != nil {
-			if i > 0 && err == io.EOF {
-				return i, nil // bufio reports io.EOF again next call
-			}
-			return i, err
-		}
-		dst[i] = ref
-	}
-	return len(dst), nil
-}

@@ -10,10 +10,9 @@ import (
 // Interleaver merges per-process streams round-robin with a fixed
 // reference quantum, reproducing the multiprogramming workload of
 // §4.2: "the traces were interleaved, switching to a different trace
-// every 500,000 references". Each input stream is retagged with its
-// index as the PID. A stream that runs dry is restarted if a factory
-// is provided, otherwise it drops out of the rotation; the interleaver
-// is exhausted when every stream is.
+// every 500,000 references". Every reference is tagged with its
+// stream's index as the PID. A stream that runs dry drops out of the
+// rotation; the interleaver is exhausted when every stream is.
 //
 // The interleaver reports quantum boundaries through SwitchCount so
 // callers (the simulator's scheduler and the context-switch trace
@@ -32,8 +31,8 @@ type Interleaver struct {
 const DefaultQuantum = 500_000
 
 // NewInterleaver builds an interleaver over streams with the given
-// quantum (references per time slice). Streams are retagged with PIDs
-// 0..len-1.
+// quantum (references per time slice). Stream i's references carry
+// PID i.
 func NewInterleaver(streams []Reader, quantum uint64) (*Interleaver, error) {
 	if len(streams) == 0 {
 		return nil, fmt.Errorf("trace: interleaver needs at least one stream")
@@ -41,14 +40,12 @@ func NewInterleaver(streams []Reader, quantum uint64) (*Interleaver, error) {
 	if quantum == 0 {
 		return nil, fmt.Errorf("trace: interleaver quantum must be positive")
 	}
-	tagged := make([]Reader, len(streams))
 	live := make([]bool, len(streams))
-	for i, s := range streams {
-		tagged[i] = NewRetag(s, mem.PID(i))
+	for i := range live {
 		live[i] = true
 	}
 	return &Interleaver{
-		streams: tagged,
+		streams: streams,
 		live:    live,
 		liveN:   len(streams),
 		quantum: quantum,
@@ -76,45 +73,10 @@ func (il *Interleaver) Next() (mem.Ref, error) {
 			return mem.Ref{}, err
 		}
 		il.inSlice++
+		ref.PID = mem.PID(il.cur)
 		return ref, nil
 	}
 	return mem.Ref{}, io.EOF
-}
-
-// ReadBatch implements BatchReader. A batch never crosses a quantum
-// boundary or a stream change, so the delivered reference sequence is
-// identical to repeated Next calls.
-func (il *Interleaver) ReadBatch(dst []mem.Ref) (int, error) {
-	if len(dst) == 0 {
-		return 0, nil
-	}
-	for il.liveN > 0 {
-		if il.inSlice == il.quantum {
-			il.rotate()
-		}
-		if !il.live[il.cur] {
-			il.rotate()
-			continue
-		}
-		want := uint64(len(dst))
-		if left := il.quantum - il.inSlice; left < want {
-			want = left
-		}
-		n, err := ReadBatch(il.streams[il.cur], dst[:want])
-		il.inSlice += uint64(n)
-		if err == io.EOF {
-			il.live[il.cur] = false
-			il.liveN--
-			if n > 0 {
-				return n, nil
-			}
-			continue
-		}
-		if n > 0 || err != nil {
-			return n, err
-		}
-	}
-	return 0, io.EOF
 }
 
 // rotate advances to the next live stream and counts the switch.

@@ -5,9 +5,13 @@
 // The paper (§4.2) drives its simulations with 1.1 billion references
 // from 18 address traces, interleaved every 500,000 references to model
 // a multiprogrammed workload. At that scale traces cannot be
-// materialised in memory, so the central abstraction is a streaming
-// Reader; synthetic workload generators (package synth), trace files
-// and combinators all implement it.
+// materialised in memory, and streams are read in one of two ways. A
+// Reader delivers one reference per Next call: trace files, the text
+// format, the interleaver, Concat and SliceReader are Readers. A
+// ColumnReader also writes kinds and addresses straight into columns,
+// which is how the simulator reads every synthetic generator (package
+// synth); ReadColumns bridges any other Reader to columns. A captured
+// ColumnarBuffer is replayed in place.
 package trace
 
 import (
@@ -24,28 +28,49 @@ type Reader interface {
 	Next() (mem.Ref, error)
 }
 
-// BatchReader is implemented by Readers that can deliver many
-// references per call, amortising per-reference dispatch and state-
-// machine overhead in the simulator hot loop.
+// ColumnReader is a single-process stream that writes kinds and
+// addresses straight into caller-owned columns, with the process ID
+// given once for the whole stream. Every synthetic generator is one.
 //
-// ReadBatch fills dst with up to len(dst) references and returns the
-// number written. The first n entries of dst are valid regardless of
-// err. End of stream is reported as (0, io.EOF) — implementations may
-// return a full or partial batch with a nil error and deliver io.EOF
-// on the following call. A non-EOF error may accompany n > 0 when the
-// stream failed mid-batch.
-type BatchReader interface {
+// ReadColumns fills the equal-length columns kinds and addrs with up
+// to len(kinds) references and returns the number written. The first
+// n entries are valid whatever err is. End of stream is io.EOF, either
+// with the final batch or as (0, io.EOF) on the call after it; any
+// other error is a failed stream, and may likewise come with the
+// references read before it.
+type ColumnReader interface {
 	Reader
-	ReadBatch(dst []mem.Ref) (n int, err error)
+	PID() mem.PID
+	ReadColumns(kinds []mem.RefKind, addrs []mem.VAddr) (n int, err error)
 }
 
-// ReadBatch fills dst from r, using r's native batch path when it has
-// one and falling back to a Next loop otherwise. The contract is that
-// of BatchReader.ReadBatch.
-func ReadBatch(r Reader, dst []mem.Ref) (int, error) {
-	if br, ok := r.(BatchReader); ok {
-		return br.ReadBatch(dst)
+// ReadColumns fills the equal-length columns kinds and addrs from r.
+// A ColumnReader fills them itself. Any other stream is read one Next
+// at a time, keeping each reference's kind and address and dropping
+// its PID: this is the one bridge from rows to columns. The contract
+// is that of ColumnReader.ReadColumns.
+func ReadColumns(r Reader, kinds []mem.RefKind, addrs []mem.VAddr) (int, error) {
+	if cr, ok := r.(ColumnReader); ok {
+		return cr.ReadColumns(kinds, addrs)
 	}
+	addrs = addrs[:len(kinds)]
+	for i := range kinds {
+		ref, err := r.Next()
+		if err != nil {
+			if i > 0 && err == io.EOF {
+				return i, nil // io.EOF again on the next call
+			}
+			return i, err
+		}
+		kinds[i], addrs[i] = ref.Kind, ref.Addr
+	}
+	return len(kinds), nil
+}
+
+// ReadBatch fills dst from r one Next at a time and returns the number
+// of references written. The contract is that of
+// ColumnReader.ReadColumns, with rows for columns.
+func ReadBatch(r Reader, dst []mem.Ref) (int, error) {
 	for i := range dst {
 		ref, err := r.Next()
 		if err != nil {
@@ -57,37 +82,6 @@ func ReadBatch(r Reader, dst []mem.Ref) (int, error) {
 		dst[i] = ref
 	}
 	return len(dst), nil
-}
-
-// ColumnReader is the column twin of BatchReader: a single-process
-// stream that writes kinds and addresses straight into caller-owned
-// columns, with the process ID given once for the whole stream.
-//
-// ReadColumns fills the equal-length columns kinds and addrs with up
-// to len(kinds) references and returns the number written. Its
-// contract is otherwise that of BatchReader.ReadBatch.
-type ColumnReader interface {
-	Reader
-	PID() mem.PID
-	ReadColumns(kinds []mem.RefKind, addrs []mem.VAddr) (n int, err error)
-}
-
-// ReadColumns fills the equal-length columns kinds and addrs from r.
-// A ColumnReader fills them itself. Any other reader is read as rows
-// into rows, which must be at least as long as the columns, and their
-// kinds and addresses are copied out: this is the one row-to-column
-// copy, and the rows stay in rows[:n] for a caller that needs their
-// PIDs. The contract is that of BatchReader.ReadBatch.
-func ReadColumns(r Reader, kinds []mem.RefKind, addrs []mem.VAddr, rows []mem.Ref) (int, error) {
-	if cr, ok := r.(ColumnReader); ok {
-		return cr.ReadColumns(kinds, addrs)
-	}
-	n, err := ReadBatch(r, rows[:len(kinds)])
-	addrs = addrs[:n]
-	for i, ref := range rows[:n] {
-		kinds[i], addrs[i] = ref.Kind, ref.Addr
-	}
-	return n, err
 }
 
 // Writer consumes memory references, typically into a trace file.
@@ -122,16 +116,6 @@ func (s *SliceReader) Next() (mem.Ref, error) {
 	return r, nil
 }
 
-// ReadBatch implements BatchReader.
-func (s *SliceReader) ReadBatch(dst []mem.Ref) (int, error) {
-	if s.pos >= len(s.refs) {
-		return 0, io.EOF
-	}
-	n := copy(dst, s.refs[s.pos:])
-	s.pos += n
-	return n, nil
-}
-
 // Reset rewinds the reader to the beginning of the slice.
 func (s *SliceReader) Reset() { s.pos = 0 }
 
@@ -157,55 +141,6 @@ func (c *Concat) Next() (mem.Ref, error) {
 		return ref, err
 	}
 	return mem.Ref{}, io.EOF
-}
-
-// ReadBatch implements BatchReader.
-func (c *Concat) ReadBatch(dst []mem.Ref) (int, error) {
-	for len(c.readers) > 0 {
-		n, err := ReadBatch(c.readers[0], dst)
-		if err == io.EOF {
-			c.readers = c.readers[1:]
-			if n > 0 {
-				return n, nil
-			}
-			continue
-		}
-		return n, err
-	}
-	return 0, io.EOF
-}
-
-// Retag wraps a Reader and overrides the PID of every reference. The
-// interleaver uses it to assign process identities to per-benchmark
-// streams, and the OS-trace machinery uses it to tag handler code with
-// mem.KernelPID.
-type Retag struct {
-	r   Reader
-	pid mem.PID
-}
-
-// NewRetag returns a Reader identical to r except that every reference
-// carries the given PID.
-func NewRetag(r Reader, pid mem.PID) *Retag { return &Retag{r: r, pid: pid} }
-
-// Next implements Reader.
-func (t *Retag) Next() (mem.Ref, error) {
-	ref, err := t.r.Next()
-	if err != nil {
-		return mem.Ref{}, err
-	}
-	ref.PID = t.pid
-	return ref, nil
-}
-
-// ReadBatch implements BatchReader, retagging the delivered batch in
-// place.
-func (t *Retag) ReadBatch(dst []mem.Ref) (int, error) {
-	n, err := ReadBatch(t.r, dst)
-	for i := 0; i < n; i++ {
-		dst[i].PID = t.pid
-	}
-	return n, err
 }
 
 // Drain reads r to exhaustion and returns all references. It is a test

@@ -49,19 +49,35 @@ func TestConcat(t *testing.T) {
 	}
 }
 
+// TestRetag pins the interleaver's PID tagging: the inputs carry PIDs
+// other than their stream index, and every interleaved reference must
+// carry its stream's index instead.
 func TestRetag(t *testing.T) {
-	r := NewRetag(NewSliceReader([]mem.Ref{ref(5, mem.Load, 1)}), mem.KernelPID)
-	got := mustDrain(t, r)
-	if got[0].PID != mem.KernelPID {
-		t.Errorf("Retag PID = %d, want KernelPID", got[0].PID)
+	a := NewSliceReader([]mem.Ref{ref(5, mem.Load, 1), ref(mem.KernelPID, mem.Store, 2)})
+	b := NewSliceReader([]mem.Ref{ref(mem.KernelPID, mem.IFetch, 3)})
+	il, err := NewInterleaver([]Reader{a, b}, 1)
+	if err != nil {
+		t.Fatalf("NewInterleaver: %v", err)
+	}
+	got := mustDrain(t, il)
+	want := []mem.Ref{ref(0, mem.Load, 1), ref(1, mem.IFetch, 3), ref(0, mem.Store, 2)}
+	if len(got) != len(want) {
+		t.Fatalf("interleaved %d refs, want %d (%v)", len(got), len(want), got)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("ref %d = %v, want %v", i, got[i], want[i])
+		}
 	}
 }
 
+// TestInterleaverRoundRobin's inputs also carry PIDs other than their
+// stream index, so the rotation order is read from the retagged PIDs.
 func TestInterleaverRoundRobin(t *testing.T) {
 	mk := func(n int) Reader {
 		refs := make([]mem.Ref, n)
 		for i := range refs {
-			refs[i] = ref(0, mem.Load, uint64(i))
+			refs[i] = ref(mem.KernelPID-mem.PID(i), mem.Load, uint64(i))
 		}
 		return NewSliceReader(refs)
 	}
