@@ -367,6 +367,26 @@ func BenchmarkSimRAMpageThroughput(b *testing.B) {
 	b.ReportMetric(float64(refs)/b.Elapsed().Seconds()/1e6, "Mrefs/s")
 }
 
+// BenchmarkSimRAMpageCSThroughput measures simulator throughput on the
+// switch-on-miss RAMpage machine at 4 GHz with 2 KB pages and the
+// context-switch trace, where pages are in flight for much of the run.
+func BenchmarkSimRAMpageCSThroughput(b *testing.B) {
+	cfg := benchConfig()
+	b.ReportAllocs()
+	b.ResetTimer()
+	var refs uint64
+	for i := 0; i < b.N; i++ {
+		rep, err := rampage.Run(context.Background(), cfg, rampage.RunSpec{
+			System: rampage.SystemRAMpageCS, IssueMHz: 4000, SizeBytes: 2048, SwitchTrace: true,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		refs += rep.BenchRefs + rep.OSRefs()
+	}
+	b.ReportMetric(float64(refs)/b.Elapsed().Seconds()/1e6, "Mrefs/s")
+}
+
 // BenchmarkSimBaselineThroughput measures simulator throughput on the
 // conventional machine.
 func BenchmarkSimBaselineThroughput(b *testing.B) {

@@ -50,7 +50,7 @@ func (m *Memory) EncodeState(e *checkpoint.Enc) {
 func (m *Memory) DecodeState(d *checkpoint.Dec) {
 	d.Marker(checkpoint.MarkCore)
 	m.pt.DecodeState(d)
-	m.tlb.DecodeState(d)
+	m.tlb.DecodeState(d, m.frames)
 	n := d.Count(24) // pid, vpn and count: three U64s an entry
 	seen := make(map[seenKey]uint64, n)
 	for i := uint32(0); i < n && d.Err() == nil; i++ {

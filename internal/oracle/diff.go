@@ -10,6 +10,7 @@ import (
 	"rampage/internal/sim"
 	"rampage/internal/stats"
 	"rampage/internal/trace"
+	"rampage/internal/xrand"
 )
 
 // Divergence describes the first point at which a subject machine's
@@ -161,6 +162,16 @@ func Lockstep(oracle, subject Machine, refs []mem.Ref) *Divergence {
 // over — driving the oracle per-reference over each consumed prefix,
 // and compares the reports at every window boundary. It exercises the
 // batched fast paths the per-reference Lockstep never reaches.
+//
+// Each window carries a deadline a few cycles past the subject's
+// clock, cycling through none (0), Now(), Now()+1 and Now() plus a
+// small pseudo-random span, and the deadline contract is checked on
+// the oracle's clock, which runs the same references: the subject
+// consumes at least one reference unless the first blocks or errors;
+// every later reference it executes, blocks on or rejects starts
+// before the deadline; and a window it leaves short with neither a
+// block nor an error stops at the first reference that would start at
+// or past the deadline. A violation is a "consumed" divergence.
 func LockstepBatch(oracle Machine, subject sim.Machine, refs []mem.Ref, batchSize int) *Divergence {
 	if batchSize < 1 {
 		batchSize = 64
@@ -183,9 +194,15 @@ func LockstepBatch(oracle Machine, subject sim.Machine, refs []mem.Ref, batchSiz
 		}
 		return d
 	}
+	// late reports a reference the subject ran, after the window's
+	// first, at or past the deadline.
+	late := func(i int, until mem.Cycles) *Divergence {
+		return div(i, "consumed", fmt.Sprintf("stop before reference %d (starts at cycle %d, deadline %d)", i, oracle.Now(), until), "ran it")
+	}
+	rng := xrand.New(uint64(batchSize))
 	pos := 0
 	retries := 0
-	for pos < len(refs) {
+	for w := 0; pos < len(refs); w++ {
 		end := min(pos+batchSize, len(refs))
 		pid := refs[pos].PID
 		for k := pos + 1; k < end; k++ {
@@ -194,11 +211,26 @@ func LockstepBatch(oracle Machine, subject sim.Machine, refs []mem.Ref, batchSiz
 				break
 			}
 		}
-		consumed, sb, serr := subject.ExecBatchColumnar(pid, kinds[pos:end], addrs[pos:end])
+		var until mem.Cycles
+		switch now := subject.Now(); w % 4 {
+		case 1:
+			until = now
+		case 2:
+			until = now + 1
+		case 3:
+			until = now + 2 + mem.Cycles(rng.Intn(63))
+		}
+		consumed, sb, serr := subject.ExecBatchColumnar(pid, kinds[pos:end], addrs[pos:end], until)
+		if consumed == 0 && sb == 0 && serr == nil {
+			return div(pos, "consumed", "at least one reference", "0 with no block or error")
+		}
 		// The oracle executes the consumed prefix per reference; each of
 		// those completed in the subject, so the oracle must complete
 		// them too.
 		for j := 0; j < consumed; j++ {
+			if j > 0 && until != 0 && oracle.Now() >= until {
+				return late(pos+j, until)
+			}
 			ob, oerr := oracle.Exec(refs[pos+j])
 			if oerr != nil {
 				return div(pos+j, "error", fmt.Sprint(oerr), "<executed>")
@@ -210,6 +242,9 @@ func LockstepBatch(oracle Machine, subject sim.Machine, refs []mem.Ref, batchSiz
 		pos += consumed
 		if consumed > 0 {
 			retries = 0
+		}
+		if (serr != nil || sb != 0) && consumed > 0 && until != 0 && oracle.Now() >= until {
+			return late(pos, until)
 		}
 		if serr != nil {
 			// The subject rejected refs[pos]; the oracle must reject it
@@ -236,6 +271,8 @@ func LockstepBatch(oracle Machine, subject sim.Machine, refs []mem.Ref, batchSiz
 			if retries > maxRetries {
 				return div(pos, "retry-loop", "reference never completed", "reference never completed")
 			}
+		} else if pos < end && (until == 0 || oracle.Now() < until) {
+			return div(pos, "consumed", fmt.Sprintf("run reference %d (starts at cycle %d, deadline %d)", pos, oracle.Now(), until), "stopped before it")
 		}
 		if f, ov, sv := compareReports(oracle.Report(), subject.Report()); f != "" {
 			d := div(pos, "report", ov, sv)

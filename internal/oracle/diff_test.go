@@ -144,3 +144,43 @@ func TestSeededSchedulerFaultsCaught(t *testing.T) {
 		})
 	}
 }
+
+// deadlineFault wraps a production machine and breaks the
+// ExecBatchColumnar deadline contract one way: it ignores the deadline,
+// or it stops every window after its first reference.
+type deadlineFault struct {
+	sim.Machine
+	ignore bool
+}
+
+func (f deadlineFault) ExecBatchColumnar(pid mem.PID, kinds []mem.RefKind, addrs []mem.VAddr, until mem.Cycles) (int, mem.Cycles, error) {
+	if f.ignore {
+		return f.Machine.ExecBatchColumnar(pid, kinds, addrs, 0)
+	}
+	n := min(len(kinds), 1)
+	return f.Machine.ExecBatchColumnar(pid, kinds[:n], addrs[:n], until)
+}
+
+// TestLockstepBatchCatchesDeadlineFaults requires LockstepBatch to
+// report a subject that runs past its deadline, and one that stops
+// short of it, as a "consumed" divergence: every report of both stays
+// bit-identical to the oracle's, so only the contract check sees them.
+func TestLockstepBatchCatchesDeadlineFaults(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		ignore bool
+	}{{"overrun", true}, {"early-stop", false}} {
+		for _, sys := range systems() {
+			t.Run(tc.name+"/"+sys.name, func(t *testing.T) {
+				orc, subj := sys.build(t, 1000, 42)
+				div := LockstepBatch(orc, deadlineFault{Machine: subj, ignore: tc.ignore}, wlSweep(1, 20_000), 64)
+				if div == nil {
+					t.Fatal("deadline fault not detected")
+				}
+				if div.Where != "consumed" {
+					t.Errorf("divergence site = %q, want \"consumed\":\n%s", div.Where, div)
+				}
+			})
+		}
+	}
+}

@@ -109,7 +109,10 @@ type stubMachine struct {
 }
 
 func (s *stubMachine) Exec(mem.Ref) (mem.Cycles, error) { return 0, nil }
-func (s *stubMachine) ExecBatchColumnar(_ mem.PID, k []mem.RefKind, _ []mem.VAddr) (int, mem.Cycles, error) {
+func (s *stubMachine) ExecBatchColumnar(_ mem.PID, k []mem.RefKind, _ []mem.VAddr, until mem.Cycles) (int, mem.Cycles, error) {
+	if until != 0 && s.rep.Cycles >= until {
+		return min(len(k), 1), 0, nil // the clock stands past the deadline: only the first runs
+	}
 	return len(k), 0, nil
 }
 func (s *stubMachine) ExecTrace([]mem.Ref, sim.RefClass) error { return nil }

@@ -359,20 +359,23 @@ func (pt *Inverted) lookup(pid mem.PID, vpn uint64, probes []uint64) (uint64, []
 	return 0, probes, false
 }
 
-// AllocFree pops a free frame, or reports none.
+// AllocFree pops a free frame, or reports none. A head past the table
+// (only a forged checkpoint can leave one) reads as an empty list.
 func (pt *Inverted) AllocFree() (uint64, bool) {
-	if pt.freeHead < 0 {
+	f := pt.freeHead
+	if uint32(f) >= uint32(len(pt.freeNext)) {
 		return 0, false
 	}
-	f := uint64(pt.freeHead)
 	pt.freeHead = pt.freeNext[f]
-	return f, true
+	return uint64(f), true
 }
 
-// FreeFrames returns the number of unallocated frames.
+// FreeFrames returns the number of unallocated frames. The walk stops
+// at a link past the table or after as many frames as the table has,
+// so a forged free list cannot run it out of bounds or forever.
 func (pt *Inverted) FreeFrames() uint64 {
 	var n uint64
-	for i := pt.freeHead; i >= 0; i = pt.freeNext[i] {
+	for f := pt.freeHead; uint32(f) < uint32(len(pt.freeNext)) && n < uint64(len(pt.freeNext)); f = pt.freeNext[f] {
 		n++
 	}
 	return n
@@ -399,7 +402,9 @@ func (pt *Inverted) Map(pid mem.PID, vpn, frame uint64) error {
 
 // Unmap removes frame's mapping and returns it. The frame is NOT
 // returned to the free list — the caller immediately remaps it (page
-// replacement) or calls Release.
+// replacement) or calls Release. A mapped frame missing from its hash
+// chain (only a forged checkpoint can leave one) is an error: linked
+// elsewhere, it would loop that chain once remapped.
 func (pt *Inverted) Unmap(frame uint64) (pid mem.PID, vpn uint64, dirty bool, err error) {
 	if frame >= pt.cfg.Frames || pt.flags[frame]&flagValid == 0 {
 		return 0, 0, false, fmt.Errorf("pagetable: frame %d not mapped", frame)
@@ -411,7 +416,10 @@ func (pt *Inverted) Unmap(frame uint64) (pid mem.PID, vpn uint64, dirty bool, er
 	if pt.hat[bucket] == int32(frame) {
 		pt.hat[bucket] = pt.next[frame]
 	} else {
-		for idx := pt.hat[bucket]; idx >= 0; idx = pt.next[idx] {
+		for idx := pt.hat[bucket]; ; idx = pt.next[idx] {
+			if idx < 0 {
+				return 0, 0, false, fmt.Errorf("pagetable: frame %d is not on its hash chain", frame)
+			}
 			if pt.next[idx] == int32(frame) {
 				pt.next[idx] = pt.next[frame]
 				break

@@ -180,20 +180,25 @@ func (a *AdaptiveRAMpage) Exec(ref mem.Ref) (mem.Cycles, error) {
 // per executed application reference), so evaluate fires at precisely
 // the reference it would under per-reference Exec calls; without this
 // override the promoted RAMpage method would run whole windows past
-// epoch boundaries.
-func (a *AdaptiveRAMpage) ExecBatchColumnar(pid mem.PID, kinds []mem.RefKind, addrs []mem.VAddr) (int, mem.Cycles, error) {
+// epoch boundaries. Every sub-batch carries the deadline; only the
+// call's first reference runs regardless of it, so a later sub-batch
+// starts only while Now() < until.
+func (a *AdaptiveRAMpage) ExecBatchColumnar(pid mem.PID, kinds []mem.RefKind, addrs []mem.VAddr, until mem.Cycles) (int, mem.Cycles, error) {
 	consumed := 0
 	for consumed < len(kinds) {
+		if consumed > 0 && until != 0 && a.rep.Cycles >= until {
+			return consumed, 0, nil
+		}
 		left := uint64(len(kinds) - consumed)
 		if done := a.rep.BenchRefs - a.epochStart; done < a.cfg.EpochRefs {
-			if until := a.cfg.EpochRefs - done; until < left {
-				left = until
+			if rest := a.cfg.EpochRefs - done; rest < left {
+				left = rest
 			}
 		} else {
 			left = 1
 		}
 		end := consumed + int(left)
-		n, block, err := a.RAMpage.ExecBatchColumnar(pid, kinds[consumed:end], addrs[consumed:end])
+		n, block, err := a.RAMpage.ExecBatchColumnar(pid, kinds[consumed:end], addrs[consumed:end], until)
 		consumed += n
 		if err != nil {
 			return consumed, 0, err

@@ -75,7 +75,7 @@ func TestExecBatchMatchesExec(t *testing.T) {
 			if end > len(refs) {
 				end = len(refs)
 			}
-			n, block, err := batch.ExecBatchColumnar(pid, kinds[off:end], addrs[off:end])
+			n, block, err := batch.ExecBatchColumnar(pid, kinds[off:end], addrs[off:end], 0)
 			if err != nil || block != 0 || n != end-off {
 				t.Fatalf("ExecBatchColumnar = %d, %d, %v", n, block, err)
 			}
@@ -112,12 +112,12 @@ func TestExecBatchColumnarZeroAllocSteadyState(t *testing.T) {
 		t.Helper()
 		// Warm up: fault the pages in and fill the caches.
 		for i := 0; i < 4; i++ {
-			if n, block, err := m.ExecBatchColumnar(pid, kinds, addrs); err != nil || block != 0 || n != len(kinds) {
+			if n, block, err := m.ExecBatchColumnar(pid, kinds, addrs, 0); err != nil || block != 0 || n != len(kinds) {
 				t.Fatalf("warm-up ExecBatchColumnar = %d, %d, %v", n, block, err)
 			}
 		}
 		allocs := testing.AllocsPerRun(20, func() {
-			if _, _, err := m.ExecBatchColumnar(pid, kinds, addrs); err != nil {
+			if _, _, err := m.ExecBatchColumnar(pid, kinds, addrs, 0); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -153,7 +153,7 @@ func execRefilled(t *testing.T, m Machine, p *proc) {
 				return
 			}
 		}
-		n, block, err := m.ExecBatchColumnar(p.pid, kinds, addrs)
+		n, block, err := m.ExecBatchColumnar(p.pid, kinds, addrs, 0)
 		if err != nil || block != 0 || n != len(kinds) {
 			t.Fatalf("ExecBatchColumnar = %d, %d, %v", n, block, err)
 		}
@@ -178,7 +178,7 @@ func TestExecBatchColumnarMatchesExecBatch(t *testing.T) {
 			if end > len(refs) {
 				end = len(refs)
 			}
-			if n, block, err := cols.ExecBatchColumnar(pid, kinds[off:end], addrs[off:end]); err != nil || block != 0 || n != end-off {
+			if n, block, err := cols.ExecBatchColumnar(pid, kinds[off:end], addrs[off:end], 0); err != nil || block != 0 || n != end-off {
 				t.Fatalf("ExecBatchColumnar = %d, %d, %v", n, block, err)
 			}
 		}

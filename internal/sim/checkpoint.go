@@ -239,7 +239,7 @@ func (b *Baseline) DecodeState(d *checkpoint.Dec) {
 	if b.victim != nil && d.Err() == nil {
 		b.victim.DecodeState(d)
 	}
-	b.tlb.DecodeState(d)
+	b.tlb.DecodeState(d, b.pt.Config().Frames)
 	b.pt.DecodeState(d)
 	b.kernel.SetRNGState(d.U64())
 	b.rep.DecodeState(d)

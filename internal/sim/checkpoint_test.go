@@ -1,12 +1,17 @@
 package sim
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
 	"io"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
+	"rampage/internal/checkpoint"
 	"rampage/internal/mem"
 	"rampage/internal/stats"
 	"rampage/internal/synth"
@@ -272,11 +277,97 @@ func TestCheckpointCursorPastStreamFails(t *testing.T) {
 	}
 }
 
+// sectionAfter returns the offset just past the first occurrence of
+// marker in payload.
+func sectionAfter(t *testing.T, payload []byte, marker uint32) int {
+	t.Helper()
+	var m [4]byte
+	binary.LittleEndian.PutUint32(m[:], marker)
+	at := bytes.Index(payload, m[:])
+	if at < 0 {
+		t.Fatalf("marker %#x not in payload", marker)
+	}
+	return at + 4
+}
+
+// skipSlice returns the offset past a length-prefixed slice of
+// elemBytes-byte elements starting at off.
+func skipSlice(payload []byte, off, elemBytes int) int {
+	return off + 4 + int(binary.LittleEndian.Uint32(payload[off:]))*elemBytes
+}
+
+// TestRestoreRejectsForgedIndices forges one index in a captured
+// switch-on-miss payload: a page-table hash anchor past the table (the
+// value a fuzzed record carried, which restored cleanly and then
+// panicked in the first lookup), and a live TLB entry's frame past the
+// page table (which the fused loop's first store to that page would
+// index with). Each restore must fail.
+func TestRestoreRejectsForgedIndices(t *testing.T) {
+	_, payload, _ := ckptCapture(t, 20_000)
+	restore := func(forged []byte) error {
+		readers, _ := counted(ckptStreams(), true)
+		m := testRAMpage(t, 4000, 1024, true)
+		s, err := NewScheduler(m, readers, ckptConfig(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return RestoreState(m, s, forged)
+	}
+	if err := restore(payload); err != nil {
+		t.Fatalf("genuine payload: %v", err)
+	}
+
+	// Page table: vpns, pids, flags and next precede the anchors.
+	forged := append([]byte(nil), payload...)
+	off := sectionAfter(t, forged, checkpoint.MarkPageTable)
+	off = skipSlice(forged, off, 8)
+	off = skipSlice(forged, off, 8)
+	off = skipSlice(forged, off, 1)
+	off = skipSlice(forged, off, 4)
+	anchors := int(binary.LittleEndian.Uint32(forged[off:]))
+	for i := 0; ; i++ {
+		if i == anchors {
+			t.Fatal("no occupied hash anchor")
+		}
+		if at := off + 4 + 4*i; int32(binary.LittleEndian.Uint32(forged[at:])) >= 0 {
+			binary.LittleEndian.PutUint32(forged[at:], 2130706554)
+			break
+		}
+	}
+	if err := restore(forged); err == nil || !strings.Contains(err.Error(), "pagetable") {
+		t.Errorf("forged hash anchor: restore error = %v, want a page-table error", err)
+	}
+
+	// TLB: keys and vpns precede the frames; a live entry has a vpn.
+	forged = append(forged[:0], payload...)
+	keys := sectionAfter(t, forged, checkpoint.MarkTLB)
+	vpns := skipSlice(forged, keys, 8)
+	frames := skipSlice(forged, vpns, 8)
+	entries := int(binary.LittleEndian.Uint32(forged[frames:]))
+	for i := 0; ; i++ {
+		if i == entries {
+			t.Fatal("no live TLB entry")
+		}
+		if binary.LittleEndian.Uint64(forged[vpns+4+8*i:]) != ^uint64(0) {
+			binary.LittleEndian.PutUint64(forged[frames+4+8*i:], 1<<40)
+			break
+		}
+	}
+	if err := restore(forged); err == nil || !strings.Contains(err.Error(), "tlb") {
+		t.Errorf("forged TLB frame: restore error = %v, want a TLB error", err)
+	}
+}
+
 // FuzzRestoreState feeds mutations of a captured RAMpage payload to
 // RestoreState, which must return an error or nil and never panic or
 // run out of memory: checkpoint records are read back from a directory
 // that survives restarts, and anyone who can write there can forge one,
-// so every count and length in a payload is untrusted.
+// so every count and length in a payload is untrusted. A payload that
+// restores is then run to the end of its streams, which must finish
+// (with or without an error) rather than panic or hang: a restore that
+// accepts state the machine cannot run from fails here. The machine
+// switches on misses at 4 GHz, so restored runs keep pages in flight
+// across the fused paths.
 func FuzzRestoreState(f *testing.F) {
 	_, payload, _ := ckptCapture(f, 20_000)
 	f.Add(payload)
@@ -288,6 +379,13 @@ func FuzzRestoreState(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_ = RestoreState(m, s, payload)
+		if RestoreState(m, s, payload) != nil {
+			return
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if _, err := s.Run(ctx); errors.Is(err, context.DeadlineExceeded) {
+			t.Fatal("the restored run did not finish")
+		}
 	})
 }

@@ -23,6 +23,16 @@ import (
 // obs == nil: with probes attached the per-event observer streams must
 // stay intact, so the machines run the exact per-reference code.
 //
+// A fused run never looks at the clock per reference. Where it must
+// stop at a cycle — the caller's deadline, or the next in-flight page
+// arrival, where the per-reference path would unpin the page — the
+// run is sized by runLimit: a fast reference advances the clock by at
+// most one cycle (an IFetch hit charges one, a data hit none), so a
+// run of limit−Now() references cannot start one at or past limit.
+// Fallbacks charge more, so after each one overrun decides whether the
+// rest of the run still fits; if not, the run returns and its caller
+// re-derives the next run from the clock.
+//
 // The loops hoist every Hot-view field — slice headers and shift
 // scalars — into locals before entering, and the flush helpers take the
 // batch counters by value. Both keep the hot state in registers: the
@@ -64,6 +74,39 @@ func tlbScan(h *tlb.Hot, key, vpn, fidx, addr uint64) (pa uint64, hit bool) {
 		}
 	}
 	return 0, false
+}
+
+// runLimit returns how many of the next n references a fused run may
+// execute without looking at the clock, which reads now: all of them
+// when limit is 0 (no bound), otherwise one per cycle left before
+// limit, and at least one — the caller has already decided that the
+// next reference runs.
+func runLimit(n int, now, limit mem.Cycles) int {
+	if limit == 0 {
+		return n
+	}
+	if limit <= now {
+		return 1
+	}
+	if left := limit - now; left < mem.Cycles(n) {
+		return int(left)
+	}
+	return n
+}
+
+// overrun reports whether a fused run must return after a fallback
+// left the clock at now: limit has been reached, or fewer cycles remain
+// before it than the left references still ahead in the run.
+func overrun(now, limit mem.Cycles, left int) bool {
+	return limit != 0 && (now >= limit || limit-now < mem.Cycles(left))
+}
+
+// earlier returns the earlier of two cycle bounds, where 0 means none.
+func earlier(a, b mem.Cycles) mem.Cycles {
+	if a == 0 || (b != 0 && b < a) {
+		return b
+	}
+	return a
 }
 
 // countRefs is countRef, n references at a time.
@@ -178,9 +221,11 @@ func (r *RAMpage) flushTraceFast(mh *core.Hot, class RefClass, count, translatio
 
 // execTraceFast is RAMpage.ExecTrace's fused loop for handler traces.
 // Kernel references translate by identity bounds check against the
-// pinned OS region and hit SRAM at worst. Called under the same gate as
-// execBatchFast; returns the count consumed before a fallback broke it.
-func (r *RAMpage) execTraceFast(refs []mem.Ref, class RefClass) (int, error) {
+// pinned OS region and hit SRAM at worst. ExecTrace sizes the run with
+// runLimit against limit, the next in-flight page arrival (0 = none);
+// it returns the count consumed, short when a fallback overran limit or
+// left a prefetch pending.
+func (r *RAMpage) execTraceFast(refs []mem.Ref, class RefClass, limit mem.Cycles) (int, error) {
 	mh := &r.mmHot
 	ptFlags, mmShift := mh.PTFlags, mh.PageShift
 	ih, dh := &r.fast.l1i, &r.fast.l1d
@@ -221,12 +266,16 @@ func (r *RAMpage) execTraceFast(refs []mem.Ref, class RefClass) (int, error) {
 				r.flushTraceFast(mh, class, count, translations, l1iHits, l1dHits, ifetches)
 				count, translations, l1iHits, l1dHits, ifetches = 0, 0, 0, 0, 0
 				r.accessL1(ref.Kind, mem.PAddr(off))
+				if overrun(r.rep.Cycles, limit, len(refs)-i-1) {
+					return i + 1, nil
+				}
 				continue
 			}
 		}
 		// User reference (or out-of-range kernel address): the per-
-		// reference path; it can fault and start transfers, breaking
-		// the gate.
+		// reference path. A block is an error in a trace, and a
+		// prefetch it starts leaves a page pending, which the fused
+		// loop does not model.
 		r.flushTraceFast(mh, class, count, translations, l1iHits, l1dHits, ifetches)
 		count, translations, l1iHits, l1dHits, ifetches = 0, 0, 0, 0, 0
 		block, err := r.execOne(ref, class)
@@ -236,7 +285,7 @@ func (r *RAMpage) execTraceFast(refs []mem.Ref, class RefClass) (int, error) {
 		if block != 0 {
 			return i, fmt.Errorf("sim: pinned OS reference faulted")
 		}
-		if len(r.inFlight) != 0 || len(r.pending) != 0 {
+		if len(r.pending) != 0 || overrun(r.rep.Cycles, limit, len(refs)-i-1) {
 			return i + 1, nil
 		}
 	}
@@ -245,26 +294,39 @@ func (r *RAMpage) execTraceFast(refs []mem.Ref, class RefClass) (int, error) {
 }
 
 // ExecBatchColumnar implements Machine. The common case — a user
-// reference whose translation is in the TLB — runs in the fused loop;
-// everything else takes the per-reference path. The baseline never
-// blocks, so consumed is always len(kinds) unless an error occurs.
-func (b *Baseline) ExecBatchColumnar(pid mem.PID, kinds []mem.RefKind, addrs []mem.VAddr) (int, mem.Cycles, error) {
-	if b.obs == nil && b.fast.ok && pid != mem.KernelPID {
-		return b.execBatchFast(pid, kinds, addrs)
-	}
-	for i := range kinds {
+// reference whose translation is in the TLB — runs in the fused loop,
+// in runs sized against the deadline; everything else takes the
+// per-reference path. The baseline never blocks, so consumed is
+// len(kinds) unless an error occurs or the deadline stops the call.
+func (b *Baseline) ExecBatchColumnar(pid mem.PID, kinds []mem.RefKind, addrs []mem.VAddr, until mem.Cycles) (int, mem.Cycles, error) {
+	fast := b.obs == nil && b.fast.ok && pid != mem.KernelPID
+	for i := 0; i < len(kinds); {
+		if i > 0 && until != 0 && b.rep.Cycles >= until {
+			return i, 0, nil
+		}
+		if fast {
+			end := i + runLimit(len(kinds)-i, b.rep.Cycles, until)
+			n, err := b.execBatchFast(pid, kinds[i:end], addrs[i:end], until)
+			i += n
+			if err != nil {
+				return i, 0, err
+			}
+			continue
+		}
 		ref := mem.Ref{PID: pid, Kind: kinds[i], Addr: addrs[i]}
 		if pid != mem.KernelPID {
 			if pa, hit := b.tlb.TryLookup(pid, ref.Addr); hit {
 				b.rep.TLBHits++
 				b.rep.BenchRefs++
 				b.accessL1(ref.Kind, pa)
+				i++
 				continue
 			}
 		}
 		if err := b.execOne(ref, ClassBench); err != nil {
 			return i, 0, err
 		}
+		i++
 	}
 	return len(kinds), 0, nil
 }
@@ -273,8 +335,9 @@ func (b *Baseline) ExecBatchColumnar(pid mem.PID, kinds []mem.RefKind, addrs []m
 // called with obs == nil, direct-mapped L1s and a user PID: the
 // window's single PID hoists both the kernel check and the key/filter
 // PID terms out of the loop, and each iteration loads 9 bytes of
-// column entries.
-func (b *Baseline) execBatchFast(pid mem.PID, kinds []mem.RefKind, addrs []mem.VAddr) (int, mem.Cycles, error) {
+// column entries. The caller sizes the run with runLimit against limit
+// (0 = none); it returns short when a fallback overran limit.
+func (b *Baseline) execBatchFast(pid mem.PID, kinds []mem.RefKind, addrs []mem.VAddr, limit mem.Cycles) (int, error) {
 	th := &b.fastTLB
 	keys, vpns, frames, filter := th.Keys, th.VPNs, th.Frames, th.Filter
 	pageShift, offMask := th.PageShift, th.OffMask
@@ -322,42 +385,51 @@ func (b *Baseline) execBatchFast(pid mem.PID, kinds []mem.RefKind, addrs []mem.V
 			b.flushFast(tlbHits, l1iHits, l1dHits, ifetches)
 			tlbHits, l1iHits, l1dHits, ifetches = 0, 0, 0, 0
 			b.accessL1(kind, mem.PAddr(pa))
-			continue
+		} else {
+			// True TLB miss: the per-reference miss machinery.
+			b.flushFast(tlbHits, l1iHits, l1dHits, ifetches)
+			tlbHits, l1iHits, l1dHits, ifetches = 0, 0, 0, 0
+			if err := b.execOne(mem.Ref{PID: pid, Kind: kind, Addr: addrs[i]}, ClassBench); err != nil {
+				return i, err
+			}
 		}
-		// True TLB miss: the per-reference miss machinery.
-		b.flushFast(tlbHits, l1iHits, l1dHits, ifetches)
-		tlbHits, l1iHits, l1dHits, ifetches = 0, 0, 0, 0
-		if err := b.execOne(mem.Ref{PID: pid, Kind: kind, Addr: addrs[i]}, ClassBench); err != nil {
-			return i, 0, err
+		if overrun(b.rep.Cycles, limit, len(kinds)-i-1) {
+			return i + 1, nil
 		}
 	}
 	b.flushFast(tlbHits, l1iHits, l1dHits, ifetches)
-	return len(kinds), 0, nil
+	return len(kinds), nil
 }
 
-// ExecBatchColumnar implements Machine. The fast path — no transfers
-// in flight, a user reference whose translation hits the TLB — skips
-// the per-reference event machinery entirely; TLB misses, faults and
-// any in-flight-page bookkeeping fall back to the per-reference path.
-// A blocking reference stops the batch unconsumed, exactly like Exec.
-func (r *RAMpage) ExecBatchColumnar(pid mem.PID, kinds []mem.RefKind, addrs []mem.VAddr) (int, mem.Cycles, error) {
-	i := 0
-	for i < len(kinds) {
-		if r.fast.ok && r.obs == nil && pid != mem.KernelPID && len(r.inFlight) == 0 && len(r.pending) == 0 {
-			// Fused loop; it consumes until a blocking fault, an error,
-			// or a fallback that put transfers in flight.
-			n, block, err := r.execBatchFast(pid, kinds[i:], addrs[i:])
+// ExecBatchColumnar implements Machine. The fast path — a user
+// reference whose translation hits the TLB — skips the per-reference
+// event machinery entirely, in runs that stop at the deadline and at
+// the next in-flight page arrival, where the per-reference path would
+// unpin the page: every pin, in-flight entry and checkpoint byte
+// changes at the reference it changes at under repeated Exec calls.
+// TLB misses and faults fall back to the per-reference path, as does
+// every reference while a prefetched page is pending (a demand access
+// to it can stall mid-run). A blocking reference stops the batch
+// unconsumed, exactly like Exec.
+func (r *RAMpage) ExecBatchColumnar(pid mem.PID, kinds []mem.RefKind, addrs []mem.VAddr, until mem.Cycles) (int, mem.Cycles, error) {
+	fast := r.fast.ok && r.obs == nil && pid != mem.KernelPID
+	for i := 0; i < len(kinds); {
+		if i > 0 && until != 0 && r.rep.Cycles >= until {
+			return i, 0, nil
+		}
+		r.unpinCompleted()
+		if fast && len(r.pending) == 0 {
+			limit := earlier(until, r.nextArrival())
+			end := i + runLimit(len(kinds)-i, r.rep.Cycles, limit)
+			n, block, err := r.execBatchFast(pid, kinds[i:end], addrs[i:end], limit)
 			i += n
-			if err != nil {
-				return i, 0, err
-			}
-			if block != 0 {
-				return i, block, nil
+			if err != nil || block != 0 {
+				return i, block, err
 			}
 			continue
 		}
 		ref := mem.Ref{PID: pid, Kind: kinds[i], Addr: addrs[i]}
-		if len(r.inFlight) == 0 && len(r.pending) == 0 {
+		if len(r.pending) == 0 {
 			if pa, ok := r.mm.TranslateHit(pid, ref.Addr, ref.Kind == mem.Store); ok {
 				r.rep.TLBHits++
 				r.rep.BenchRefs++
@@ -367,23 +439,31 @@ func (r *RAMpage) ExecBatchColumnar(pid mem.PID, kinds []mem.RefKind, addrs []me
 			}
 		}
 		block, err := r.execOne(ref, ClassBench)
-		if err != nil {
-			return i, 0, err
-		}
-		if block != 0 {
-			return i, block, nil
+		if err != nil || block != 0 {
+			return i, block, err
 		}
 		i++
 	}
 	return len(kinds), 0, nil
 }
 
+// nextArrival returns the earliest in-flight page arrival, or 0 when no
+// transfer is in flight.
+func (r *RAMpage) nextArrival() mem.Cycles {
+	var t mem.Cycles
+	for _, p := range r.inFlight {
+		t = earlier(t, p.ready)
+	}
+	return t
+}
+
 // execBatchFast is RAMpage.ExecBatchColumnar's fused inner loop (see
 // Baseline.execBatchFast for the shape). Only called with obs == nil,
-// direct-mapped L1s, a user PID and no transfers in flight; it returns
-// early (consumed < len(kinds)) when a fallback breaks that gate so the
-// caller can resume on the per-reference path.
-func (r *RAMpage) execBatchFast(pid mem.PID, kinds []mem.RefKind, addrs []mem.VAddr) (int, mem.Cycles, error) {
+// direct-mapped L1s, a user PID and no prefetch pending, on a run
+// sized with runLimit against limit (0 = none). It returns short when
+// a reference blocks or errors, when a fallback overran limit, or when
+// a fallback left a prefetch pending.
+func (r *RAMpage) execBatchFast(pid mem.PID, kinds []mem.RefKind, addrs []mem.VAddr, limit mem.Cycles) (int, mem.Cycles, error) {
 	mh := &r.mmHot
 	th := &mh.TLB
 	keys, vpns, frames, filter := th.Keys, th.VPNs, th.Frames, th.Filter
@@ -436,22 +516,21 @@ func (r *RAMpage) execBatchFast(pid mem.PID, kinds []mem.RefKind, addrs []mem.VA
 			r.flushFast(mh, tlbHits, l1iHits, l1dHits, ifetches)
 			tlbHits, l1iHits, l1dHits, ifetches = 0, 0, 0, 0
 			r.accessL1(kind, mem.PAddr(pa))
-			continue
+		} else {
+			// True TLB miss: the per-reference miss machinery. A fault
+			// that starts a transfer either blocks (switch-on-miss) or
+			// leaves a prefetch pending; both end the run.
+			r.flushFast(mh, tlbHits, l1iHits, l1dHits, ifetches)
+			tlbHits, l1iHits, l1dHits, ifetches = 0, 0, 0, 0
+			block, err := r.execOne(mem.Ref{PID: pid, Kind: kind, Addr: addrs[i]}, ClassBench)
+			if err != nil || block != 0 {
+				return i, block, err
+			}
+			if len(r.pending) != 0 {
+				return i + 1, 0, nil
+			}
 		}
-		// True TLB miss: the per-reference miss machinery. The gate held
-		// on entry and after every previous fallback.
-		r.flushFast(mh, tlbHits, l1iHits, l1dHits, ifetches)
-		tlbHits, l1iHits, l1dHits, ifetches = 0, 0, 0, 0
-		block, err := r.execOne(mem.Ref{PID: pid, Kind: kind, Addr: addrs[i]}, ClassBench)
-		if err != nil {
-			return i, 0, err
-		}
-		if block != 0 {
-			return i, block, nil
-		}
-		if len(r.inFlight) != 0 || len(r.pending) != 0 {
-			// A fault or prefetch put transfers in flight: the fast
-			// gate is broken, resume per-reference.
+		if overrun(r.rep.Cycles, limit, len(kinds)-i-1) {
 			return i + 1, 0, nil
 		}
 	}

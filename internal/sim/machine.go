@@ -21,16 +21,26 @@ type Machine interface {
 	Exec(ref mem.Ref) (blockUntil mem.Cycles, err error)
 	// ExecBatchColumnar runs one process's application references in
 	// order from a column window — reference i is {pid, kinds[i],
-	// addrs[i]} — stopping at the first that blocks or errors. consumed
-	// is the number of references that completed. When consumed <
-	// len(kinds) with a nil error and a non-zero blockUntil, reference
-	// consumed faulted with its page arriving at blockUntil: it did NOT
-	// execute and must be retried after that time, exactly as with
-	// Exec. Machines accelerate the common TLB-hit/L1-hit case with a
-	// fused fast path; the executed reference semantics are
-	// bit-identical to repeated Exec calls. This is the only batch entry
-	// point: the scheduler feeds every stream through it.
-	ExecBatchColumnar(pid mem.PID, kinds []mem.RefKind, addrs []mem.VAddr) (consumed int, blockUntil mem.Cycles, err error)
+	// addrs[i]} — stopping at the first that blocks or errors, or at
+	// the cycle deadline until:
+	//
+	//   - the first reference always runs, whatever the clock reads;
+	//   - each later reference runs only while Now() < until, so the
+	//     call stops before the first reference that would start at or
+	//     past the deadline; until == 0 means no deadline.
+	//
+	// consumed is the number of references that completed. When
+	// consumed < len(kinds) with a nil error and a non-zero blockUntil,
+	// reference consumed faulted with its page arriving at blockUntil:
+	// it did NOT execute and must be retried after that time, exactly
+	// as with Exec. A short return with neither is a deadline stop.
+	// Machines accelerate the common TLB-hit/L1-hit case with a fused
+	// fast path; the executed reference semantics are bit-identical to
+	// repeated Exec calls, each preceded by a check of the deadline.
+	// This is the only batch entry point: the scheduler feeds every
+	// stream through it, with the earliest blocked process's page
+	// arrival as the deadline.
+	ExecBatchColumnar(pid mem.PID, kinds []mem.RefKind, addrs []mem.VAddr, until mem.Cycles) (consumed int, blockUntil mem.Cycles, err error)
 	// ExecTrace runs an operating-system reference sequence (handler
 	// or context-switch code), accounting it under the given class.
 	ExecTrace(refs []mem.Ref, class RefClass) error

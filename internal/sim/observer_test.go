@@ -17,12 +17,12 @@ func TestExecBatchZeroAllocWithCollector(t *testing.T) {
 		t.Helper()
 		m.SetObserver(metrics.NewCollector(10_000))
 		for i := 0; i < 4; i++ {
-			if n, block, err := m.ExecBatchColumnar(pid, kinds, addrs); err != nil || block != 0 || n != len(kinds) {
+			if n, block, err := m.ExecBatchColumnar(pid, kinds, addrs, 0); err != nil || block != 0 || n != len(kinds) {
 				t.Fatalf("warm-up ExecBatchColumnar = %d, %d, %v", n, block, err)
 			}
 		}
 		allocs := testing.AllocsPerRun(20, func() {
-			if _, _, err := m.ExecBatchColumnar(pid, kinds, addrs); err != nil {
+			if _, _, err := m.ExecBatchColumnar(pid, kinds, addrs, 0); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -49,7 +49,7 @@ func TestObserverDoesNotPerturbReport(t *testing.T) {
 				end = len(kinds)
 			}
 			for _, m := range []Machine{plain, observed} {
-				if n, block, err := m.ExecBatchColumnar(pid, kinds[off:end], addrs[off:end]); err != nil || block != 0 || n != end-off {
+				if n, block, err := m.ExecBatchColumnar(pid, kinds[off:end], addrs[off:end], 0); err != nil || block != 0 || n != end-off {
 					t.Fatalf("ExecBatchColumnar = %d, %d, %v", n, block, err)
 				}
 			}
@@ -87,7 +87,7 @@ func TestObserverCountsMatchReport(t *testing.T) {
 		m := newBatchRAMpage(t)
 		col := metrics.NewCollector(0)
 		m.SetObserver(col)
-		if n, block, err := m.ExecBatchColumnar(pid, kinds, addrs); err != nil || block != 0 || n != len(kinds) {
+		if n, block, err := m.ExecBatchColumnar(pid, kinds, addrs, 0); err != nil || block != 0 || n != len(kinds) {
 			t.Fatalf("ExecBatchColumnar = %d, %d, %v", n, block, err)
 		}
 		rep := m.Report()
@@ -113,7 +113,7 @@ func TestObserverCountsMatchReport(t *testing.T) {
 		m := newBatchBaseline(t)
 		col := metrics.NewCollector(0)
 		m.SetObserver(col)
-		if n, block, err := m.ExecBatchColumnar(pid, kinds, addrs); err != nil || block != 0 || n != len(kinds) {
+		if n, block, err := m.ExecBatchColumnar(pid, kinds, addrs, 0); err != nil || block != 0 || n != len(kinds) {
 			t.Fatalf("ExecBatchColumnar = %d, %d, %v", n, block, err)
 		}
 		rep := m.Report()

@@ -149,22 +149,29 @@ func (r *RAMpage) Exec(ref mem.Ref) (mem.Cycles, error) {
 }
 
 // ExecTrace implements Machine. Operating-system references are pinned
-// in SRAM (§4.6) and can never fault.
+// in SRAM (§4.6) and can never fault. The fused loop runs while no
+// prefetch is pending, in runs that stop at the next in-flight page
+// arrival to unpin it, as the per-reference path does before every
+// reference.
 func (r *RAMpage) ExecTrace(refs []mem.Ref, class RefClass) error {
-	i := 0
-	if r.fast.ok && r.obs == nil && len(r.inFlight) == 0 && len(r.pending) == 0 {
-		n, err := r.execTraceFast(refs, class)
-		if err != nil {
-			return err
+	for i := 0; i < len(refs); {
+		if r.fast.ok && r.obs == nil && len(r.pending) == 0 {
+			r.unpinCompleted()
+			limit := r.nextArrival()
+			end := i + runLimit(len(refs)-i, r.rep.Cycles, limit)
+			n, err := r.execTraceFast(refs[i:end], class, limit)
+			i += n
+			if err != nil {
+				return err
+			}
+			continue
 		}
-		i = n
-	}
-	for ; i < len(refs); i++ {
 		if block, err := r.execOne(refs[i], class); err != nil {
 			return err
 		} else if block != 0 {
 			return fmt.Errorf("sim: pinned OS reference faulted")
 		}
+		i++
 	}
 	return nil
 }

@@ -264,9 +264,15 @@ func NewScheduler(m Machine, readers []trace.Reader, cfg SchedulerConfig) (*Sche
 //
 //   - it never exceeds the slice remainder, so quantum boundaries fall
 //     on the same reference however the stream is buffered;
-//   - while any page is in flight (wakeAt != 0) it shrinks to a single
-//     reference, so resume-on-arrival preemption is checked before
-//     every reference;
+//   - its deadline is wakeAt, the earliest blocked page arrival (0,
+//     no deadline, when nothing is blocked): the machine stops before
+//     the first reference that would start at or after it, which is
+//     where the resume-on-arrival check preempts. The window's first
+//     reference runs whatever the clock reads, as one reference runs
+//     after every preemption check;
+//   - with an Observer attached it shrinks to a single reference while
+//     a page is in flight, so Tick fires before every such reference
+//     (the machines run per reference under an observer anyway);
 //   - a blocking reference is left unconsumed at the window cursor and
 //     retried when its process next runs;
 //   - MaxRefs caps it, and a stream error surfaces only after every
@@ -329,15 +335,15 @@ func (s *Scheduler) Run(ctx context.Context) (*stats.Report, error) {
 		if window > p.sliceLeft {
 			window = p.sliceLeft
 		}
-		if s.wakeAt != 0 {
-			window = 1 // per-reference checks while transfers are in flight
+		if s.cfg.Observer != nil && s.wakeAt != 0 {
+			window = 1 // observed: one Tick per reference while a page is in flight
 		}
 		if s.cfg.MaxRefs > 0 {
 			if left := s.cfg.MaxRefs - s.executed; window > left {
 				window = left
 			}
 		}
-		consumed, blockUntil, err := s.m.ExecBatchColumnar(p.pid, kinds[:window], addrs[:window])
+		consumed, blockUntil, err := s.m.ExecBatchColumnar(p.pid, kinds[:window], addrs[:window], s.wakeAt)
 		p.col.Skip(consumed)
 		s.executed += uint64(consumed)
 		p.done += uint64(consumed)

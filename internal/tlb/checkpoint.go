@@ -22,12 +22,23 @@ func (t *TLB) EncodeState(e *checkpoint.Enc) {
 
 // DecodeState restores state captured by EncodeState into the live
 // columns and resets the filter to its construction state (slot 0,
-// always re-verified before use).
-func (t *TLB) DecodeState(d *checkpoint.Dec) {
+// always re-verified before use). frames is the frame count of the
+// page table the TLB caches: an entry naming a frame at or past it
+// fails the decode, since a hit on it would index past the table's
+// per-frame columns.
+func (t *TLB) DecodeState(d *checkpoint.Dec, frames uint64) {
 	d.Marker(checkpoint.MarkTLB)
 	d.U64sInto(t.keys)
 	d.U64sInto(t.vpns)
 	d.U64sInto(t.frames)
+	if d.Err() == nil {
+		for i, f := range t.frames {
+			if f >= frames {
+				d.Fail("tlb: entry %d maps frame %d of %d", i, f, frames)
+				break
+			}
+		}
+	}
 	t.rng.SetState(d.U64())
 	t.stats.Hits = d.U64()
 	t.stats.Misses = d.U64()

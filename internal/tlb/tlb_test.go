@@ -1,9 +1,11 @@
 package tlb
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"rampage/internal/checkpoint"
 	"rampage/internal/mem"
 )
 
@@ -217,4 +219,30 @@ func TestMissRateAndMustNew(t *testing.T) {
 		}
 	}()
 	MustNew(Config{})
+}
+
+// TestDecodeStateRejectsFrameOutOfRange forges a TLB entry naming a
+// frame past the page table it caches: the simulator's fused path
+// indexes the table's per-frame columns with a hit's frame, so the
+// decode must fail. The genuine payload decodes.
+func TestDecodeStateRejectsFrameOutOfRange(t *testing.T) {
+	const frames = 32
+	tb := paperTLB(t, 4096)
+	for i := uint64(0); i < 8; i++ {
+		tb.Insert(1, mem.VAddr(i<<12), i)
+	}
+	decode := func(tb *TLB) error {
+		e := checkpoint.NewEnc()
+		tb.EncodeState(e)
+		d := checkpoint.NewDec(e.Bytes())
+		paperTLB(t, 4096).DecodeState(d, frames)
+		return d.Err()
+	}
+	if err := decode(tb); err != nil {
+		t.Fatalf("genuine payload: %v", err)
+	}
+	tb.Insert(1, 0x9000, frames)
+	if err := decode(tb); err == nil || !strings.Contains(err.Error(), "frame") {
+		t.Errorf("decode error = %v, want a frame range error", err)
+	}
 }
