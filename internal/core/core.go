@@ -335,32 +335,11 @@ func (m *Memory) Translate(pid mem.PID, va mem.VAddr, write bool) (Outcome, erro
 	return out, nil
 }
 
-// TranslateHit resolves (pid, va) only when the TLB already holds the
-// translation, with state and statistics effects identical to what
-// Translate would have in that case. It reports false — having touched
-// nothing — for kernel references and TLB misses; the caller falls
-// back to Translate, which then accounts the miss exactly once. This
-// is the batched simulator's fast path.
-func (m *Memory) TranslateHit(pid mem.PID, va mem.VAddr, write bool) (mem.PAddr, bool) {
-	if pid == mem.KernelPID {
-		return 0, false
-	}
-	pa, hit := m.tlb.TryLookup(pid, va)
-	if !hit {
-		return 0, false
-	}
-	m.stats.Translations++
-	if write {
-		m.pt.SetDirty(uint64(pa) >> m.pageShift)
-	}
-	return pa, true
-}
-
 // Hot is a flattened view of the memory's translation state for the
 // simulator's fused TLB→L1 fast path (package sim). A fast-path hit
-// replicates TranslateHit exactly: probe TLB.Filter, and on a match
-// count a translation and — for a store — set FlagDirty on the frame's
-// flags. All slices alias live state; see tlb.Hot and
+// replicates Translate's TLB-hit case exactly: probe TLB.Filter, and on
+// a match count a translation and — for a store — set FlagDirty on the
+// frame's flags. All slices alias live state; see tlb.Hot and
 // pagetable.DirtyHot for the aliasing contracts.
 type Hot struct {
 	TLB       tlb.Hot

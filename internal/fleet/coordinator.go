@@ -192,12 +192,15 @@ func (c *Coordinator) Renew(req RenewRequest) error {
 	return nil
 }
 
-// Complete records one finished cell. Results for unknown or
-// already-finished cells are accepted idempotently (persisted to the
-// disk store when one is attached): after a coordinator restart a
-// worker may legitimately stream back cells the new coordinator never
-// leased. Unknown workers get ErrUnknownWorker so they re-register,
-// but their result is still kept.
+// Complete records one finished cell. A result is persisted to the
+// disk store (when one is attached) only while its key has an active
+// task, so a completion cannot write a key the coordinator is not
+// waiting on into the shared results store. Results for unknown or
+// already-finished cells are accepted idempotently but dropped: after a
+// coordinator restart a worker may stream back cells the new
+// coordinator never leased, and those cells are simulated again if a
+// job asks for them. Unknown workers get ErrUnknownWorker so they
+// re-register, but their result for an active task is still kept.
 func (c *Coordinator) Complete(req CompleteRequest) error {
 	c.mu.Lock()
 	w, known := c.workers[req.WorkerID]
@@ -206,7 +209,7 @@ func (c *Coordinator) Complete(req CompleteRequest) error {
 		delete(w.inflight, req.Key)
 	}
 	t, active := c.tasks[req.Key]
-	if req.Error == "" && len(req.Report) > 0 {
+	if active && req.Error == "" && len(req.Report) > 0 {
 		c.cfg.Disk.Put(req.Key, req.Report)
 	}
 	if !active {

@@ -14,7 +14,7 @@ import (
 
 // fleetRoutes is a coordinator over an in-memory results store, with
 // its routes mounted and one worker registered.
-func fleetRoutes(t *testing.T) (*http.ServeMux, *cas.Store, string) {
+func fleetRoutes(t *testing.T) (*http.ServeMux, *Coordinator, *cas.Store, string) {
 	t.Helper()
 	store := cas.NewMemory(0, nil, cas.Counters{})
 	c, _ := testCoordinator(t, func(cfg *CoordinatorConfig) { cfg.Disk = store })
@@ -24,7 +24,7 @@ func fleetRoutes(t *testing.T) (*http.ServeMux, *cas.Store, string) {
 	}
 	mux := http.NewServeMux()
 	c.Routes(mux)
-	return mux, store, resp.WorkerID
+	return mux, c, store, resp.WorkerID
 }
 
 func postFleet(mux *http.ServeMux, route string, body []byte) int {
@@ -37,9 +37,12 @@ func postFleet(mux *http.ServeMux, route string, body []byte) int {
 // whose report takes the body past maxFleetBody: it must be refused
 // with a 4xx and nothing stored, where an uncapped decoder buffers the
 // whole body and writes the report to the results store. A completion
-// under the cap is still accepted and stored.
+// under the cap is still accepted and stored. Both keys are leased
+// first, since only a completion for an active task is stored.
 func TestFleetRejectsOverCapBody(t *testing.T) {
-	mux, store, worker := fleetRoutes(t)
+	mux, c, store, worker := fleetRoutes(t)
+	resCh, errCh := execAsync(c, []CellSpec{{Key: "big"}, {Key: "small"}})
+	leaseAll(t, c, worker, 2)
 	complete := func(key string, report string) []byte {
 		body, err := json.Marshal(CompleteRequest{WorkerID: worker, Key: key, Report: json.RawMessage(report)})
 		if err != nil {
@@ -59,6 +62,12 @@ func TestFleetRejectsOverCapBody(t *testing.T) {
 	}
 	if _, ok := store.Get("small"); !ok {
 		t.Error("the completion under the cap was not stored")
+	}
+	if code := postFleet(mux, "complete", complete("big", `{"cycles":2}`)); code != http.StatusOK {
+		t.Errorf("completion of the refused key under the cap: status %d, want 200", code)
+	}
+	if res, err := <-resCh, <-errCh; err != nil || string(res[0]) != `{"cycles":2}` || string(res[1]) != `{"cycles":1}` {
+		t.Fatalf("Execute = %q, %v", res, err)
 	}
 }
 
@@ -80,7 +89,7 @@ func FuzzFleetRequest(f *testing.F) {
 		f.Add(uint8(i), []byte(body))
 	}
 	f.Fuzz(func(t *testing.T, route uint8, body []byte) {
-		mux, _, _ := fleetRoutes(t)
+		mux, _, _, _ := fleetRoutes(t)
 		r := routes[int(route)%len(routes)]
 		if code := postFleet(mux, r, body); code != http.StatusOK && (code < 400 || code >= 500) {
 			t.Fatalf("POST %s %q: status %d, want 200 or 4xx", r, body, code)

@@ -201,57 +201,3 @@ func TestClockRoundTripProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestNewBus(t *testing.T) {
-	if _, err := NewBus(15, 3); err == nil {
-		t.Error("NewBus(15, 3) succeeded, want error")
-	}
-	if _, err := NewBus(16, 0); err == nil {
-		t.Error("NewBus(16, 0) succeeded, want error")
-	}
-	b, err := NewBus(16, 3)
-	if err != nil {
-		t.Fatalf("NewBus(16, 3): %v", err)
-	}
-	if b.WidthBytes() != 16 || b.Divisor() != 3 {
-		t.Errorf("bus = %+v, want width 16 divisor 3", b)
-	}
-}
-
-func TestBusTransfer(t *testing.T) {
-	b := DefaultBus()
-	cases := []struct {
-		bytes uint64
-		bus   uint64
-		cpu   Cycles
-	}{
-		{0, 0, 0},
-		{1, 1, 3},
-		{16, 1, 3},
-		{17, 2, 6},
-		{32, 2, 6}, // one L1 block: 2 bus cycles
-		{4096, 256, 768},
-	}
-	for _, tc := range cases {
-		if got := b.TransferBusCycles(tc.bytes); got != tc.bus {
-			t.Errorf("TransferBusCycles(%d) = %d, want %d", tc.bytes, got, tc.bus)
-		}
-		if got := b.TransferCPUCycles(tc.bytes); got != tc.cpu {
-			t.Errorf("TransferCPUCycles(%d) = %d, want %d", tc.bytes, got, tc.cpu)
-		}
-	}
-}
-
-func TestBusMonotoneProperty(t *testing.T) {
-	b := DefaultBus()
-	f := func(a, bb uint32) bool {
-		x, y := uint64(a), uint64(bb)
-		if x > y {
-			x, y = y, x
-		}
-		return b.TransferBusCycles(x) <= b.TransferBusCycles(y)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}

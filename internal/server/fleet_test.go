@@ -170,6 +170,32 @@ func TestDiskStoreServesAcrossRestart(t *testing.T) {
 	}
 }
 
+// TestFleetCompletionCannotForgeResults posts a completion from a
+// worker the coordinator never registered, naming the results key of
+// an experiment document with a forged report. The POST is refused
+// with 404 as before, and the document served next must be the
+// simulated one, where a coordinator that persisted any completed key
+// served the forged bytes from the shared disk store.
+func TestFleetCompletionCannotForgeResults(t *testing.T) {
+	ts, _ := newTestServer(t, server.Config{Workers: 1, QueueDepth: 8, DiskDir: t.TempDir()})
+	rates, sizes := []uint64{200, 400}, []uint64{4096}
+	key := harness.ExperimentKey(testScales()["tiny"], "table3", rates, sizes)
+	forged, err := json.Marshal(fleet.CompleteRequest{WorkerID: "nobody", Key: key, Report: json.RawMessage(`{"forged":true}`)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, resp, _ := post(t, ts.URL+"/fleet/v1/complete", string(forged)); code != http.StatusNotFound {
+		t.Fatalf("forged completion: status %d (%s), want 404", code, resp)
+	}
+	code, doc, _ := get(t, ts.URL+"/v1/experiments/table3?scale=tiny&rates=200,400&sizes=4096")
+	if code != http.StatusOK {
+		t.Fatalf("status %d: %.300s", code, doc)
+	}
+	if want := localDoc(t, testScales()["tiny"], "table3", rates, sizes); !bytes.Equal(doc, want) {
+		t.Fatalf("served %d bytes (%.40q), want the simulated document (%d bytes)", len(doc), doc, len(want))
+	}
+}
+
 // TestFleetWorkersShareCellsAcrossExperiments pins fleet-wide dedup:
 // fig2's cells are a subset of table3's grid at the same scale, so
 // with a disk store attached, serving table3 first makes fig2 cost

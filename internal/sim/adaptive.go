@@ -59,11 +59,7 @@ func (r *RAMpage) Resize(pageBytes, sramBytes uint64) error {
 	}
 	r.cfg.PageBytes = pageBytes
 	r.cfg.SRAMBytes = sramBytes
-	r.mm.Recycle() // the old memory's page-table slabs return to the arena
-	r.mm = mm
-	r.mmHot = mm.Hot() // refresh the cached fast-path view
-	r.kernelLimit = mm.OSPages() * mm.PageBytes()
-	r.mm.SetObserver(r.obs) // the rebuilt memory inherits the probes
+	r.setMemory(mm)
 	r.rep.Resizes++
 	return nil
 }

@@ -43,24 +43,17 @@ type BaselineConfig struct {
 // Baseline is the conventional hierarchy: split L1, unified L2, TLB
 // translating to DRAM physical addresses, inverted page table in DRAM.
 type Baseline struct {
+	frontEnd
 	cfg    BaselineConfig
-	l1     l1pair
 	l2     *cache.Cache
 	victim *cache.VictimCache
 	tlb    *tlb.TLB
 	pt     *pagetable.Inverted
 	kernel *synth.Kernel
 
-	kernelBytes uint64
-	rep         stats.Report
-	probeBuf    []uint64
-	trcBuf      []mem.Ref
-	updBuf      []uint64
-	obs         metrics.Observer // nil unless probing is attached
-
-	// Fused fast-path views (fastpath.go), captured at construction.
-	fast    fastL1
-	fastTLB tlb.Hot
+	probeBuf []uint64
+	trcBuf   []mem.Ref
+	updBuf   []uint64
 }
 
 // NewBaseline builds the machine.
@@ -74,7 +67,7 @@ func NewBaseline(cfg BaselineConfig) (*Baseline, error) {
 	if cfg.L1WBPenalty == 0 {
 		cfg.L1WBPenalty = 12
 	}
-	l1, err := newL1Pair(cfg.Params)
+	fe, err := newFrontEnd(cfg.Params)
 	if err != nil {
 		return nil, err
 	}
@@ -111,12 +104,12 @@ func NewBaseline(cfg BaselineConfig) (*Baseline, error) {
 		return nil, err
 	}
 	b := &Baseline{
-		cfg:    cfg,
-		l1:     l1,
-		l2:     l2,
-		tlb:    tb,
-		pt:     pt,
-		kernel: synth.NewKernel(cfg.Seed + 5),
+		frontEnd: fe,
+		cfg:      cfg,
+		l2:       l2,
+		tlb:      tb,
+		pt:       pt,
+		kernel:   synth.NewKernel(cfg.Seed + 5),
 	}
 	if cfg.VictimEntries > 0 {
 		v, err := cache.NewVictim(l2, cfg.VictimEntries)
@@ -148,13 +141,9 @@ func NewBaseline(cfg BaselineConfig) (*Baseline, error) {
 		name += "+victim"
 	}
 	b.rep = stats.Report{Name: name, Clock: cfg.Clock, BlockBytes: cfg.L2Block}
-	b.fast = newFastL1(l1)
-	b.fastTLB = tb.Hot()
+	b.tlbHot = tb.Hot()
 	return b, nil
 }
-
-// Report implements Machine.
-func (b *Baseline) Report() *stats.Report { return &b.rep }
 
 // SetObserver implements Machine, threading the observer through the
 // TLB, the page table and (when it has probes) the DRAM device.
@@ -165,64 +154,40 @@ func (b *Baseline) SetObserver(obs metrics.Observer) {
 	observeDRAM(b.cfg.DRAM, obs)
 }
 
-// Now implements Machine.
-func (b *Baseline) Now() mem.Cycles { return b.rep.Cycles }
-
-// AdvanceTo implements Machine.
-func (b *Baseline) AdvanceTo(t mem.Cycles) {
-	if t > b.rep.Cycles {
-		idle := t - b.rep.Cycles
-		b.rep.IdleCycles += idle
-		b.rep.Charge(stats.DRAM, idle)
-	}
-}
-
-// TLBStats exposes the TLB counters.
-func (b *Baseline) TLBStats() tlb.Stats { return b.tlb.Stats() }
-
-// L2Stats exposes the L2 cache counters.
-func (b *Baseline) L2Stats() cache.Stats { return b.l2.Stats() }
-
 // Exec implements Machine. The baseline never blocks.
 func (b *Baseline) Exec(ref mem.Ref) (mem.Cycles, error) {
-	return 0, b.execOne(ref, ClassBench)
+	return b.execOne(ref, ClassBench)
 }
 
-// ExecTrace implements Machine.
+// ExecBatchColumnar implements Machine with the shared batch loop
+// (fastpath.go). The baseline never blocks, so consumed is len(kinds)
+// unless an error occurs or the deadline stops the call.
+func (b *Baseline) ExecBatchColumnar(pid mem.PID, kinds []mem.RefKind, addrs []mem.VAddr, until mem.Cycles) (int, mem.Cycles, error) {
+	return b.execBatch(b, pid, kinds, addrs, until)
+}
+
+// ExecTrace implements Machine with the shared trace loop.
 func (b *Baseline) ExecTrace(refs []mem.Ref, class RefClass) error {
-	if b.obs == nil && b.fast.ok {
-		return b.execTraceFast(refs, class)
-	}
-	for _, r := range refs {
-		if err := b.execOne(r, class); err != nil {
-			return err
-		}
-	}
-	return nil
+	return b.execTrace(b, refs, class)
 }
 
-func (b *Baseline) countRef(class RefClass) {
-	switch class {
-	case ClassBench:
-		b.rep.BenchRefs++
-	case ClassTLB:
-		b.rep.OSTLBRefs++
-	case ClassFault:
-		b.rep.OSFaultRefs++
-	case ClassSwitch:
-		b.rep.OSSwitchRefs++
-	}
-}
-
-func (b *Baseline) execOne(ref mem.Ref, class RefClass) error {
+// execOne implements fusedMachine: the per-reference path. The baseline
+// never blocks.
+func (b *Baseline) execOne(ref mem.Ref, class RefClass) (mem.Cycles, error) {
 	pa, err := b.translate(ref)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	b.countRef(class)
+	*classRefs(&b.rep, class)++
 	b.accessL1(ref.Kind, pa)
-	return nil
+	return 0, nil
 }
+
+// arrivals implements fusedMachine: the baseline has no page in flight.
+func (b *Baseline) arrivals() mem.Cycles { return 0 }
+
+// prefetchPending implements fusedMachine: the baseline never prefetches.
+func (b *Baseline) prefetchPending() bool { return false }
 
 // translate resolves a reference to a DRAM physical address through
 // the TLB, running the TLB-miss handler trace when needed.
@@ -284,10 +249,9 @@ func (b *Baseline) translate(ref mem.Ref) (mem.PAddr, error) {
 	return mem.PAddr(frame<<12 | off), nil
 }
 
-// accessL1 runs the reference through the split L1 and, on a miss,
-// the L2 and DRAM levels, charging time per §4.3–4.4. The hit check is
-// the cache's split fast path so the batched executor's common case
-// stays a tight loop.
+// accessL1 implements fusedMachine: it runs the reference through the
+// split L1 and, on a miss, the L2 and DRAM levels, charging time per
+// §4.3–4.4.
 func (b *Baseline) accessL1(kind mem.RefKind, pa mem.PAddr) {
 	side := b.l1.side(kind)
 	if kind == mem.IFetch {

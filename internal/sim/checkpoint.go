@@ -371,11 +371,7 @@ func (a *AdaptiveRAMpage) DecodeState(d *checkpoint.Dec) {
 		}
 		a.RAMpage.cfg.PageBytes = pageBytes
 		a.RAMpage.cfg.SRAMBytes = sramBytes
-		a.RAMpage.mm.Recycle()
-		a.RAMpage.mm = mm
-		a.RAMpage.mmHot = mm.Hot()
-		a.RAMpage.kernelLimit = mm.OSPages() * mm.PageBytes()
-		a.RAMpage.mm.SetObserver(a.RAMpage.obs)
+		a.setMemory(mm)
 	}
 	a.decodeRAMpage(d)
 	a.epochStart = d.U64()

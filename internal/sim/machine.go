@@ -34,15 +34,17 @@ type Machine interface {
 	// reference consumed faulted with its page arriving at blockUntil:
 	// it did NOT execute and must be retried after that time, exactly
 	// as with Exec. A short return with neither is a deadline stop.
-	// Machines accelerate the common TLB-hit/L1-hit case with a fused
-	// fast path; the executed reference semantics are bit-identical to
-	// repeated Exec calls, each preceded by a check of the deadline.
-	// This is the only batch entry point: the scheduler feeds every
-	// stream through it, with the earliest blocked process's page
-	// arrival as the deadline.
+	// Both machines run the common TLB-hit/L1-hit case through one
+	// shared fused path (fastpath.go), and every reference it does not
+	// finish runs the code Exec runs, so the executed reference
+	// semantics are bit-identical to repeated Exec calls, each preceded
+	// by a check of the deadline. This is the only batch entry point:
+	// the scheduler feeds every stream through it, with the earliest
+	// blocked process's page arrival as the deadline.
 	ExecBatchColumnar(pid mem.PID, kinds []mem.RefKind, addrs []mem.VAddr, until mem.Cycles) (consumed int, blockUntil mem.Cycles, err error)
 	// ExecTrace runs an operating-system reference sequence (handler
-	// or context-switch code), accounting it under the given class.
+	// or context-switch code), accounting it under the given class,
+	// through the same shared fused path.
 	ExecTrace(refs []mem.Ref, class RefClass) error
 	// Now returns the machine's absolute simulated time.
 	Now() mem.Cycles

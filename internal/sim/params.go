@@ -97,16 +97,6 @@ func (p Params) dataCycles(n uint64) mem.Cycles {
 	return p.Clock.CyclesFrom(p.DRAM.TransferTime(n) - dram.StartupTime(p.DRAM))
 }
 
-// backToBackCycles is the cost of two page-sized transfers issued back
-// to back (victim write-back then fetch): fully serialized on an
-// unpipelined channel, startup-overlapped on a pipelined one.
-func (p Params) backToBackCycles(n uint64) mem.Cycles {
-	if p.PipelinedDRAM {
-		return p.transferCycles(n) + p.dataCycles(n)
-	}
-	return 2 * p.transferCycles(n)
-}
-
 // transferCyclesAt times an n-byte transfer at a specific DRAM
 // address, exploiting bank/row-buffer state when the device models it
 // (dram.Addressed); otherwise it falls back to the flat timing.

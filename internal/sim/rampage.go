@@ -1,15 +1,12 @@
 package sim
 
 import (
-	"fmt"
-
 	"rampage/internal/core"
 	"rampage/internal/mem"
 	"rampage/internal/metrics"
 	"rampage/internal/policy"
 	"rampage/internal/stats"
 	"rampage/internal/synth"
-	"rampage/internal/tlb"
 )
 
 // RAMpageConfig describes a RAMpage machine (§4.5): the lowest SRAM
@@ -40,25 +37,15 @@ type RAMpageConfig struct {
 // RAMpage is the paper's machine: split L1 in front of a software-
 // managed SRAM main memory, with the Rambus channel below.
 type RAMpage struct {
+	frontEnd
 	cfg    RAMpageConfig
-	l1     l1pair
-	mm     *core.Memory
+	mm     *core.Memory // installed by setMemory only
 	kernel *synth.Kernel
 
-	rep        stats.Report
 	chanFreeAt mem.Cycles // Rambus channel occupancy for async transfers
 	trcBuf     []mem.Ref
 	inFlight   []inFlightPage           // pages pinned while their transfer runs
 	pending    map[mem.PAddr]mem.Cycles // in-flight prefetched pages: base -> arrival
-	obs        metrics.Observer         // nil unless probing is attached
-
-	// Fused fast-path views (fastpath.go). mmHot caches r.mm.Hot() —
-	// capturing it per batch costs a large struct copy on every handler
-	// trace — and is refreshed by Resize, the only place r.mm swaps.
-	// kernelLimit caches the pinned OS region size likewise.
-	fast        fastL1
-	mmHot       core.Hot
-	kernelLimit uint64
 }
 
 // inFlightPage tracks a pinned page whose DRAM transfer completes at
@@ -77,7 +64,7 @@ func NewRAMpage(cfg RAMpageConfig) (*RAMpage, error) {
 	if cfg.L1WBPenalty == 0 {
 		cfg.L1WBPenalty = 9
 	}
-	l1, err := newL1Pair(cfg.Params)
+	fe, err := newFrontEnd(cfg.Params)
 	if err != nil {
 		return nil, err
 	}
@@ -99,27 +86,34 @@ func NewRAMpage(cfg RAMpageConfig) (*RAMpage, error) {
 	if pol := policy.Normalize(cfg.Policy); pol != "" {
 		name += "+" + pol
 	}
-	return &RAMpage{
-		cfg:         cfg,
-		l1:          l1,
-		mm:          mm,
-		kernel:      synth.NewKernel(cfg.Seed + 7),
-		rep:         stats.Report{Name: name, Clock: cfg.Clock, BlockBytes: cfg.PageBytes},
-		pending:     make(map[mem.PAddr]mem.Cycles),
-		fast:        newFastL1(l1),
-		mmHot:       mm.Hot(),
-		kernelLimit: mm.OSPages() * mm.PageBytes(),
-	}, nil
+	r := &RAMpage{
+		frontEnd: fe,
+		cfg:      cfg,
+		kernel:   synth.NewKernel(cfg.Seed + 7),
+		pending:  make(map[mem.PAddr]mem.Cycles),
+	}
+	r.rep = stats.Report{Name: name, Clock: cfg.Clock, BlockBytes: cfg.PageBytes}
+	r.setMemory(mm)
+	return r, nil
+}
+
+// setMemory installs mm as the SRAM main memory, recycling the one it
+// replaces: it rebuilds the fused path's views of mm's TLB, page table
+// and translation counter and threads the observer through. It is the
+// only place r.mm changes.
+func (r *RAMpage) setMemory(mm *core.Memory) {
+	if r.mm != nil {
+		r.mm.Recycle() // the old memory's page-table slabs return to the arena
+	}
+	r.mm = mm
+	mm.SetObserver(r.obs)
+	h := mm.Hot()
+	r.tlbHot, r.ptFlags, r.ptShift, r.translations = h.TLB, h.PTFlags, h.PageShift, &h.Stats.Translations
+	r.kernelBytes = mm.OSPages() * mm.PageBytes()
 }
 
 // Memory exposes the SRAM main memory manager (for inspection).
 func (r *RAMpage) Memory() *core.Memory { return r.mm }
-
-// TLBStats exposes the TLB counters.
-func (r *RAMpage) TLBStats() tlb.Stats { return r.mm.TLBStats() }
-
-// Report implements Machine.
-func (r *RAMpage) Report() *stats.Report { return &r.rep }
 
 // SetObserver implements Machine, threading the observer through the
 // SRAM main memory (TLB + page table) and the DRAM device.
@@ -129,18 +123,6 @@ func (r *RAMpage) SetObserver(obs metrics.Observer) {
 	observeDRAM(r.cfg.DRAM, obs)
 }
 
-// Now implements Machine.
-func (r *RAMpage) Now() mem.Cycles { return r.rep.Cycles }
-
-// AdvanceTo implements Machine.
-func (r *RAMpage) AdvanceTo(t mem.Cycles) {
-	if t > r.rep.Cycles {
-		idle := t - r.rep.Cycles
-		r.rep.IdleCycles += idle
-		r.rep.Charge(stats.DRAM, idle)
-	}
-}
-
 // Exec implements Machine. In switch-on-miss mode a page fault returns
 // the absolute cycle at which the page arrives; the reference did not
 // execute and must be retried after that time.
@@ -148,47 +130,23 @@ func (r *RAMpage) Exec(ref mem.Ref) (mem.Cycles, error) {
 	return r.execOne(ref, ClassBench)
 }
 
-// ExecTrace implements Machine. Operating-system references are pinned
-// in SRAM (§4.6) and can never fault. The fused loop runs while no
-// prefetch is pending, in runs that stop at the next in-flight page
-// arrival to unpin it, as the per-reference path does before every
-// reference.
+// ExecBatchColumnar implements Machine with the shared batch loop
+// (fastpath.go): fused runs stop at the deadline and at the next
+// in-flight page arrival, where the per-reference path would unpin the
+// page, so every pin, in-flight entry and checkpoint byte changes at
+// the reference it changes at under repeated Exec calls. While a
+// prefetched page is pending every reference runs execOne.
+func (r *RAMpage) ExecBatchColumnar(pid mem.PID, kinds []mem.RefKind, addrs []mem.VAddr, until mem.Cycles) (int, mem.Cycles, error) {
+	return r.execBatch(r, pid, kinds, addrs, until)
+}
+
+// ExecTrace implements Machine with the shared trace loop. Operating-
+// system references are pinned in SRAM (§4.6) and can never fault.
 func (r *RAMpage) ExecTrace(refs []mem.Ref, class RefClass) error {
-	for i := 0; i < len(refs); {
-		if r.fast.ok && r.obs == nil && len(r.pending) == 0 {
-			r.unpinCompleted()
-			limit := r.nextArrival()
-			end := i + runLimit(len(refs)-i, r.rep.Cycles, limit)
-			n, err := r.execTraceFast(refs[i:end], class, limit)
-			i += n
-			if err != nil {
-				return err
-			}
-			continue
-		}
-		if block, err := r.execOne(refs[i], class); err != nil {
-			return err
-		} else if block != 0 {
-			return fmt.Errorf("sim: pinned OS reference faulted")
-		}
-		i++
-	}
-	return nil
+	return r.execTrace(r, refs, class)
 }
 
-func (r *RAMpage) countRef(class RefClass) {
-	switch class {
-	case ClassBench:
-		r.rep.BenchRefs++
-	case ClassTLB:
-		r.rep.OSTLBRefs++
-	case ClassFault:
-		r.rep.OSFaultRefs++
-	case ClassSwitch:
-		r.rep.OSSwitchRefs++
-	}
-}
-
+// execOne implements fusedMachine: the per-reference path.
 func (r *RAMpage) execOne(ref mem.Ref, class RefClass) (mem.Cycles, error) {
 	r.unpinCompleted()
 	out, err := r.mm.Translate(ref.PID, ref.Addr, ref.Kind == mem.Store)
@@ -256,7 +214,7 @@ func (r *RAMpage) execOne(ref mem.Ref, class RefClass) (mem.Cycles, error) {
 			delete(r.pending, page)
 		}
 	}
-	r.countRef(class)
+	*classRefs(&r.rep, class)++
 	r.accessL1(ref.Kind, out.Addr)
 	return 0, nil
 }
@@ -294,6 +252,20 @@ func (r *RAMpage) prefetchNext(ref mem.Ref) error {
 	r.pending[pa] = ready
 	return nil
 }
+
+// arrivals implements fusedMachine: it unpins the pages that have
+// landed and returns the earliest arrival still in flight, or 0.
+func (r *RAMpage) arrivals() mem.Cycles {
+	r.unpinCompleted()
+	var t mem.Cycles
+	for _, p := range r.inFlight {
+		t = earlier(t, p.ready)
+	}
+	return t
+}
+
+// prefetchPending implements fusedMachine.
+func (r *RAMpage) prefetchPending() bool { return len(r.pending) != 0 }
 
 // unpinCompleted releases in-flight page locks whose transfers have
 // finished by the current simulated time.
@@ -417,7 +389,8 @@ func (r *RAMpage) applyVictim(f *core.Fault) bool {
 	return writeback
 }
 
-// accessL1 runs the reference through the split L1. After translation
+// accessL1 implements fusedMachine: it runs the reference through the
+// split L1. After translation
 // the data is guaranteed resident in the SRAM main memory — full
 // associativity with no tag check (§2.2) — so an L1 miss costs exactly
 // the SRAM access penalty and never goes deeper.

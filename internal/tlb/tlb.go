@@ -254,21 +254,6 @@ func (t *TLB) Lookup(pid mem.PID, addr mem.VAddr) (mem.PAddr, bool) {
 	return 0, false
 }
 
-// TryLookup is Lookup for a speculative fast path: a hit counts as a
-// hit, but a miss leaves the statistics untouched so the caller can
-// fall back to the full Lookup-and-walk path, which then records the
-// miss exactly once.
-func (t *TLB) TryLookup(pid mem.PID, addr mem.VAddr) (mem.PAddr, bool) {
-	if pa, ok := t.lookup(pid, addr); ok {
-		t.stats.Hits++
-		if t.obs != nil {
-			t.obs.Count(metrics.EvTLBHit, 1)
-		}
-		return pa, true
-	}
-	return 0, false
-}
-
 func (t *TLB) lookup(pid mem.PID, addr mem.VAddr) (mem.PAddr, bool) {
 	vpn := uint64(addr) >> t.pageShift
 	key := packKey(pid, vpn)
