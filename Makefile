@@ -117,16 +117,18 @@ profile:
 golden:
 	$(GO) run ./cmd/rampage-bench -exp all -scale default -outdir $(GOLDEN_DIR)
 
-# Regenerate every golden into a temp dir and diff the directories
-# (exact: simulated data is deterministic): the JSON documents with
-# tools/regress, the texts byte for byte with diff. Both make a file
-# present on one side only a failure, so a deleted golden or an
-# experiment that stopped rendering cannot slip through. The recipe is
-# one shell, so the temp dir is made only when regress runs and is
-# removed on exit, whether the comparison passes or fails.
+# Regenerate every golden into a temp dir under the oracle's online
+# invariant checker (-verify: a violation fails the run; a verified run
+# executes the same code as a plain one, at about its cost) and diff
+# the directories (exact: simulated data is deterministic): the JSON
+# documents with tools/regress, the texts byte for byte with diff. Both
+# make a file present on one side only a failure, so a deleted golden
+# or an experiment that stopped rendering cannot slip through. The
+# recipe is one shell, so the temp dir is made only when regress runs
+# and is removed on exit, whether the comparison passes or fails.
 regress:
 	set -e; out=$$(mktemp -d); trap 'rm -rf "$$out"' EXIT; \
-	$(GO) run ./cmd/rampage-bench -exp all -scale default -outdir "$$out"; \
+	$(GO) run ./cmd/rampage-bench -exp all -scale default -verify -outdir "$$out"; \
 	$(GO) run ./tools/regress -mode report $(GOLDEN_DIR) "$$out"; \
 	diff -r -x tiny -x '*.json' $(GOLDEN_DIR) "$$out"
 

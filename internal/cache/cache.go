@@ -212,8 +212,10 @@ func (c *Cache) BlockAddr(addr mem.PAddr) mem.PAddr {
 // On a hit the caller sets Dirty[set] for a write and accumulates
 // Stats.Hits batch-locally; replacement clock/LRU state is skipped,
 // which is invisible for a direct-mapped cache (the victim choice
-// never consults it). On a miss — or a sentinel-valued probe tag — the
-// caller falls back to Hit/Access, which handle every case exactly.
+// never consults it). On a miss the caller completes the reference
+// with Access. A sentinel-valued probe tag is rejected as a miss, so a
+// caller whose addresses can produce one must also probe with Hit,
+// which handles every case exactly.
 type DMHot struct {
 	Tags       []uint64
 	Dirty      []bool

@@ -192,37 +192,34 @@ func (c *Coordinator) Renew(req RenewRequest) error {
 	return nil
 }
 
-// Complete records one finished cell. A result is persisted to the
-// disk store (when one is attached) only while its key has an active
-// task, so a completion cannot write a key the coordinator is not
-// waiting on into the shared results store. Results for unknown or
-// already-finished cells are accepted idempotently but dropped: after a
-// coordinator restart a worker may stream back cells the new
-// coordinator never leased, and those cells are simulated again if a
-// job asks for them. Unknown workers get ErrUnknownWorker so they
-// re-register, but their result for an active task is still kept.
+// Complete records one finished cell. Only the worker holding the
+// cell's lease can complete it: its result is persisted to the disk
+// store (when one is attached) and resolves the task, and its error
+// requeues the cell or, after MaxAttempts, fails it. A completion from
+// any other worker, or for a key with no active task, is accepted and
+// dropped: it stores nothing, resolves nothing and requeues nothing,
+// so no caller can replace a result a job is waiting on or write a key
+// the coordinator is not waiting on into the shared results store.
+// After a coordinator restart a worker may stream back cells the new
+// coordinator never leased; those cells are simulated again if a job
+// asks for them. Unknown workers get ErrUnknownWorker so they
+// re-register; they hold no lease, since a worker's leases are
+// requeued when it is removed.
 func (c *Coordinator) Complete(req CompleteRequest) error {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	w, known := c.workers[req.WorkerID]
-	if known {
-		w.lastSeen = time.Now()
-		delete(w.inflight, req.Key)
+	if !known {
+		return ErrUnknownWorker
 	}
+	w.lastSeen = time.Now()
 	t, active := c.tasks[req.Key]
-	if active && req.Error == "" && len(req.Report) > 0 {
-		c.cfg.Disk.Put(req.Key, req.Report)
-	}
-	if !active {
-		c.mu.Unlock()
-		if !known {
-			return ErrUnknownWorker
-		}
+	if !active || t.leasedBy != w.id {
 		return nil
 	}
+	delete(w.inflight, req.Key)
 	if req.Error != "" {
-		if known {
-			w.cellsFailed++
-		}
+		w.cellsFailed++
 		if t.attempts >= c.cfg.MaxAttempts {
 			c.cfg.Stats.Add(metrics.SvcFleetFailed, 1)
 			c.finishLocked(t, nil, fmt.Errorf("fleet: cell %s (%s @ %d MHz / %d B) failed after %d attempts: %s",
@@ -230,21 +227,14 @@ func (c *Coordinator) Complete(req CompleteRequest) error {
 		} else {
 			c.requeueLocked(t)
 		}
-		c.mu.Unlock()
-		if !known {
-			return ErrUnknownWorker
-		}
 		return nil
 	}
-	if known {
-		w.cellsDone++
+	if len(req.Report) > 0 {
+		c.cfg.Disk.Put(req.Key, req.Report)
 	}
+	w.cellsDone++
 	c.cfg.Stats.Add(metrics.SvcFleetCompleted, 1)
 	c.finishLocked(t, req.Report, nil)
-	c.mu.Unlock()
-	if !known {
-		return ErrUnknownWorker
-	}
 	return nil
 }
 

@@ -236,6 +236,49 @@ func TestCoordinatorIdempotentComplete(t *testing.T) {
 	}
 }
 
+// TestCoordinatorOnlyLeaseHolderCompletes pins who may complete a
+// cell: a registered worker that does not hold the cell's lease
+// completes it with forged bytes, then with an error, and neither
+// stores, resolves or requeues anything; the holder's completion then
+// resolves the waiting Execute with its own bytes, which the disk store
+// keeps.
+func TestCoordinatorOnlyLeaseHolderCompletes(t *testing.T) {
+	disk, err := jobs.NewDiskStore(t.TempDir(), 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, _ := testCoordinator(t, func(cfg *CoordinatorConfig) {
+		cfg.Disk = disk
+		cfg.LeaseTTL = time.Minute // no lease may expire mid-test
+	})
+	holder, intruder := register(t, c, "holder"), register(t, c, "intruder")
+	resCh, errCh := execAsync(c, fakeCells(1))
+	cell := leaseAll(t, c, holder, 1)[0]
+	for _, forged := range []CompleteRequest{
+		{WorkerID: intruder, Key: cell.Key, Report: []byte(`{"forged":true}`)},
+		{WorkerID: intruder, Key: cell.Key, Error: "forged failure"},
+	} {
+		if err := c.Complete(forged); err != nil {
+			t.Fatalf("non-holder completion: %v, want it accepted and dropped", err)
+		}
+	}
+	if data, ok := disk.Get(cell.Key); ok {
+		t.Fatalf("a non-holder's completion was stored: %q", data)
+	}
+	if st := c.Status(); st.Pending != 0 || st.Leased != 1 {
+		t.Fatalf("after the non-holder's completions: %d pending, %d leased; want the cell still leased", st.Pending, st.Leased)
+	}
+	if err := c.Complete(CompleteRequest{WorkerID: holder, Key: cell.Key, Report: []byte("holder")}); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := <-resCh, <-errCh; err != nil || string(res[0]) != "holder" {
+		t.Fatalf("Execute = %q, %v; want the holder's bytes", res, err)
+	}
+	if data, ok := disk.Get(cell.Key); !ok || string(data) != "holder" {
+		t.Errorf("disk store holds %q, %v; want the holder's bytes", data, ok)
+	}
+}
+
 // TestCoordinatorMaxAttempts pins the poison-cell bound: a cell whose
 // execution keeps failing is retried MaxAttempts times, then the
 // waiting job gets the error instead of spinning forever.

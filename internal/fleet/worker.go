@@ -273,24 +273,17 @@ func (w *Worker) renew(ctx context.Context, keys []string) {
 }
 
 // complete retries with backoff: a result the worker spent real
-// simulation time on should survive a transient coordinator blip
-// (e.g. a restart). Unknown-worker answers re-register and resend —
-// the coordinator accepts results from any registered worker.
+// simulation time on should survive a transient coordinator blip. An
+// unknown-worker answer ends it: the worker's registration, and with it
+// every lease it held, is gone (the coordinator restarted, or reaped
+// the worker as silent), and the coordinator counts only the lease
+// holder's completion. Run re-registers at its next lease.
 func (w *Worker) complete(ctx context.Context, req CompleteRequest) {
+	req.WorkerID = w.id
 	backoff := 200 * time.Millisecond
 	for attempt := 0; attempt < 6; attempt++ {
-		req.WorkerID = w.id
 		err := w.post(ctx, "/fleet/v1/complete", req, &struct{}{})
-		if err == nil {
-			return
-		}
-		if errors.Is(err, ErrUnknownWorker) {
-			if w.register(ctx) != nil {
-				return
-			}
-			continue
-		}
-		if ctx.Err() != nil {
+		if err == nil || errors.Is(err, ErrUnknownWorker) || ctx.Err() != nil {
 			return
 		}
 		w.logf("complete %s failed (%v), retrying in %v", shortKey(req.Key), err, backoff)

@@ -18,11 +18,14 @@ type deepChecker interface {
 }
 
 // deepCheckInterval is the number of scheduler ticks between deep
-// machine-state checks. Deep checks walk every cache line and TLB
-// entry, so running them on every tick would dominate the simulation;
-// every 1024 ticks catches corruption within one scheduling window of
-// where it happened while keeping verification runs tractable.
-const deepCheckInterval = 1024
+// machine-state checks. The scheduler ticks once per window, and a
+// window runs up to a time slice, a page arrival or a blocking fault.
+// Deep checks walk every cache line and TLB entry, so running them on
+// every tick would dominate a switch-on-miss run, which ticks at every
+// fault; every 64 ticks checks a default-scale rampage-cs cell
+// thousands of times mid-run and a rampage cell a few times, at about
+// the cost of an unverified run.
+const deepCheckInterval = 64
 
 // InvariantChecker is a metrics.Observer that asserts machine-level
 // invariants online while a simulation runs. Attach it with

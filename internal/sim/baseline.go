@@ -249,27 +249,24 @@ func (b *Baseline) translate(ref mem.Ref) (mem.PAddr, error) {
 	return mem.PAddr(frame<<12 | off), nil
 }
 
-// accessL1 implements fusedMachine: it runs the reference through the
-// split L1 and, on a miss, the L2 and DRAM levels, charging time per
-// §4.3–4.4.
+// accessL1 runs a per-reference path's reference through the split L1
+// and, on a miss, the L2 and DRAM levels, charging time per §4.3–4.4.
 func (b *Baseline) accessL1(kind mem.RefKind, pa mem.PAddr) {
-	side := b.l1.side(kind)
-	if kind == mem.IFetch {
-		// Only instruction fetches add to run time on a hit (§4.3).
-		b.rep.Charge(stats.L1I, 1)
-	}
-	if side.Hit(pa, kind == mem.Store) {
+	if b.l1.side(kind).Hit(pa, kind == mem.Store) {
+		b.chargeFetch(kind)
 		return
 	}
-	b.l1Fill(side, kind, pa)
+	b.missL1(kind, pa)
 }
 
-// l1Fill completes an L1 miss: fill (write-allocate), miss charge, the
-// L2 access, and the dirty-eviction write-back. The fill runs before
-// the L2 access, exactly as the combined Access path did, so inclusion
-// purges triggered by L2 evictions see the same L1 state.
-func (b *Baseline) l1Fill(side *cache.Cache, kind mem.RefKind, pa mem.PAddr) {
-	res := side.Access(pa, kind == mem.Store)
+// missL1 implements fusedMachine: the fetch charge, then the fill
+// (write-allocate), miss charge, the L2 access, and the dirty-eviction
+// write-back. The fill runs before the L2 access, exactly as the
+// combined Access path did, so inclusion purges triggered by L2
+// evictions see the same L1 state.
+func (b *Baseline) missL1(kind mem.RefKind, pa mem.PAddr) {
+	b.chargeFetch(kind)
+	res := b.l1.side(kind).Access(pa, kind == mem.Store)
 	if kind == mem.IFetch {
 		b.rep.L1IMisses++
 	} else {

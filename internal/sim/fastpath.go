@@ -20,15 +20,22 @@ import (
 // whose block is in a direct-mapped L1 — into a single branch-
 // predictable loop over flattened columnar views (tlb.Hot, cache.DMHot
 // and, on RAMpage, the SRAM page table's dirty column). An L1 miss is
-// completed inside the run by the machine's accessL1; every reference
+// completed inside the run by the machine's missL1; every reference
 // the run does not finish runs the machine's execOne, the code Exec
 // runs. Each machine supplies only what differs, through fusedMachine.
 // Statistics for fused references accumulate in run-local counters and
 // are flushed before any call into the machine, so every observable
 // value (reports, level times, cache/TLB/core counters) is bit-
-// identical to repeated Exec calls. The fused runs are gated on
-// obs == nil: with probes attached the per-event observer streams must
-// stay intact, so every reference runs execOne.
+// identical to repeated Exec calls.
+//
+// Observed and verified runs take the same path. The one observer
+// event a fused reference raises, EvTLBHit, is flushed with the run
+// counters and delivered as a single count when the run returns
+// (observeTLBHits); misses, faults and transfers reach the observer
+// through the machine, as on the per-reference path. Every reference
+// runs execOne only where the fused views cannot serve it: a
+// set-associative L1, a kernel-PID window, or a prefetched page in
+// flight.
 //
 // A fused run never looks at the clock per reference. Where it must
 // stop at a cycle — the caller's deadline, or the next in-flight page
@@ -49,9 +56,12 @@ import (
 
 // fusedMachine is what a machine supplies to the shared loops.
 type fusedMachine interface {
-	// accessL1 completes a reference whose fused L1 probe missed: the
-	// fetch charge, the L1 lookup and the fill from the level below.
-	accessL1(kind mem.RefKind, pa mem.PAddr)
+	// missL1 completes a reference whose fused L1 probe missed: the
+	// fetch charge and the fill from the level below, without probing
+	// the L1 again. The probe's miss is exact: a real tag equals
+	// cache.TagInvalid only at a physical address with every bit set,
+	// far past either machine's memory.
+	missL1(kind mem.RefKind, pa mem.PAddr)
 	// execOne runs one reference on the per-reference path. A non-zero
 	// return is the cycle its page arrives: it did not execute.
 	execOne(ref mem.Ref, class RefClass) (mem.Cycles, error)
@@ -73,6 +83,9 @@ type frontEnd struct {
 	l1  l1pair
 	rep stats.Report
 	obs metrics.Observer // nil unless probing is attached
+	// obsTLBHits counts the TLB hits the fused runs have flushed but not
+	// yet delivered to obs (tlb.Lookup counts the per-reference path's).
+	obsTLBHits uint64
 
 	dm       bool // both L1 sides are direct-mapped: the fused runs may run
 	l1i, l1d cache.DMHot
@@ -113,6 +126,14 @@ func (f *frontEnd) AdvanceTo(t mem.Cycles) {
 	}
 }
 
+// chargeFetch charges an instruction fetch's one L1i cycle, hit or
+// miss: only instruction fetches add to run time on an L1 hit (§4.3).
+func (f *frontEnd) chargeFetch(kind mem.RefKind) {
+	if kind == mem.IFetch {
+		f.rep.Charge(stats.L1I, 1)
+	}
+}
+
 var errPinnedFault = errors.New("sim: pinned OS reference faulted")
 
 // execBatch is both machines' ExecBatchColumnar. While the fused path
@@ -122,7 +143,7 @@ var errPinnedFault = errors.New("sim: pinned OS reference faulted")
 // which unpins them itself. A blocking reference stops the batch
 // unconsumed, exactly like Exec.
 func (f *frontEnd) execBatch(m fusedMachine, pid mem.PID, kinds []mem.RefKind, addrs []mem.VAddr, until mem.Cycles) (int, mem.Cycles, error) {
-	fused := f.dm && f.obs == nil && pid != mem.KernelPID
+	fused := f.dm && pid != mem.KernelPID
 	for i := 0; i < len(kinds); {
 		if i > 0 && until != 0 && f.rep.Cycles >= until {
 			return i, 0, nil
@@ -133,6 +154,7 @@ func (f *frontEnd) execBatch(m fusedMachine, pid mem.PID, kinds []mem.RefKind, a
 				limit := earlier(until, next)
 				end := i + runLimit(len(kinds)-i, f.rep.Cycles, limit)
 				n, block, err := f.runUser(m, pid, kinds[i:end], addrs[i:end], limit)
+				f.observeTLBHits()
 				i += n
 				if err != nil || block != 0 {
 					return i, block, err
@@ -153,7 +175,7 @@ func (f *frontEnd) execBatch(m fusedMachine, pid mem.PID, kinds []mem.RefKind, a
 // trace, which has no deadline. Operating-system references are pinned
 // (§4.6), so a reference that blocks is an error.
 func (f *frontEnd) execTrace(m fusedMachine, refs []mem.Ref, class RefClass) error {
-	fused := f.dm && f.obs == nil
+	fused := f.dm
 	for i := 0; i < len(refs); {
 		if fused {
 			next := m.arrivals()
@@ -250,7 +272,7 @@ func (f *frontEnd) runUser(m fusedMachine, pid mem.PID, kinds []mem.RefKind, add
 			}
 			f.flush(benchRefs, tlbHits, tlbHits, l1iHits, l1dHits)
 			tlbHits, l1iHits, l1dHits = 0, 0, 0
-			m.accessL1(kind, mem.PAddr(pa))
+			m.missL1(kind, mem.PAddr(pa))
 		} else {
 			// True TLB miss: the per-reference miss machinery. A fault
 			// that starts a transfer either blocks (switch-on-miss) or
@@ -313,7 +335,7 @@ func (f *frontEnd) runTrace(m fusedMachine, refs []mem.Ref, class RefClass, limi
 			}
 			f.flush(classCounter, count, 0, l1iHits, l1dHits)
 			count, l1iHits, l1dHits = 0, 0, 0
-			m.accessL1(ref.Kind, mem.PAddr(off))
+			m.missL1(ref.Kind, mem.PAddr(off))
 		} else {
 			// A user reference or an out-of-range kernel address: the
 			// per-reference path, which also produces the exact error
@@ -343,19 +365,31 @@ func (f *frontEnd) runTrace(m fusedMachine, refs []mem.Ref, class RefClass, limi
 // statistics: n references added to refs, their class's report counter
 // (classRefs), tlbHits of them user TLB hits (a kernel translation
 // counts as a core translation but not a TLB hit), and the L1 hits of
-// each side, each L1i hit charging its one-cycle fetch. The runs
-// resolve refs once, outside the loop, which keeps flush small enough
-// to inline at every call.
+// each side, each L1i hit charging its one-cycle fetch. The TLB hits
+// also wait in obsTLBHits for observeTLBHits. The runs resolve refs
+// once, outside the loop, and the observer call waits for the run's
+// end; both keep flush small enough to inline at every call.
 func (f *frontEnd) flush(refs *uint64, n, tlbHits, l1iHits, l1dHits uint64) {
 	*refs += n
 	f.rep.TLBHits += tlbHits
 	f.tlbHot.Stats.Hits += tlbHits
+	f.obsTLBHits += tlbHits
 	if f.translations != nil {
 		*f.translations += n
 	}
 	f.rep.Charge(stats.L1I, mem.Cycles(l1iHits))
 	f.l1i.Stats.Hits += l1iHits
 	f.l1d.Stats.Hits += l1dHits
+}
+
+// observeTLBHits delivers the TLB hits the fused runs flushed since its
+// last call to the observer, as one EvTLBHit count: the per-reference
+// path's tlb.Lookup counts one per hit.
+func (f *frontEnd) observeTLBHits() {
+	if f.obs != nil && f.obsTLBHits != 0 {
+		f.obs.Count(metrics.EvTLBHit, f.obsTLBHits)
+	}
+	f.obsTLBHits = 0
 }
 
 // classRefs returns the report counter of class's executed references.

@@ -8,17 +8,9 @@ import (
 
 	"rampage/internal/checkpoint"
 	"rampage/internal/mem"
-	"rampage/internal/metrics"
 	"rampage/internal/stats"
+	"rampage/internal/synth"
 )
-
-// nopObserver records nothing. Attaching it sends a machine down its
-// per-reference path, the reference for the fused paths.
-type nopObserver struct{}
-
-func (nopObserver) Count(metrics.Event, uint64)   {}
-func (nopObserver) Observe(metrics.Event, uint64) {}
-func (nopObserver) Tick(uint64)                   {}
 
 // stateBytes is the machine's checkpoint payload.
 func stateBytes(m Snapshotter) []byte {
@@ -27,20 +19,29 @@ func stateBytes(m Snapshotter) []byte {
 	return e.Bytes()
 }
 
+// perReference switches a machine's fused views off, as a
+// set-associative L1 does: every reference then runs execOne, the
+// reference for the fused paths.
+func perReference(m *RAMpage) *RAMpage {
+	m.dm = false
+	return m
+}
+
 // TestFusedRunsUnpinOnArrival drives two switch-on-miss machines the
-// same way, one with a no-op observer (the per-reference path) and one
-// without (the fused paths): a user reference faults and blocks, then a
-// kernel trace runs across the page's arrival; another reference
-// faults, and a window of TLB and L1 hits runs across that arrival.
+// same way, one on the per-reference path and one on the fused paths:
+// a user reference faults and blocks, then a kernel trace runs across
+// the page's arrival; another reference faults, and a window of TLB
+// and L1 hits runs across that arrival. Then a kernel trace and a user
+// window each end just past an arrival, pushed past it by an L1 miss.
 // The checkpoint bytes must agree after every step. The per-reference
 // path unpins a page before the first reference that starts at or
 // after its arrival, so a fused run that let the unpin wait for its
-// next fallback would leave the page pinned and in flight.
+// next fallback, or ran on past the arrival to its end, would leave
+// the page pinned and in flight.
 func TestFusedRunsUnpinOnArrival(t *testing.T) {
 	for _, page := range []uint64{128, 1024} {
 		t.Run(fmt.Sprintf("%dB", page), func(t *testing.T) {
-			fused, perRef := testRAMpage(t, 1000, page, true), testRAMpage(t, 1000, page, true)
-			perRef.SetObserver(nopObserver{})
+			fused, perRef := testRAMpage(t, 1000, page, true), perReference(testRAMpage(t, 1000, page, true))
 			step := func(what string, run func(m *RAMpage) error) {
 				t.Helper()
 				for _, m := range []*RAMpage{fused, perRef} {
@@ -96,6 +97,41 @@ func TestFusedRunsUnpinOnArrival(t *testing.T) {
 			if len(fused.inFlight) != 0 {
 				t.Fatalf("%d pages still in flight after the window; it does not span the arrival", len(fused.inFlight))
 			}
+
+			// Each run below is one reference shorter than the cycles left
+			// before the page lands, so the fused path sizes it to run
+			// whole; its first reference misses in L1, which pushes the
+			// clock past the arrival before the run ends.
+			justPast := func(what string, run func(m *RAMpage, n int) error) {
+				t.Helper()
+				n := int(fused.inFlight[0].ready-fused.Now()) - 1
+				misses := fused.rep.L1IMisses
+				step(what, func(m *RAMpage) error { return run(m, n) })
+				if fused.rep.L1IMisses == misses || len(fused.inFlight) != 0 {
+					t.Fatalf("%s: %d L1i misses, %d pages in flight; the run does not end past the arrival",
+						what, fused.rep.L1IMisses-misses, len(fused.inFlight))
+				}
+			}
+			step("fault on a fourth data page", block(uref(1, mem.Load, 0x100000)))
+			justPast("kernel trace that ends past the arrival", func(m *RAMpage, n int) error {
+				trace := make([]mem.Ref, n)
+				for i := range trace {
+					trace[i] = kref(mem.IFetch, synth.KernelFixedBytes-32+uint64(i%8)*4)
+				}
+				return m.ExecTrace(trace, ClassSwitch)
+			})
+			step("fault on a fifth data page", block(uref(1, mem.Load, 0x140000)))
+			justPast("window that ends past the arrival", func(m *RAMpage, n int) error {
+				kinds, addrs := make([]mem.RefKind, n), make([]mem.VAddr, n)
+				for i := range kinds {
+					kinds[i], addrs[i] = mem.IFetch, code.Addr+32+mem.VAddr(i%8)*4
+				}
+				consumed, until, err := m.ExecBatchColumnar(1, kinds, addrs, 0)
+				if err == nil && (consumed != n || until != 0) {
+					err = fmt.Errorf("ExecBatchColumnar = %d, %d", consumed, until)
+				}
+				return err
+			})
 		})
 	}
 }
@@ -121,26 +157,21 @@ func deadlineStreams() [][]mem.Ref {
 	return streams
 }
 
-// TestSchedulerDeadlinesMatchObservedRun runs deadlineStreams to a
-// spread of budgets twice: with an observer attached, which keeps the
-// scheduler's windows to one reference while a page is in flight and
-// the machine on its per-reference path, and without, where whole
-// windows run up to the earliest page arrival. The reports and the
-// checkpoint payloads must be identical at every budget, so a window
-// that runs past an arrival, or an unpin that lands late, shows up at
-// the budget that cuts it.
-func TestSchedulerDeadlinesMatchObservedRun(t *testing.T) {
+// TestSchedulerDeadlinesMatchPerReferenceRun runs deadlineStreams to a
+// spread of budgets twice: on the fused paths, where whole windows run
+// up to the earliest page arrival, and on the per-reference path, where
+// the machine checks the deadline before every reference. The reports
+// and the checkpoint payloads must be identical at every budget, so a
+// fused run that runs past an arrival, or an unpin that lands late,
+// shows up at the budget that cuts it.
+func TestSchedulerDeadlinesMatchPerReferenceRun(t *testing.T) {
 	streams := deadlineStreams()
 	cfg := SchedulerConfig{Quantum: 5000, InsertSwitchTrace: true, Seed: 5}
 	for budget := uint64(701); budget <= 3*16000; budget += 1999 {
+		cfg.MaxRefs = budget
 		var reps [2]*stats.Report
 		var payloads [2][]byte
-		for i, obs := range []metrics.Observer{nil, nopObserver{}} {
-			m := testRAMpage(t, 1000, 1024, true)
-			cfg.MaxRefs, cfg.Observer = budget, obs
-			if obs != nil {
-				m.SetObserver(obs)
-			}
+		for i, m := range []*RAMpage{testRAMpage(t, 1000, 1024, true), perReference(testRAMpage(t, 1000, 1024, true))} {
 			s, rep, err := runRefill(t, m, captured(streams), cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -154,7 +185,7 @@ func TestSchedulerDeadlinesMatchObservedRun(t *testing.T) {
 			t.Fatalf("budget %d: no switch on a miss", budget)
 		}
 		if !reflect.DeepEqual(reps[0], reps[1]) {
-			t.Fatalf("budget %d: reports differ:\n fused:    %+v\n observed: %+v", budget, reps[0], reps[1])
+			t.Fatalf("budget %d: reports differ:\n fused:         %+v\n per-reference: %+v", budget, reps[0], reps[1])
 		}
 		if !bytes.Equal(payloads[0], payloads[1]) {
 			t.Fatalf("budget %d: checkpoint payloads differ", budget)

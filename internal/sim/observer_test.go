@@ -78,6 +78,25 @@ func TestObserverDoesNotPerturbReport(t *testing.T) {
 	})
 }
 
+// minHitsPerCall bounds how the scheduled run below delivers EvTLBHit:
+// on average at least this many hits per Count call. The per-reference
+// path makes one call a hit; the fused runs, which deliver a run's hits
+// at once, made about 25 hits a call on this workload.
+const minHitsPerCall = 10
+
+// hitCalls counts the Count calls that deliver EvTLBHit.
+type hitCalls struct {
+	metrics.Observer
+	calls uint64
+}
+
+func (o *hitCalls) Count(e metrics.Event, n uint64) {
+	if e == metrics.EvTLBHit {
+		o.calls++
+	}
+	o.Observer.Count(e, n)
+}
+
 // TestObserverCountsMatchReport pins the probe sites that mirror a
 // Report counter one-for-one: the collector and the report must agree
 // exactly.
@@ -125,6 +144,44 @@ func TestObserverCountsMatchReport(t *testing.T) {
 		if h.Count != rep.DRAMTransfers || h.Sum != rep.DRAMBytes {
 			t.Errorf("dram transfers: collector %d/%d bytes, report %d/%d bytes",
 				h.Count, h.Sum, rep.DRAMTransfers, rep.DRAMBytes)
+		}
+	})
+	// A scheduled switch-on-miss run takes the fused paths with the
+	// observer attached, pages in flight included: the hits a fused run
+	// flushes must reach the observer, in batches, not one call a hit.
+	t.Run("rampage-cs-scheduled", func(t *testing.T) {
+		m := testRAMpage(t, 1000, 1024, true)
+		col := metrics.NewCollector(0)
+		obs := &hitCalls{Observer: col}
+		m.SetObserver(obs)
+		cfg := SchedulerConfig{Quantum: 5000, InsertSwitchTrace: true, Seed: 5, Observer: obs}
+		if _, _, err := runRefill(t, m, captured(deadlineStreams()), cfg); err != nil {
+			t.Fatal(err)
+		}
+		rep := m.Report()
+		counts := col.Counts()
+		h := col.Hist(metrics.EvDRAMTransfer)
+		for _, c := range []struct {
+			what      string
+			got, want uint64
+		}{
+			{"tlb hits", counts[metrics.EvTLBHit], rep.TLBHits},
+			{"page faults", counts[metrics.EvPageFault], rep.PageFaults},
+			{"switches on misses", counts[metrics.EvSwitchOnMiss], rep.SwitchesOnMiss},
+			{"context switches", counts[metrics.EvContextSwitch], rep.Switches},
+			{"dram transfers", h.Count, rep.DRAMTransfers},
+			{"dram bytes", h.Sum, rep.DRAMBytes},
+		} {
+			if c.want == 0 {
+				t.Errorf("%s: the report has none; the run does not exercise the probe", c.what)
+			}
+			if c.got != c.want {
+				t.Errorf("%s: collector %d, report %d", c.what, c.got, c.want)
+			}
+		}
+		t.Logf("%d TLB hits in %d Count calls", rep.TLBHits, obs.calls)
+		if obs.calls*minHitsPerCall > rep.TLBHits {
+			t.Errorf("%d TLB hits arrived in %d Count calls, want at least %d hits a call", rep.TLBHits, obs.calls, minHitsPerCall)
 		}
 	})
 }

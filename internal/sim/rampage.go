@@ -389,20 +389,23 @@ func (r *RAMpage) applyVictim(f *core.Fault) bool {
 	return writeback
 }
 
-// accessL1 implements fusedMachine: it runs the reference through the
-// split L1. After translation
-// the data is guaranteed resident in the SRAM main memory — full
-// associativity with no tag check (§2.2) — so an L1 miss costs exactly
-// the SRAM access penalty and never goes deeper.
+// accessL1 runs a per-reference path's reference through the split
+// L1. After translation the data is guaranteed resident in the SRAM
+// main memory — full associativity with no tag check (§2.2) — so an L1
+// miss costs exactly the SRAM access penalty and never goes deeper.
 func (r *RAMpage) accessL1(kind mem.RefKind, pa mem.PAddr) {
-	side := r.l1.side(kind)
-	if kind == mem.IFetch {
-		r.rep.Charge(stats.L1I, 1)
-	}
-	if side.Hit(pa, kind == mem.Store) {
+	if r.l1.side(kind).Hit(pa, kind == mem.Store) {
+		r.chargeFetch(kind)
 		return
 	}
-	res := side.Access(pa, kind == mem.Store)
+	r.missL1(kind, pa)
+}
+
+// missL1 implements fusedMachine: the fetch charge, then the fill and
+// the SRAM access penalty, plus the write-back of a dirty victim.
+func (r *RAMpage) missL1(kind mem.RefKind, pa mem.PAddr) {
+	r.chargeFetch(kind)
+	res := r.l1.side(kind).Access(pa, kind == mem.Store)
 	if kind == mem.IFetch {
 		r.rep.L1IMisses++
 	} else {

@@ -115,9 +115,11 @@ type SchedulerConfig struct {
 	// application references (for smoke tests and quick sweeps).
 	MaxRefs uint64
 	// Observer, when non-nil, receives scheduling events (context
-	// switches) and periodic Tick calls with the simulated time so it
-	// can cut interval snapshots. It never influences scheduling: the
-	// report is bit-identical with or without one attached.
+	// switches) and a Tick with the simulated time before every window,
+	// so it can cut interval snapshots at window boundaries. It never
+	// influences scheduling or the windows: the run executes the same
+	// calls, and its report is bit-identical, with or without one
+	// attached.
 	Observer metrics.Observer
 }
 
@@ -270,13 +272,13 @@ func NewScheduler(m Machine, readers []trace.Reader, cfg SchedulerConfig) (*Sche
 //     where the resume-on-arrival check preempts. The window's first
 //     reference runs whatever the clock reads, as one reference runs
 //     after every preemption check;
-//   - with an Observer attached it shrinks to a single reference while
-//     a page is in flight, so Tick fires before every such reference
-//     (the machines run per reference under an observer anyway);
 //   - a blocking reference is left unconsumed at the window cursor and
 //     retried when its process next runs;
 //   - MaxRefs caps it, and a stream error surfaces only after every
-//     reference read before it has executed.
+//     reference read before it has executed;
+//   - an Observer does not size it: the Observer's Tick fires once
+//     before each window, and the machine runs observed and plain
+//     windows on the same path.
 func (s *Scheduler) Run(ctx context.Context) (*stats.Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -334,9 +336,6 @@ func (s *Scheduler) Run(ctx context.Context) (*stats.Report, error) {
 		window := uint64(len(kinds))
 		if window > p.sliceLeft {
 			window = p.sliceLeft
-		}
-		if s.cfg.Observer != nil && s.wakeAt != 0 {
-			window = 1 // observed: one Tick per reference while a page is in flight
 		}
 		if s.cfg.MaxRefs > 0 {
 			if left := s.cfg.MaxRefs - s.executed; window > left {
