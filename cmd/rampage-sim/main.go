@@ -62,7 +62,7 @@ func main() {
 		channels    = flag.Int("channels", 1, "stripe the DRAM across N Rambus channels")
 		traceFile   = flag.String("tracefile", "", "replay a binary trace file instead of the synthetic workload, on the machine -system, -scale and the spec flags build (no scheduler; not for rampage-cs)")
 		format      = flag.String("format", "text", "output format: text, json (versioned report document)")
-		snapEvery   = flag.Uint64("snapinterval", 0, "with -format json: cut a metrics snapshot every N simulated cycles (0 = none)")
+		snapEvery   = flag.Uint64("snapinterval", 0, "with -format json: cut a metrics snapshot every N simulated cycles (0 = none); snapshots fall at scheduler window boundaries, so a window that passes several boundaries cuts one snapshot and counts the rest as snapshots_skipped")
 	)
 	flag.Parse()
 

@@ -64,7 +64,9 @@ func (c *Checkpoint) Encode() []byte {
 
 // Decode parses an encoded checkpoint, rejecting truncated or corrupt
 // input without panicking. Unknown format versions are refused —
-// old checkpoints are invalidated, never misread.
+// old checkpoints are invalidated, never misread. The payload is a
+// sub-slice of b, not a copy: a restore only reads it, and the store
+// never mutates the records it hands out.
 func Decode(b []byte) (*Checkpoint, error) {
 	d := NewDec(b)
 	if m := d.U32(); d.Err() == nil && m != magic {
@@ -85,8 +87,7 @@ func Decode(b []byte) (*Checkpoint, error) {
 	if d.Remaining() < n {
 		return nil, fmt.Errorf("checkpoint: truncated payload: need %d bytes, have %d", n, d.Remaining())
 	}
-	c.Payload = make([]byte, n)
-	copy(c.Payload, d.buf[d.off:d.off+n])
+	c.Payload = d.buf[d.off : d.off+n : d.off+n]
 	d.off += n
 	d.Marker(MarkEnd)
 	if err := d.Err(); err != nil {

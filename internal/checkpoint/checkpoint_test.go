@@ -367,3 +367,40 @@ func FuzzCheckpointRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// TestBoolsPacked pins the flag-column encoding: eight flags to a byte
+// behind the flag count, decoded back exactly for every length across
+// byte boundaries, with a set bit past the last flag refused.
+func TestBoolsPacked(t *testing.T) {
+	for n := 0; n <= 17; n++ {
+		flags := make([]bool, n)
+		for i := range flags {
+			flags[i] = i%3 != 1
+		}
+		e := NewEnc()
+		e.Bools(flags)
+		if got, want := len(e.Bytes()), 4+(n+7)/8; got != want {
+			t.Fatalf("%d flags encode to %d bytes, want %d", n, got, want)
+		}
+		got := make([]bool, n)
+		d := NewDec(e.Bytes())
+		d.BoolsInto(got)
+		if d.Err() != nil || d.Remaining() != 0 {
+			t.Fatalf("%d flags: decode error %v, %d bytes left", n, d.Err(), d.Remaining())
+		}
+		for i := range flags {
+			if got[i] != flags[i] {
+				t.Fatalf("%d flags: flag %d decoded as %v", n, i, got[i])
+			}
+		}
+		if n%8 != 0 {
+			forged := append([]byte(nil), e.Bytes()...)
+			forged[len(forged)-1] |= 0x80
+			d := NewDec(forged)
+			d.BoolsInto(make([]bool, n))
+			if d.Err() == nil {
+				t.Errorf("%d flags: a set bit past the last flag decoded", n)
+			}
+		}
+	}
+}

@@ -24,7 +24,10 @@ import (
 // FormatVersion is the on-disk format version. It is baked into the
 // encoded header and the content-address prefix, so any incompatible
 // codec change invalidates old checkpoints instead of misdecoding them.
-const FormatVersion = 1
+// Version 2 stores only live state: the page table's chained frames,
+// the SRAM backing map's pages in first-touch order, no use stamps for
+// direct-mapped caches, and flag columns eight to a byte.
+const FormatVersion = 2
 
 // magic identifies a checkpoint byte stream.
 const magic = 0x52504B31 // "RPK1"
@@ -52,6 +55,9 @@ func (e *Enc) Bool(v bool) {
 		e.U8(0)
 	}
 }
+
+// U16 appends a little-endian uint16.
+func (e *Enc) U16(v uint16) { e.buf = binary.LittleEndian.AppendUint16(e.buf, v) }
 
 // U32 appends a little-endian uint32.
 func (e *Enc) U32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
@@ -109,11 +115,18 @@ func (e *Enc) U8s(v []uint8) {
 	e.buf = append(e.buf, v...)
 }
 
-// Bools appends a length-prefixed []bool.
+// Bools appends a length-prefixed []bool, eight to a byte, low bit
+// first; the unused high bits of the last byte are zero.
 func (e *Enc) Bools(v []bool) {
 	e.U32(uint32(len(v)))
-	for _, x := range v {
-		e.Bool(x)
+	for i := 0; i < len(v); i += 8 {
+		var b byte
+		for j, x := range v[i:min(i+8, len(v))] {
+			if x {
+				b |= 1 << j
+			}
+		}
+		e.U8(b)
 	}
 }
 
@@ -225,6 +238,19 @@ func (d *Dec) String() string {
 	return s
 }
 
+// Take consumes the next n bytes and returns them, aliasing the input,
+// or nil when fewer remain. A decoder reads a section of fixed-size
+// entries with one Take after its Count, then decodes the entries
+// without a bounds check each.
+func (d *Dec) Take(n int) []byte {
+	if !d.need(n) {
+		return nil
+	}
+	b := d.buf[d.off : d.off+n : d.off+n]
+	d.off += n
+	return b
+}
+
 // Count reads the entry count of a variable-length section whose
 // entries take entryBytes each, and fails unless the unread bytes can
 // hold that many entries: a forged count must not make a decoder size
@@ -297,18 +323,24 @@ func (d *Dec) U8sInto(dst []uint8) {
 	d.off += len(dst)
 }
 
-// BoolsInto decodes a []bool into dst, requiring equal length.
+// BoolsInto decodes a []bool into dst, requiring equal length and
+// rejecting a set bit past the last flag, so a decode accepts exactly
+// the bytes Bools writes.
 func (d *Dec) BoolsInto(dst []bool) {
-	if !d.length(len(dst)) || !d.need(len(dst)) {
+	n := (len(dst) + 7) / 8
+	if !d.length(len(dst)) || !d.need(n) {
 		return
 	}
-	for i := range dst {
-		b := d.buf[d.off]
-		d.off++
-		if b > 1 {
-			d.Fail("bad bool byte %d at offset %d", b, d.off-1)
-			return
-		}
-		dst[i] = b == 1
+	packed := d.buf[d.off : d.off+n]
+	if pad := uint(len(dst) % 8); pad != 0 && packed[n-1]>>pad != 0 {
+		d.Fail("bad bool byte %#x at offset %d: bits set past flag %d", packed[n-1], d.off+n-1, len(dst))
+		return
 	}
+	for i, b := range packed {
+		flags := dst[8*i : min(8*i+8, len(dst))]
+		for j := range flags {
+			flags[j] = b&(1<<j) != 0
+		}
+	}
+	d.off += n
 }

@@ -1,39 +1,31 @@
 package core
 
 import (
-	"sort"
+	"encoding/binary"
 
 	"rampage/internal/checkpoint"
 	"rampage/internal/mem"
 )
 
+// seenStateBytes is the encoded size of one first-touch page: its PID
+// (U16) and vpn (U64).
+const seenStateBytes = 2 + 8
+
 // EncodeState serializes the SRAM main memory's complete mutable state:
-// the inverted page table, the TLB, the DRAM backing map, the
-// allocation watermark, the prefetch bits and the counters. Geometry
-// (frame count, page size, OS reservation) comes from the configuration
-// and is validated on decode, not serialized. The seen map is emitted
-// in sorted (pid, vpn) order so encoding is deterministic.
+// the inverted page table, the TLB, the pages faulted in (in
+// first-touch order, which fixes their DRAM backing addresses; see
+// pageIndex), the prefetch bits and the counters. Geometry (frame
+// count, page size, OS reservation) comes from the configuration and
+// is validated on decode, not serialized.
 func (m *Memory) EncodeState(e *checkpoint.Enc) {
 	e.Marker(checkpoint.MarkCore)
 	m.pt.EncodeState(e)
 	m.tlb.EncodeState(e)
-	keys := make([]seenKey, 0, len(m.seen))
-	for k := range m.seen {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].pid != keys[j].pid {
-			return keys[i].pid < keys[j].pid
-		}
-		return keys[i].vpn < keys[j].vpn
-	})
-	e.U32(uint32(len(keys)))
-	for _, k := range keys {
-		e.U64(uint64(k.pid))
+	e.U32(uint32(len(m.seen.pages)))
+	for _, k := range m.seen.pages {
+		e.U16(uint16(k.pid))
 		e.U64(k.vpn)
-		e.U64(m.seen[k])
 	}
-	e.U64(m.dramNext)
 	e.Bools(m.prefetched)
 	e.U64(m.stats.Translations)
 	e.U64(m.stats.TLBMisses)
@@ -46,22 +38,24 @@ func (m *Memory) EncodeState(e *checkpoint.Enc) {
 }
 
 // DecodeState restores state captured by EncodeState into a memory
-// built with the identical configuration.
+// built with the identical configuration. The first-touch pages are
+// copied in order; their index is built by the next page fault, which
+// fails on a page listed twice (see pageIndex).
 func (m *Memory) DecodeState(d *checkpoint.Dec) {
 	d.Marker(checkpoint.MarkCore)
 	m.pt.DecodeState(d)
 	m.tlb.DecodeState(d, m.frames)
-	n := d.Count(24) // pid, vpn and count: three U64s an entry
-	seen := make(map[seenKey]uint64, n)
-	for i := uint32(0); i < n && d.Err() == nil; i++ {
-		pid := mem.PID(d.U64())
-		vpn := d.U64()
-		seen[seenKey{pid, vpn}] = d.U64()
+	n := d.Count(seenStateBytes)
+	raw := d.Take(int(n) * seenStateBytes)
+	if d.Err() != nil {
+		return
 	}
-	if d.Err() == nil {
-		m.seen = seen
+	pages := make([]seenKey, n)
+	for i := range pages {
+		e := raw[i*seenStateBytes:]
+		pages[i] = seenKey{pid: mem.PID(binary.LittleEndian.Uint16(e)), vpn: binary.LittleEndian.Uint64(e[2:])}
 	}
-	m.dramNext = d.U64()
+	m.seen = pageIndex{pages: pages}
 	d.BoolsInto(m.prefetched)
 	m.stats.Translations = d.U64()
 	m.stats.TLBMisses = d.U64()

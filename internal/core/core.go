@@ -31,6 +31,7 @@ import (
 	"rampage/internal/pagetable"
 	"rampage/internal/synth"
 	"rampage/internal/tlb"
+	"rampage/internal/xrand"
 )
 
 // Config describes a RAMpage SRAM main memory.
@@ -149,9 +150,8 @@ type Memory struct {
 	frames     uint64
 	osPages    uint64
 	osBytes    uint64
-	seen       map[seenKey]uint64 // virtual page -> backing DRAM address
-	dramNext   uint64             // DRAM allocation watermark
-	prefetched []bool             // per-frame: brought in by prefetch, not yet demanded
+	seen       pageIndex // every page ever faulted in, with its DRAM backing
+	prefetched []bool    // per-frame: brought in by prefetch, not yet demanded
 	stats      Stats
 
 	// Reusable event buffers, valid until the next Translate.
@@ -164,6 +164,96 @@ type Memory struct {
 type seenKey struct {
 	pid mem.PID
 	vpn uint64
+}
+
+// pageIndex records every page the memory has faulted in, in
+// first-touch order. The order fixes each page's DRAM backing address,
+// rank × PageBytes: the one writer (pageFault) hands addresses out
+// from a watermark that starts at 0, and no page ever gives its
+// address back, so neither the addresses nor the watermark need
+// storing. An open-addressed table of ranks, at most half full, finds
+// a page's rank without a Go map. DecodeState copies the pages and
+// leaves the table unbuilt; the first fault after a restore builds it
+// in one pass, so a restore that never faults again (a finished run)
+// never pays for it.
+type pageIndex struct {
+	pages []seenKey // first-touch order
+	slots []uint32  // rank+1 of a page hashed here, 0 = empty; len is a power of two, nil until built
+}
+
+// build indexes the pages when the table is unbuilt. A page listed
+// twice (only a forged checkpoint can list one) is an error: it would
+// have two backing addresses.
+func (x *pageIndex) build() error {
+	if x.slots == nil && !x.rehash(len(x.pages)) {
+		x.slots = nil
+		return fmt.Errorf("core: a page is listed twice among the %d pages faulted in", len(x.pages))
+	}
+	return nil
+}
+
+// slotOf returns the first slot k probes.
+func (x *pageIndex) slotOf(k seenKey) uint64 {
+	return xrand.Mix(uint64(k.pid)<<48^k.vpn) & uint64(len(x.slots)-1)
+}
+
+// find returns k's first-touch rank. The table must be built.
+func (x *pageIndex) find(k seenKey) (uint64, bool) {
+	mask := uint64(len(x.slots) - 1)
+	for i := x.slotOf(k); ; i = (i + 1) & mask {
+		r := x.slots[i]
+		if r == 0 {
+			return 0, false
+		}
+		if x.pages[r-1] == k {
+			return uint64(r - 1), true
+		}
+	}
+}
+
+// add appends k, which must be absent, and returns its rank. The table
+// must be built.
+func (x *pageIndex) add(k seenKey) uint64 {
+	x.pages = append(x.pages, k)
+	if 2*len(x.pages) > len(x.slots) {
+		x.rehash(2 * len(x.pages))
+	} else {
+		x.place(uint32(len(x.pages)))
+	}
+	return uint64(len(x.pages) - 1)
+}
+
+// place links the page of rank r-1 into the first empty slot of its
+// probe sequence. It reports false, placing nothing, when an equal page
+// is already there.
+func (x *pageIndex) place(r uint32) bool {
+	k := x.pages[r-1]
+	mask := uint64(len(x.slots) - 1)
+	i := x.slotOf(k)
+	for ; x.slots[i] != 0; i = (i + 1) & mask {
+		if x.pages[x.slots[i]-1] == k {
+			return false
+		}
+	}
+	x.slots[i] = r
+	return true
+}
+
+// rehash sizes the slots for at least min entries at most half full
+// and places every page again. It reports false on a page listed
+// twice.
+func (x *pageIndex) rehash(min int) bool {
+	n := 16
+	for n < 2*min {
+		n <<= 1
+	}
+	x.slots = make([]uint32, n)
+	for r := range x.pages {
+		if !x.place(uint32(r + 1)) {
+			return false
+		}
+	}
+	return true
 }
 
 // New builds the SRAM main memory, reserving and pinning the operating
@@ -200,7 +290,6 @@ func New(cfg Config) (*Memory, error) {
 		tlb:        tb,
 		pageShift:  mem.Log2(cfg.PageBytes),
 		frames:     frames,
-		seen:       make(map[seenKey]uint64),
 		prefetched: make([]bool, frames),
 	}
 	m.osBytes = synth.KernelFixedBytes + pt.TableBytes()
@@ -366,6 +455,9 @@ func (m *Memory) Recycle() { m.pt.Recycle() }
 // pageFault brings (pid, vpn) into a frame, replacing if necessary,
 // and fills m.fault with the event description.
 func (m *Memory) pageFault(pid mem.PID, vpn uint64) (uint64, error) {
+	if err := m.seen.build(); err != nil {
+		return 0, err
+	}
 	m.scanBuf = m.scanBuf[:0]
 	m.updateBuf = m.updateBuf[:0]
 	m.fault = Fault{}
@@ -382,7 +474,9 @@ func (m *Memory) pageFault(pid mem.PID, vpn uint64) (uint64, error) {
 			return 0, err
 		}
 		m.fault.VictimTLBEvicted = m.tlb.Invalidate(vpid, mem.VAddr(vvpn<<m.pageShift))
-		m.fault.VictimDRAMAddr = m.seen[seenKey{vpid, vvpn}]
+		if rank, ok := m.seen.find(seenKey{vpid, vvpn}); ok {
+			m.fault.VictimDRAMAddr = rank * m.cfg.PageBytes
+		}
 		m.fault.ScanAddrs = m.scanBuf
 		m.fault.VictimValid = true
 		m.fault.VictimDirty = dirty
@@ -405,15 +499,13 @@ func (m *Memory) pageFault(pid mem.PID, vpn uint64) (uint64, error) {
 	m.fault.UpdateAddrs = m.updateBuf
 
 	key := seenKey{pid, vpn}
-	dramAddr, ok := m.seen[key]
+	rank, ok := m.seen.find(key)
 	if !ok {
-		dramAddr = m.dramNext
-		m.dramNext += m.cfg.PageBytes
-		m.seen[key] = dramAddr
+		rank = m.seen.add(key)
 		m.fault.FirstTouch = true
 		m.stats.FirstTouches++
 	}
-	m.fault.PageDRAMAddr = dramAddr
+	m.fault.PageDRAMAddr = rank * m.cfg.PageBytes
 	// Tell the replacement policy about the arrival; a refault (page
 	// was resident before and is back) is the signal the adaptive
 	// policies key on.

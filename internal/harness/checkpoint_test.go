@@ -5,12 +5,15 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
+	"rampage/internal/cas"
 	"rampage/internal/checkpoint"
 	"rampage/internal/metrics"
 	"rampage/internal/stats"
@@ -121,7 +124,7 @@ func TestCheckpointResumeCapturedAndVerify(t *testing.T) {
 			run := func(maxRefs uint64) (*stats.Report, error) {
 				warm.MaxRefs = maxRefs
 				if mode.captured {
-					return runWithReaders(context.Background(), warm, spec, capturedReaders(t, warm))
+					return runWithReaders(context.Background(), warm, spec, capturedReaders(t, warm), "")
 				}
 				return Run(context.Background(), warm, spec)
 			}
@@ -559,7 +562,7 @@ func TestCheckpointBytesExecutionPathInvariant(t *testing.T) {
 		if readers != nil {
 			rs = readers(cfg)
 		}
-		if _, err := runWithReaders(context.Background(), cfg, spec, rs); err != nil {
+		if _, err := runWithReaders(context.Background(), cfg, spec, rs, ""); err != nil {
 			t.Fatalf("%s run: %v", name, err)
 		}
 		c, _, ok := cfg.Checkpoints.Nearest(prefix, 0)
@@ -581,12 +584,14 @@ func TestCheckpointBytesExecutionPathInvariant(t *testing.T) {
 }
 
 // TestSeededCheckpointCorruptionDetected proves the differential layer
-// catches a corrupted checkpoint the codec cannot: a single bit flipped
-// in a serialized counter leaves the stream structurally valid (every
-// marker intact, every length right), restores without error, and then
-// surfaces as a report divergence against the from-scratch run — the
-// same way the reference-oracle differential engine pins simulator
-// bugs.
+// catches a corrupted checkpoint the codec and the restore's invariant
+// check cannot: a single bit flipped in a serialized page-fault counter
+// leaves the stream structurally valid (every marker intact, every
+// length right) and the machine's invariants true, restores without
+// error, and then surfaces as a report divergence against the
+// from-scratch run — the same way the reference-oracle differential
+// engine pins simulator bugs. The same flip in the cycle counter
+// breaks time attribution, so that restore fails.
 func TestSeededCheckpointCorruptionDetected(t *testing.T) {
 	spec := RunSpec{System: RAMpage, IssueMHz: 1000, SizeBytes: 512}
 	cfg := ckptTestConfig()
@@ -610,23 +615,35 @@ func TestSeededCheckpointCorruptionDetected(t *testing.T) {
 		t.Fatal("prefix checkpoint not stored")
 	}
 
-	// Flip the low bit of the serialized cycle counter. The payload
-	// embeds the prefix report verbatim, so the capture-time cycle count
-	// locates the field without knowing the full layout.
+	// The payload embeds the prefix report verbatim in declaration
+	// order, so the capture-time cycle count locates the report without
+	// knowing the full layout: the cycles, one time per level, then
+	// eight counters before the page faults.
 	var needle [8]byte
 	binary.LittleEndian.PutUint64(needle[:], uint64(prefixRep.Cycles))
 	at := bytes.Index(ck.Payload, needle[:])
 	if at < 0 {
 		t.Fatal("capture-time cycle count not found in payload; codec layout changed?")
 	}
-	corrupted := &checkpoint.Checkpoint{Meta: ck.Meta, System: ck.System}
-	corrupted.Payload = append([]byte{}, ck.Payload...)
-	corrupted.Payload[at] ^= 1
-
-	evil := memCheckpoints(t, nil)
-	evil.Put(corrupted)
+	faults := at + 8*(1+int(stats.NumLevels)+8)
+	if got := binary.LittleEndian.Uint64(ck.Payload[faults:]); got != prefixRep.PageFaults {
+		t.Fatalf("page faults at offset %d = %d, want %d; codec layout changed?", faults, got, prefixRep.PageFaults)
+	}
+	flipped := func(off int) *checkpoint.Checkpoint {
+		c := &checkpoint.Checkpoint{Meta: ck.Meta, System: ck.System}
+		c.Payload = append([]byte{}, ck.Payload...)
+		c.Payload[off] ^= 1
+		return c
+	}
 	warm := cfg
-	warm.Checkpoints = evil
+	warm.Checkpoints = memCheckpoints(t, nil)
+	warm.Checkpoints.Put(flipped(at))
+	if _, err := Run(context.Background(), warm, spec); err == nil || !strings.Contains(err.Error(), "attributed") {
+		t.Errorf("resume from a flipped cycle counter: err = %v, want the restore's time attribution check to fail it", err)
+	}
+
+	warm.Checkpoints = memCheckpoints(t, nil)
+	warm.Checkpoints.Put(flipped(faults))
 	got, err := Run(context.Background(), warm, spec)
 	if err != nil {
 		t.Fatalf("resumed run: %v", err)
@@ -634,8 +651,8 @@ func TestSeededCheckpointCorruptionDetected(t *testing.T) {
 	if *got == *want {
 		t.Fatal("corrupted checkpoint produced the scratch report; the fault was silently absorbed")
 	}
-	if got.Cycles == want.Cycles {
-		t.Errorf("cycle counter corruption did not surface in the cycle count: got %d", got.Cycles)
+	if got.PageFaults == want.PageFaults {
+		t.Errorf("page-fault counter corruption did not surface in the page-fault count: got %d", got.PageFaults)
 	}
 	// An uncorrupted copy of the same checkpoint still resumes cleanly —
 	// the divergence above is the corruption, not the restore path.
@@ -644,5 +661,97 @@ func TestSeededCheckpointCorruptionDetected(t *testing.T) {
 	warm.Checkpoints = clean
 	if got, err = Run(context.Background(), warm, spec); err != nil || *got != *want {
 		t.Errorf("clean resume failed (err %v) or diverged", err)
+	}
+}
+
+// TestCheckpointPayloadsHalve is the count gate on checkpoint size: at
+// quick scale the payloads of the four cells ROADMAP item 4 measures
+// must be at most half what format version 1 stored for them. Version
+// 1's byte counts, from the last commit that wrote it: baseline-dm
+// 1 GHz / 4 KB 259,788; rampage 1 GHz / 4 KB 29,877; rampage
+// 1 GHz / 128 B 254,971; rampage-cs 4 GHz / 2 KB with the switch trace
+// 37,765.
+func TestCheckpointPayloadsHalve(t *testing.T) {
+	for _, tc := range []struct {
+		spec RunSpec
+		v1   int
+	}{
+		{RunSpec{System: BaselineDM, IssueMHz: 1000, SizeBytes: 4096}, 259_788},
+		{RunSpec{System: RAMpage, IssueMHz: 1000, SizeBytes: 4096}, 29_877},
+		{RunSpec{System: RAMpage, IssueMHz: 1000, SizeBytes: 128}, 254_971},
+		{RunSpec{System: RAMpageCS, IssueMHz: 4000, SizeBytes: 2048, SwitchTrace: true}, 37_765},
+	} {
+		cfg := QuickScaled()
+		cfg.Checkpoints = memCheckpoints(t, nil)
+		if _, err := Run(context.Background(), cfg, tc.spec); err != nil {
+			t.Fatal(err)
+		}
+		ck, _, ok := cfg.Checkpoints.Nearest(CheckpointPrefixKey(cfg, tc.spec), cfg.MaxRefs)
+		if !ok {
+			t.Fatalf("%s %d MHz / %d B: no checkpoint stored", tc.spec.System, tc.spec.IssueMHz, tc.spec.SizeBytes)
+		}
+		if n := len(ck.Payload); 2*n > tc.v1 {
+			t.Errorf("%s %d MHz / %d B: payload %d bytes, want at most half of version 1's %d",
+				tc.spec.System, tc.spec.IssueMHz, tc.spec.SizeBytes, n, tc.v1)
+		}
+	}
+}
+
+// TestCheckpointVersion1RecordRunsCold pins the format bump: a record
+// whose header carries format version 1 is a miss, whether it sits
+// under the prefix version 1 hashed or under the current one, and the
+// run starts cold and reports what a fresh run reports.
+func TestCheckpointVersion1RecordRunsCold(t *testing.T) {
+	spec := RunSpec{System: RAMpage, IssueMHz: 1000, SizeBytes: 512}
+	cfg := ckptTestConfig()
+	cfg.MaxRefs = 240_000
+	want, err := Run(context.Background(), cfg, spec)
+	if err != nil {
+		t.Fatalf("scratch run: %v", err)
+	}
+	prefixCfg := cfg
+	prefixCfg.Checkpoints = memCheckpoints(t, nil)
+	prefixCfg.MaxRefs = 120_000
+	if _, err := Run(context.Background(), prefixCfg, spec); err != nil {
+		t.Fatalf("prefix run: %v", err)
+	}
+	prefix := CheckpointPrefixKey(cfg, spec)
+	ck, _, ok := prefixCfg.Checkpoints.Nearest(prefix, cfg.MaxRefs)
+	if !ok {
+		t.Fatal("prefix checkpoint not stored")
+	}
+	rec := ck.Encode()
+	binary.LittleEndian.PutUint32(rec[4:], 1) // the header's format version
+	wc := NewWireConfig(cfg)
+	wc.MaxRefs = 0
+	v1Prefix := hashKey(ckptPrefixDoc{Format: 1, Version: ReportVersion, Config: wc, Spec: spec.Normalized()})
+
+	dir := t.TempDir()
+	disk, err := cas.Open(dir, ".ckpt", 0, cas.Counters{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{v1Prefix, prefix} {
+		disk.Put(fmt.Sprintf("%s@%d/%t", p, ck.Meta.Refs, ck.Meta.Final), rec)
+	}
+	svc := &metrics.ServiceStats{}
+	store, err := checkpoint.NewStore(0, dir, svc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := store.Len(); n != 2 {
+		t.Fatalf("the store indexes %d records, want the 2 written", n)
+	}
+	warm := cfg
+	warm.Checkpoints = store
+	got, err := Run(context.Background(), warm, spec)
+	if err != nil {
+		t.Fatalf("run over the version 1 records: %v", err)
+	}
+	if hits, misses := svc.Get(metrics.SvcCkptHit), svc.Get(metrics.SvcCkptMiss); hits != 0 || misses != 1 {
+		t.Errorf("checkpoint hits/misses = %d/%d, want 0/1 (a cold run)", hits, misses)
+	}
+	if *got != *want {
+		t.Errorf("report over the version 1 records differs from a fresh run:\n got: %+v\nwant: %+v", *got, *want)
 	}
 }

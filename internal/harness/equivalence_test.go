@@ -91,7 +91,7 @@ func refillRun(t *testing.T, cfg Config, spec RunSpec, n int) *stats.Report {
 	for i, r := range readers {
 		readers[i] = shortBatches{r.(trace.ColumnReader), n}
 	}
-	rep, err := runWithReaders(context.Background(), cfg, spec, readers)
+	rep, err := runWithReaders(context.Background(), cfg, spec, readers, "")
 	if err != nil {
 		t.Fatalf("refilled run: %v", err)
 	}
@@ -112,7 +112,7 @@ func runAllPaths(t *testing.T, cfg Config, spec RunSpec) {
 	if !reflect.DeepEqual(refilled, want) {
 		t.Errorf("refilled report diverges from the reference scheduler:\nreference: %+v\nrefilled:  %+v", want, refilled)
 	}
-	captured, err := runWithReaders(context.Background(), cfg, spec, capturedReaders(t, cfg))
+	captured, err := runWithReaders(context.Background(), cfg, spec, capturedReaders(t, cfg), "")
 	if err != nil {
 		t.Fatalf("captured run: %v", err)
 	}

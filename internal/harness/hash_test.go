@@ -102,7 +102,9 @@ func TestExperimentKeyNormalizesGrid(t *testing.T) {
 // results and checkpoints already stored stay addressable only if a
 // change to the key encoding leaves these hexes as they are. Each row
 // is RunKey, CellKey, ExperimentKey("table3") and CheckpointPrefixKey
-// for one spec under one configuration.
+// for one spec under one configuration. The checkpoint prefix is
+// salted with checkpoint.FormatVersion, so its hexes change, by
+// design, with every format bump (last: version 2).
 func TestContentAddressesPinned(t *testing.T) {
 	spec := validSpec()
 	program := QuickScaled()
@@ -118,17 +120,17 @@ func TestContentAddressesPinned(t *testing.T) {
 			"78d2debed8ccaaf5ad9550538295df6072c0988d1629f8e7d35aab51903c4011",
 			"7f695fa81c8b56515261a277dd7dc44f36ae4803f49953d540d2745df37e52cd",
 			"fdf868bfc8b7b0c94cf439696263a11b0382dd046995d0c56b25b042c6cc8a61",
-			"5e8bf495c9f77f4d916d1c2dd8b4b674dfede83982cab18e9c97b23270802dc4"},
+			"be4e294e4acfc265c15a32bea5fa36235713c1600788c5f160a132e6e4086931"},
 		{"one program", program,
 			"f2ec4a392455cad8b7d9f1934a39fdc3b09d637fbea1725957c6663bab6ceb3f",
 			"cad721cfbc80f5442d4345b6dc532645fbfcef1f7ae68201234a457849cfa78e",
 			"d8d17552d80f04acc43795127f8edd5911df9067e0310cef7f03effefc866ff4",
-			"17623cdabd6eb9fe4abbcbee82be192c61c6472c237e06958a3f01906eeb7f13"},
+			"1dbcc569887864bc823e873ac22d1cb820cd86de70dde18a40470bd66957df61"},
 		{"processes and budget", budget,
 			"2c526145871c72349fda7dcf0c4f33df1be114df2afcb3bda72cd1885ffe4543",
 			"78cb3f82fae87ae268096429f0bc8a5a5101384ccf91efcbc0548d2a70965c8d",
 			"2c9a801311f3e6afed3c7c0d7d20e919fba97de92dff48c8b30f3092a1d61ca1",
-			"55d695cc3dd75eb67e8773f31ab03482c98655b9c2d1a7581d94c314ac7068b6"},
+			"6a5ce9f44160c99ac74443697e76608bd037aa0c0875632c5032c96e38cf5678"},
 	} {
 		for _, got := range []struct{ kind, key, want string }{
 			{"RunKey", RunKey(tc.cfg, spec), tc.run},

@@ -156,13 +156,15 @@ func Run(ctx context.Context, cfg Config, spec RunSpec) (*stats.Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	return runWithReaders(ctx, cfg, spec, readers)
+	return runWithReaders(ctx, cfg, spec, readers, "")
 }
 
 // runWithReaders is Run with the workload streams supplied by the
 // caller — the cell pool uses it to replay one materialized workload
-// across every cell instead of regenerating it per cell.
-func runWithReaders(ctx context.Context, cfg Config, spec RunSpec, readers []trace.Reader) (*stats.Report, error) {
+// across every cell instead of regenerating it per cell — and, when
+// the caller has already hashed it, the run's checkpoint prefix ("" =
+// hash it here when a store is attached).
+func runWithReaders(ctx context.Context, cfg Config, spec RunSpec, readers []trace.Reader, prefix string) (*stats.Report, error) {
 	machine, err := NewMachine(cfg, spec, len(readers))
 	if err != nil {
 		return nil, err
@@ -192,8 +194,7 @@ func runWithReaders(ctx context.Context, cfg Config, spec RunSpec, readers []tra
 	// summary describes the execution, and a warm start would leave it
 	// blind to the restored prefix. They still capture below — the
 	// checkpoint bytes are execution-path-independent.
-	var prefix string
-	if cfg.Checkpoints != nil {
+	if cfg.Checkpoints != nil && prefix == "" {
 		prefix = CheckpointPrefixKey(cfg, spec)
 	}
 	restoredComplete := false
@@ -535,9 +536,10 @@ func RunCells(ctx context.Context, cfg Config, specs []RunSpec, done func(k int,
 // no stream. The plan is advisory, so a planned-complete cell whose
 // checkpoint is gone by the time it runs simulates cold through the
 // refill window. Cells are dispatched warmest-first and run on
-// cfg.Workers goroutines (0 = one per CPU). They are addressed by
-// their index into specs, so repeated specs each get their own report;
-// put receives every report with that index.
+// cfg.Workers goroutines (0 = one per CPU), each with the checkpoint
+// prefix the plan hashed. They are addressed by their index into
+// specs, so repeated specs each get their own report; put receives
+// every report with that index.
 func runPool(ctx context.Context, cfg Config, specs []RunSpec, put func(k int, rep *stats.Report)) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -545,17 +547,22 @@ func runPool(ctx context.Context, cfg Config, specs []RunSpec, put func(k int, r
 	cfg.Observer = nil // collectors are not safe across parallel cells
 	plan := PlanCells(cfg, specs)
 	preloaded := preloadWorkload(cfg, len(specs)-plan.Complete)
-	cellRun := func(spec RunSpec) (*stats.Report, error) {
+	cellRun := func(pc PlanCell) (*stats.Report, error) {
+		var readers []trace.Reader
 		if preloaded == nil {
-			return Run(ctx, cfg, spec)
+			var err error
+			if readers, err = cfg.Readers(); err != nil {
+				return nil, err
+			}
+		} else {
+			readers = make([]trace.Reader, len(preloaded))
+			for i, buf := range preloaded {
+				readers[i] = trace.NewColumnarReader(buf)
+			}
 		}
-		readers := make([]trace.Reader, len(preloaded))
-		for i, buf := range preloaded {
-			readers[i] = trace.NewColumnarReader(buf)
-		}
-		return runWithReaders(ctx, cfg, spec, readers)
+		return runWithReaders(ctx, cfg, pc.Spec, readers, pc.Prefix)
 	}
-	cells := make(chan int)
+	cells := make(chan PlanCell)
 	var (
 		wg       sync.WaitGroup
 		failed   atomic.Bool
@@ -573,21 +580,21 @@ func runPool(ctx context.Context, cfg Config, specs []RunSpec, put func(k int, r
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for k := range cells {
+			for pc := range cells {
 				if failed.Load() {
 					continue // drain remaining cells after a failure
 				}
 				var rep *stats.Report
 				err := ctx.Err()
 				if err == nil {
-					rep, err = cellRun(specs[k])
+					rep, err = cellRun(pc)
 				}
 				if err != nil {
 					errOnce.Do(func() { firstErr = err })
 					failed.Store(true)
 					continue
 				}
-				put(k, rep)
+				put(pc.Index, rep)
 			}
 		}()
 	}
@@ -595,7 +602,7 @@ func runPool(ctx context.Context, cfg Config, specs []RunSpec, put func(k int, r
 	// immediately and the pool spends its time on the cold cells;
 	// without one every cell is cold and specs order is kept.
 	for _, pc := range plan.Cells {
-		cells <- pc.Index
+		cells <- pc
 	}
 	close(cells)
 	wg.Wait()

@@ -173,6 +173,7 @@ type Collector struct {
 	nextSnap  uint64
 	snapshots []Snapshot
 	dropped   uint64
+	skipped   uint64
 }
 
 // NewCollector builds a collector cutting a snapshot every
@@ -198,9 +199,11 @@ func (c *Collector) Observe(e Event, v uint64) {
 }
 
 // Tick implements Observer: it cuts a snapshot when simulated time has
-// crossed the interval boundary. Catch-up is single-step — one
-// snapshot per crossing, stamped with the actual time — because the
-// simulator's clock can jump by a whole page transfer at once.
+// crossed an interval boundary. Snapshots fall at ticks, and the
+// scheduler ticks once per window, so a tick cuts at most one
+// snapshot, stamped with the actual time: the simulator's clock can
+// jump by a whole page transfer, or a whole window, at once. Every
+// further boundary the same tick passes is counted as skipped.
 func (c *Collector) Tick(now uint64) {
 	if c.interval == 0 || now < c.nextSnap {
 		return
@@ -210,9 +213,9 @@ func (c *Collector) Tick(now uint64) {
 	} else {
 		c.snapshots = append(c.snapshots, Snapshot{Now: now, Counts: c.counts})
 	}
-	for c.nextSnap <= now {
-		c.nextSnap += c.interval
-	}
+	passed := (now-c.nextSnap)/c.interval + 1
+	c.nextSnap += passed * c.interval
+	c.skipped += passed - 1
 }
 
 // Counts returns a copy of the cumulative per-event counters.
@@ -227,6 +230,10 @@ func (c *Collector) Snapshots() []Snapshot { return c.snapshots }
 
 // SnapshotsDropped returns how many ticks fell past the snapshot cap.
 func (c *Collector) SnapshotsDropped() uint64 { return c.dropped }
+
+// SnapshotsSkipped returns how many interval boundaries passed without
+// a snapshot of their own, because one tick passed several.
+func (c *Collector) SnapshotsSkipped() uint64 { return c.skipped }
 
 // HistogramSummary is the JSON form of one event's value distribution.
 type HistogramSummary struct {
@@ -244,6 +251,7 @@ type Summary struct {
 	Histograms       map[string]HistogramSummary `json:"histograms,omitempty"`
 	Snapshots        []Snapshot                  `json:"snapshots,omitempty"`
 	SnapshotsDropped uint64                      `json:"snapshots_dropped,omitempty"`
+	SnapshotsSkipped uint64                      `json:"snapshots_skipped,omitempty"`
 }
 
 // bucketLabel names a log2 bucket by its value range.
@@ -304,5 +312,6 @@ func (c *Collector) Summary() *Summary {
 	}
 	s.Snapshots = c.snapshots
 	s.SnapshotsDropped = c.dropped
+	s.SnapshotsSkipped = c.skipped
 	return s
 }

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 )
 
@@ -85,6 +86,38 @@ func TestSnapshots(t *testing.T) {
 	c.Tick(399)
 	if len(c.Snapshots()) != 2 {
 		t.Errorf("tick inside the caught-up interval recorded a snapshot")
+	}
+}
+
+// TestSnapshotsSkipped pins the skipped-interval count: one tick that
+// passes five interval boundaries cuts one snapshot and reports the
+// other four as skipped, in the collector and in its JSON summary, and
+// a run that skips none leaves the field out of the summary.
+func TestSnapshotsSkipped(t *testing.T) {
+	c := NewCollector(10)
+	c.Tick(50)
+	if n := len(c.Snapshots()); n != 1 {
+		t.Fatalf("got %d snapshots, want 1", n)
+	}
+	if got := c.SnapshotsSkipped(); got != 4 {
+		t.Errorf("skipped = %d, want 4", got)
+	}
+	c.Tick(60) // the next boundary alone: nothing more skipped
+	if got := c.SnapshotsSkipped(); got != 4 {
+		t.Errorf("skipped after a one-boundary tick = %d, want 4", got)
+	}
+	b, err := json.Marshal(c.Summary())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(b), `"snapshots_skipped":4`) {
+		t.Errorf("summary %s does not report the 4 skipped intervals", b)
+	}
+	steady := NewCollector(10)
+	steady.Tick(10)
+	steady.Tick(25)
+	if b, _ := json.Marshal(steady.Summary()); strings.Contains(string(b), "snapshots_skipped") {
+		t.Errorf("a run that skipped no interval reports the field: %s", b)
 	}
 }
 

@@ -1,16 +1,19 @@
 package pagetable
 
 import (
+	"encoding/binary"
 	"errors"
 	"strings"
 	"testing"
 
 	"rampage/internal/checkpoint"
+	"rampage/internal/mem"
 )
 
-// lived returns a 64-frame table that has mapped, unmapped and
-// released frames, so its chains, free list and stale links all carry
-// state a running table leaves behind.
+// lived returns a 64-frame table that has mapped 40 pages and replaced
+// every third one (unmapped it and remapped its frame to a new page),
+// so its chains, free list and dead links carry state a running table
+// leaves behind.
 func lived(t *testing.T) *Inverted {
 	t.Helper()
 	pt := small(t, 64)
@@ -31,161 +34,191 @@ func lived(t *testing.T) *Inverted {
 		if _, _, _, err := pt.Unmap(f); err != nil {
 			t.Fatal(err)
 		}
-		if vpn%2 == 0 {
-			pt.Release(f)
+		if err := pt.Map(2, 1000+vpn, f); err != nil {
+			t.Fatal(err)
 		}
 	}
 	return pt
 }
 
-// roundTrip encodes pt and decodes the payload into a fresh table of
-// the same geometry, returning the decode error.
-func roundTrip(t *testing.T, pt *Inverted) error {
-	t.Helper()
+// encoded returns the table's EncodeState bytes.
+func encoded(pt *Inverted) []byte {
 	e := checkpoint.NewEnc()
 	pt.EncodeState(e)
-	d := checkpoint.NewDec(e.Bytes())
-	small(t, 64).DecodeState(d)
-	return d.Err()
+	return e.Bytes()
 }
 
-// chained returns a bucket whose chain holds at least two frames, and
-// its first frame.
-func chained(t *testing.T, pt *Inverted) (bucket int, frame int32) {
+// decodeInto decodes state into a fresh 64-frame table, returning it
+// and the decode error.
+func decodeInto(t *testing.T, state []byte) (*Inverted, error) {
 	t.Helper()
-	for b, f := range pt.hat {
-		if f >= 0 && pt.next[f] >= 0 {
-			return b, f
+	pt := small(t, 64)
+	d := checkpoint.NewDec(state)
+	pt.DecodeState(d)
+	if d.Err() == nil && d.Remaining() != 0 {
+		t.Fatalf("%d trailing bytes after the table state", d.Remaining())
+	}
+	return pt, d.Err()
+}
+
+// stateEntry locates one encoded chained frame in a table's state.
+type stateEntry struct {
+	at     int // offset of the frame index
+	frame  uint32
+	bucket uint64
+}
+
+// stateEntries parses the chained frames of an encoded table, in
+// encoded order, and returns them with the offset of the free-list
+// head that follows them.
+func stateEntries(pt *Inverted, state []byte) (entries []stateEntry, headAt int) {
+	n := int(binary.LittleEndian.Uint32(state[4:]))
+	at := 8
+	for i := 0; i < n; i++ {
+		vpn := binary.LittleEndian.Uint64(state[at+4:])
+		pid := binary.LittleEndian.Uint16(state[at+12:])
+		entries = append(entries, stateEntry{
+			at:     at,
+			frame:  binary.LittleEndian.Uint32(state[at:]),
+			bucket: pt.hash(mem.PID(pid), vpn),
+		})
+		at += entryStateBytes
+	}
+	return entries, at
+}
+
+// chainPair returns two consecutive entries of one bucket: link is
+// written first, head last, so the decode makes head the bucket's
+// anchor and link the frame it points to.
+func chainPair(t *testing.T, entries []stateEntry) (link, head stateEntry) {
+	t.Helper()
+	for i := 1; i < len(entries); i++ {
+		if entries[i].bucket == entries[i-1].bucket {
+			return entries[i-1], entries[i]
 		}
 	}
 	t.Fatal("no chain of two frames")
-	return 0, 0
+	return
 }
 
-// TestDecodeStateRejectsBrokenLinks forges the hash chains, one way
-// each, and requires the decode to fail: an anchor past the table (the
-// value a fuzzed checkpoint carried, which restored cleanly and then
-// panicked in lookup), a chain link past the table, a chain that loops
-// or merges into another, and a chained frame that maps no page. A
-// genuine payload from the same table decodes, and the decoded table
-// answers lookups as the original does.
+// TestDecodeStateRejectsBrokenLinks forges an encoded table, one way
+// each, and requires the decode to fail. The decode builds every chain
+// itself, so a forgery that would once have broken a link is now a bad
+// frame entry: an anchor past the table is a chain head naming a frame
+// past it (the value a fuzzed checkpoint carried, which restored
+// cleanly and then panicked in lookup), a link past the table is any
+// other entry doing so, a loop or a merge is a frame listed twice
+// (under the same page or under pages of two buckets), and a chained
+// frame that maps no page is an entry without its valid bit. A free
+// list head past the table or on a chained frame fails too. A genuine
+// payload from the same table decodes, re-encodes to the same bytes,
+// and answers every lookup with the original's frame and probes.
 func TestDecodeStateRejectsBrokenLinks(t *testing.T) {
+	put32 := func(state []byte, at int, v uint32) { binary.LittleEndian.PutUint32(state[at:], v) }
 	for _, tc := range []struct {
 		name, want string
-		forge      func(pt *Inverted)
+		forge      func(entries []stateEntry, headAt int, state []byte)
 	}{
-		{"bucket out of range", "links to frame", func(pt *Inverted) { pt.hat[pt.hash(1, 1)] = 2130706554 }},
-		{"chain link out of range", "links to frame", func(pt *Inverted) {
-			_, f := chained(t, pt)
-			pt.next[pt.next[f]] = -2
+		{"bucket out of range", "frame 2130706554 of 64", func(entries []stateEntry, _ int, state []byte) {
+			_, head := chainPair(t, entries)
+			put32(state, head.at, 2130706554)
 		}},
-		{"chain loop", "linked twice", func(pt *Inverted) {
-			_, f := chained(t, pt)
-			pt.next[pt.next[f]] = f
+		{"chain link out of range", "frame 64 of 64", func(entries []stateEntry, _ int, state []byte) {
+			link, _ := chainPair(t, entries)
+			put32(state, link.at, 64)
 		}},
-		{"chains merge", "linked twice", func(pt *Inverted) {
-			b, f := chained(t, pt)
-			for o := b + 1; o < len(pt.hat); o++ {
-				if pt.hat[o] < 0 {
-					pt.hat[o] = pt.next[f] // walked after bucket b
+		{"chain loop", "listed twice", func(entries []stateEntry, _ int, state []byte) {
+			link, head := chainPair(t, entries)
+			copy(state[head.at:head.at+entryStateBytes], state[link.at:])
+		}},
+		{"chains merge", "listed twice", func(entries []stateEntry, _ int, state []byte) {
+			for _, e := range entries[1:] {
+				if e.bucket != entries[0].bucket {
+					put32(state, e.at, entries[0].frame)
 					return
 				}
 			}
-			t.Fatal("no empty bucket after the chain")
+			t.Fatal("every frame hashes to one bucket")
 		}},
-		{"chained frame maps no page", "maps no page", func(pt *Inverted) {
-			_, f := chained(t, pt)
-			pt.flags[f] = 0
+		{"chained frame maps no page", "maps no page", func(entries []stateEntry, _ int, state []byte) {
+			state[entries[0].at+entryStateBytes-1] &^= flagValid
+		}},
+		{"free list head past the table", "free list head", func(_ []stateEntry, headAt int, state []byte) {
+			put32(state, headAt, 64)
+		}},
+		{"free list head on a chained frame", "free list head", func(entries []stateEntry, headAt int, state []byte) {
+			put32(state, headAt, entries[0].frame)
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			pt := lived(t)
-			tc.forge(pt)
-			if err := roundTrip(t, pt); err == nil || !strings.Contains(err.Error(), tc.want) {
+			state := encoded(pt)
+			entries, headAt := stateEntries(pt, state)
+			tc.forge(entries, headAt, state)
+			if _, err := decodeInto(t, state); err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("decode error = %v, want one naming %q", err, tc.want)
 			}
 		})
 	}
 
 	pt := lived(t)
-	e := checkpoint.NewEnc()
-	pt.EncodeState(e)
-	fresh := small(t, 64)
-	d := checkpoint.NewDec(e.Bytes())
-	fresh.DecodeState(d)
-	if err := d.Err(); err != nil {
+	state := encoded(pt)
+	fresh, err := decodeInto(t, state)
+	if err != nil {
 		t.Fatalf("genuine payload: %v", err)
 	}
-	for vpn := uint64(0); vpn < 40; vpn++ {
-		_, _, want := pt.Lookup(1, vpn)
-		if _, _, got := fresh.Lookup(1, vpn); got != want {
-			t.Errorf("vpn %d: restored lookup hit %v, original %v", vpn, got, want)
+	if again := encoded(fresh); string(again) != string(state) {
+		t.Error("the decoded table re-encodes to different bytes")
+	}
+	for _, page := range []struct {
+		pid uint16
+		vpn uint64
+	}{{1, 1}, {1, 3}, {2, 1003}, {1, 39}, {2, 1039}, {1, 40}} {
+		wf, wp, wok := pt.Lookup(mem.PID(page.pid), page.vpn)
+		gf, gp, gok := fresh.Lookup(mem.PID(page.pid), page.vpn)
+		if gf != wf || gok != wok || len(gp) != len(wp) {
+			t.Errorf("page %+v: restored lookup = (%d, %d probes, %v), original (%d, %d probes, %v)",
+				page, gf, len(gp), gok, wf, len(wp), wok)
 		}
+	}
+	if fresh.FreeFrames() != pt.FreeFrames() {
+		t.Errorf("restored table has %d free frames, original %d", fresh.FreeFrames(), pt.FreeFrames())
 	}
 }
 
-// TestForgedLinksFailAtRun forges the links the decode leaves to the
-// operations that follow them, and requires each to refuse the state
-// rather than leave the table or loop: a free list that leaves the
-// table or loops, a free frame that is also chained, and a mapped
-// frame chained in a bucket it does not hash to.
+// TestForgedLinksFailAtRun forges the one link the decode cannot check
+// without walking the free list: a head on an unchained frame earlier
+// in the construction order than the true head, so the list runs into
+// frames that map pages. The decode accepts it, and the next
+// allocations must end in Map refusing a mapped frame, within as many
+// frames as the table has, rather than leave the table or loop.
 func TestForgedLinksFailAtRun(t *testing.T) {
-	restored := func(forge func(pt *Inverted)) *Inverted {
-		t.Helper()
-		pt := lived(t)
-		forge(pt)
-		e := checkpoint.NewEnc()
-		pt.EncodeState(e)
-		fresh := small(t, 64)
-		d := checkpoint.NewDec(e.Bytes())
-		fresh.DecodeState(d)
-		if err := d.Err(); err != nil {
-			t.Fatalf("decode: %v", err)
-		}
-		return fresh
+	pt := lived(t)
+	f, _, ok := pt.Lookup(1, 1)
+	if !ok {
+		t.Fatal("vpn 1 not mapped")
 	}
-	// drain allocates and maps free frames until AllocFree reports none
-	// or Map refuses one, which must happen within 64 frames.
+	if _, _, _, err := pt.Unmap(f); err != nil {
+		t.Fatal(err)
+	}
+	pt.freeHead = int32(f)
+	restored, err := decodeInto(t, encoded(pt))
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
 	drain := func(pt *Inverted) error {
 		for i := 0; i < 64; i++ {
 			f, ok := pt.AllocFree()
 			if !ok {
 				return nil
 			}
-			if err := pt.Map(2, uint64(i), f); err != nil {
+			if err := pt.Map(3, uint64(i), f); err != nil {
 				return err
 			}
 		}
 		return errors.New("the free list handed out more frames than the table has")
 	}
-
-	pt := restored(func(pt *Inverted) { pt.freeHead = 99 })
-	if _, ok := pt.AllocFree(); ok || pt.FreeFrames() != 0 {
-		t.Error("a free list head past the table handed out a frame")
-	}
-	pt = restored(func(pt *Inverted) { pt.freeNext[pt.freeHead] = 64 })
-	if err := drain(pt); err != nil {
-		t.Errorf("a free link past the table: %v", err)
-	}
-	pt = restored(func(pt *Inverted) { pt.freeNext[pt.freeHead] = pt.freeHead })
-	if n := pt.FreeFrames(); n > 64 {
-		t.Errorf("a looping free list counts %d free frames", n)
-	}
-	if err := drain(pt); err == nil || !strings.Contains(err.Error(), "already maps") {
-		t.Errorf("a looping free list: drain error = %v, want Map to refuse a mapped frame", err)
-	}
-	pt = restored(func(pt *Inverted) { _, f := chained(t, pt); pt.freeHead = f })
-	if err := drain(pt); err == nil || !strings.Contains(err.Error(), "already maps") {
-		t.Errorf("a chained free frame: drain error = %v, want Map to refuse it", err)
-	}
-	var moved int32
-	pt = restored(func(pt *Inverted) {
-		b, f := chained(t, pt)
-		next := (b + 1) % len(pt.hat)
-		pt.hat[next], pt.hat[b] = f, pt.hat[next]
-		moved = f
-	})
-	if _, _, _, err := pt.Unmap(uint64(moved)); err == nil || !strings.Contains(err.Error(), "hash chain") {
-		t.Errorf("unmapping a frame chained in the wrong bucket: error = %v, want a hash chain error", err)
+	if err := drain(restored); err == nil || !strings.Contains(err.Error(), "already maps") {
+		t.Errorf("a head before mapped frames: drain error = %v, want Map to refuse a mapped frame", err)
 	}
 }

@@ -130,12 +130,25 @@ type Inverted struct {
 }
 
 // slab bundles the backing arrays of one table so Recycle can hand
-// them back to the arena as a unit.
+// them back to the arena as a unit. The free-list links depend only on
+// the construction order (Frames, Scramble, ScrambleSeed) and are never
+// written after New, so a slab remembers the order it holds and a
+// table built on it for the same order skips the shuffle.
 type slab struct {
 	i32  []int32 // hat | next | freeNext
 	vpns []uint64
 	pids []mem.PID
 	u8   []uint8
+
+	built        bool // freeNext holds the order below
+	scramble     bool
+	scrambleSeed uint64
+}
+
+// holds reports whether the slab's free-list links are the
+// construction order cfg asks for.
+func (s *slab) holds(cfg Config) bool {
+	return s.built && s.scramble == cfg.Scramble && (!cfg.Scramble || s.scrambleSeed == cfg.ScrambleSeed)
 }
 
 type arenaKey struct{ frames, hatSize uint64 }
@@ -160,8 +173,12 @@ func arenaFor(k arenaKey) *sync.Pool {
 	return p
 }
 
-// getSlab obtains a zeroed slab of the given geometry, reusing a
-// recycled one when available.
+// getSlab obtains a slab of the given geometry, reusing a recycled one
+// when available. A recycled slab's entry columns (vpns, pids, flags)
+// are cleared; its link columns are left as they were, since New fills
+// the anchors, a chain link is dead until Map writes it, and the
+// free-list links are still valid for the construction order the slab
+// records.
 func getSlab(frames, hatSize uint64) *slab {
 	pool := arenaFor(arenaKey{frames, hatSize})
 	s, _ := pool.Get().(*slab)
@@ -173,18 +190,9 @@ func getSlab(frames, hatSize uint64) *slab {
 			u8:   make([]uint8, frames),
 		}
 	}
-	for i := range s.i32 {
-		s.i32[i] = 0
-	}
-	for i := range s.vpns {
-		s.vpns[i] = 0
-	}
-	for i := range s.pids {
-		s.pids[i] = 0
-	}
-	for i := range s.u8 {
-		s.u8[i] = 0
-	}
+	clear(s.vpns)
+	clear(s.pids)
+	clear(s.u8)
 	return s
 }
 
@@ -198,7 +206,14 @@ func hatSizeFor(frames uint64) uint64 {
 	return hatSize
 }
 
-// New builds an inverted page table with all frames free.
+// New builds an inverted page table with all frames free. The free
+// list is the construction order: frame 0 first, then every frame in
+// turn, or, with Scramble, the frames past the lowest 1/32 in an order
+// shuffled from ScrambleSeed. The table hands frames out in that order
+// and never returns one to the list (a replaced page's frame is
+// remapped at once), so the free list is always a suffix of the order.
+// A slab recycled from a table of the same geometry and order keeps
+// its links, and New then skips the shuffle.
 func New(cfg Config) (*Inverted, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -229,31 +244,41 @@ func New(cfg Config) (*Inverted, error) {
 	for i := range pt.hat {
 		pt.hat[i] = -1
 	}
-	// Build the initial free list. The next column is dead until Map
-	// links a frame into a chain, so it doubles as the permutation
-	// scratch: no separate order array, no extra allocation.
+	if !s.holds(cfg) {
+		pt.buildFreeList()
+		s.built, s.scramble, s.scrambleSeed = true, cfg.Scramble, cfg.ScrambleSeed
+	}
+	// Every construction order starts at frame 0: the shuffle keeps
+	// the lowest frames in place.
+	pt.freeHead = 0
+	return pt, nil
+}
+
+// buildFreeList links the free-list column in construction order. The
+// next column is dead until Map links a frame into a chain, so it
+// doubles as the permutation scratch: no separate order array, no
+// extra allocation.
+func (pt *Inverted) buildFreeList() {
 	order := pt.next
 	for i := range order {
 		order[i] = int32(i)
 	}
-	if cfg.Scramble {
+	if pt.cfg.Scramble {
 		// Fisher–Yates, deterministic from the seed. The lowest frames
 		// are kept in place so callers can still reserve a contiguous
 		// kernel region before user allocation begins; only the tail
 		// beyond the first 1/32 of frames is shuffled.
-		rng := xrand.New(cfg.ScrambleSeed ^ 0x5C4A3B1E)
-		fixed := int(cfg.Frames / 32)
+		rng := xrand.New(pt.cfg.ScrambleSeed ^ 0x5C4A3B1E)
+		fixed := int(pt.cfg.Frames / 32)
 		for i := len(order) - 1; i > fixed; i-- {
 			j := fixed + 1 + rng.Intn(i-fixed)
 			order[i], order[j] = order[j], order[i]
 		}
 	}
-	pt.freeHead = order[0]
 	for i := 0; i < len(order)-1; i++ {
 		pt.freeNext[order[i]] = order[i+1]
 	}
 	pt.freeNext[order[len(order)-1]] = -1
-	return pt, nil
 }
 
 // MustNew is New but panics on error.
@@ -359,23 +384,22 @@ func (pt *Inverted) lookup(pid mem.PID, vpn uint64, probes []uint64) (uint64, []
 	return 0, probes, false
 }
 
-// AllocFree pops a free frame, or reports none. A head past the table
-// (only a forged checkpoint can leave one) reads as an empty list.
+// AllocFree pops a free frame, or reports none.
 func (pt *Inverted) AllocFree() (uint64, bool) {
 	f := pt.freeHead
-	if uint32(f) >= uint32(len(pt.freeNext)) {
+	if f < 0 {
 		return 0, false
 	}
 	pt.freeHead = pt.freeNext[f]
 	return uint64(f), true
 }
 
-// FreeFrames returns the number of unallocated frames. The walk stops
-// at a link past the table or after as many frames as the table has,
-// so a forged free list cannot run it out of bounds or forever.
+// FreeFrames returns the number of unallocated frames. The links are
+// New's construction order, ending at -1, and DecodeState accepts only
+// a head inside the table, so the walk always ends.
 func (pt *Inverted) FreeFrames() uint64 {
 	var n uint64
-	for f := pt.freeHead; uint32(f) < uint32(len(pt.freeNext)) && n < uint64(len(pt.freeNext)); f = pt.freeNext[f] {
+	for f := pt.freeHead; f >= 0; f = pt.freeNext[f] {
 		n++
 	}
 	return n
@@ -401,10 +425,10 @@ func (pt *Inverted) Map(pid mem.PID, vpn, frame uint64) error {
 }
 
 // Unmap removes frame's mapping and returns it. The frame is NOT
-// returned to the free list — the caller immediately remaps it (page
-// replacement) or calls Release. A mapped frame missing from its hash
-// chain (only a forged checkpoint can leave one) is an error: linked
-// elsewhere, it would loop that chain once remapped.
+// returned to the free list: the caller remaps it at once (page
+// replacement), so the free list stays a suffix of the construction
+// order. A mapped frame missing from its hash chain is an error:
+// linked elsewhere, it would loop that chain once remapped.
 func (pt *Inverted) Unmap(frame uint64) (pid mem.PID, vpn uint64, dirty bool, err error) {
 	if frame >= pt.cfg.Frames || pt.flags[frame]&flagValid == 0 {
 		return 0, 0, false, fmt.Errorf("pagetable: frame %d not mapped", frame)
@@ -432,12 +456,6 @@ func (pt *Inverted) Unmap(frame uint64) (pid mem.PID, vpn uint64, dirty bool, er
 	pt.next[frame] = 0
 	pt.stats.Unmaps++
 	return pid, vpn, dirty, nil
-}
-
-// Release returns an unmapped frame to the free list.
-func (pt *Inverted) Release(frame uint64) {
-	pt.freeNext[frame] = pt.freeHead
-	pt.freeHead = int32(frame)
 }
 
 // Touch sets the frame's reference bit and reports the reference to

@@ -93,7 +93,10 @@ func TestMapErrors(t *testing.T) {
 	}
 }
 
-func TestUnmapRelease(t *testing.T) {
+// TestUnmapRemap pins page replacement's frame reuse: Unmap drops the
+// mapping but does not free the frame, which the caller remaps at once,
+// so the free list keeps the frames New ordered and no others.
+func TestUnmapRemap(t *testing.T) {
 	pt := small(t, 4)
 	f, _ := pt.AllocFree()
 	pt.Map(7, 0x99, f)
@@ -108,9 +111,14 @@ func TestUnmapRelease(t *testing.T) {
 	if _, _, _, err := pt.Unmap(f); err == nil {
 		t.Error("double unmap succeeded")
 	}
-	pt.Release(f)
-	if pt.FreeFrames() != 4 {
-		t.Errorf("FreeFrames = %d after release, want 4", pt.FreeFrames())
+	if pt.FreeFrames() != 3 {
+		t.Errorf("FreeFrames = %d after unmap, want 3: an unmapped frame is not free", pt.FreeFrames())
+	}
+	if err := pt.Map(8, 0x100, f); err != nil {
+		t.Fatalf("remapping the unmapped frame: %v", err)
+	}
+	if got, _, ok := pt.Lookup(8, 0x100); !ok || got != f {
+		t.Errorf("Lookup after remap = (%d, %v), want (%d, true)", got, ok, f)
 	}
 }
 
@@ -293,6 +301,7 @@ func TestMapLookupUnmapProperty(t *testing.T) {
 		pid mem.PID
 		vpn uint64
 	}{}
+	var unmapped []uint64 // frames unmapped and not yet remapped
 	f := func(pidRaw uint8, vpn uint32, unmap bool) bool {
 		pid := mem.PID(pidRaw % 8)
 		if unmap && len(allocated) > 0 {
@@ -300,7 +309,7 @@ func TestMapLookupUnmapProperty(t *testing.T) {
 				if _, _, _, err := pt.Unmap(frame); err != nil {
 					return false
 				}
-				pt.Release(frame)
+				unmapped = append(unmapped, frame)
 				if _, _, ok := pt.Lookup(m.pid, m.vpn); ok {
 					return false
 				}
@@ -315,9 +324,16 @@ func TestMapLookupUnmapProperty(t *testing.T) {
 				return true
 			}
 		}
-		frame, ok := pt.AllocFree()
-		if !ok {
-			return true // table full: acceptable
+		// Remap an unmapped frame first, as page replacement does; draw
+		// a free one only when none is waiting.
+		var frame uint64
+		if n := len(unmapped); n > 0 {
+			frame, unmapped = unmapped[n-1], unmapped[:n-1]
+		} else {
+			var ok bool
+			if frame, ok = pt.AllocFree(); !ok {
+				return true // table full: acceptable
+			}
 		}
 		if err := pt.Map(pid, uint64(vpn), frame); err != nil {
 			return false
@@ -334,10 +350,10 @@ func TestMapLookupUnmapProperty(t *testing.T) {
 	}
 }
 
-// TestRecycleReturnsSlabsToArena pins the arena contract: a recycled
-// table's slabs back the next same-geometry table, construction in a
-// recycle loop stops allocating backing arrays, and a fresh table never
-// sees a predecessor's entries.
+// TestRecycleReusesSlabs pins the arena contract: a recycled table's
+// slabs back the next same-geometry table, construction in a recycle
+// loop stops allocating backing arrays, and a fresh table never sees a
+// predecessor's entries.
 func TestRecycleReusesSlabs(t *testing.T) {
 	cfg := Config{Frames: 64, PageBytes: 4096, TableBase: 0xF010_0000}
 	pt, err := New(cfg)
@@ -438,4 +454,78 @@ func TestClockScanObservationMatchesCounter(t *testing.T) {
 			}
 		})
 	}
+}
+
+// allocOrder drains pt's free list and returns the frames in the order
+// AllocFree handed them out.
+func allocOrder(pt *Inverted) []uint64 {
+	var order []uint64
+	for {
+		f, ok := pt.AllocFree()
+		if !ok {
+			return order
+		}
+		order = append(order, f)
+	}
+}
+
+// TestRecycledSlabKeepsFreeList pins the construction-order reuse: a
+// table built on a slab recycled from a table of the same order hands
+// out frames in the order a freshly built table does, without New
+// rewriting the free-list links, and a slab recycled from another
+// order (another seed, or no shuffle) is rebuilt for the new one.
+func TestRecycledSlabKeepsFreeList(t *testing.T) {
+	base := Config{Frames: 200, PageBytes: 4096, TableBase: 0xF010_0000}
+	orders := []Config{base, base, base}
+	orders[1].Scramble, orders[1].ScrambleSeed = true, 1
+	orders[2].Scramble, orders[2].ScrambleSeed = true, 2
+	want := make([][]uint64, len(orders))
+	for i, cfg := range orders {
+		want[i] = allocOrder(MustNew(cfg)) // never recycled: each builds its own slab
+		if want[i][0] != 0 {
+			t.Fatalf("order %d starts at frame %d, want 0", i, want[i][0])
+		}
+	}
+	for _, i := range []int{1, 1, 2, 0, 2, 2} {
+		pt := MustNew(orders[i])
+		if got := allocOrder(pt); !equalFrames(got, want[i]) {
+			t.Fatalf("order %d on a recycled slab hands out %v, want %v", i, got, want[i])
+		}
+		pt.Recycle()
+	}
+
+	// The skip itself, seen through the chain-link column, which New
+	// uses as the shuffle's scratch and which is dead until Map writes
+	// it: a mark left there survives New for the slab's own order and
+	// not a rebuild for another.
+	for _, tc := range []struct {
+		order   int
+		rebuilt bool
+	}{{1, false}, {2, true}} {
+		pt := MustNew(orders[1])
+		s := pt.slab
+		pt.Recycle()
+		const mark = -7
+		s.i32[256+100] = mark // next[100]
+		pt = MustNew(orders[tc.order])
+		if pt.slab != s {
+			t.Skip("the arena dropped the recycled slab")
+		}
+		if rebuilt := pt.next[100] != mark; rebuilt != tc.rebuilt {
+			t.Errorf("order %d on a slab holding order 1: free list rebuilt = %v, want %v", tc.order, rebuilt, tc.rebuilt)
+		}
+		pt.Recycle()
+	}
+}
+
+func equalFrames(a, b []uint64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }

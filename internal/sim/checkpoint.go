@@ -14,9 +14,12 @@ import (
 // Snapshotter is a machine whose complete simulated state can be
 // serialized and restored. A restored machine driven by a restored
 // scheduler produces reports bit-identical to an uninterrupted run.
+// CheckInvariants verifies the machine's structural invariants, which
+// every captured state satisfies, so RestoreState ends with it.
 type Snapshotter interface {
 	EncodeState(*checkpoint.Enc)
 	DecodeState(*checkpoint.Dec)
+	CheckInvariants() error
 }
 
 // CaptureState serializes the machine and scheduler into one payload.
@@ -41,7 +44,10 @@ func CaptureState(m Machine, s *Scheduler) ([]byte, error) {
 // restore reads no stream: captured columns and synthetic generators
 // are checked against their cursors, and a refilled stream is advanced
 // past its executed prefix only when its process next runs, so a
-// restore that is the finished run reads nothing.
+// restore that is the finished run reads nothing. A payload that
+// decodes is then held to the machine's CheckInvariants, so a forged
+// record whose every field passes its own checks still fails here
+// when the fields disagree with each other.
 func RestoreState(m Machine, s *Scheduler, payload []byte) error {
 	snap, ok := m.(Snapshotter)
 	if !ok {
@@ -55,6 +61,9 @@ func RestoreState(m Machine, s *Scheduler, payload []byte) error {
 	}
 	if d.Remaining() != 0 {
 		return fmt.Errorf("sim: %d trailing bytes after machine state", d.Remaining())
+	}
+	if err := snap.CheckInvariants(); err != nil {
+		return fmt.Errorf("sim: restored state: %w", err)
 	}
 	return nil
 }

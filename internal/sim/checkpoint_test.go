@@ -296,19 +296,29 @@ func skipSlice(payload []byte, off, elemBytes int) int {
 	return off + 4 + int(binary.LittleEndian.Uint32(payload[off:]))*elemBytes
 }
 
-// TestRestoreRejectsForgedIndices forges one index in a captured
-// switch-on-miss payload: a page-table hash anchor past the table (the
-// value a fuzzed record carried, which restored cleanly and then
-// panicked in the first lookup), and a live TLB entry's frame past the
-// page table (which the fused loop's first store to that page would
-// index with). Each restore must fail.
+// TestRestoreRejectsForgedIndices forges one field at a time in a
+// captured switch-on-miss payload, and requires each restore to fail:
+//   - a page-table frame past the table (the anchor value a fuzzed
+//     record carried, which restored cleanly and then panicked in the
+//     first lookup), a frame listed twice, a frame without its valid
+//     bit, and a free-list head past the table;
+//   - a live TLB entry's frame past the page table (which the fused
+//     loop's first store to that page would index with);
+//   - a report whose cycle count disagrees with its per-level times,
+//     which every field check passes and the machine's invariants
+//     catch.
+//
+// A page listed twice among the pages faulted in restores, since the
+// restore does not index those pages, and the resumed run must fail at
+// its first page fault, which does.
 func TestRestoreRejectsForgedIndices(t *testing.T) {
 	_, payload, _ := ckptCapture(t, 20_000)
+	var s *Scheduler
 	restore := func(forged []byte) error {
 		readers, _ := counted(ckptStreams(), true)
 		m := testRAMpage(t, 4000, 1024, true)
-		s, err := NewScheduler(m, readers, ckptConfig(0))
-		if err != nil {
+		var err error
+		if s, err = NewScheduler(m, readers, ckptConfig(0)); err != nil {
 			t.Fatal(err)
 		}
 		return RestoreState(m, s, forged)
@@ -316,71 +326,118 @@ func TestRestoreRejectsForgedIndices(t *testing.T) {
 	if err := restore(payload); err != nil {
 		t.Fatalf("genuine payload: %v", err)
 	}
+	const entryBytes = 4 + 8 + 2 + 1 // frame, vpn, pid, flags
+	table := sectionAfter(t, payload, checkpoint.MarkPageTable)
+	entries := int(binary.LittleEndian.Uint32(payload[table:]))
+	if entries < 2 {
+		t.Fatalf("the page table holds %d chained frames", entries)
+	}
+	first := table + 4
+	keys := sectionAfter(t, payload, checkpoint.MarkTLB)
+	vpns := skipSlice(payload, keys, 8)
+	frames := skipSlice(payload, vpns, 8)
+	seen := skipSlice(payload, frames, 8) + 8*5 // the TLB's RNG and four counters
+	if binary.LittleEndian.Uint32(payload[seen:]) < 2 {
+		t.Fatal("fewer than two pages faulted in")
+	}
+	cycles := sectionAfter(t, payload, checkpoint.MarkReport)
 
-	// Page table: vpns, pids, flags and next precede the anchors.
+	for _, tc := range []struct {
+		name, want string
+		forge      func(b []byte)
+	}{
+		{"page-table frame past the table", "pagetable: frame 2130706554", func(b []byte) {
+			binary.LittleEndian.PutUint32(b[first:], 2130706554)
+		}},
+		{"page-table frame listed twice", "listed twice", func(b []byte) {
+			copy(b[first+entryBytes:first+2*entryBytes], b[first:])
+		}},
+		{"page-table frame without its valid bit", "maps no page", func(b []byte) {
+			b[first+entryBytes-1] = 0
+		}},
+		{"free-list head past the table", "free list head", func(b []byte) {
+			binary.LittleEndian.PutUint32(b[first+entries*entryBytes:], 1<<30)
+		}},
+		{"TLB frame past the table", "tlb", func(b []byte) {
+			n := int(binary.LittleEndian.Uint32(b[frames:]))
+			for i := 0; ; i++ {
+				if i == n {
+					t.Fatal("no live TLB entry")
+				}
+				if binary.LittleEndian.Uint64(b[vpns+4+8*i:]) != ^uint64(0) {
+					binary.LittleEndian.PutUint64(b[frames+4+8*i:], 1<<40)
+					return
+				}
+			}
+		}},
+		{"cycles disagree with level times", "restored state", func(b []byte) {
+			b[cycles] ^= 1
+		}},
+	} {
+		forged := append([]byte(nil), payload...)
+		tc.forge(forged)
+		if err := restore(forged); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: restore error = %v, want one naming %q", tc.name, err, tc.want)
+		}
+	}
+
 	forged := append([]byte(nil), payload...)
-	off := sectionAfter(t, forged, checkpoint.MarkPageTable)
-	off = skipSlice(forged, off, 8)
-	off = skipSlice(forged, off, 8)
-	off = skipSlice(forged, off, 1)
-	off = skipSlice(forged, off, 4)
-	anchors := int(binary.LittleEndian.Uint32(forged[off:]))
-	for i := 0; ; i++ {
-		if i == anchors {
-			t.Fatal("no occupied hash anchor")
-		}
-		if at := off + 4 + 4*i; int32(binary.LittleEndian.Uint32(forged[at:])) >= 0 {
-			binary.LittleEndian.PutUint32(forged[at:], 2130706554)
-			break
-		}
+	copy(forged[seen+4+10:seen+4+20], forged[seen+4:])
+	if err := restore(forged); err != nil {
+		t.Fatalf("a page faulted in twice: restore error = %v, want the run to fail instead", err)
 	}
-	if err := restore(forged); err == nil || !strings.Contains(err.Error(), "pagetable") {
-		t.Errorf("forged hash anchor: restore error = %v, want a page-table error", err)
-	}
-
-	// TLB: keys and vpns precede the frames; a live entry has a vpn.
-	forged = append(forged[:0], payload...)
-	keys := sectionAfter(t, forged, checkpoint.MarkTLB)
-	vpns := skipSlice(forged, keys, 8)
-	frames := skipSlice(forged, vpns, 8)
-	entries := int(binary.LittleEndian.Uint32(forged[frames:]))
-	for i := 0; ; i++ {
-		if i == entries {
-			t.Fatal("no live TLB entry")
-		}
-		if binary.LittleEndian.Uint64(forged[vpns+4+8*i:]) != ^uint64(0) {
-			binary.LittleEndian.PutUint64(forged[frames+4+8*i:], 1<<40)
-			break
-		}
-	}
-	if err := restore(forged); err == nil || !strings.Contains(err.Error(), "tlb") {
-		t.Errorf("forged TLB frame: restore error = %v, want a TLB error", err)
+	if _, err := s.Run(context.Background()); err == nil || !strings.Contains(err.Error(), "listed twice") {
+		t.Errorf("a page faulted in twice: run error = %v, want one naming a page listed twice", err)
 	}
 }
 
-// FuzzRestoreState feeds mutations of a captured RAMpage payload to
+// FuzzRestoreState feeds mutations of captured payloads to
 // RestoreState, which must return an error or nil and never panic or
 // run out of memory: checkpoint records are read back from a directory
 // that survives restarts, and anyone who can write there can forge one,
 // so every count and length in a payload is untrusted. A payload that
-// restores is then run to the end of its streams, which must finish
-// (with or without an error) rather than panic or hang: a restore that
-// accepts state the machine cannot run from fails here. The machine
-// switches on misses at 4 GHz, so restored runs keep pages in flight
-// across the fused paths.
+// restores must leave a machine that passes CheckInvariants (which
+// RestoreState ends with, so a restore that skipped it fails here), and
+// is then run to the end of its streams, which must finish (with or
+// without an error) rather than panic or hang: a restore that accepts
+// state the machine cannot run from fails here. baseline selects the
+// machine: a RAMpage machine that switches on misses at 4 GHz, so
+// restored runs keep pages in flight across the fused paths, or the
+// direct-mapped baseline, whose DRAM page table is the largest input
+// to the page-table decoder.
 func FuzzRestoreState(f *testing.F) {
-	_, payload, _ := ckptCapture(f, 20_000)
-	f.Add(payload)
 	streams := ckptStreams()
-	f.Fuzz(func(t *testing.T, payload []byte) {
+	build := func(t testing.TB, baseline bool) Machine {
+		if baseline {
+			return testBaseline(t, 1000, 512)
+		}
+		return testRAMpage(t, 4000, 1024, true)
+	}
+	for _, baseline := range []bool{false, true} {
 		readers, _ := counted(streams, true)
-		m := testRAMpage(t, 4000, 1024, true)
+		m := build(f, baseline)
+		s, _, err := runRefill(f, m, readers, ckptConfig(20_000))
+		if err != nil {
+			f.Fatal(err)
+		}
+		payload, err := CaptureState(m, s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(baseline, payload)
+	}
+	f.Fuzz(func(t *testing.T, baseline bool, payload []byte) {
+		readers, _ := counted(streams, true)
+		m := build(t, baseline)
 		s, err := NewScheduler(m, readers, ckptConfig(0))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if RestoreState(m, s, payload) != nil {
 			return
+		}
+		if err := m.(Snapshotter).CheckInvariants(); err != nil {
+			t.Fatalf("a restored payload breaks the machine's invariants: %v", err)
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()

@@ -10,7 +10,7 @@ import (
 	"rampage/internal/trace"
 )
 
-func testBaseline(t *testing.T, mhz uint64, l2Block uint64) *Baseline {
+func testBaseline(t testing.TB, mhz uint64, l2Block uint64) *Baseline {
 	t.Helper()
 	b, err := NewBaseline(BaselineConfig{
 		Params:    DefaultParams(mhz),

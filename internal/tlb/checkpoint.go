@@ -21,11 +21,12 @@ func (t *TLB) EncodeState(e *checkpoint.Enc) {
 }
 
 // DecodeState restores state captured by EncodeState into the live
-// columns and resets the filter to its construction state (slot 0,
-// always re-verified before use). frames is the frame count of the
-// page table the TLB caches: an entry naming a frame at or past it
-// fails the decode, since a hit on it would index past the table's
-// per-frame columns.
+// columns. The filter is left as it is: every slot holds an entry index
+// this TLB wrote (or the construction zero), so it is in range, and a
+// probe verifies the slot against the restored columns before using
+// it. frames is the frame count of the page table the TLB caches: an
+// entry naming a frame at or past it fails the decode, since a hit on
+// it would index past the table's per-frame columns.
 func (t *TLB) DecodeState(d *checkpoint.Dec, frames uint64) {
 	d.Marker(checkpoint.MarkTLB)
 	d.U64sInto(t.keys)
@@ -44,7 +45,4 @@ func (t *TLB) DecodeState(d *checkpoint.Dec, frames uint64) {
 	t.stats.Misses = d.U64()
 	t.stats.Invalidations = d.U64()
 	t.stats.Flushes = d.U64()
-	for i := range t.filter {
-		t.filter[i] = 0
-	}
 }

@@ -246,3 +246,29 @@ func TestDecodeStateRejectsFrameOutOfRange(t *testing.T) {
 		t.Errorf("decode error = %v, want a frame range error", err)
 	}
 }
+
+// TestCheckConsistencyFindsBadFilterSlots pins the filter half of the
+// check every restore ends with: a TLB that has inserted and hit
+// passes, and a single filter slot past the entries or negative,
+// anywhere in the filter, is reported.
+func TestCheckConsistencyFindsBadFilterSlots(t *testing.T) {
+	tb := paperTLB(t, 4096)
+	for vpn := uint64(0); vpn < 100; vpn++ {
+		tb.Insert(1, mem.VAddr(vpn<<12), vpn)
+		tb.Lookup(1, mem.VAddr(vpn<<12))
+	}
+	if err := tb.CheckConsistency(); err != nil {
+		t.Fatalf("genuine TLB: %v", err)
+	}
+	for _, tc := range []struct {
+		slot int
+		v    int32
+	}{{0, 64}, {FilterSlots - 1, -1}, {777, 1 << 30}} {
+		saved := tb.filter[tc.slot]
+		tb.filter[tc.slot] = tc.v
+		if err := tb.CheckConsistency(); err == nil || !strings.Contains(err.Error(), "filter slot") {
+			t.Errorf("slot %d = %d: error = %v, want a filter slot error", tc.slot, tc.v, err)
+		}
+		tb.filter[tc.slot] = saved
+	}
+}

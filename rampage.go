@@ -39,6 +39,7 @@ package rampage
 
 import (
 	"context"
+	"slices"
 
 	"rampage/internal/dram"
 	"rampage/internal/harness"
@@ -118,8 +119,15 @@ type Profile = synth.Profile
 // GenOptions configures trace generation from a Profile.
 type GenOptions = synth.Options
 
-// Table2 returns the 18 benchmark profiles of the paper's workload.
-func Table2() []Profile { return synth.Table2() }
+// Table2 returns the 18 benchmark profiles of the paper's workload, as
+// a copy the caller may modify.
+func Table2() []Profile {
+	profiles := slices.Clone(synth.Table2())
+	for i := range profiles {
+		profiles[i].Regions = slices.Clone(profiles[i].Regions)
+	}
+	return profiles
+}
 
 // FindProfile returns the Table 2 profile with the given name.
 func FindProfile(name string) (Profile, bool) { return synth.FindProfile(name) }
